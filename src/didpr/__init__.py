@@ -49,8 +49,6 @@ from .rewire import (
     RewiringConfig,
     RewiringTrace,
     ScenarioGains,
-    acceptance_probability,
-    balance_ratio,
     read_trace_csv,
     rewire,
     rewire_with_scenario_gains,
@@ -110,8 +108,6 @@ __all__ = [
     "RewiringConfig",
     "RewiringTrace",
     "ScenarioGains",
-    "acceptance_probability",
-    "balance_ratio",
     "read_trace_csv",
     "rewire",
     "rewire_with_scenario_gains",

@@ -320,6 +320,9 @@ def read_eta_csv(path) -> EdgeMixMatrix:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(_ETA_HEADER):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(_ETA_HEADER)} fields, got {len(row)}")
             i, j, k, l = (int(v) for v in row[:4])
             cells[((i, j), (k, l))] = float(row[4])
     if not cells:

@@ -81,10 +81,6 @@ class _Opt:
 
 
 _SEED_OPT = _Opt("int", help="RNG seed; falls back to DIDPR_SEED, then 0")
-_BACKEND_OPT = _Opt(
-    "str", default="auto", choices=("auto", "simplex", "highs"),
-    help="LP backend (default auto)",
-)
 _METHOD_OPT = _Opt(
     "str", default="auto",
     choices=("auto", "center", "entropy", "spread", "vertex"),
@@ -136,7 +132,6 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
                            help="independent graphs when --model is used"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="bounds CSV output path"),
-        "backend": _BACKEND_OPT,
         "seed": _SEED_OPT,
     },
     "solve-eta": {
@@ -145,7 +140,6 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "targets": _Opt("targets", required=True,
                         help="r11,r12,r21,r22 target values"),
         "out": _Opt("str", required=True, help="mixing-matrix CSV path"),
-        "backend": _BACKEND_OPT,
         "method": _METHOD_OPT,
     },
     "rewire": {
@@ -162,14 +156,10 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "stop_early": _Opt("flag", default=False,
                            help="stop once every coefficient is within "
                                 "tolerance of its target"),
-        "incremental": _Opt("flag", default=False,
-                            help="update checkpoint coefficients per "
-                                 "accepted swap"),
         "replicates": _Opt("int", default=1, help="independent chains"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="rewired edge-list path"),
         "trace": _Opt("str", help="trace CSV path (default <out>.trace.csv)"),
-        "backend": _BACKEND_OPT,
         "method": _METHOD_OPT,
         "seed": _SEED_OPT,
     },
@@ -195,7 +185,6 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "replicates": _Opt("int", default=1, help="independent runs"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="gains CSV output path"),
-        "backend": _BACKEND_OPT,
         "method": _METHOD_OPT,
         "seed": _SEED_OPT,
     },
@@ -210,7 +199,8 @@ _HELP = {
     "generate": "generate a random network and write its edge list",
     "assort": "report the four assortativity coefficients of a network",
     "bounds": "compute attainable assortativity bounds, optionally "
-              "conditioned on pinned coefficients",
+              "conditioned on pinned coefficients (unconditioned bounds are "
+              "closed-form; conditioned ones solve a linear program)",
     "solve-eta": "solve for an edge mixing matrix realising target "
                  "coefficients",
     "rewire": "rewire a network toward target coefficients, preserving "
@@ -403,13 +393,11 @@ def _print_unattainable(bounds: AssortBounds) -> None:
         print(f"  r({a},{b}) in [{lo:.4f}, {hi:.4f}]", file=sys.stderr)
 
 
-def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile,
-                       backend: str, method: str):
+def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile, method: str):
     eta = solve_target_eta(problem_from_graph(g, targets=targets),
-                           backend=backend, method=method)
+                           method=method)
     if eta is None:
-        _print_unattainable(coefficient_bounds(problem_from_graph(g),
-                                               backend=backend))
+        _print_unattainable(coefficient_bounds(problem_from_graph(g)))
         raise SystemExit(1)
     return eta
 
@@ -465,8 +453,7 @@ def cmd_assort(params: dict) -> int:
 
 
 def _bounds_worker(job):
-    (graph_path, model, mparams, seed_seq, pairs, cond_pair, cond_values,
-     backend) = job
+    graph_path, model, mparams, seed_seq, pairs, cond_pair, cond_values = job
     if graph_path is not None:
         g = _load_graph(graph_path)
     elif model == "er":
@@ -483,8 +470,7 @@ def _bounds_worker(job):
         if value is not None:
             conditioning = {cond_pair: (value, value)}
         result = coefficient_bounds(problem, order=pairs,
-                                    conditioning=conditioning,
-                                    backend=backend)
+                                    conditioning=conditioning)
         for pair in pairs:
             lo, hi = result.get(*pair)
             rows.append((
@@ -514,8 +500,7 @@ def cmd_bounds(params: dict) -> int:
     jobs_args = [
         (params["graph"], params["model"],
          {k: params[k] for k in ("n", "p", *_DPA_OPTS)},
-         seeds[rep], params["pairs"], params["condition_pair"], cond_values,
-         params["backend"])
+         seeds[rep], params["pairs"], params["condition_pair"], cond_values)
         for rep in range(replicates)
     ]
     try:
@@ -540,7 +525,7 @@ def cmd_bounds(params: dict) -> int:
 def cmd_solve_eta(params: dict) -> int:
     g = _load_graph(params["graph"])
     targets = AssortProfile(*params["targets"])
-    eta = _solve_eta_or_fail(g, targets, params["backend"], params["method"])
+    eta = _solve_eta_or_fail(g, targets, params["method"])
     write_eta_csv(eta, params["out"])
     _echo_config("solve-eta", params, params["out"])
     achieved = assortativity(eta)
@@ -562,13 +547,13 @@ def cmd_rewire(params: dict) -> int:
     if params["eta"] is not None:
         eta = read_eta_csv(params["eta"])
     elif targets is not None:
-        eta = _solve_eta_or_fail(g, targets, params["backend"],
-                                 params["method"])
+        eta = _solve_eta_or_fail(g, targets, params["method"])
     else:
         raise CliError("give --targets (to solve for a mixing matrix) "
                        "or --eta (to reuse one)")
-    if params["trace"] is None:
-        params["trace"] = f"{params['out']}.trace.csv"
+    # Derived here rather than stored in params, so the echoed config only
+    # holds given values and a replay with a new --out gets its own trace.
+    trace_base = params["trace"] or f"{params['out']}.trace.csv"
 
     replicates = params["replicates"]
     seeds = _spawn_seeds(params["seed"], replicates)
@@ -581,7 +566,6 @@ def cmd_rewire(params: dict) -> int:
             stop_early=params["stop_early"],
             seed=seeds[rep],
             targets=targets,
-            incremental_r=params["incremental"],
         )
         jobs_args.append((g, eta, cfg))
     try:
@@ -599,7 +583,7 @@ def cmd_rewire(params: dict) -> int:
             raise CliError("internal check failed: degree-pair "
                            "distribution changed")
         out_path = _replicate_path(params["out"], rep, replicates)
-        trace_path = _replicate_path(params["trace"], rep, replicates)
+        trace_path = _replicate_path(trace_base, rep, replicates)
         write_edge_list(rewired, out_path)
         if rewired.edge_labels is not None:
             write_edge_labels(rewired, f"{out_path}.labels")
@@ -640,14 +624,14 @@ _BUCKET_ORDER = (
 
 
 def _gains_worker(job):
-    mparams, targets_t, steps, checkpoint_every, backend, method, seed_seq = job
+    mparams, targets_t, steps, checkpoint_every, method, seed_seq = job
     gen_seed, chain_seed = seed_seq.spawn(2)
     g = gen_dpa(DpaParams(mparams["alpha"], mparams["beta"], mparams["gamma"],
                           mparams["delta_in"], mparams["delta_out"],
                           mparams["edges"], gen_seed))
     targets = AssortProfile(*targets_t)
     eta = solve_target_eta(problem_from_graph(g, targets=targets),
-                           backend=backend, method=method)
+                           method=method)
     if eta is None:
         raise ValueError("targets unattainable for a generated replicate; "
                          "pick milder targets")
@@ -664,8 +648,7 @@ def cmd_scenario_gains(params: dict) -> int:
     mparams = {k: params[k] for k in _DPA_OPTS}
     jobs_args = [
         (mparams, params["targets"], params["steps"],
-         params["checkpoint_every"], params["backend"], params["method"],
-         seeds[rep])
+         params["checkpoint_every"], params["method"], seeds[rep])
         for rep in range(replicates)
     ]
     try:
@@ -778,7 +761,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, LookupError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,12 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   fallback and the arbiter of attainability.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
-  the attainable range of each coefficient.  This is plain linear
-  programming.
+  the attainable range of each coefficient.  Without conditioning each
+  extreme has a closed form: the objective sum f(s) g(t) eta(s, t) has the
+  Monge property, so the maximum is attained by the comonotone (sorted)
+  coupling of the two marginals and the minimum by the antitone one
+  (Hoffman 1963; the Frechet-Hoeffding bounds).  Conditioned bounds are
+  linear programs, solved with HiGHS.
 
 The map between a coefficient r(a, b) and the linear functional it pins is
 g(a, b, r) = sigma_q(a) * sigma_qt(b) * r + mu_q(a) * mu_qt(b), the value
@@ -207,7 +211,7 @@ def assemble_constraints(p: EtaProblem) -> lplib.LinearProgram:
     (column sums), plus four moment rows when targets are present.  Interval
     constraints contribute two <= rows each via the g map.  Redundant rows
     (the two marginal families share their total) are kept; the solver's
-    phase-1 copes with rank deficiency.
+    presolve copes with rank deficiency.
     """
     ns, nt = len(p.source_pairs), len(p.target_pairs)
     nvars = ns * nt
@@ -528,13 +532,11 @@ def _center_eta(
                          X / X.sum())
 
 
-def _lp_target_eta(
-    p: EtaProblem, backend: str, spread: bool
-) -> EdgeMixMatrix | None:
+def _lp_target_eta(p: EtaProblem, spread: bool) -> EdgeMixMatrix | None:
     ns, nt = len(p.source_pairs), len(p.target_pairs)
     if spread:
         prog, indep = _spread_program(p)
-        sol = lplib.solve(prog, backend=backend)
+        sol = lplib.solve(prog)
         if sol.status is lplib.LpStatus.INFEASIBLE:
             return None
         if sol.status is not lplib.LpStatus.OPTIMAL:
@@ -543,7 +545,7 @@ def _lp_target_eta(
         flat = sol.x[:-1] + t * indep
     else:
         prog = assemble_constraints(p)
-        sol = lplib.solve_feasibility(prog, backend=backend)
+        sol = lplib.solve_feasibility(prog)
         if sol.status is lplib.LpStatus.INFEASIBLE:
             return None
         if sol.status is not lplib.LpStatus.OPTIMAL:
@@ -556,11 +558,7 @@ def _lp_target_eta(
     return eta
 
 
-def solve_target_eta(
-    p: EtaProblem,
-    backend: str = "auto",
-    method: str = "auto",
-) -> EdgeMixMatrix | None:
+def solve_target_eta(p: EtaProblem, method: str = "auto") -> EdgeMixMatrix | None:
     """Find a mixing matrix realising the target coefficients.
 
     Returns None when the targets are jointly unattainable for this
@@ -570,8 +568,8 @@ def solve_target_eta(
       tilt is too flat to steer a rewiring chain (typical log acceptance
       ratio below 0.1, the heavy-tail regime) the point is polished to
       the analytic centre of the feasible polytope, which restores
-      mobility there.  Falls back to the LP when the targets admit no
-      strictly positive solution; attainability is then settled by the
+      mobility there.  Falls back to the LP (HiGHS) when the targets admit
+      no strictly positive solution; attainability is then settled by the
       LP's feasibility status.
     * "center": always polish to the analytic centre; raises instead of
       falling back to the LP.
@@ -600,7 +598,7 @@ def solve_target_eta(
                 "no strictly positive mixing matrix reaches these targets; "
                 "use method='auto' or 'spread'"
             )
-    return _lp_target_eta(p, backend, spread=(method != "vertex"))
+    return _lp_target_eta(p, spread=(method != "vertex"))
 
 
 @dataclass(frozen=True)
@@ -623,11 +621,50 @@ def _clamp(r: float, what: str) -> float:
     return min(1.0, max(-1.0, r))
 
 
+def _comonotone_moment(f: np.ndarray, rho: np.ndarray,
+                       g: np.ndarray, kappa: np.ndarray) -> float:
+    """Maximum of sum f(s) g(t) eta(s, t) over couplings eta of rho, kappa.
+
+    The comonotone coupling attains it: lay both marginals out in
+    increasing order of their values on [0, 1] and pair equal quantiles.
+    Between consecutive points of the merged cumulative-mass grids both
+    values are constant, so the sum runs over those pieces.
+    """
+    fo = np.argsort(f, kind="stable")
+    go = np.argsort(g, kind="stable")
+    cf = np.cumsum(rho[fo])
+    cg = np.cumsum(kappa[go])
+    cuts = np.union1d(cf, cg)
+    widths = np.diff(cuts, prepend=0.0)
+    # A piece ending at cut c lies in the first cell whose cumulative mass
+    # reaches c; the clip absorbs rounding in the two totals.
+    i = np.minimum(np.searchsorted(cf, cuts), len(cf) - 1)
+    j = np.minimum(np.searchsorted(cg, cuts), len(cg) - 1)
+    return float(widths @ (f[fo][i] * g[go][j]))
+
+
+def _lp_moment_range(prog: lplib.LinearProgram, w: np.ndarray,
+                     what: str) -> tuple[float, float]:
+    """Minimum and maximum of w . eta over the program's feasible set."""
+    vals = []
+    for sign in (1.0, -1.0):
+        sol = lplib.solve(lplib.LinearProgram(
+            prog.num_vars, sign * w, prog.A_eq, prog.b_eq, prog.A_ub, prog.b_ub,
+        ))
+        if sol.status is lplib.LpStatus.INFEASIBLE:
+            raise ValueError("conditioning intervals unattainable")
+        if sol.status is not lplib.LpStatus.OPTIMAL:
+            raise lplib.LpError(
+                f"unexpected LP status {sol.status} while bounding {what}"
+            )
+        vals.append(sign * sol.objective)
+    return vals[0], vals[1]
+
+
 def coefficient_bounds(
     p: EtaProblem,
     order: tuple[tuple[int, int], ...] = DEFAULT_ORDER,
     conditioning: dict[tuple[int, int], tuple[float, float]] | None = None,
-    backend: str = "auto",
 ) -> AssortBounds:
     """Attainable range of each queried coefficient.
 
@@ -635,8 +672,11 @@ def coefficient_bounds(
     degree-product moment over the transportation polytope, subject to the
     interval constraints in `conditioning` (and any already stored on the
     problem); the optima map back to coefficient bounds through the inverse
-    g map.  Raises ValueError when the conditioning intervals cut the
-    feasible set down to nothing.
+    g map.  Without any conditioning the optima are closed-form (the sorted
+    and reverse-sorted couplings of the two marginals) and no LP is solved;
+    with conditioning each optimum is a HiGHS linear program.  Raises
+    ValueError when the conditioning intervals cut the feasible set down to
+    nothing.
     """
     conditioning = {**p.intervals, **(conditioning or {})}
     for pair in order:
@@ -644,32 +684,25 @@ def coefficient_bounds(
             raise ValueError(f"unknown type pair {pair}")
     ends = ends_from_nu(p.nu)
     _require_sigmas(ends, set(order) | set(conditioning.keys()))
-
-    bare = EtaProblem(
-        p.nu, p.source_pairs, p.target_pairs, None, dict(conditioning)
-    )
-    prog = assemble_constraints(bare)
-    f, gv = _weight_vectors(bare)
+    f, gv = _weight_vectors(p)
+    rho, kappa = _mass_vectors(p)
+    prog = None
+    if conditioning:
+        prog = assemble_constraints(EtaProblem(
+            p.nu, p.source_pairs, p.target_pairs, None, dict(conditioning)
+        ))
 
     out: dict[tuple[int, int], tuple[float, float]] = {}
     for a, b in order:
-        w = np.outer(f[a], gv[b]).ravel()
-        vals = []
-        for sign in (1.0, -1.0):
-            prog_obj = lplib.LinearProgram(
-                prog.num_vars, sign * w, prog.A_eq, prog.b_eq,
-                prog.A_ub, prog.b_ub,
-            )
-            sol = lplib.solve(prog_obj, backend=backend)
-            if sol.status is lplib.LpStatus.INFEASIBLE:
-                raise ValueError("conditioning intervals unattainable")
-            if sol.status is not lplib.LpStatus.OPTIMAL:
-                raise lplib.LpError(
-                    f"unexpected LP status {sol.status} while bounding r({a},{b})"
-                )
-            vals.append(sign * sol.objective)
-        lo = _clamp(_inverse_g(a, b, vals[0], ends), f"lower bound of r({a},{b})")
-        hi = _clamp(_inverse_g(a, b, vals[1], ends), f"upper bound of r({a},{b})")
+        what = f"r({a},{b})"
+        if prog is not None:
+            low, high = _lp_moment_range(prog, np.outer(f[a], gv[b]).ravel(),
+                                         what)
+        else:
+            low = -_comonotone_moment(f[a], rho, -gv[b], kappa)
+            high = _comonotone_moment(f[a], rho, gv[b], kappa)
+        lo = _clamp(_inverse_g(a, b, low, ends), f"lower bound of {what}")
+        hi = _clamp(_inverse_g(a, b, high, ends), f"upper bound of {what}")
         if lo > hi:
             lo, hi = hi, lo
         out[(a, b)] = (lo, hi)

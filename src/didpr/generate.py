@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import _LABEL_NAMES, DirectedGraph
 from .weighted import CumulativeWeightTree
 
 __all__ = ["DpaParams", "gen_er", "gen_dpa", "scenario_of_edge"]
-
-_LABEL_NAMES = {"a": "alpha", "b": "beta", "g": "gamma"}
 
 # Row block size for the Bernoulli sweep in gen_er.
 _ER_BLOCK_CELLS = 4_000_000

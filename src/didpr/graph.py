@@ -23,6 +23,7 @@ __all__ = [
     "write_edge_labels",
 ]
 
+# Scenario label codes of generated edges, shared by generate and rewire.
 _LABEL_NAMES = {"a": "alpha", "b": "beta", "g": "gamma"}
 
 
@@ -129,12 +130,6 @@ class DegreePairDist:
         for (i, _), p in self.entries.items():
             out[i] = out.get(i, 0.0) + p
         return out
-
-    def marginal_in(self) -> dict[int, float]:
-        inn: dict[int, float] = {}
-        for (_, j), p in self.entries.items():
-            inn[j] = inn.get(j, 0.0) + p
-        return inn
 
 
 def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:

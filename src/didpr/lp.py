@@ -1,16 +1,13 @@
 """Linear programming layer.
 
-Problems are minimisation over x >= 0 with sparse equality and <= rows.  Two
-interchangeable backends sit behind one solve() contract:
+Problems are minimisation over x >= 0 with sparse equality and <= rows,
+solved by scipy's HiGHS wrapper.  The library needs an LP only where no
+closed form exists: conditioned coefficient bounds, and the "spread",
+"vertex" and fallback routes of the mixing-matrix solver.
 
-* "simplex": an embedded dense two-phase primal simplex.  Dantzig pricing
-  switches to Bland's rule after 1000 degenerate pivots, so it cannot cycle.
-* "highs": scipy's HiGHS wrapper, for the larger transportation-style
-  systems produced by the mixing-matrix solver.
-
-Whatever the backend, an Optimal answer is re-checked against the original
-rows by an independent residual pass before it is returned; solver internals
-are never trusted on feasibility.
+An Optimal answer is re-checked against the original rows by an
+independent residual pass before it is returned; solver internals are
+never trusted on feasibility.
 """
 from __future__ import annotations
 
@@ -29,18 +26,7 @@ __all__ = [
     "solve",
     "solve_feasibility",
     "verify_solution",
-    "dump_lp",
 ]
-
-FEAS_TOL = 1e-8        # phase-1 objective above this means infeasible
-REDCOST_TOL = 1e-9     # reduced-cost threshold for optimality
-PIVOT_TOL = 1e-10      # entries smaller than this never pivot
-BLAND_TRIGGER = 1000   # degenerate pivots before switching to Bland's rule
-
-# Dense tableaux beyond this many cells are refused by the simplex backend.
-_SIMPLEX_CELL_LIMIT = 20_000_000
-# Auto backend routes problems with more variables than this to HiGHS.
-_AUTO_SIMPLEX_MAX_VARS = 2000
 
 
 class LpStatus(enum.Enum):
@@ -50,7 +36,7 @@ class LpStatus(enum.Enum):
 
 
 class LpError(RuntimeError):
-    """Raised when a backend fails to produce a trustworthy answer."""
+    """Raised when the solver fails to produce a trustworthy answer."""
 
 
 @dataclass
@@ -97,10 +83,6 @@ class LinearProgram:
     def num_ub(self) -> int:
         return 0 if self.A_ub is None else self.A_ub.shape[0]
 
-    @property
-    def num_rows(self) -> int:
-        return self.num_eq + self.num_ub
-
 
 @dataclass
 class LpSolution:
@@ -108,7 +90,6 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    backend: str = ""
     residuals: dict[str, float] = field(default_factory=dict)
 
 
@@ -129,7 +110,7 @@ def verify_solution(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     return {"eq": eq_res, "ub": ub_res, "neg": neg}
 
 
-def _check_optimal(lp: LinearProgram, x: np.ndarray, backend: str) -> dict[str, float]:
+def _check_optimal(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     res = verify_solution(lp, x)
     b_sup = 0.0
     if lp.b_eq is not None and lp.b_eq.size:
@@ -137,197 +118,18 @@ def _check_optimal(lp: LinearProgram, x: np.ndarray, backend: str) -> dict[str, 
     scale = 1.0 + b_sup
     if res["eq"] > 1e-7 * scale or res["ub"] > 1e-7 * scale or res["neg"] > 1e-7:
         raise LpError(
-            f"backend {backend!r} returned an 'optimal' point violating the "
-            f"constraints (residuals {res})"
+            "HiGHS returned an 'optimal' point violating the constraints "
+            f"(residuals {res})"
         )
     return res
 
 
-# ---------------------------------------------------------------------------
-# Embedded two-phase primal simplex
-# ---------------------------------------------------------------------------
+def solve(lp: LinearProgram) -> LpSolution:
+    """Solve a linear program with HiGHS.
 
-def _simplex_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    piv = T[row, col]
-    T[row] /= piv
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-class _SimplexState:
-    """Shared pivot loop for both phases, with anti-cycling bookkeeping."""
-
-    def __init__(self, max_iters: int):
-        self.max_iters = max_iters
-        self.iterations = 0
-        self.degenerate = 0
-        self.bland = False
-
-    def run(
-        self,
-        T: np.ndarray,
-        obj: np.ndarray,
-        basis: np.ndarray,
-        allowed: np.ndarray,
-    ) -> str:
-        """Pivot until optimal or unbounded.  obj is the reduced-cost row."""
-        ncols = T.shape[1] - 1
-        while True:
-            rc = obj[:ncols]
-            if self.bland:
-                cand = np.flatnonzero(allowed & (rc < -REDCOST_TOL))
-                if cand.size == 0:
-                    return "optimal"
-                col = int(cand[0])
-            else:
-                masked = np.where(allowed, rc, np.inf)
-                col = int(np.argmin(masked))
-                if masked[col] >= -REDCOST_TOL:
-                    return "optimal"
-            colvals = T[:, col]
-            pos = colvals > PIVOT_TOL
-            if not pos.any():
-                return "unbounded"
-            ratios = np.where(pos, T[:, -1] / np.where(pos, colvals, 1.0), np.inf)
-            best = ratios.min()
-            ties = np.flatnonzero(ratios <= best + 1e-12)
-            # smallest basis index among ties: Bland-compatible and stable
-            row = int(ties[np.argmin(basis[ties])])
-            if T[row, -1] <= FEAS_TOL:
-                self.degenerate += 1
-                if self.degenerate > BLAND_TRIGGER:
-                    self.bland = True
-            factor = obj[col]
-            _simplex_pivot(T, basis, row, col)
-            obj -= factor * T[row]
-            obj[col] = 0.0
-            self.iterations += 1
-            if self.iterations > self.max_iters:
-                raise LpError(
-                    "simplex iteration cap exceeded (cycling/stall); "
-                    f"{self.iterations} pivots"
-                )
-
-
-def _solve_simplex(lp: LinearProgram, max_iters: int | None) -> LpSolution:
-    n = lp.num_vars
-    m_ub = lp.num_ub
-    ncols = n + m_ub
-
-    if max_iters is None:
-        max_iters = 50 * (lp.num_vars + lp.num_rows)
-
-    rows = []
-    rhs = []
-    if lp.A_eq is not None:
-        A_eq = lp.A_eq.toarray()
-        for i in range(A_eq.shape[0]):
-            row = np.zeros(ncols)
-            row[:n] = A_eq[i]
-            rows.append(row)
-            rhs.append(lp.b_eq[i])
-    if lp.A_ub is not None:
-        A_ub = lp.A_ub.toarray()
-        for i in range(A_ub.shape[0]):
-            row = np.zeros(ncols)
-            row[:n] = A_ub[i]
-            row[n + i] = 1.0
-            rows.append(row)
-            rhs.append(lp.b_ub[i])
-    m = len(rows)
-    if m == 0:
-        # Only x >= 0 remains: the origin is optimal unless some cost is
-        # negative, in which case that coordinate runs away.
-        if (lp.c < -REDCOST_TOL).any():
-            return LpSolution(LpStatus.UNBOUNDED, backend="simplex")
-        x = np.zeros(n)
-        return LpSolution(LpStatus.OPTIMAL, x, 0.0, 0, "simplex")
-
-    if (m + 1) * (ncols + m + 1) > _SIMPLEX_CELL_LIMIT:
-        raise LpError(
-            f"problem too large for the dense simplex backend "
-            f"({m} rows x {ncols} columns); use backend='highs'"
-        )
-
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=np.float64)
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1: artificial basis, minimise the sum of artificials.
-    T = np.empty((m, ncols + m + 1))
-    T[:, :ncols] = A
-    T[:, ncols:ncols + m] = np.eye(m)
-    T[:, -1] = b
-    basis = np.arange(ncols, ncols + m)
-    obj = np.zeros(ncols + m + 1)
-    obj[:ncols] = -T[:, :ncols].sum(axis=0)
-    obj[-1] = -b.sum()
-
-    state = _SimplexState(max_iters)
-    allowed = np.zeros(ncols + m, dtype=bool)
-    allowed[:ncols] = True
-    status = state.run(T, obj, basis, allowed)
-    if status == "unbounded":  # cannot happen: phase-1 objective is bounded
-        raise LpError("phase-1 reported unbounded")
-    phase1 = -obj[-1]
-    if phase1 > FEAS_TOL:
-        return LpSolution(LpStatus.INFEASIBLE, iterations=state.iterations,
-                          backend="simplex")
-
-    # Drive leftover artificials out of the basis; drop rows that prove
-    # redundant (their non-artificial part eliminated entirely).
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] < ncols:
-            continue
-        col = int(np.argmax(np.abs(T[r, :ncols])))
-        if abs(T[r, col]) > PIVOT_TOL:
-            _simplex_pivot(T, basis, r, col)
-        else:
-            keep[r] = False
-    if not keep.all():
-        T = T[keep]
-        basis = basis[keep]
-        m = T.shape[0]
-
-    # Phase 2 on the original objective.
-    c_full = np.zeros(ncols)
-    c_full[:n] = lp.c
-    obj = np.zeros(T.shape[1])
-    obj[:ncols] = c_full
-    for r in range(m):
-        if basis[r] < ncols and c_full[basis[r]] != 0.0:
-            obj -= c_full[basis[r]] * T[r]
-            obj[basis[r]] = 0.0
-    state2 = _SimplexState(max_iters)
-    state2.degenerate = state.degenerate
-    state2.bland = state.bland
-    allowed = np.zeros(T.shape[1] - 1, dtype=bool)
-    allowed[:ncols] = True
-    status = state2.run(T, obj, basis, allowed)
-    iters = state.iterations + state2.iterations
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, iterations=iters, backend="simplex")
-
-    x_full = np.zeros(ncols)
-    for r in range(m):
-        if basis[r] < ncols:
-            x_full[basis[r]] = T[r, -1]
-    x = x_full[:n]
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), iters, "simplex")
-
-
-# ---------------------------------------------------------------------------
-# HiGHS backend
-# ---------------------------------------------------------------------------
-
-def _solve_highs(lp: LinearProgram) -> LpSolution:
+    Optimal answers are verified against the constraints before being
+    returned.
+    """
     # Interior point with crossover: on the wide, shallow transportation
     # systems this library produces it is an order of magnitude faster than
     # dual simplex, and crossover still lands on a basic solution.
@@ -347,45 +149,17 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     )
     iters = int(getattr(res, "nit", 0) or 0)
     if res.status == 0:
-        return LpSolution(LpStatus.OPTIMAL, np.asarray(res.x), float(res.fun),
-                          iters, "highs")
+        x = np.asarray(res.x)
+        return LpSolution(LpStatus.OPTIMAL, x, float(res.fun), iters,
+                          _check_optimal(lp, x))
     if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE, iterations=iters, backend="highs")
+        return LpSolution(LpStatus.INFEASIBLE, iterations=iters)
     if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED, iterations=iters, backend="highs")
+        return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
     raise LpError(f"HiGHS failed: status {res.status} ({res.message})")
 
 
-# ---------------------------------------------------------------------------
-# Public entry points
-# ---------------------------------------------------------------------------
-
-def solve(lp: LinearProgram, backend: str = "auto",
-          max_iters: int | None = None) -> LpSolution:
-    """Solve a linear program.
-
-    backend is "simplex", "highs", or "auto" (simplex for small problems,
-    HiGHS beyond _AUTO_SIMPLEX_MAX_VARS variables).  Optimal answers are
-    verified against the constraints before being returned.
-    """
-    if backend == "auto":
-        backend = (
-            "simplex"
-            if lp.num_vars <= _AUTO_SIMPLEX_MAX_VARS and lp.num_rows <= 500
-            else "highs"
-        )
-    if backend == "simplex":
-        sol = _solve_simplex(lp, max_iters)
-    elif backend == "highs":
-        sol = _solve_highs(lp)
-    else:
-        raise ValueError(f"unknown LP backend {backend!r}")
-    if sol.status is LpStatus.OPTIMAL:
-        sol.residuals = _check_optimal(lp, sol.x, backend)
-    return sol
-
-
-def solve_feasibility(lp: LinearProgram, backend: str = "auto") -> LpSolution:
+def solve_feasibility(lp: LinearProgram) -> LpSolution:
     """Solve the feasibility problem for lp's constraints (zero objective)."""
     flat = LinearProgram(
         lp.num_vars,
@@ -395,27 +169,4 @@ def solve_feasibility(lp: LinearProgram, backend: str = "auto") -> LpSolution:
         lp.A_ub,
         lp.b_ub,
     )
-    return solve(flat, backend=backend)
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text rendering of a problem, one constraint per line."""
-
-    def render(row: np.ndarray) -> str:
-        terms = []
-        for j in np.flatnonzero(row):
-            coef = row[j]
-            terms.append(f"{coef:+g}*x{j}")
-        return " ".join(terms) if terms else "0"
-
-    lines = [f"min {render(lp.c)}"]
-    if lp.A_eq is not None:
-        dense = lp.A_eq.toarray()
-        for i in range(dense.shape[0]):
-            lines.append(f"{render(dense[i])} == {lp.b_eq[i]:g}")
-    if lp.A_ub is not None:
-        dense = lp.A_ub.toarray()
-        for i in range(dense.shape[0]):
-            lines.append(f"{render(dense[i])} <= {lp.b_ub[i]:g}")
-    lines.append("x >= 0")
-    return "\n".join(lines)
+    return solve(flat)

@@ -11,10 +11,10 @@ change, so the degree-pair distribution is exactly preserved while the edge
 mixing matrix drifts toward eta.  A zero denominator counts as acceptance:
 the chain must be free to leave configurations the target assigns no mass.
 
-Assortativity is evaluated at checkpoints from the current edge list; per
-swap updates of the running degree products are available as an opt-in
-(they are exact integer bookkeeping, so both modes produce identical
-traces).
+Assortativity is evaluated at checkpoints from the current edge list.
+When scenario gains are tracked, the degree products are instead updated per
+accepted swap; that is exact integer bookkeeping, so both ways give
+identical traces.
 """
 from __future__ import annotations
 
@@ -24,21 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assortativity import TYPE_PAIRS, AssortProfile, EdgeMixMatrix
-from .graph import DirectedGraph
+from .graph import _LABEL_NAMES, DirectedGraph
 
 __all__ = [
     "RewiringConfig",
     "RewiringTrace",
     "ScenarioGains",
-    "acceptance_probability",
-    "balance_ratio",
     "rewire",
     "rewire_with_scenario_gains",
     "read_trace_csv",
 ]
 
 _TRACE_HEADER = ("step", "r11", "r12", "r21", "r22", "acc_rate")
-_LABEL_NAMES = {"a": "alpha", "b": "beta", "g": "gamma"}
 
 # Proposals are drawn from the generator in blocks of this size, independent
 # of the checkpoint cadence, so a run's trajectory is a function of the seed
@@ -53,9 +50,7 @@ class RewiringConfig:
 
     max_steps: proposals to attempt.  checkpoint_every: steps between trace
     rows.  tolerance/stop_early: stop at a checkpoint once every coefficient
-    is within tolerance of its target (requires targets).  incremental_r:
-    update degree products per accepted swap instead of re-evaluating at
-    checkpoints; off by default.
+    is within tolerance of its target (requires targets).
     """
 
     max_steps: int
@@ -64,7 +59,6 @@ class RewiringConfig:
     stop_early: bool = False
     seed: int | None = None
     targets: AssortProfile | None = None
-    incremental_r: bool = False
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -127,63 +121,6 @@ def read_trace_csv(path) -> RewiringTrace:
             step, *vals = row
             rows.append((int(step), *(float(v) for v in vals)))
     return RewiringTrace(rows)
-
-
-def acceptance_probability(
-    eta: EdgeMixMatrix,
-    pairs: tuple[
-        tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]
-    ],
-) -> float:
-    """Probability of accepting a proposed target swap.
-
-    pairs holds the degree pairs (source 1, target 1, source 2, target 2)
-    of the two sampled edges.  Raises LookupError when a pair is missing
-    from eta's index sets.
-    """
-    s1, t1, s2, t2 = pairs
-    src_idx = eta.source_index()
-    tgt_idx = eta.target_index()
-    try:
-        i1, j1 = src_idx[s1], tgt_idx[t1]
-        i2, j2 = src_idx[s2], tgt_idx[t2]
-    except KeyError as exc:
-        raise LookupError(f"degree pair {exc.args[0]} absent from eta") from exc
-    H = eta.H
-    den = H[i1, j1] * H[i2, j2]
-    if den <= 0.0:
-        return 1.0
-    num = H[i1, j2] * H[i2, j1]
-    return min(1.0, num / den)
-
-
-def balance_ratio(
-    eta: EdgeMixMatrix,
-    pairs: tuple[
-        tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]
-    ],
-) -> float:
-    """Forward over reverse acceptance probability for a proposed swap.
-
-    With all four entries positive this equals the eta-product ratio
-    exactly, which is the detailed-balance identity at proposal level.
-    Raises ValueError when any involved entry is zero.
-    """
-    s1, t1, s2, t2 = pairs
-    src_idx = eta.source_index()
-    tgt_idx = eta.target_index()
-    try:
-        i1, j1 = src_idx[s1], tgt_idx[t1]
-        i2, j2 = src_idx[s2], tgt_idx[t2]
-    except KeyError as exc:
-        raise LookupError(f"degree pair {exc.args[0]} absent from eta") from exc
-    H = eta.H
-    entries = (H[i1, j1], H[i2, j2], H[i1, j2], H[i2, j1])
-    if min(entries) <= 0.0:
-        raise ValueError("balance ratio undefined: zero eta entry involved")
-    forward = acceptance_probability(eta, pairs)
-    reverse = acceptance_probability(eta, (s1, t2, s2, t1))
-    return forward / reverse
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +250,6 @@ def _run_chain(
 
     x = {1: g.out_deg[src_arr].astype(np.float64),
          2: g.in_deg[src_arr].astype(np.float64)}
-    track_products = cfg.incremental_r or track_gains
     prods = _degree_products(x, g.dst, g.out_deg, g.in_deg)
     s_int = {k: int(round(v)) for k, v in prods.items()}
     s_init = dict(s_int)
@@ -322,7 +258,7 @@ def _run_chain(
     buckets: dict[tuple[str, str], list[int]] = {}
 
     def profile_now() -> AssortProfile:
-        if track_products:
+        if track_gains:
             s = {k: float(v) for k, v in s_int.items()}
         else:
             s = _degree_products(x, np.asarray(dst, dtype=np.int64),
@@ -360,7 +296,7 @@ def _run_chain(
                 dst[e1] = v4
                 dst[e2] = v2
                 accepted += 1
-                if track_products:
+                if track_gains:
                     do = so[e1] - so[e2]
                     di = si[e1] - si[e2]
                     go = out_l[v4] - out_l[v2]
@@ -369,17 +305,16 @@ def _run_chain(
                     s_int[(1, 2)] += do * gi
                     s_int[(2, 1)] += di * go
                     s_int[(2, 2)] += di * gi
-                    if track_gains:
-                        key = _bucket_key(labels[e1], labels[e2])
-                        bucket = buckets.get(key)
-                        if bucket is None:
-                            bucket = [0, 0, 0, 0, 0]
-                            buckets[key] = bucket
-                        bucket[0] += 1
-                        bucket[1] += do * go
-                        bucket[2] += do * gi
-                        bucket[3] += di * go
-                        bucket[4] += di * gi
+                    key = _bucket_key(labels[e1], labels[e2])
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        bucket = [0, 0, 0, 0, 0]
+                        buckets[key] = bucket
+                    bucket[0] += 1
+                    bucket[1] += do * go
+                    bucket[2] += do * gi
+                    bucket[3] += di * go
+                    bucket[4] += di * gi
             steps_done += 1
             if steps_done == next_ckpt:
                 prof = profile_now()

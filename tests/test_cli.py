@@ -64,3 +64,56 @@ def test_rewire_edge_list_and_trace(er_graph, tmp_path):
     for row in trace.checkpoints:
         assert all(-1.0 <= r <= 1.0 for r in row[1:5])
         assert 0.0 <= row[5] <= 1.0
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_config_replay_with_new_out_keeps_first_run(er_graph, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    first = run / "a.txt"
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "5000", "--seed", "3",
+                     "--out", str(first)]) == 0
+    before = _snapshot(run)
+    assert sorted(before) == ["a.txt", "a.txt.config.json", "a.txt.trace.csv"]
+    assert "trace" not in json.loads(before["a.txt.config.json"])
+
+    second = run / "b.txt"
+    assert cli.main(["rewire", "--config", f"{first}.config.json",
+                     "--out", str(second)]) == 0
+    after = _snapshot(run)
+    assert {k: after[k] for k in before} == before
+    # Same seed and settings: the replay reproduces the first run's outputs.
+    assert after["b.txt"] == before["a.txt"]
+    assert after["b.txt.trace.csv"] == before["a.txt.trace.csv"]
+
+
+def test_truncated_eta_csv_is_a_one_line_error(er_graph, tmp_path, capsys):
+    eta = tmp_path / "eta.csv"
+    assert cli.main(["solve-eta", str(er_graph), "--targets",
+                     "0.1,0.1,0.1,0.1", "--out", str(eta)]) == 0
+    lines = eta.read_text(encoding="utf-8").splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0]])
+                     + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["rewire", str(er_graph), "--eta", str(short),
+                     "--steps", "100", "--out",
+                     str(tmp_path / "b.txt")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and f"short.csv:{len(lines)}:" in err[0]
+
+
+@pytest.mark.parametrize("key", ["backend", "incremental"])
+def test_removed_options_rejected_in_config(er_graph, tmp_path, capsys, key):
+    cfg = tmp_path / "old.config.json"
+    cfg.write_text(json.dumps({"command": "rewire", "graph": str(er_graph),
+                               "targets": [0.1, 0.1, 0.1, 0.1],
+                               "steps": 100, key: "auto"}), encoding="utf-8")
+    assert cli.main(["rewire", "--config", str(cfg),
+                     "--out", str(tmp_path / "c.txt")]) == 1
+    assert f"unknown config keys: {key}" in capsys.readouterr().err

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from didpr import lp as lplib
 from didpr.assortativity import (
+    TYPE_PAIRS,
     AssortProfile,
     EdgeEndDistributions,
     assortativity,
@@ -252,6 +254,32 @@ class TestCoefficientBounds:
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):
             coefficient_bounds(toy_problem(), order=((3, 1),))
+
+    @pytest.mark.parametrize("graph", [
+        lambda: gen_er(150, 0.1, seed=3),
+        lambda: gen_er(300, 0.1, seed=1),
+        lambda: gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1)),
+    ], ids=["er150", "er300", "dpa5e3"])
+    def test_closed_form_matches_lp(self, graph):
+        # r11 in [-1, 1] never binds, but any conditioning sends the bounds
+        # down the LP path, which then answers the unconditioned question.
+        p = problem_from_graph(graph())
+        closed = coefficient_bounds(p)
+        via_lp = coefficient_bounds(p, conditioning={(1, 1): (-1.0, 1.0)})
+        for pair in TYPE_PAIRS:
+            assert closed.get(*pair) == pytest.approx(via_lp.get(*pair),
+                                                      abs=1e-9)
+
+    def test_unconditioned_bounds_solve_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("unconditioned bounds called the LP")
+
+        monkeypatch.setattr(lplib, "solve", no_lp)
+        b = coefficient_bounds(problem_from_graph(gen_er(150, 0.1, seed=3)))
+        assert all(-1.0 <= lo < hi <= 1.0 for lo, hi in b.bounds.values())
+        with pytest.raises(AssertionError, match="called the LP"):
+            coefficient_bounds(toy_problem(),
+                               conditioning={(1, 1): (0.0, 0.5)})
 
 
 class TestAttainabilityConsistency:

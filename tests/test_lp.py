@@ -1,8 +1,9 @@
-"""Embedded simplex and the HiGHS seam against a brute-force reference."""
+"""The HiGHS-backed LP layer against a brute-force reference."""
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from didpr.lp import LinearProgram, LpError, LpStatus, solve, solve_feasibility, verify_solution
+from didpr.lp import LinearProgram, LpStatus, solve, solve_feasibility, verify_solution
 from lp_reference import random_lp, reference_solve
 
 
@@ -17,26 +18,46 @@ def make_lp(n, c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
                          np.asarray(A_ub, float), np.asarray(b_ub, float))
 
 
+# solve() runs HiGHS's interior point with crossover.  The pinned programs
+# are also put to a second HiGHS algorithm through scipy directly: the dual
+# simplex, and HiGHS's own choice; both must give the pinned answer too.
+_CROSS_CHECK = {"simplex": "highs-ds", "highs": "highs"}
+_SCIPY_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
+                 3: LpStatus.UNBOUNDED}
+
+
+def cross_check(lp, algorithm):
+    res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq,
+                  b_eq=lp.b_eq, bounds=(0, None),
+                  method=_CROSS_CHECK[algorithm])
+    return _SCIPY_STATUS[res.status], res
+
+
 class TestPinnedPrograms:
-    @pytest.mark.parametrize("backend", ["simplex", "highs"])
-    def test_bounded_minimum(self, backend):
+    @pytest.mark.parametrize("algorithm", ["simplex", "highs"])
+    def test_bounded_minimum(self, algorithm):
         lp = make_lp(1, [-1.0], A_ub=[[1.0]], b_ub=[3.0])
-        sol = solve(lp, backend=backend)
+        sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
         assert sol.objective == pytest.approx(-3.0, abs=1e-9)
+        status, res = cross_check(lp, algorithm)
+        assert status is LpStatus.OPTIMAL
+        assert res.fun == pytest.approx(-3.0, abs=1e-9)
 
-    @pytest.mark.parametrize("backend", ["simplex", "highs"])
-    def test_infeasible_pair(self, backend):
+    @pytest.mark.parametrize("algorithm", ["simplex", "highs"])
+    def test_infeasible_pair(self, algorithm):
         # x1 + x2 = 1 and x1 - x2 = 3 force x2 = -1
         lp = make_lp(2, [0.0, 0.0],
                      A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 3.0])
-        assert solve(lp, backend=backend).status is LpStatus.INFEASIBLE
+        assert solve(lp).status is LpStatus.INFEASIBLE
+        assert cross_check(lp, algorithm)[0] is LpStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("backend", ["simplex", "highs"])
-    def test_unbounded(self, backend):
+    @pytest.mark.parametrize("algorithm", ["simplex", "highs"])
+    def test_unbounded(self, algorithm):
         lp = make_lp(1, [-1.0])
-        assert solve(lp, backend=backend).status is LpStatus.UNBOUNDED
+        assert solve(lp).status is LpStatus.UNBOUNDED
+        assert cross_check(lp, algorithm)[0] is LpStatus.UNBOUNDED
 
     def test_feasibility_simplex_sum(self):
         lp = make_lp(2, [0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
@@ -57,7 +78,7 @@ class TestAgainstReference:
         for _ in range(60):
             lp = random_lp(rng, make_lp)
             want_status, want_obj = reference_solve(lp)
-            sol = solve(lp, backend="simplex")
+            sol = solve(lp)
             assert sol.status.name.title() == want_status
             if want_status == "Optimal":
                 optimal += 1
@@ -69,23 +90,13 @@ class TestAgainstReference:
         # the generator must actually exercise all three outcomes
         assert optimal >= 20 and infeasible >= 5 and unbounded >= 5
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            lp = random_lp(rng, make_lp)
-            a = solve(lp, backend="simplex")
-            b = solve(lp, backend="highs")
-            assert a.status is b.status
-            if a.status is LpStatus.OPTIMAL:
-                assert a.objective == pytest.approx(b.objective, abs=1e-8)
-
 
 class TestContracts:
     def test_optimal_solutions_verified(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             lp = random_lp(rng, make_lp)
-            sol = solve(lp, backend="simplex")
+            sol = solve(lp)
             if sol.status is not LpStatus.OPTIMAL:
                 continue
             res = verify_solution(lp, sol.x)
@@ -96,19 +107,12 @@ class TestContracts:
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         lp = random_lp(rng, make_lp)
-        a = solve(lp, backend="simplex")
-        b = solve(lp, backend="simplex")
+        a = solve(lp)
+        b = solve(lp)
         assert a.status is b.status
         if a.status is LpStatus.OPTIMAL:
             assert np.array_equal(a.x, b.x)
             assert a.objective == b.objective
-
-    def test_iteration_cap_raises(self):
-        lp = make_lp(3, [-1.0, -2.0, -3.0],
-                     A_ub=[[1.0, 1.0, 1.0], [2.0, 1.0, 0.0]],
-                     b_ub=[5.0, 4.0])
-        with pytest.raises(LpError, match="cycling|stall|iteration"):
-            solve(lp, backend="simplex", max_iters=1)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

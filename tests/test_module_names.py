@@ -3,8 +3,10 @@
 A function that reads a name which is neither bound at module level nor a
 builtin imports and collects fine, then raises NameError only when it runs.
 This scan reports such names statically, one line per name, with the
-standard-library symtable module.
+standard-library symtable module.  A second scan does the same for names a
+module exports in __all__ or imports from a sibling module.
 """
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -27,13 +29,41 @@ def _nested(table: symtable.SymbolTable):
         yield from _nested(child)
 
 
+def module_bindings(path: Path) -> set[str]:
+    """Names bound at module level: assignments, defs, classes, imports."""
+    module = symtable.symtable(path.read_text(encoding="utf-8"),
+                               str(path), "exec")
+    return {s.get_name() for s in module.get_symbols()
+            if s.is_assigned() or s.is_imported()}
+
+
+def stale_exports(path: Path) -> list[str]:
+    """'<file>:<line> <name>' for each __all__ entry the module does not
+    bind, and each `from .module import name` whose module does not bind
+    name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = module_bindings(path)
+    found = []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            found += [f"{path.name}:{node.lineno} {elt.value}"
+                      for elt in node.value.elts if elt.value not in bound]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module is not None):
+            source = module_bindings(path.parent / f"{node.module}.py")
+            found += [f"{path.name}:{node.lineno} {node.module}.{a.name}"
+                      for a in node.names if a.name not in source]
+    return found
+
+
 def unresolved_globals(path: Path) -> list[str]:
     """'<file>:<line> <name>' for each global read that nothing binds."""
     module = symtable.symtable(path.read_text(encoding="utf-8"),
                                str(path), "exec")
     scopes = list(_nested(module))
-    bound = {s.get_name() for s in module.get_symbols()
-             if s.is_assigned() or s.is_imported()}
+    bound = module_bindings(path)
     # `global x; x = ...` inside a function also binds x at module level.
     bound |= {s.get_name() for t in scopes for s in t.get_symbols()
               if s.is_declared_global() and s.is_assigned()}
@@ -65,3 +95,21 @@ def test_scan_flags_an_unbound_global(tmp_path):
 @pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
 def test_no_unresolved_global_names(path):
     assert unresolved_globals(path) == []
+
+
+def test_export_scan_flags_stale_names(tmp_path):
+    (tmp_path / "lib.py").write_text("def kept():\n    pass\n",
+                                     encoding="utf-8")
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .lib import kept, dropped\n"
+        "__all__ = ['kept', 'gone']\n",
+        encoding="utf-8",
+    )
+    assert stale_exports(probe) == ["probe.py:1 lib.dropped",
+                                    "probe.py:2 gone"]
+
+
+@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
+def test_exports_and_sibling_imports_bound(path):
+    assert stale_exports(path) == []
