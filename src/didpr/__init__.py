@@ -39,8 +39,6 @@ from .graph import (
     degree_pair_dist,
     read_edge_labels,
     read_edge_list,
-    sample_edge_pair,
-    swap_edges,
     write_edge_labels,
     write_edge_list,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "degree_pair_dist",
     "read_edge_labels",
     "read_edge_list",
-    "sample_edge_pair",
-    "swap_edges",
     "write_edge_labels",
     "write_edge_list",
     "LinearProgram",

@@ -15,7 +15,10 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   when the tilt alone would leave a rewiring chain diffusive (the
   heavy-tail regime); either interior point lets chains mix orders of
   magnitude faster than a basic LP solution, and the LP remains the
-  fallback and the arbiter of attainability.
+  fallback and the arbiter of attainability.  The tilt has rank two, so
+  the entropy solve runs Newton on its four multipliers only and finds
+  the row and column terms by Sinkhorn scaling: its work is a few hundred
+  mat-vecs with the ns x nt matrix, at any problem size.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, cg
 
 from . import lp as lplib
 from .assortativity import (
@@ -278,15 +282,54 @@ def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
     return lifted, indep
 
 
-# Entropy solver: dense Newton system is (ns + nt + 4) square; beyond this
-# the LP route takes over.
-_ENTROPY_MAX_DIM = 3000
-
 # A rewiring chain driven by the entropy tilt is effectively diffusive when
 # its typical log acceptance ratio drops below this; auto then escalates to
 # the analytic centre.  Heavy-tailed degree sequences sit one decade below,
 # light-tailed ones several times above.
 _DRIFT_FLOOR = 0.1
+
+# Work caps of the entropy solver.  An interior target converges in a
+# handful of Newton steps and a few hundred passes; a target on or beyond
+# the boundary of the attainable region sends the multipliers to infinity,
+# where the scaling slows down, and ends at one of the caps.  A pass is one
+# Sinkhorn sweep or one conjugate-gradient iteration: two mat-vecs with the
+# ns x nt matrix either way.
+_NEWTON_MAX = 50
+_PASS_MAX = 5_000
+
+# Relative marginal error of the final Sinkhorn scaling.
+_SINKHORN_TOL = 1e-12
+
+# Below this predicted rise, the dual's increase is lost in rounding, so the
+# full Newton step is taken without the sufficient-increase test.
+_PHI_NOISE = 1e-13
+
+# Index of a and b (0-based) for each multiplier, in TYPE_PAIRS order.
+_PAIR_A = np.array([a - 1 for a, _ in TYPE_PAIRS])
+_PAIR_B = np.array([b - 1 for _, b in TYPE_PAIRS])
+
+
+def _tilt(p: EtaProblem):
+    """Masses, standardised degree factors and targets of a target problem.
+
+    Returns (rho, kappa, U, V, m_star).  rho and kappa are the source and
+    target pair masses.  Column a-1 of U is the type-a degree of each
+    source pair, centred and scaled by the mean and sigma of the source
+    end; V does the same for the target pairs.  The standardised weight of
+    r(a, b) is then the rank-one product W(s, t) = U[s, a-1] V[t, b-1],
+    whose moment under a mixing matrix is the coefficient itself.  m_star
+    holds the targets in TYPE_PAIRS order.
+    """
+    ends = ends_from_nu(p.nu)
+    _require_sigmas(ends, TYPE_PAIRS)
+    rho, kappa = _mass_vectors(p)
+    f, gv = _weight_vectors(p)
+    U = np.column_stack([(f[a] - ends.mean_q(a)) / ends.sigma_q[a]
+                         for a in (1, 2)])
+    V = np.column_stack([(gv[b] - ends.mean_q_tilde(b)) / ends.sigma_q_tilde[b]
+                         for b in (1, 2)])
+    m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
+    return rho, kappa, U, V, m_star
 
 
 def _chain_drift(p: EtaProblem, lam: np.ndarray, samples: int = 100_000) -> float:
@@ -303,138 +346,143 @@ def _chain_drift(p: EtaProblem, lam: np.ndarray, samples: int = 100_000) -> floa
     Deterministic (fixed internal seed).
     """
     rng = np.random.default_rng(0)
-    rho, kappa = _mass_vectors(p)
-    f, gv = _weight_vectors(p)
-    ends = ends_from_nu(p.nu)
-    su = {a: (f[a] - ends.mean_q(a)) / ends.sigma_q[a] for a in (1, 2)}
-    tv = {b: (gv[b] - ends.mean_q_tilde(b)) / ends.sigma_q_tilde[b]
-          for b in (1, 2)}
+    rho, kappa, U, V, _ = _tilt(p)
     s1 = rng.choice(len(rho), size=samples, p=rho)
     s2 = rng.choice(len(rho), size=samples, p=rho)
     t1 = rng.choice(len(kappa), size=samples, p=kappa)
     t2 = rng.choice(len(kappa), size=samples, p=kappa)
     delta = np.zeros(samples)
     for k, (a, b) in enumerate(TYPE_PAIRS):
-        delta += lam[k] * (su[a][s1] - su[a][s2]) * (tv[b][t2] - tv[b][t1])
+        delta += (lam[k] * (U[s1, a - 1] - U[s2, a - 1])
+                  * (V[t2, b - 1] - V[t1, b - 1]))
     return float(np.abs(delta).mean())
 
 
 def _entropy_eta(
-    p: EtaProblem,
-    max_iters: int = 80,
-    tol: float = 1e-10,
-    stall_tol: float = 1e-8,
+    p: EtaProblem, tol: float = 1e-10,
 ) -> tuple[EdgeMixMatrix | None, np.ndarray]:
     """Maximum-entropy mixing matrix hitting the marginals and targets.
 
-    Solves max -sum eta log eta subject to the row/column masses and the
-    four moment equalities by Newton's method on the concave dual; the
-    solution has the Gibbs form exp(A_s + B_t + sum lam * w) with centred
-    degree-product weights w, which makes the later rewiring chain's
-    acceptance ratio a smooth exponential tilt and gives it far better
+    Maximises -sum eta log eta subject to the row/column masses and the
+    four moment equalities.  The solution has the Gibbs form
+    M = exp(A_s + B_t + U Lam V'), Lam the 2x2 arrangement of the four
+    multipliers lam; the tilt has rank two because every standardised
+    weight is a source factor times a target factor (see _tilt).  Its
+    smooth exponential tilt gives the later rewiring chain far better
     mobility than any basic solution of the LP.
 
-    Returns (matrix, lam).  The weights are standardised, so lam is the
-    tilt in per-unit-noise terms; its size tells how strongly the Gibbs
-    landscape steers a rewiring chain (see solve_target_eta).  The matrix
-    is None when the iteration fails to converge, which happens exactly
-    when the targets sit on or outside the boundary of the attainable
-    moment region (no strictly positive solution exists); the caller then
-    falls back to the LP route, which settles attainability.
+    Newton runs on lam alone, over the reduced concave dual
+    phi(lam) = rho.A + kappa.B + m*.lam - sum M.  For each lam, A and B
+    balance M to the marginals by Sinkhorn sweeps (two mat-vecs each, the
+    scalings folded back into A and B).  The gradient of phi is
+    m* - E_M[W] and its negative Hessian the 4x4 Schur complement
+    S = R - P' H_AB^-1 P; conjugate gradients apply H_AB^-1 without
+    forming it, and predict how A and B move with lam, which warm-starts
+    the next balance.  Steps solve S by least squares and backtrack on phi
+    (Armijo).
+
+    Returns (matrix, lam), lam in standardised units: its size tells how
+    strongly the Gibbs landscape steers a rewiring chain (see
+    solve_target_eta).  The matrix is None when no strictly positive
+    solution turns up: the gradient leaves the range of S, an exponential
+    overflows, phi stops rising, or a work cap runs out.  That happens when
+    the targets sit on or outside the boundary of the attainable moment
+    region; the caller then falls back to the LP, which settles
+    attainability.
     """
-    ns, nt = len(p.source_pairs), len(p.target_pairs)
-    if ns + nt + 4 > _ENTROPY_MAX_DIM:
-        return None, np.zeros(4)
-    ends = ends_from_nu(p.nu)
-    _require_sigmas(ends, TYPE_PAIRS)
-    rho, kappa = _mass_vectors(p)
-    f, gv = _weight_vectors(p)
-    mu = {a: ends.mean_q(a) for a in (1, 2)}
-    mut = {b: ends.mean_q_tilde(b) for b in (1, 2)}
-    sig, sigt = ends.sigma_q, ends.sigma_q_tilde
+    rho, kappa, U, V, m_star = _tilt(p)
+    ns, nt = len(rho), len(kappa)
+    passes = 0
 
-    # Centred, standardised weights: the tilt lam*(f - mu)(g - mut)/(sig
-    # sigt) spans the same family as raw degree products (row/column terms
-    # fold into A and B), and on this scale the pinned moment is the target
-    # coefficient itself, so lam stays O(1) even for heavy degree tails.
-    W = np.stack([np.outer(f[a] - mu[a], gv[b] - mut[b]) / (sig[a] * sigt[b])
-                  for a, b in TYPE_PAIRS])
-    Wf = W.reshape(4, -1)
-    m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
+    def count_pass(_=None) -> None:
+        nonlocal passes
+        passes += 1
 
-    A = np.log(rho)
-    B = np.log(kappa)
+    def balance(A, B, lam):
+        """Sinkhorn-scale exp(A + B + U Lam V') to the marginals."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            K = U @ lam.reshape(2, 2) @ V.T
+            K += A[:, None]
+            K += B
+            np.exp(K, out=K)
+            x, y = np.ones(ns), np.ones(nt)
+            Ky = K @ y
+            while True:
+                err = float(np.abs(x * Ky / rho - 1.0).max())
+                if err <= _SINKHORN_TOL:
+                    break
+                if not err < np.inf or passes >= _PASS_MAX:
+                    return None
+                count_pass()
+                x = rho / Ky
+                y = kappa / (x @ K)
+                Ky = K @ y
+            K *= x[:, None]
+            K *= y
+            return A + np.log(x), B + np.log(y), K
+
     lam = np.zeros(4)
+    state = balance(np.log(rho), np.log(kappa), lam)
+    for _ in range(_NEWTON_MAX):
+        if state is None:
+            break
+        A, B, M = state
+        MV, UtM = M @ V, U.T @ M
+        g = m_star - (UtM @ V).ravel()
+        if np.abs(g).max() < tol:
+            return EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
+                                 M / M.sum()), lam
 
-    def gibbs(A, B, lam):
-        E = A[:, None] + B[None, :] + np.tensordot(lam, W, axes=1)
-        with np.errstate(over="ignore"):
-            return np.exp(E)
+        # Curvature: R is the second moment of the weights under M, and P
+        # stacks d(row sums, column sums)/d lam.
+        rs, cs = M.sum(axis=1), M.sum(axis=0)
+        P = np.concatenate([U[:, _PAIR_A] * MV[:, _PAIR_B],
+                            V[:, _PAIR_B] * UtM.T[:, _PAIR_A]])
+        UU = (U[:, :, None] * U[:, None, :]).reshape(ns, 4)
+        VV = (V[:, :, None] * V[:, None, :]).reshape(nt, 4)
+        T = UU.T @ M @ VV
+        R = T[np.add.outer(2 * _PAIR_A, _PAIR_A),
+              np.add.outer(2 * _PAIR_B, _PAIR_B)]
+        n = ns + nt
+        h_ab = LinearOperator((n, n), dtype=np.float64, matvec=lambda z: (
+            np.concatenate([rs * z[:ns] + M @ z[ns:], z[:ns] @ M + cs * z[ns:]])))
+        d = np.concatenate([rs, cs])
+        jacobi = LinearOperator((n, n), dtype=np.float64,
+                                matvec=lambda z: z / d)
+        # H_AB is singular along the shift A + c, B - c, but every column
+        # of P is orthogonal to it, so the systems are consistent.
+        X = np.column_stack([
+            cg(h_ab, col, rtol=1e-8, maxiter=max(1, _PASS_MAX - passes),
+               M=jacobi, callback=count_pass)[0]
+            for col in P.T
+        ])
+        S = R - P.T @ X
+        if not np.isfinite(S).all() or passes >= _PASS_MAX:
+            break
+        step = np.linalg.lstsq(S, g, rcond=1e-10)[0]
+        # A gradient component outside the range of S lies along a
+        # combination of weights that is additive in rows and columns, so
+        # its moment is the same for every mixing matrix: the targets are
+        # unattainable and phi rises without bound along it.
+        if np.linalg.norm(S @ step - g) > 0.5 * np.linalg.norm(g):
+            break
+        slope = float(g @ step)
 
-    def dual(A, B, lam):
-        return rho @ A + kappa @ B + m_star @ lam - gibbs(A, B, lam).sum()
-
-    def finish(M):
-        return EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
-                             M / M.sum())
-
-    n = ns + nt + 4
-    for _ in range(max_iters):
-        M = gibbs(A, B, lam)
-        rs = M.sum(axis=1)
-        cs = M.sum(axis=0)
-        grad = np.concatenate([rho - rs, kappa - cs, m_star - Wf @ M.ravel()])
-        resid = max(
-            np.abs(grad[:ns] / rho).max(),
-            np.abs(grad[ns:ns + nt] / kappa).max(),
-            np.abs(grad[ns + nt:]).max(),
-        )
-        if resid < tol:
-            return finish(M), lam
-        # Negative Hessian of the dual, assembled blockwise.
-        P = np.einsum("kst,st->sk", W, M)
-        Q = np.einsum("kst,st->tk", W, M)
-        R = (Wf * M.ravel()) @ Wf.T
-        H = np.zeros((n, n))
-        H[:ns, :ns] = np.diag(rs)
-        H[:ns, ns:ns + nt] = M
-        H[:ns, ns + nt:] = P
-        H[ns:ns + nt, :ns] = M.T
-        H[ns:ns + nt, ns:ns + nt] = np.diag(cs)
-        H[ns:ns + nt, ns + nt:] = Q
-        H[ns + nt:, :ns] = P.T
-        H[ns + nt:, ns:ns + nt] = Q.T
-        H[ns + nt:, ns + nt:] = R
-        # Equilibrate before regularising: the diagonal spans the squared
-        # range of the masses, and a raw additive ridge would stall the
-        # small-mass rows short of convergence.  The tiny multiplicative
-        # ridge also absorbs the A/B shift gauge.
-        d = np.sqrt(np.maximum(H.diagonal(), 1e-300))
-        Hs = H / d[:, None] / d[None, :]
-        Hs[np.arange(n), np.arange(n)] += 1e-13
-        try:
-            step = np.linalg.solve(Hs, grad / d) / d
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(Hs, grad / d, rcond=None)[0] / d
-        d0 = dual(A, B, lam)
-        slope = float(grad @ step)
-        t_ls = 1.0
-        improved = False
-        for _ in range(60):
-            if dual(A + t_ls * step[:ns], B + t_ls * step[ns:ns + nt],
-                    lam + t_ls * step[ns + nt:]) >= d0 + 1e-4 * t_ls * slope:
-                improved = True
-                break
-            t_ls *= 0.5
-        if not improved:
-            # Line search exhausted at machine precision; good enough when
-            # the residual is already far inside the downstream tolerance.
-            return (finish(M) if resid < stall_tol else None), lam
-        A = A + t_ls * step[:ns]
-        B = B + t_ls * step[ns:ns + nt]
-        lam = lam + t_ls * step[ns + nt:]
-    M = gibbs(A, B, lam)
-    return (finish(M) if resid < stall_tol else None), lam
+        t = 1.0
+        while True:
+            dAB = X @ (t * step)
+            state = balance(A - dAB[:ns], B - dAB[ns:], lam + t * step)
+            if state is not None:
+                A1, B1, M1 = state
+                rise = (rho @ (A1 - A) + kappa @ (B1 - B) - (M1.sum() - M.sum())
+                        + t * float(m_star @ step))
+                if rise >= 1e-4 * t * slope or slope < _PHI_NOISE:
+                    break
+            t *= 0.5
+            if t < 1e-10 or passes >= _PASS_MAX:
+                return None, lam
+        lam = lam + t * step
+    return None, lam
 
 
 def _center_eta(
@@ -459,16 +507,9 @@ def _center_eta(
     Returns None only when the final residual is not tiny.
     """
     ns, nt = len(p.source_pairs), len(p.target_pairs)
-    rho, kappa = _mass_vectors(p)
-    f, gv = _weight_vectors(p)
-    ends = ends_from_nu(p.nu)
-    mu = {a: ends.mean_q(a) for a in (1, 2)}
-    mut = {b: ends.mean_q_tilde(b) for b in (1, 2)}
-    sig, sigt = ends.sigma_q, ends.sigma_q_tilde
-    W = np.stack([np.outer(f[a] - mu[a], gv[b] - mut[b]) / (sig[a] * sigt[b])
-                  for a, b in TYPE_PAIRS])
+    rho, kappa, U, V, m_star = _tilt(p)
+    W = (U.T[:, None, :, None] * V.T[None, :, None, :]).reshape(4, ns, nt)
     Wf = W.reshape(4, -1)
-    m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
     b_full = np.concatenate([rho, kappa, m_star])
 
     X = eta0.H.copy()
@@ -564,13 +605,15 @@ def solve_target_eta(p: EtaProblem, method: str = "auto") -> EdgeMixMatrix | Non
     Returns None when the targets are jointly unattainable for this
     degree-pair distribution.  Methods:
 
-    * "auto" (default): maximum-entropy solve; when the resulting Gibbs
-      tilt is too flat to steer a rewiring chain (typical log acceptance
-      ratio below 0.1, the heavy-tail regime) the point is polished to
-      the analytic centre of the feasible polytope, which restores
-      mobility there.  Falls back to the LP (HiGHS) when the targets admit
-      no strictly positive solution; attainability is then settled by the
-      LP's feasibility status.
+    * "auto" (default): maximum-entropy solve (see _entropy_eta), at any
+      problem size; when the resulting Gibbs tilt is too flat to steer a
+      rewiring chain (typical log acceptance ratio below 0.1, the
+      heavy-tail regime) the point is polished to the analytic centre of
+      the feasible polytope, which restores mobility there.  Falls back to
+      the LP (HiGHS) only when the entropy solve finds no strictly
+      positive solution (targets on or beyond the boundary of the
+      attainable region); attainability is then settled by the LP's
+      feasibility status.
     * "center": always polish to the analytic centre; raises instead of
       falling back to the LP.
     * "entropy": the maximum-entropy point without centring.

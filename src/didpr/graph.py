@@ -15,8 +15,6 @@ __all__ = [
     "DegreePairDist",
     "GraphFormatError",
     "degree_pair_dist",
-    "sample_edge_pair",
-    "swap_edges",
     "read_edge_list",
     "write_edge_list",
     "read_edge_labels",
@@ -146,38 +144,6 @@ def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
         (int(i), int(j)): int(c) / n for (i, j), c in zip(uniq.tolist(), counts.tolist())
     }
     return DegreePairDist(entries)
-
-
-def sample_edge_pair(g: DirectedGraph, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw two distinct edge indices uniformly at random.
-
-    Every unordered pair of distinct edges is equally likely.  Requires at
-    least two edges.
-    """
-    m = g.num_edges
-    if m < 2:
-        raise ValueError("need at least two edges to sample a pair")
-    e1 = int(rng.integers(m))
-    e2 = int(rng.integers(m - 1))
-    if e2 >= e1:
-        e2 += 1
-    return e1, e2
-
-
-def swap_edges(g: DirectedGraph, e1: int, e2: int) -> None:
-    """Exchange the targets of edges e1 and e2 in place.
-
-    (v1, v2), (v3, v4) become (v1, v4), (v3, v2).  Degrees are unchanged, so
-    the cached degree arrays stay valid.  Raises ValueError when the indices
-    coincide or fall outside the edge array.
-    """
-    m = g.num_edges
-    if e1 == e2:
-        raise ValueError("swap requires two distinct edge indices")
-    if not (0 <= e1 < m and 0 <= e2 < m):
-        raise ValueError(f"edge index out of range: ({e1}, {e2}) with {m} edges")
-    d = g.dst
-    d[e1], d[e2] = d[e2], d[e1]
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,41 @@ def test_removed_options_rejected_in_config(er_graph, tmp_path, capsys, key):
     assert cli.main(["rewire", "--config", str(cfg),
                      "--out", str(tmp_path / "c.txt")]) == 1
     assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+def _bad_inputs(graph, tmp):
+    """One bad invocation per subcommand that argparse itself accepts."""
+    malformed = tmp / "malformed.txt"
+    malformed.write_text("0 1\n1 two\n", encoding="utf-8")
+    not_a_trace = tmp / "not_a_trace.csv"
+    not_a_trace.write_text("a,b\n1,2\n", encoding="utf-8")
+    out = str(tmp / "out")
+    return {
+        "generate": ["generate", "er", "--n", "10", "--out", out],
+        "assort": ["assort", str(tmp / "missing.txt")],
+        "bounds": ["bounds", "--graph", str(graph), "--model", "er",
+                   "--out", out],
+        "solve-eta": ["solve-eta", str(graph), "--targets", "0.1,0.1,0.1",
+                      "--out", out],
+        "rewire": ["rewire", str(graph), "--steps", "100", "--out", out],
+        "fit": ["fit", str(malformed), "--n-tail", "10"],
+        "scenario-gains": ["scenario-gains", "--targets", "0.1,0.1,0.1,0.1",
+                           "--steps", "100", "--out", out],
+        "aggregate": ["aggregate", str(not_a_trace), "--out", out],
+    }
+
+
+def test_bad_inputs_cover_every_subcommand(tmp_path):
+    assert set(_bad_inputs(tmp_path / "g.txt", tmp_path)) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_bad_input_is_a_one_line_error(er_graph, tmp_path, capsys, command):
+    argv = _bad_inputs(er_graph, tmp_path)[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()

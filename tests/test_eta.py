@@ -1,6 +1,13 @@
 """Constraint assembly, target mixing-matrix solving, and coefficient bounds."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import didpr
 
 from didpr import lp as lplib
 from didpr.assortativity import (
@@ -14,6 +21,7 @@ from didpr.assortativity import (
 )
 from didpr.eta import (
     EtaProblem,
+    _entropy_eta,
     _inverse_g,
     assemble_constraints,
     coefficient_bounds,
@@ -204,6 +212,80 @@ class TestSolveTargetEta:
             solve_target_eta(toy_problem())
 
 
+def _standardised_weights(p):
+    """Per-coefficient weights w_ab(s, t) whose eta-moment is r(a, b)."""
+    ends = ends_from_nu(p.nu)
+    src = np.array(p.source_pairs, dtype=float)
+    tgt = np.array(p.target_pairs, dtype=float)
+    return {
+        (a, b): np.outer((src[:, a - 1] - ends.mean_q(a)) / ends.sigma_q[a],
+                         (tgt[:, b - 1] - ends.mean_q_tilde(b))
+                         / ends.sigma_q_tilde[b])
+        for a, b in TYPE_PAIRS
+    }
+
+
+class TestEntropyOracle:
+    """The maximum-entropy point is the unique feasible matrix of the form
+    exp(A_s + B_t + sum lam_ab w_ab); checking the form and feasibility
+    separately certifies the solver's answer."""
+
+    @pytest.mark.parametrize("graph, targets", [
+        (lambda: gen_er(300, 0.1, seed=2), (0.2, 0.1, -0.1, 0.05)),
+        (lambda: gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1)),
+         (0.1, 0.15, 0.1, 0.15)),
+    ], ids=["er300", "dpa5e3"])
+    def test_gibbs_form_and_feasibility(self, graph, targets):
+        g = graph()
+        tgt = AssortProfile(*targets)
+        p = problem_from_graph(g, targets=tgt)
+        eta, lam = _entropy_eta(p)
+        assert eta is not None and (eta.H > 0.0).all()
+
+        weights = _standardised_weights(p)
+        Z = np.log(eta.H) - sum(lam[k] * weights[pair]
+                                for k, pair in enumerate(TYPE_PAIRS))
+        additive_part = (Z.mean(axis=1, keepdims=True)
+                         + Z.mean(axis=0, keepdims=True) - Z.mean())
+        assert np.abs(Z - additive_part).max() < 1e-8
+
+        src_mass = np.array([i * p.nu.entries[(i, j)] for i, j in p.source_pairs])
+        tgt_mass = np.array([j * p.nu.entries[(i, j)] for i, j in p.target_pairs])
+        rows = eta.H.sum(axis=1)
+        cols = eta.H.sum(axis=0)
+        assert np.abs(rows / (src_mass / src_mass.sum()) - 1.0).max() < 1e-10
+        assert np.abs(cols / (tgt_mass / tgt_mass.sum()) - 1.0).max() < 1e-10
+        for pair in TYPE_PAIRS:
+            assert float((weights[pair] * eta.H).sum()) == pytest.approx(
+                tgt.get(*pair), abs=1e-10)
+
+    def test_answer_does_not_depend_on_blas_threads(self, tmp_path):
+        # Solved twice in fresh interpreters, so the thread count is fixed
+        # before numpy loads its BLAS.
+        script = (
+            "import sys, numpy as np\n"
+            "from didpr.assortativity import AssortProfile\n"
+            "from didpr.eta import problem_from_graph, solve_target_eta\n"
+            "from didpr.generate import gen_er\n"
+            "p = problem_from_graph(gen_er(1000, 0.1, seed=1),\n"
+            "    targets=AssortProfile(0.6, 0.5, -0.4, -0.3))\n"
+            "np.save(sys.argv[1], solve_target_eta(p, method='entropy').H)\n"
+        )
+        src_dir = str(Path(didpr.__file__).resolve().parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"eta{threads}.npy"
+            runs[threads] = (out, subprocess.Popen(
+                [sys.executable, "-c", script, str(out)], env=env))
+        for out, proc in runs.values():
+            assert proc.wait(timeout=300) == 0
+        one, two = (np.load(out) for out, _ in runs.values())
+        assert (np.abs(one - two) / one).max() <= 1e-8
+
+
 class TestCoefficientBounds:
     def test_toy_range_is_known_interval(self):
         b = coefficient_bounds(toy_problem())
@@ -320,7 +402,7 @@ class TestAdaptiveDispatch:
     need the analytic-centre polish."""
 
     def test_drift_separates_regimes(self):
-        from didpr.eta import _chain_drift, _entropy_eta
+        from didpr.eta import _chain_drift
 
         pe = problem_from_graph(gen_er(500, 0.1, seed=5),
                                 targets=AssortProfile(0.6, 0.5, -0.4, -0.3))

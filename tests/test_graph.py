@@ -1,4 +1,4 @@
-"""Graph storage, degree bookkeeping, sampling, swaps, and file IO."""
+"""Graph storage, degree bookkeeping, the swap move, and file IO."""
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,11 +10,40 @@ from didpr.graph import (
     degree_pair_dist,
     read_edge_labels,
     read_edge_list,
-    sample_edge_pair,
-    swap_edges,
     write_edge_labels,
     write_edge_list,
 )
+
+
+def sample_edge_pair(g: DirectedGraph, rng: np.random.Generator) -> tuple[int, int]:
+    """Draw two distinct edge indices uniformly at random.
+
+    Reference form of the rewiring chain's proposal, which draws the same
+    pair law in blocks (didpr.rewire._run_chain).  Requires two edges.
+    """
+    m = g.num_edges
+    if m < 2:
+        raise ValueError("need at least two edges to sample a pair")
+    e1 = int(rng.integers(m))
+    e2 = int(rng.integers(m - 1))
+    if e2 >= e1:
+        e2 += 1
+    return e1, e2
+
+
+def swap_edges(g: DirectedGraph, e1: int, e2: int) -> None:
+    """Exchange the targets of edges e1 and e2 in place.
+
+    Reference form of the chain's move: (v1, v2), (v3, v4) become
+    (v1, v4), (v3, v2), and no degree changes.
+    """
+    m = g.num_edges
+    if e1 == e2:
+        raise ValueError("swap requires two distinct edge indices")
+    if not (0 <= e1 < m and 0 <= e2 < m):
+        raise ValueError(f"edge index out of range: ({e1}, {e2}) with {m} edges")
+    d = g.dst
+    d[e1], d[e2] = d[e2], d[e1]
 
 
 def graph_from_pairs(num_nodes, pairs, labels=None):
