@@ -42,7 +42,7 @@ from .graph import (
     write_edge_labels,
     write_edge_list,
 )
-from .lp import LinearProgram, LpError, LpSolution, LpStatus, solve, solve_feasibility
+from .lp import LinearProgram, LpError, LpSolution, LpStatus, solve
 from .rewire import (
     RewiringConfig,
     RewiringTrace,
@@ -100,7 +100,6 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "solve",
-    "solve_feasibility",
     "RewiringConfig",
     "RewiringTrace",
     "ScenarioGains",

@@ -309,7 +309,8 @@ def read_eta_csv(path) -> EdgeMixMatrix:
     """Rebuild a mixing matrix from its CSV form.
 
     Pair lists are the sorted distinct pairs present in the file; entries
-    absent from the file are zero.
+    absent from the file are zero.  A row without five fields, or with an
+    entry that is negative or not finite, raises ValueError naming its line.
     """
     cells: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -324,7 +325,11 @@ def read_eta_csv(path) -> EdgeMixMatrix:
                 raise ValueError(f"{path}:{reader.line_num}: expected "
                                  f"{len(_ETA_HEADER)} fields, got {len(row)}")
             i, j, k, l = (int(v) for v in row[:4])
-            cells[((i, j), (k, l))] = float(row[4])
+            value = float(row[4])
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{path}:{reader.line_num}: eta entry "
+                                 f"{row[4]} is not finite and nonnegative")
+            cells[((i, j), (k, l))] = value
     if not cells:
         raise ValueError(f"{path}: no entries")
     source_pairs = sorted({sp for sp, _ in cells})

@@ -81,12 +81,6 @@ class _Opt:
 
 
 _SEED_OPT = _Opt("int", help="RNG seed; falls back to DIDPR_SEED, then 0")
-_METHOD_OPT = _Opt(
-    "str", default="auto",
-    choices=("auto", "center", "entropy", "spread", "vertex"),
-    help="mixing-matrix solver (default auto: max entropy, centred on "
-         "heavy-tailed inputs, LP fallback)",
-)
 
 _DPA_OPTS = {
     "alpha": _Opt("float", help="probability of a new-source step"),
@@ -140,7 +134,6 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "targets": _Opt("targets", required=True,
                         help="r11,r12,r21,r22 target values"),
         "out": _Opt("str", required=True, help="mixing-matrix CSV path"),
-        "method": _METHOD_OPT,
     },
     "rewire": {
         "graph": _Opt("str", required=True, positional=True,
@@ -160,7 +153,6 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="rewired edge-list path"),
         "trace": _Opt("str", help="trace CSV path (default <out>.trace.csv)"),
-        "method": _METHOD_OPT,
         "seed": _SEED_OPT,
     },
     "fit": {
@@ -185,7 +177,6 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "replicates": _Opt("int", default=1, help="independent runs"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="gains CSV output path"),
-        "method": _METHOD_OPT,
         "seed": _SEED_OPT,
     },
     "aggregate": {
@@ -202,7 +193,9 @@ _HELP = {
               "conditioned on pinned coefficients (unconditioned bounds are "
               "closed-form; conditioned ones solve a linear program)",
     "solve-eta": "solve for an edge mixing matrix realising target "
-                 "coefficients",
+                 "coefficients (maximum entropy, centred on heavy tails; a "
+                 "linear program where that finds no positive solution, "
+                 "which also decides attainability)",
     "rewire": "rewire a network toward target coefficients, preserving "
               "every degree",
     "fit": "fit attachment-model parameters to an observed network",
@@ -393,9 +386,8 @@ def _print_unattainable(bounds: AssortBounds) -> None:
         print(f"  r({a},{b}) in [{lo:.4f}, {hi:.4f}]", file=sys.stderr)
 
 
-def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile, method: str):
-    eta = solve_target_eta(problem_from_graph(g, targets=targets),
-                           method=method)
+def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile):
+    eta = solve_target_eta(problem_from_graph(g, targets=targets))
     if eta is None:
         _print_unattainable(coefficient_bounds(problem_from_graph(g)))
         raise SystemExit(1)
@@ -525,7 +517,7 @@ def cmd_bounds(params: dict) -> int:
 def cmd_solve_eta(params: dict) -> int:
     g = _load_graph(params["graph"])
     targets = AssortProfile(*params["targets"])
-    eta = _solve_eta_or_fail(g, targets, params["method"])
+    eta = _solve_eta_or_fail(g, targets)
     write_eta_csv(eta, params["out"])
     _echo_config("solve-eta", params, params["out"])
     achieved = assortativity(eta)
@@ -547,7 +539,7 @@ def cmd_rewire(params: dict) -> int:
     if params["eta"] is not None:
         eta = read_eta_csv(params["eta"])
     elif targets is not None:
-        eta = _solve_eta_or_fail(g, targets, params["method"])
+        eta = _solve_eta_or_fail(g, targets)
     else:
         raise CliError("give --targets (to solve for a mixing matrix) "
                        "or --eta (to reuse one)")
@@ -624,14 +616,13 @@ _BUCKET_ORDER = (
 
 
 def _gains_worker(job):
-    mparams, targets_t, steps, checkpoint_every, method, seed_seq = job
+    mparams, targets_t, steps, checkpoint_every, seed_seq = job
     gen_seed, chain_seed = seed_seq.spawn(2)
     g = gen_dpa(DpaParams(mparams["alpha"], mparams["beta"], mparams["gamma"],
                           mparams["delta_in"], mparams["delta_out"],
                           mparams["edges"], gen_seed))
     targets = AssortProfile(*targets_t)
-    eta = solve_target_eta(problem_from_graph(g, targets=targets),
-                           method=method)
+    eta = solve_target_eta(problem_from_graph(g, targets=targets))
     if eta is None:
         raise ValueError("targets unattainable for a generated replicate; "
                          "pick milder targets")
@@ -648,7 +639,7 @@ def cmd_scenario_gains(params: dict) -> int:
     mparams = {k: params[k] for k in _DPA_OPTS}
     jobs_args = [
         (mparams, params["targets"], params["steps"],
-         params["checkpoint_every"], params["method"], seeds[rep])
+         params["checkpoint_every"], seeds[rep])
         for rep in range(replicates)
     ]
     try:

@@ -9,16 +9,18 @@ affine function of the mixing matrix once the degree-pair distribution is
 fixed.  Everything here therefore reduces to constrained moment problems:
 
 * solve_target_eta finds a mixing matrix realising four target coefficients
-  (or reports that no such matrix exists).  By default it returns the
+  (or reports that no such matrix exists) along one route.  It takes the
   maximum-entropy solution, a smooth Gibbs tilt of the independence
-  coupling, escalating to the analytic centre of the feasible polytope
-  when the tilt alone would leave a rewiring chain diffusive (the
+  coupling, and polishes it to the analytic centre of the feasible
+  polytope when the tilt alone would leave a rewiring chain diffusive (the
   heavy-tail regime); either interior point lets chains mix orders of
-  magnitude faster than a basic LP solution, and the LP remains the
-  fallback and the arbiter of attainability.  The tilt has rank two, so
-  the entropy solve runs Newton on its four multipliers only and finds
-  the row and column terms by Sinkhorn scaling: its work is a few hundred
-  mat-vecs with the ns x nt matrix, at any problem size.
+  magnitude faster than a basic LP solution.  When no strictly positive
+  solution turns up, an LP that maximises a share of the independence
+  coupling answers instead, and its feasibility status settles
+  attainability.  The tilt has rank two, so the entropy solve runs Newton
+  on its four multipliers only and finds the row and column terms by
+  Sinkhorn scaling: its work is a few hundred mat-vecs with the ns x nt
+  matrix, at any problem size.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -283,9 +285,9 @@ def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
 
 
 # A rewiring chain driven by the entropy tilt is effectively diffusive when
-# its typical log acceptance ratio drops below this; auto then escalates to
-# the analytic centre.  Heavy-tailed degree sequences sit one decade below,
-# light-tailed ones several times above.
+# its typical log acceptance ratio drops below this; solve_target_eta then
+# escalates to the analytic centre.  Heavy-tailed degree sequences sit one
+# decade below, light-tailed ones several times above.
 _DRIFT_FLOOR = 0.1
 
 # Work caps of the entropy solver.  An interior target converges in a
@@ -573,25 +575,16 @@ def _center_eta(
                          X / X.sum())
 
 
-def _lp_target_eta(p: EtaProblem, spread: bool) -> EdgeMixMatrix | None:
+def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
+    """Solve the spread program (see _spread_program); None if infeasible."""
     ns, nt = len(p.source_pairs), len(p.target_pairs)
-    if spread:
-        prog, indep = _spread_program(p)
-        sol = lplib.solve(prog)
-        if sol.status is lplib.LpStatus.INFEASIBLE:
-            return None
-        if sol.status is not lplib.LpStatus.OPTIMAL:
-            raise lplib.LpError(f"unexpected LP status {sol.status}")
-        t = sol.x[-1]
-        flat = sol.x[:-1] + t * indep
-    else:
-        prog = assemble_constraints(p)
-        sol = lplib.solve_feasibility(prog)
-        if sol.status is lplib.LpStatus.INFEASIBLE:
-            return None
-        if sol.status is not lplib.LpStatus.OPTIMAL:
-            raise lplib.LpError(f"unexpected LP status {sol.status}")
-        flat = sol.x
+    prog, indep = _spread_program(p)
+    sol = lplib.solve(prog)
+    if sol.status is lplib.LpStatus.INFEASIBLE:
+        return None
+    if sol.status is not lplib.LpStatus.OPTIMAL:
+        raise lplib.LpError(f"unexpected LP status {sol.status}")
+    flat = sol.x[:-1] + sol.x[-1] * indep
     flat = np.where(flat < 0.0, 0.0, flat)
     eta = EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
                         flat.reshape(ns, nt))
@@ -599,49 +592,32 @@ def _lp_target_eta(p: EtaProblem, spread: bool) -> EdgeMixMatrix | None:
     return eta
 
 
-def solve_target_eta(p: EtaProblem, method: str = "auto") -> EdgeMixMatrix | None:
+def solve_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     """Find a mixing matrix realising the target coefficients.
 
     Returns None when the targets are jointly unattainable for this
-    degree-pair distribution.  Methods:
-
-    * "auto" (default): maximum-entropy solve (see _entropy_eta), at any
-      problem size; when the resulting Gibbs tilt is too flat to steer a
-      rewiring chain (typical log acceptance ratio below 0.1, the
-      heavy-tail regime) the point is polished to the analytic centre of
-      the feasible polytope, which restores mobility there.  Falls back to
-      the LP (HiGHS) only when the entropy solve finds no strictly
-      positive solution (targets on or beyond the boundary of the
-      attainable region); attainability is then settled by the LP's
-      feasibility status.
-    * "center": always polish to the analytic centre; raises instead of
-      falling back to the LP.
-    * "entropy": the maximum-entropy point without centring.
-    * "spread": LP feasibility plus a maximised independence-mixture
-      component (interior-leaning but piecewise).
-    * "vertex": plain LP feasibility, a basic solution.
+    degree-pair distribution.  The maximum-entropy solve (see _entropy_eta)
+    runs first, at any problem size.  When its Gibbs tilt is too flat to
+    steer a rewiring chain (typical log acceptance ratio below
+    _DRIFT_FLOOR, the heavy-tail regime), the point is polished to the
+    analytic centre of the feasible polytope, which restores mobility
+    there.  When the entropy solve finds no strictly positive solution
+    (targets on or near the boundary of the attainable region), the spread
+    LP (HiGHS) answers instead: every entry of its matrix is at least t*
+    times the independence mass, t* the largest share the constraints
+    allow, and its feasibility status decides attainability.
     """
     if p.targets is None:
         raise ValueError("solve_target_eta requires targets")
-    if method not in ("auto", "center", "entropy", "spread", "vertex"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "center", "entropy"):
-        eta, lam = _entropy_eta(p)
-        if eta is not None:
-            if method == "center" or (
-                method == "auto" and _chain_drift(p, lam) < _DRIFT_FLOOR
-            ):
-                polished = _center_eta(p, eta)
-                if polished is not None:
-                    eta = polished
-            eta.validate(atol=1e-6)
-            return eta
-        if method != "auto":
-            raise ValueError(
-                "no strictly positive mixing matrix reaches these targets; "
-                "use method='auto' or 'spread'"
-            )
-    return _lp_target_eta(p, spread=(method != "vertex"))
+    eta, lam = _entropy_eta(p)
+    if eta is None:
+        return _lp_target_eta(p)
+    if _chain_drift(p, lam) < _DRIFT_FLOOR:
+        polished = _center_eta(p, eta)
+        if polished is not None:
+            eta = polished
+    eta.validate(atol=1e-6)
+    return eta
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Problems are minimisation over x >= 0 with sparse equality and <= rows,
 solved by scipy's HiGHS wrapper.  The library needs an LP only where no
-closed form exists: conditioned coefficient bounds, and the "spread",
-"vertex" and fallback routes of the mixing-matrix solver.
+closed form exists: conditioned coefficient bounds, and the fallback of
+the mixing-matrix solver, whose feasibility also settles attainability.
 
 An Optimal answer is re-checked against the original rows by an
 independent residual pass before it is returned; solver internals are
@@ -24,7 +24,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "solve",
-    "solve_feasibility",
     "verify_solution",
 ]
 
@@ -158,15 +157,3 @@ def solve(lp: LinearProgram) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
     raise LpError(f"HiGHS failed: status {res.status} ({res.message})")
 
-
-def solve_feasibility(lp: LinearProgram) -> LpSolution:
-    """Solve the feasibility problem for lp's constraints (zero objective)."""
-    flat = LinearProgram(
-        lp.num_vars,
-        np.zeros(lp.num_vars),
-        lp.A_eq,
-        lp.b_eq,
-        lp.A_ub,
-        lp.b_ub,
-    )
-    return solve(flat)

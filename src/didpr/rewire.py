@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assortativity import TYPE_PAIRS, AssortProfile, EdgeMixMatrix
+from .assortativity import (
+    TYPE_PAIRS,
+    AssortProfile,
+    EdgeMixMatrix,
+    _profile_from_moments,
+    edge_mix_from_graph,
+    end_distributions,
+)
 from .graph import _LABEL_NAMES, DirectedGraph
 
 __all__ = [
@@ -127,44 +134,6 @@ def read_trace_csv(path) -> RewiringTrace:
 # The chain
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _EndStats:
-    """Moments of the edge-end degree distributions (rewiring invariants)."""
-
-    mu_q: dict[int, float]
-    mu_qt: dict[int, float]
-    sig_q: dict[int, float]
-    sig_qt: dict[int, float]
-
-
-def _end_stats(g: DirectedGraph) -> _EndStats:
-    x = {1: g.out_deg[g.src].astype(np.float64),
-         2: g.in_deg[g.src].astype(np.float64)}
-    y = {1: g.out_deg[g.dst].astype(np.float64),
-         2: g.in_deg[g.dst].astype(np.float64)}
-    mu_q = {a: float(x[a].mean()) for a in (1, 2)}
-    mu_qt = {b: float(y[b].mean()) for b in (1, 2)}
-    sig_q = {a: float(np.sqrt(max((x[a] ** 2).mean() - mu_q[a] ** 2, 0.0)))
-             for a in (1, 2)}
-    sig_qt = {b: float(np.sqrt(max((y[b] ** 2).mean() - mu_qt[b] ** 2, 0.0)))
-              for b in (1, 2)}
-    for a, b in TYPE_PAIRS:
-        if sig_q[a] == 0.0 or sig_qt[b] == 0.0:
-            raise ValueError(
-                f"degenerate end distribution; r({a},{b}) undefined"
-            )
-    return _EndStats(mu_q, mu_qt, sig_q, sig_qt)
-
-
-def _profile_from_products(s: dict, m: int, st: _EndStats) -> AssortProfile:
-    vals = {}
-    for a, b in TYPE_PAIRS:
-        vals[(a, b)] = (s[(a, b)] / m - st.mu_q[a] * st.mu_qt[b]) / (
-            st.sig_q[a] * st.sig_qt[b]
-        )
-    return AssortProfile(vals[(1, 1)], vals[(1, 2)], vals[(2, 1)], vals[(2, 2)])
-
-
 def _degree_products(x: dict, dst: np.ndarray, out_deg, in_deg) -> dict:
     y1 = out_deg[dst].astype(np.float64)
     y2 = in_deg[dst].astype(np.float64)
@@ -233,7 +202,10 @@ def _run_chain(
         raise ValueError("rewiring needs at least two edges")
     if track_gains and g.edge_labels is None:
         raise ValueError("no scenario labels on this graph")
-    stats = _end_stats(g)
+    # End moments are rewiring invariants: degrees never change.
+    ends = end_distributions(edge_mix_from_graph(g))
+    mu_q = {a: ends.mean_q(a) for a in (1, 2)}
+    mu_qt = {b: ends.mean_q_tilde(b) for b in (1, 2)}
     sp_node, tp_node = _node_pair_indices(g, eta)
 
     m = g.num_edges
@@ -263,12 +235,14 @@ def _run_chain(
         else:
             s = _degree_products(x, np.asarray(dst, dtype=np.int64),
                                  g.out_deg, g.in_deg)
-        return _profile_from_products(s, m, stats)
+        return _profile_from_moments({k: v / m for k, v in s.items()},
+                                     mu_q, mu_qt, ends.sigma_q,
+                                     ends.sigma_q_tilde)
 
     trace = RewiringTrace([(0, *_profile_vals(profile_now()), 0.0)])
     targets = cfg.targets
     if cfg.stop_early and trace.final_profile().max_abs_diff(targets) <= cfg.tolerance:
-        return _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, stats,
+        return _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, ends,
                        track_gains)
 
     steps_done = 0
@@ -331,7 +305,7 @@ def _run_chain(
                     stop = True
                     break
 
-    return _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, stats,
+    return _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, ends,
                    track_gains)
 
 
@@ -345,7 +319,7 @@ def _bucket_key(code1: str, code2: str) -> tuple[str, str]:
     return (n1, n2) if n1 <= n2 else (n2, n1)
 
 
-def _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, stats,
+def _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, ends,
             track_gains):
     labels = None if g.edge_labels is None else g.edge_labels.copy()
     result = DirectedGraph(
@@ -361,7 +335,8 @@ def _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, stats,
 
     def to_r(key_s: dict) -> dict[str, float]:
         return {
-            f"r{a}{b}": key_s[(a, b)] / (m * stats.sig_q[a] * stats.sig_qt[b])
+            f"r{a}{b}": key_s[(a, b)]
+            / (m * ends.sigma_q[a] * ends.sigma_q_tilde[b])
             for a, b in TYPE_PAIRS
         }
 

@@ -214,3 +214,10 @@ class TestEtaCsv:
         path.write_text("i,j,k,l,eta\n")
         with pytest.raises(ValueError):
             read_eta_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_entry_rejected_with_its_line(self, tmp_path, value):
+        path = tmp_path / "eta.csv"
+        path.write_text(f"i,j,k,l,eta\n1,1,1,1,0.5\n1,1,2,1,{value}\n")
+        with pytest.raises(ValueError, match=r"eta\.csv:3: .*not finite"):
+            read_eta_csv(path)

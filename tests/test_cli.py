@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from didpr import cli
-from didpr.assortativity import AssortProfile, assortativity, read_eta_csv
+from didpr.assortativity import (
+    AssortProfile,
+    assortativity,
+    assortativity_from_edges,
+    read_eta_csv,
+)
 from didpr.graph import degree_pair_dist, read_edge_list
 from didpr.rewire import read_trace_csv
 
@@ -108,7 +113,7 @@ def test_truncated_eta_csv_is_a_one_line_error(er_graph, tmp_path, capsys):
     assert err[0].startswith("error: ") and f"short.csv:{len(lines)}:" in err[0]
 
 
-@pytest.mark.parametrize("key", ["backend", "incremental"])
+@pytest.mark.parametrize("key", ["backend", "incremental", "method"])
 def test_removed_options_rejected_in_config(er_graph, tmp_path, capsys, key):
     cfg = tmp_path / "old.config.json"
     cfg.write_text(json.dumps({"command": "rewire", "graph": str(er_graph),
@@ -117,6 +122,106 @@ def test_removed_options_rejected_in_config(er_graph, tmp_path, capsys, key):
     assert cli.main(["rewire", "--config", str(cfg),
                      "--out", str(tmp_path / "c.txt")]) == 1
     assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_bad_eta_entry_is_a_one_line_error(er_graph, tmp_path, capsys, value):
+    eta = tmp_path / "eta.csv"
+    assert cli.main(["solve-eta", str(er_graph), "--targets",
+                     "0.1,0.1,0.1,0.1", "--out", str(eta)]) == 0
+    lines = eta.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]
+                                          + "," + value] + lines[3:]) + "\n",
+                   encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "b.txt"
+    assert cli.main(["rewire", str(er_graph), "--eta", str(bad),
+                     "--targets", "0.1,0.1,0.1,0.1", "--steps", "20000",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "bad.csv:3:" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.csv", "eta.csv", "eta.csv.config.json"]
+
+
+def test_assort_json(er_graph, tmp_path, capsys):
+    out = tmp_path / "assort.json"
+    capsys.readouterr()
+    assert cli.main(["assort", str(er_graph), "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text(encoding="utf-8")) == printed
+    g = read_edge_list(er_graph)
+    want = assortativity_from_edges(g)
+    assert (printed["nodes"], printed["edges"]) == (g.num_nodes, g.num_edges)
+    for key, value in want.as_dict().items():
+        assert printed[key] == pytest.approx(value, abs=1e-12)
+    assert json.loads((tmp_path / "assort.json.config.json").read_text(
+        encoding="utf-8"))["command"] == "assort"
+
+
+def test_fit_json(tmp_path, capsys):
+    graph = tmp_path / "dpa.txt"
+    assert cli.main(["generate", "dpa", "--alpha", "0.3", "--beta", "0.4",
+                     "--gamma", "0.3", "--delta-in", "1", "--delta-out", "1",
+                     "--edges", "5000", "--seed", "2",
+                     "--out", str(graph)]) == 0
+    out = tmp_path / "fit.json"
+    capsys.readouterr()
+    assert cli.main(["fit", str(graph), "--n-tail", "50", "--grid-size", "5",
+                     "--seed", "1", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text(encoding="utf-8")) == printed
+    g = read_edge_list(graph)
+    assert printed["beta_hat"] == pytest.approx(1.0 - g.num_nodes / g.num_edges)
+    assert printed["n_tail"] == 50
+    assert (printed["alpha_hat"] + printed["beta_hat"] + printed["gamma_hat"]
+            == pytest.approx(1.0))
+    # The grid holds five equally spaced candidates for alpha.
+    share = printed["alpha_hat"] / (1.0 - printed["beta_hat"])
+    assert share * 4 == pytest.approx(round(share * 4))
+
+
+def test_scenario_gains_csv(tmp_path):
+    out = tmp_path / "gains.csv"
+    assert cli.main(["scenario-gains", "--alpha", "0.3", "--beta", "0.4",
+                     "--gamma", "0.3", "--delta-in", "1", "--delta-out", "1",
+                     "--edges", "2000", "--targets", "0.1,0.15,0.1,0.15",
+                     "--steps", "20000", "--replicates", "2", "--seed", "9",
+                     "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["replicate"] for r in rows] == ["0"] * 7 + ["1"] * 7
+    for rep in ("0", "1"):
+        block = [r for r in rows if r["replicate"] == rep]
+        buckets, total = block[:-1], block[-1]
+        assert total["scenario_pair"] == "total"
+        assert [r["scenario_pair"] for r in buckets] == [
+            "-".join(key) for key in cli._BUCKET_ORDER]
+        # Buckets telescope to the total (up to the 12 printed digits).
+        assert sum(int(r["count"]) for r in buckets) == int(total["count"]) > 0
+        for col in ("d_r11", "d_r12", "d_r21", "d_r22"):
+            assert sum(float(r[col]) for r in buckets) == pytest.approx(
+                float(total[col]), abs=1e-10)
+
+
+def test_aggregate_averages_replicate_traces(er_graph, tmp_path, capsys):
+    out = tmp_path / "rw.txt"
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "5000", "--replicates", "2", "--seed", "4",
+                     "--out", str(out)]) == 0
+    inputs = [tmp_path / f"rw.txt.trace.r{rep}.csv" for rep in (0, 1)]
+    mean = tmp_path / "mean.csv"
+    capsys.readouterr()
+    assert cli.main(["aggregate", *map(str, inputs), "--out", str(mean)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 6
+    traces = [read_trace_csv(p).checkpoints for p in inputs]
+    assert traces[0] != traces[1]
+    for row, a, b in zip(read_trace_csv(mean).checkpoints, *traces):
+        assert row[0] == a[0] == b[0]
+        assert row[1:] == pytest.approx([(x + y) / 2 for x, y in
+                                         zip(a[1:], b[1:])], abs=1e-12)
 
 
 def _bad_inputs(graph, tmp):

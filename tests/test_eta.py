@@ -14,6 +14,7 @@ from didpr.assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeEndDistributions,
+    EdgeMixMatrix,
     assortativity,
     assortativity_of_graph,
     edge_mix_from_graph,
@@ -21,8 +22,10 @@ from didpr.assortativity import (
 )
 from didpr.eta import (
     EtaProblem,
+    _center_eta,
     _entropy_eta,
     _inverse_g,
+    _lp_target_eta,
     assemble_constraints,
     coefficient_bounds,
     ends_from_nu,
@@ -190,20 +193,52 @@ class TestSolveTargetEta:
         assert eta is not None
         assert assortativity(eta).max_abs_diff(tgt) < 1e-6
 
+    # Neither interior route yields a matrix on unattainable targets: the
+    # entropy solve finds no strictly positive point, and the centre polish,
+    # started from a strictly positive but infeasible matrix, cannot reach
+    # the constraints.  solve_target_eta then reports None.
     @pytest.mark.parametrize("method", ["entropy", "center"])
     def test_interior_methods_raise_on_unattainable(self, method):
         p = toy_problem(targets=AssortProfile(0.5, 0.4, 0.5, 0.5))
-        with pytest.raises(ValueError, match="no strictly positive"):
-            solve_target_eta(p, method=method)
+        if method == "entropy":
+            eta = _entropy_eta(p)[0]
+        else:
+            ns, nt = len(p.source_pairs), len(p.target_pairs)
+            start = EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
+                                  np.full((ns, nt), 1.0 / (ns * nt)))
+            eta = _center_eta(p, start)
+        assert eta is None
+        assert solve_target_eta(p) is None
 
-    @pytest.mark.parametrize("method",
-                             ["auto", "entropy", "center", "spread", "vertex"])
-    def test_all_methods_hit_targets(self, method):
+    # Each route of solve_target_eta on its own: the entropy point, its
+    # centre polish, and the spread LP fallback.
+    ROUTES = {
+        "auto": solve_target_eta,
+        "entropy": lambda p: _entropy_eta(p)[0],
+        "center": lambda p: _center_eta(p, _entropy_eta(p)[0]),
+        "spread": _lp_target_eta,
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_all_methods_hit_targets(self, route):
         g = gen_er(300, 0.1, seed=2)
         tgt = AssortProfile(0.2, 0.1, -0.1, 0.05)
-        eta = solve_target_eta(problem_from_graph(g, targets=tgt),
-                               method=method)
+        eta = self.ROUTES[route](problem_from_graph(g, targets=tgt))
         assert eta is not None
+        assert assortativity(eta).max_abs_diff(tgt) < 1e-6
+        eta.validate(atol=1e-6)
+
+    def test_lp_fallback_keeps_full_support(self):
+        # The entropy solve finds no strictly positive matrix here, yet one
+        # exists: the spread LP keeps every entry at least t* = 0.034 times
+        # the independence mass.  A basic LP solution has 2.8% support.
+        g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 1022, seed=281922))
+        tgt = AssortProfile(0.40786717969867986, 0.3146593057866909,
+                            0.7319272474337181, 0.1591612431119376)
+        p = problem_from_graph(g, targets=tgt)
+        assert _entropy_eta(p)[0] is None
+        eta = solve_target_eta(p)
+        assert eta is not None and (eta.H > 0.0).all()
         assert assortativity(eta).max_abs_diff(tgt) < 1e-6
         eta.validate(atol=1e-6)
 
@@ -265,11 +300,11 @@ class TestEntropyOracle:
         script = (
             "import sys, numpy as np\n"
             "from didpr.assortativity import AssortProfile\n"
-            "from didpr.eta import problem_from_graph, solve_target_eta\n"
+            "from didpr.eta import _entropy_eta, problem_from_graph\n"
             "from didpr.generate import gen_er\n"
             "p = problem_from_graph(gen_er(1000, 0.1, seed=1),\n"
             "    targets=AssortProfile(0.6, 0.5, -0.4, -0.3))\n"
-            "np.save(sys.argv[1], solve_target_eta(p, method='entropy').H)\n"
+            "np.save(sys.argv[1], _entropy_eta(p)[0].H)\n"
         )
         src_dir = str(Path(didpr.__file__).resolve().parents[1])
         runs = {}
@@ -397,7 +432,7 @@ class TestProblemValidation:
 
 
 class TestAdaptiveDispatch:
-    """The auto method keys off the entropy tilt's typical log acceptance
+    """The centre polish keys off the entropy tilt's typical log acceptance
     step: light-tailed inputs steer fine from the Gibbs point, heavy tails
     need the analytic-centre polish."""
 

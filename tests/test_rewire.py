@@ -14,18 +14,24 @@ from didpr.assortativity import (
 )
 from didpr.eta import problem_from_graph, solve_target_eta
 from didpr.generate import DpaParams, gen_dpa
-from didpr.graph import DirectedGraph
+from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import RewiringConfig, rewire, rewire_with_scenario_gains
 
 TARGETS = AssortProfile(0.1, 0.15, 0.1, 0.15)
 
 
-def test_product_updates_match_recomputation():
+@pytest.fixture(scope="module")
+def dpa():
+    """A labelled DPA graph with 3e3 edges and its eta for TARGETS."""
+    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=7))
+    return g, solve_target_eta(problem_from_graph(g, targets=TARGETS))
+
+
+def test_product_updates_match_recomputation(dpa):
     # rewire() evaluates each checkpoint from the edge list; the gains run
     # updates integer degree products per accepted swap.  Both are exact,
     # so the same seed must give the same chain and the same trace.
-    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=7))
-    eta = solve_target_eta(problem_from_graph(g, targets=TARGETS))
+    g, eta = dpa
     cfg = RewiringConfig(max_steps=60_000, checkpoint_every=2_500, seed=11,
                          targets=TARGETS)
     plain, trace = rewire(g, eta, cfg)
@@ -88,3 +94,42 @@ def test_visit_frequencies_match_product_law():
     # Sampling noise puts tv near 0.025 here; the uniform law over
     # arrangements sits at 0.33 and the inverse-weight law at 0.58.
     assert tv < 0.06
+
+
+def test_rewired_graph_keeps_degrees_and_degree_pairs(dpa):
+    g, eta = dpa
+    rewired, trace = rewire(g, eta, RewiringConfig(max_steps=50_000, seed=3))
+    assert not np.array_equal(rewired.dst, g.dst)
+    assert trace.checkpoints[-1][5] > 0.0
+    assert np.array_equal(rewired.src, g.src)
+    assert np.array_equal(rewired.out_deg, g.out_deg)
+    assert np.array_equal(rewired.in_deg, g.in_deg)
+    # Degrees recounted from the rewired edge list, not just carried over.
+    assert np.array_equal(np.bincount(rewired.dst, minlength=g.num_nodes),
+                          g.in_deg)
+    assert degree_pair_dist(rewired).entries == degree_pair_dist(g).entries
+
+
+def test_trajectory_does_not_depend_on_checkpoint_cadence(dpa):
+    # Proposals are drawn in fixed blocks whatever the cadence, so the
+    # chain is a function of the seed and the step count alone.
+    g, eta = dpa
+    steps = 50_001
+    runs = {every: rewire(g, eta, RewiringConfig(max_steps=steps,
+                                                 checkpoint_every=every,
+                                                 seed=7))
+            for every in (1, steps, 997)}
+    dense = runs[1][1].checkpoints
+    assert len(dense) == steps + 1
+    for every, (rewired, trace) in runs.items():
+        assert np.array_equal(rewired.dst, runs[1][0].dst)
+        rows = trace.checkpoints
+        assert [row[0] for row in rows] == sorted(
+            {*range(0, steps, every), steps})
+        # Coefficients agree with the per-step trace at every shared step;
+        # each acceptance rate counts the accepted swaps since the row
+        # before it.
+        for prev, row in zip(rows, rows[1:]):
+            assert row[:5] == dense[row[0]][:5]
+            accepted = sum(r[5] for r in dense[prev[0] + 1:row[0] + 1])
+            assert round(row[5] * (row[0] - prev[0])) == accepted
