@@ -11,14 +11,22 @@ change, so the degree-pair distribution is exactly preserved while the edge
 mixing matrix drifts toward eta.  A zero denominator counts as acceptance:
 the chain must be free to leave configurations the target assigns no mass.
 
-Assortativity is evaluated at checkpoints from the current edge list.
-When scenario gains are tracked, the degree products are instead updated per
-accepted swap; that is exact integer bookkeeping, so both ways give
-identical traces.
+A block of proposals runs level by level: a proposal's level is one more
+than the highest level among the earlier proposals of its block that share
+an edge with it.  This is exact.  A proposal reads and writes only its own
+two edges' targets (degrees never change), so proposals with no edge in
+common commute, and level order keeps every pair that shares one in step
+order.
+
+Accepted swaps change the four degree products by integers.  One integer
+tally per ordered pair of scenario labels holds those changes and the
+accepted count, for every run: checkpoints read its totals, and scenario
+gains fold it by unordered label pair.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +35,7 @@ from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
+    _pair_codes,
     _profile_from_moments,
     edge_mix_from_graph,
     end_distributions,
@@ -44,11 +53,14 @@ __all__ = [
 
 _TRACE_HEADER = ("step", "r11", "r12", "r21", "r22", "acc_rate")
 
-# Proposals are drawn from the generator in blocks of this size, independent
-# of the checkpoint cadence, so a run's trajectory is a function of the seed
-# and the step count alone.  Checkpointing is instrumentation; it must not
-# perturb the chain.
+# Proposals are drawn from the generator in blocks of this size, whatever
+# the checkpoint cadence, so a run's trajectory is a function of the seed and
+# the step count alone.  Levels are found once per block; a checkpoint
+# inside a block splits it into segments that run level by level in turn.
+# Checkpointing sets only the trace resolution; it never changes the chain.
 _PROPOSAL_BLOCK = 8192
+# Bits that number the 2 * _PROPOSAL_BLOCK edge touches of one block.
+_TOUCH_BITS = (2 * _PROPOSAL_BLOCK - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -134,47 +146,110 @@ def read_trace_csv(path) -> RewiringTrace:
 # The chain
 # ---------------------------------------------------------------------------
 
-def _degree_products(x: dict, dst: np.ndarray, out_deg, in_deg) -> dict:
-    y1 = out_deg[dst].astype(np.float64)
-    y2 = in_deg[dst].astype(np.float64)
-    return {
-        (1, 1): float(x[1] @ y1),
-        (1, 2): float(x[1] @ y2),
-        (2, 1): float(x[2] @ y1),
-        (2, 2): float(x[2] @ y2),
-    }
-
-
 def _node_pair_indices(g: DirectedGraph, eta: EdgeMixMatrix):
     """Per-node indices into eta's source/target pair lists (-1 = unused).
 
     Raises ValueError when a realised pair is missing from eta (support
     mismatch between the graph and the mixing matrix).
     """
-    src_idx = eta.source_index()
-    tgt_idx = eta.target_index()
-    n = g.num_nodes
-    sp = np.full(n, -1, dtype=np.int64)
-    tp = np.full(n, -1, dtype=np.int64)
-    out = g.out_deg
-    inn = g.in_deg
-    for v in np.unique(g.src).tolist():
-        pair = (int(out[v]), int(inn[v]))
-        idx = src_idx.get(pair)
-        if idx is None:
+    codes = _pair_codes(g.out_deg, g.in_deg)
+    found = []
+    for ends, pairs, side in ((g.src, eta.source_pairs, "source"),
+                              (g.dst, eta.target_pairs, "target")):
+        keys = _pair_codes(*np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+        order = np.argsort(keys)
+        nodes = np.unique(ends)
+        pos = np.searchsorted(keys, codes[nodes], sorter=order)
+        hit = pos < keys.size
+        hit[hit] = keys[order[pos[hit]]] == codes[nodes[hit]]
+        if not hit.all():
+            v = nodes[np.argmin(hit)]
+            pair = (int(g.out_deg[v]), int(g.in_deg[v]))
             raise ValueError(
-                f"support mismatch: source degree pair {pair} absent from eta"
+                f"support mismatch: {side} degree pair {pair} absent from eta"
             )
-        sp[v] = idx
-    for v in np.unique(g.dst).tolist():
-        pair = (int(out[v]), int(inn[v]))
-        idx = tgt_idx.get(pair)
-        if idx is None:
-            raise ValueError(
-                f"support mismatch: target degree pair {pair} absent from eta"
-            )
-        tp[v] = idx
-    return sp, tp
+        idx = np.full(g.num_nodes, -1, dtype=np.int64)
+        idx[nodes] = order[pos]
+        found.append(idx)
+    return found[0], found[1]
+
+
+def _levels(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Level of each proposal in a block: 0 when no earlier proposal shares
+    an edge with it, else 1 + the highest level of those that do.
+
+    Proposals on one level touch pairwise distinct edges, and every earlier
+    proposal that shares an edge with one of them sits on a lower level.
+    """
+    b = e1.size
+    # Sort the touches by (edge, position in the block): the positions fill
+    # the low bits, so the keys are distinct and a plain sort keeps step order.
+    key = np.empty(2 * b, dtype=np.int64)
+    key[0::2] = e1
+    key[1::2] = e2
+    key <<= _TOUCH_BITS
+    key |= np.arange(2 * b)
+    key.sort()
+    touch = key & ((1 << _TOUCH_BITS) - 1)
+    key >>= _TOUCH_BITS
+    repeat = key[1:] == key[:-1]
+    # The proposal that touched each touch's edge last before it (b: none).
+    pred = np.full(2 * b, b, dtype=np.int64)
+    pred[touch[1:][repeat]] = touch[:-1][repeat] >> 1
+    p1, p2 = pred.reshape(b, 2).T.copy()
+    # Levels only rise from 0; each pass settles at least one more level.
+    # They stay below the block size, so int16 holds them.
+    lev = np.zeros(b + 1, dtype=np.int16)
+    lev[b] = -1
+    new = np.empty(b, dtype=np.int16)
+    while True:
+        np.maximum(lev.take(p1), lev.take(p2), out=new)
+        new += 1
+        if np.array_equal(new, lev[:b]):
+            return new
+        lev[:b] = new
+
+
+def _sweep(dst, e1, e2, u, lev, row, tp, Hf, ints, floats, flags):
+    """Run one segment of proposals level by level, updating dst in place.
+
+    Every level writes into slices of the caller's scratch rows, so the
+    loop allocates no arrays of its own.  Returns the accepted proposals'
+    edges and the targets those held before the swap.  Indices are always
+    in range; mode="wrap" only lets take() write straight into its output.
+    """
+    n = e1.size
+    a1, a2, v2, v4, r1, r2, t1, t2, idx = ints[:, :n]
+    us, den, num, h = floats[:, :n]
+    ok, le = flags[:, :n]
+    order = lev.argsort(kind="stable")
+    for arr, out in ((e1, a1), (e2, a2), (u, us)):
+        arr.take(order, out=out, mode="wrap")
+    row.take(a1, out=r1, mode="wrap")
+    row.take(a2, out=r2, mode="wrap")
+    lev = lev[order]
+    cuts = (np.flatnonzero(lev[1:] != lev[:-1]) + 1).tolist()
+    for s in map(slice, [0, *cuts], [*cuts, n]):
+        x, y, acc = v2[s], v4[s], ok[s]
+        dst.take(a1[s], out=x, mode="wrap")
+        dst.take(a2[s], out=y, mode="wrap")
+        tp.take(x, out=t1[s], mode="wrap")
+        tp.take(y, out=t2[s], mode="wrap")
+        # den = H[s1, t1] * H[s2, t2]; num = H[s1, t2] * H[s2, t1]
+        for prod, ta, tb in ((den, t1, t2), (num, t2, t1)):
+            Hf.take(np.add(r1[s], ta[s], out=idx[s]), out=prod[s], mode="wrap")
+            Hf.take(np.add(r2[s], tb[s], out=idx[s]), out=h[s], mode="wrap")
+            np.multiply(prod[s], h[s], out=prod[s])
+        np.less_equal(den[s], 0.0, out=acc)
+        np.multiply(us[s], den[s], out=den[s])
+        np.less_equal(den[s], num[s], out=le[s])
+        np.logical_or(acc, le[s], out=acc)
+        # Accepted proposals swap targets; the rest write back their own.
+        for edges, keep, swap in ((a1, x, y), (a2, y, x)):
+            np.copyto(idx[s], keep)
+            np.copyto(idx[s], swap, where=acc)
+            dst[edges[s]] = idx[s]
+    return a1[ok], a2[ok], v2[ok], v4[ok]
 
 
 @dataclass
@@ -192,12 +267,8 @@ class ScenarioGains:
     total_delta_r: dict[str, float]
 
 
-def _run_chain(
-    g: DirectedGraph,
-    eta: EdgeMixMatrix,
-    cfg: RewiringConfig,
-    track_gains: bool,
-):
+def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
+               track_gains: bool):
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
     if track_gains and g.edge_labels is None:
@@ -210,144 +281,104 @@ def _run_chain(
 
     m = g.num_edges
     rng = np.random.default_rng(cfg.seed)
-    src_arr = g.src.copy()
-    dst = g.dst.tolist()
-    spe = sp_node[src_arr].tolist()        # per-edge source-pair index (fixed)
-    tp = tp_node.tolist()                  # per-node target-pair index
-    Hl = [row[:] for row in eta.H.tolist()]
-    out_l = g.out_deg.tolist()
-    in_l = g.in_deg.tolist()
-    so = g.out_deg[src_arr].tolist()       # per-edge source degrees (fixed)
-    si = g.in_deg[src_arr].tolist()
-
-    x = {1: g.out_deg[src_arr].astype(np.float64),
-         2: g.in_deg[src_arr].astype(np.float64)}
-    prods = _degree_products(x, g.dst, g.out_deg, g.in_deg)
-    s_int = {k: int(round(v)) for k, v in prods.items()}
-    s_init = dict(s_int)
-
-    labels = g.edge_labels.tolist() if track_gains else None
-    buckets: dict[tuple[str, str], list[int]] = {}
+    out_deg, in_deg = g.out_deg, g.in_deg
+    # The chain swaps targets in the result's own dst.
+    labels = None if g.edge_labels is None else g.edge_labels.copy()
+    result = DirectedGraph(g.num_nodes, g.src.copy(), g.dst.copy(),
+                           out_deg.copy(), in_deg.copy(), labels)
+    dst = result.dst
+    so, si = out_deg[g.src], in_deg[g.src]     # per-edge source degrees
+    Hf = eta.H.ravel()
+    row = sp_node[g.src] * eta.H.shape[1]      # offset of each edge's H row
+    s_init = np.array([int(x @ y[dst]) for x in (so, si)
+                       for y in (out_deg, in_deg)], dtype=np.int64)
+    # Rows: accepted swaps, then the changes of the four degree products.
+    # Columns: ordered pairs of scenario labels; one column without gains.
+    names, lab = [""], np.zeros(m, dtype=np.int64)
+    if track_gains:
+        names, lab = np.unique(g.edge_labels, return_inverse=True)
+    nl = len(names)
+    tally = np.zeros((5, nl * nl), dtype=np.int64)
+    # Scratch rows for _sweep.  Per-level arrays would be small and of ever
+    # new sizes; numpy caches such buffers, and scattered over the heap they
+    # kept the memory freed around them from going back to the system.
+    ints = np.empty((9, _PROPOSAL_BLOCK), dtype=np.int64)
+    floats = np.empty((4, _PROPOSAL_BLOCK))
+    flags = np.empty((2, _PROPOSAL_BLOCK), dtype=bool)
 
     def profile_now() -> AssortProfile:
-        if track_gains:
-            s = {k: float(v) for k, v in s_int.items()}
-        else:
-            s = _degree_products(x, np.asarray(dst, dtype=np.int64),
-                                 g.out_deg, g.in_deg)
-        return _profile_from_moments({k: v / m for k, v in s.items()},
-                                     mu_q, mu_qt, ends.sigma_q,
-                                     ends.sigma_q_tilde)
+        s = s_init + tally[1:].sum(axis=1)
+        return _profile_from_moments(
+            {k: float(v) / m for k, v in zip(TYPE_PAIRS, s.tolist())},
+            mu_q, mu_qt, ends.sigma_q, ends.sigma_q_tilde)
 
     trace = RewiringTrace([(0, *_profile_vals(profile_now()), 0.0)])
     targets = cfg.targets
-    if cfg.stop_early and trace.final_profile().max_abs_diff(targets) <= cfg.tolerance:
-        return _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, ends,
-                       track_gains)
-
+    stop = (cfg.stop_early
+            and trace.final_profile().max_abs_diff(targets) <= cfg.tolerance)
     steps_done = 0
-    accepted = 0
     last_ckpt = 0
+    last_accepted = 0
     next_ckpt = min(cfg.checkpoint_every, cfg.max_steps)
-    stop = False
     while steps_done < cfg.max_steps and not stop:
         blk = min(_PROPOSAL_BLOCK, cfg.max_steps - steps_done)
         e1s = rng.integers(0, m, size=blk)
         e2s = rng.integers(0, m - 1, size=blk)
         e2s = e2s + (e2s >= e1s)
         us = rng.random(blk)
-        for e1, e2, u in zip(e1s.tolist(), e2s.tolist(), us.tolist()):
-            v2 = dst[e1]
-            v4 = dst[e2]
-            s1 = spe[e1]
-            s2 = spe[e2]
-            t1 = tp[v2]
-            t2 = tp[v4]
-            row1 = Hl[s1]
-            row2 = Hl[s2]
-            den = row1[t1] * row2[t2]
-            if den <= 0.0 or u * den <= row1[t2] * row2[t1]:
-                dst[e1] = v4
-                dst[e2] = v2
-                accepted += 1
-                if track_gains:
-                    do = so[e1] - so[e2]
-                    di = si[e1] - si[e2]
-                    go = out_l[v4] - out_l[v2]
-                    gi = in_l[v4] - in_l[v2]
-                    s_int[(1, 1)] += do * go
-                    s_int[(1, 2)] += do * gi
-                    s_int[(2, 1)] += di * go
-                    s_int[(2, 2)] += di * gi
-                    key = _bucket_key(labels[e1], labels[e2])
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        bucket = [0, 0, 0, 0, 0]
-                        buckets[key] = bucket
-                    bucket[0] += 1
-                    bucket[1] += do * go
-                    bucket[2] += do * gi
-                    bucket[3] += di * go
-                    bucket[4] += di * gi
-            steps_done += 1
+        lev = _levels(e1s, e2s)
+        pos = 0
+        while pos < blk and not stop:
+            end = min(blk, pos + next_ckpt - steps_done)
+            x1, x2, v2, v4 = _sweep(dst, e1s[pos:end], e2s[pos:end],
+                                    us[pos:end], lev[pos:end], row, tp_node,
+                                    Hf, ints, floats, flags)
+            d_out, d_in = so[x1] - so[x2], si[x1] - si[x2]
+            g_out = out_deg[v4] - out_deg[v2]
+            g_in = in_deg[v4] - in_deg[v2]
+            pair = lab[x1] * nl + lab[x2]
+            for counts, change in zip(tally, (1, d_out * g_out, d_out * g_in,
+                                              d_in * g_out, d_in * g_in)):
+                np.add.at(counts, pair, change)
+            steps_done += end - pos
+            pos = end
             if steps_done == next_ckpt:
                 prof = profile_now()
-                trace.checkpoints.append(
-                    (steps_done, *_profile_vals(prof),
-                     accepted / (steps_done - last_ckpt))
-                )
+                accepted = int(tally[0].sum())
+                trace.checkpoints.append((
+                    steps_done, *_profile_vals(prof),
+                    (accepted - last_accepted) / (steps_done - last_ckpt)))
                 last_ckpt = steps_done
-                accepted = 0
+                last_accepted = accepted
                 next_ckpt = min(steps_done + cfg.checkpoint_every,
                                 cfg.max_steps)
-                if (cfg.stop_early
-                        and prof.max_abs_diff(targets) <= cfg.tolerance):
-                    stop = True
-                    break
+                stop = (cfg.stop_early
+                        and prof.max_abs_diff(targets) <= cfg.tolerance)
 
-    return _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, ends,
-                   track_gains)
+    gains = _gains(tally, names, m, ends) if track_gains else None
+    return result, trace, gains
 
 
 def _profile_vals(p: AssortProfile) -> tuple[float, float, float, float]:
     return (p.r11, p.r12, p.r21, p.r22)
 
 
-def _bucket_key(code1: str, code2: str) -> tuple[str, str]:
-    n1 = _LABEL_NAMES[code1]
-    n2 = _LABEL_NAMES[code2]
-    return (n1, n2) if n1 <= n2 else (n2, n1)
+def _gains(tally, names, m, ends) -> ScenarioGains:
+    """Fold the chain's tally (columns: ordered label pairs) into gains."""
+    def to_r(s: list[int]) -> dict[str, float]:
+        return {f"r{a}{b}": v / (m * ends.sigma_q[a] * ends.sigma_q_tilde[b])
+                for (a, b), v in zip(TYPE_PAIRS, s)}
 
-
-def _finish(g, src_arr, dst, trace, s_int, s_init, buckets, m, ends,
-            track_gains):
-    labels = None if g.edge_labels is None else g.edge_labels.copy()
-    result = DirectedGraph(
-        g.num_nodes,
-        src_arr,
-        np.asarray(dst, dtype=np.int64),
-        g.out_deg.copy(),
-        g.in_deg.copy(),
-        labels,
-    )
-    if not track_gains:
-        return result, trace, None
-
-    def to_r(key_s: dict) -> dict[str, float]:
-        return {
-            f"r{a}{b}": key_s[(a, b)]
-            / (m * ends.sigma_q[a] * ends.sigma_q_tilde[b])
-            for a, b in TYPE_PAIRS
-        }
-
+    buckets: dict[tuple[str, str], np.ndarray] = {}
+    for pair, vals in zip(itertools.product(names, repeat=2), tally.T):
+        key = tuple(sorted(_LABEL_NAMES[code] for code in pair))
+        buckets[key] = buckets.get(key, 0) + vals
+    buckets = {key: vals.tolist() for key, vals in buckets.items()
+               if vals[0] > 0}
     counts = {key: vals[0] for key, vals in buckets.items()}
-    delta_r = {
-        key: to_r({(1, 1): vals[1], (1, 2): vals[2],
-                   (2, 1): vals[3], (2, 2): vals[4]})
-        for key, vals in buckets.items()
-    }
-    total = to_r({k: s_int[k] - s_init[k] for k in s_int})
-    return result, trace, ScenarioGains(counts, delta_r, total)
+    delta_r = {key: to_r(vals[1:]) for key, vals in buckets.items()}
+    total = to_r(tally[1:].sum(axis=1).tolist())
+    return ScenarioGains(counts, delta_r, total)
 
 
 def rewire(

@@ -1,6 +1,7 @@
 """End-to-end runs of the subcommands that go through the eta solver."""
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from didpr.assortativity import (
     read_eta_csv,
 )
 from didpr.graph import degree_pair_dist, read_edge_list
-from didpr.rewire import read_trace_csv
+from didpr.rewire import read_trace_csv, rewire
 
 TARGETS = AssortProfile(0.1, 0.1, 0.1, 0.1)
 
@@ -144,6 +145,54 @@ def test_bad_eta_entry_is_a_one_line_error(er_graph, tmp_path, capsys, value):
     assert err[0].startswith("error: ") and "bad.csv:3:" in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bad.csv", "eta.csv", "eta.csv.config.json"]
+
+
+def test_rewire_degree_check_fails_before_any_output(er_graph, tmp_path,
+                                                     capsys, monkeypatch):
+    # The second replicate comes back with one edge's target moved.  The
+    # check recounts degrees from the edge list, so it must catch that, and
+    # it runs before any replicate is written.
+    calls = []
+
+    def faulty_rewire(g, eta, cfg):
+        rewired, trace = rewire(g, eta, cfg)
+        calls.append(cfg)
+        if len(calls) == 2:
+            rewired.dst[0] = (rewired.dst[0] + 1) % rewired.num_nodes
+        return rewired, trace
+
+    monkeypatch.setattr(cli, "rewire", faulty_rewire)
+    out = tmp_path / "run" / "rewired.txt"
+    out.parent.mkdir()
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "2000", "--replicates", "2", "--seed", "3",
+                     "--out", str(out)]) == 1
+    assert len(calls) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: internal check failed: degrees changed"]
+    assert list(out.parent.iterdir()) == []
+
+
+def test_eta_of_another_graph_is_a_support_mismatch(er_graph, tmp_path,
+                                                    capsys):
+    eta = tmp_path / "eta.csv"
+    assert cli.main(["solve-eta", str(er_graph), "--targets",
+                     "0.1,0.1,0.1,0.1", "--out", str(eta)]) == 0
+    other = tmp_path / "dpa.txt"
+    assert cli.main(["generate", "dpa", "--alpha", "0.3", "--beta", "0.4",
+                     "--gamma", "0.3", "--delta-in", "1", "--delta-out", "1",
+                     "--edges", "2000", "--seed", "1", "--out",
+                     str(other)]) == 0
+    out = tmp_path / "run" / "rewired.txt"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert cli.main(["rewire", str(other), "--eta", str(eta),
+                     "--steps", "2000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: support mismatch: source degree pair "
+                        r"\(\d+, \d+\) absent from eta", err[0])
+    assert list(out.parent.iterdir()) == []
 
 
 def test_assort_json(er_graph, tmp_path, capsys):

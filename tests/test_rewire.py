@@ -1,5 +1,5 @@
-"""The rewiring chain: its stationary law, and per-swap product bookkeeping
-against recomputation."""
+"""The rewiring chain: its stationary law, the level-batched chain against
+the scalar reference, and the telescoping of scenario gains."""
 import itertools
 from collections import Counter
 
@@ -11,11 +11,18 @@ from didpr.assortativity import (
     AssortProfile,
     EdgeMixMatrix,
     assortativity_of_graph,
+    edge_mix_from_graph,
 )
 from didpr.eta import problem_from_graph, solve_target_eta
-from didpr.generate import DpaParams, gen_dpa
+from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
-from didpr.rewire import RewiringConfig, rewire, rewire_with_scenario_gains
+from didpr.rewire import (
+    _PROPOSAL_BLOCK,
+    RewiringConfig,
+    rewire,
+    rewire_with_scenario_gains,
+)
+from rewire_reference import reference_chain
 
 TARGETS = AssortProfile(0.1, 0.15, 0.1, 0.15)
 
@@ -28,9 +35,8 @@ def dpa():
 
 
 def test_product_updates_match_recomputation(dpa):
-    # rewire() evaluates each checkpoint from the edge list; the gains run
-    # updates integer degree products per accepted swap.  Both are exact,
-    # so the same seed must give the same chain and the same trace.
+    # rewire() and the gains run share one chain and one integer tally, so
+    # the same seed must give the same chain and the same trace.
     g, eta = dpa
     cfg = RewiringConfig(max_steps=60_000, checkpoint_every=2_500, seed=11,
                          targets=TARGETS)
@@ -133,3 +139,66 @@ def test_trajectory_does_not_depend_on_checkpoint_cadence(dpa):
             assert row[:5] == dense[row[0]][:5]
             accepted = sum(r[5] for r in dense[prev[0] + 1:row[0] + 1])
             assert round(row[5] * (row[0] - prev[0])) == accepted
+
+
+def _random_eta(g, seed):
+    """A strictly positive mixing matrix on g's own degree pairs."""
+    mix = edge_mix_from_graph(g)
+    H = np.random.default_rng(seed).uniform(0.1, 1.0, mix.H.shape)
+    return EdgeMixMatrix(mix.source_pairs, mix.target_pairs, H / H.sum())
+
+
+def _toy_graph(src, dst):
+    g = DirectedGraph.from_edges(max(src + dst) + 1, src, dst)
+    return g, _random_eta(g, 3)
+
+
+def _assert_matches_reference(g, eta, cfg, gains=False):
+    if gains:
+        rewired, trace, got = rewire_with_scenario_gains(g, eta, cfg)
+    else:
+        (rewired, trace), got = rewire(g, eta, cfg), None
+    dst, ref_trace, ref_gains = reference_chain(g, eta, cfg, gains)
+    assert np.array_equal(rewired.dst, dst)
+    assert trace.checkpoints == ref_trace.checkpoints
+    assert got == ref_gains
+    return trace
+
+
+@pytest.mark.parametrize("edges, steps, every", [
+    # Three edges: any two proposals share an edge, so each block is one
+    # long chain of levels.  (Two edges cannot give nondegenerate ends.)
+    (([2, 3, 3], [3, 3, 2]), 3_001, 250),
+    # The five-edge toy of the product-law test, across a block boundary.
+    (([1, 0, 2, 4, 4], [2, 2, 3, 4, 1]), _PROPOSAL_BLOCK + 1_500, 700),
+], ids=["three-edges", "five-edge-toy"])
+def test_toy_chains_match_scalar_reference(edges, steps, every):
+    g, eta = _toy_graph(*edges)
+    _assert_matches_reference(g, eta, RewiringConfig(
+        max_steps=steps, checkpoint_every=every, seed=1))
+
+
+def test_dpa_chain_and_gains_match_scalar_reference(dpa):
+    g, eta = dpa
+    cfg = RewiringConfig(max_steps=30_001, checkpoint_every=2_000, seed=5,
+                         targets=TARGETS)
+    _assert_matches_reference(g, eta, cfg, gains=True)
+    _assert_matches_reference(g, eta, cfg)
+
+
+def test_er_chain_matches_scalar_reference():
+    g = gen_er(330, 0.1, 4)
+    assert 9_000 < g.num_edges < 12_000
+    _assert_matches_reference(g, _random_eta(g, 5), RewiringConfig(
+        max_steps=40_000, checkpoint_every=3_000, seed=6))
+
+
+def test_stop_early_inside_a_block_matches_scalar_reference(dpa):
+    g, eta = dpa
+    cfg = RewiringConfig(max_steps=400_000, checkpoint_every=1_000,
+                         tolerance=0.02, stop_early=True, seed=5,
+                         targets=TARGETS)
+    trace = _assert_matches_reference(g, eta, cfg, gains=True)
+    last = trace.checkpoints[-1][0]
+    assert last < cfg.max_steps and last % _PROPOSAL_BLOCK != 0
+    assert trace.final_profile().max_abs_diff(TARGETS) <= cfg.tolerance
