@@ -290,6 +290,23 @@ def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:
 _ETA_HEADER = ("i", "j", "k", "l", "eta")
 
 
+def _csv_rows(path, header: tuple[str, ...]):
+    """Yield (line number, fields) per data row of a CSV file.  Blank lines
+    are skipped; a bad header, or a row with another field count, raises
+    ValueError naming its line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            yield reader.line_num, row
+
+
 def write_eta_csv(eta: EdgeMixMatrix, path) -> None:
     """Write the positive entries of a mixing matrix as (i, j, k, l, eta) rows.
 
@@ -313,23 +330,13 @@ def read_eta_csv(path) -> EdgeMixMatrix:
     entry that is negative or not finite, raises ValueError naming its line.
     """
     cells: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _ETA_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_ETA_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(_ETA_HEADER):
-                raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"{len(_ETA_HEADER)} fields, got {len(row)}")
-            i, j, k, l = (int(v) for v in row[:4])
-            value = float(row[4])
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"{path}:{reader.line_num}: eta entry "
-                                 f"{row[4]} is not finite and nonnegative")
-            cells[((i, j), (k, l))] = value
+    for line, row in _csv_rows(path, _ETA_HEADER):
+        i, j, k, l = (int(v) for v in row[:4])
+        value = float(row[4])
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{path}:{line}: eta entry {row[4]} is not "
+                             f"finite and nonnegative")
+        cells[((i, j), (k, l))] = value
     if not cells:
         raise ValueError(f"{path}: no entries")
     source_pairs = sorted({sp for sp, _ in cells})

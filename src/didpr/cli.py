@@ -301,6 +301,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     missing = [k for k, o in schema.items() if o.required and params[k] is None]
     if missing:
         raise CliError(f"missing required options: {', '.join(missing)}")
+    if params.get("replicates", 1) < 1:
+        raise CliError("replicates must be at least 1")
     if "seed" in schema and params["seed"] is None:
         env = os.environ.get("DIDPR_SEED", "").strip()
         params["seed"] = int(env) if env else 0
@@ -675,9 +677,7 @@ def cmd_scenario_gains(params: dict) -> int:
 
 
 def cmd_aggregate(params: dict) -> int:
-    traces = []
-    for path in params["inputs"]:
-        traces.append(read_trace_csv(path))
+    traces = [read_trace_csv(path) for path in params["inputs"]]
     steps0 = [row[0] for row in traces[0].checkpoints]
     for path, trace in zip(params["inputs"][1:], traces[1:]):
         if [row[0] for row in trace.checkpoints] != steps0:

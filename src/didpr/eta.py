@@ -17,10 +17,10 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   magnitude faster than a basic LP solution.  When no strictly positive
   solution turns up, an LP that maximises a share of the independence
   coupling answers instead, and its feasibility status settles
-  attainability.  The tilt has rank two, so the entropy solve runs Newton
-  on its four multipliers only and finds the row and column terms by
-  Sinkhorn scaling: its work is a few hundred mat-vecs with the ns x nt
-  matrix, at any problem size.
+  attainability.  Both interior solves take Newton steps through one
+  kernel: conjugate gradients on the row/column block and a 4x4 Schur
+  complement for the four moment rows, so their work is a few hundred
+  mat-vecs with the ns x nt matrix, at any problem size.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -289,15 +289,21 @@ def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
 # escalates to the analytic centre.  Heavy-tailed degree sequences sit one
 # decade below, light-tailed ones several times above.
 _DRIFT_FLOOR = 0.1
+_DRIFT_SAMPLES = 100_000
 
-# Work caps of the entropy solver.  An interior target converges in a
+# Work caps of the interior solvers.  An interior target converges in a
 # handful of Newton steps and a few hundred passes; a target on or beyond
 # the boundary of the attainable region sends the multipliers to infinity,
 # where the scaling slows down, and ends at one of the caps.  A pass is one
 # Sinkhorn sweep or one conjugate-gradient iteration: two mat-vecs with the
-# ns x nt matrix either way.
+# ns x nt matrix either way; each solve has its own pass budget.  Stops:
+# moment error below _GRAD_TOL (entropy), squared Newton decrement below
+# _CENTER_TOL (centre), relative CG residual below _CG_TOL (_newton_kkt).
 _NEWTON_MAX = 50
 _PASS_MAX = 5_000
+_GRAD_TOL = 1e-10
+_CENTER_TOL = 1e-6
+_CG_TOL = 1e-10
 
 # Relative marginal error of the final Sinkhorn scaling.
 _SINKHORN_TOL = 1e-12
@@ -334,7 +340,7 @@ def _tilt(p: EtaProblem):
     return rho, kappa, U, V, m_star
 
 
-def _chain_drift(p: EtaProblem, lam: np.ndarray, samples: int = 100_000) -> float:
+def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
     """Typical |log acceptance ratio| of a chain driven by the Gibbs tilt.
 
     For a swap of edges ((s1,t1),(s2,t2)) -> ((s1,t2),(s2,t1)) the tilt's
@@ -349,20 +355,68 @@ def _chain_drift(p: EtaProblem, lam: np.ndarray, samples: int = 100_000) -> floa
     """
     rng = np.random.default_rng(0)
     rho, kappa, U, V, _ = _tilt(p)
-    s1 = rng.choice(len(rho), size=samples, p=rho)
-    s2 = rng.choice(len(rho), size=samples, p=rho)
-    t1 = rng.choice(len(kappa), size=samples, p=kappa)
-    t2 = rng.choice(len(kappa), size=samples, p=kappa)
-    delta = np.zeros(samples)
-    for k, (a, b) in enumerate(TYPE_PAIRS):
-        delta += (lam[k] * (U[s1, a - 1] - U[s2, a - 1])
-                  * (V[t2, b - 1] - V[t1, b - 1]))
+    s1 = rng.choice(len(rho), size=_DRIFT_SAMPLES, p=rho)
+    s2 = rng.choice(len(rho), size=_DRIFT_SAMPLES, p=rho)
+    t1 = rng.choice(len(kappa), size=_DRIFT_SAMPLES, p=kappa)
+    t2 = rng.choice(len(kappa), size=_DRIFT_SAMPLES, p=kappa)
+    delta = ((U[s1] - U[s2]) @ lam.reshape(2, 2) * (V[t2] - V[t1])).sum(axis=1)
     return float(np.abs(delta).mean())
 
 
-def _entropy_eta(
-    p: EtaProblem, tol: float = 1e-10,
-) -> tuple[EdgeMixMatrix | None, np.ndarray]:
+def _newton_kkt(K, U, V, r_ab, r_lam, passes):
+    """Solve A diag(K) A' [z; mu] = [r_ab; r_lam], A the constraint map.
+
+    A stacks row sums, column sums and the four standardised moments.  CG
+    applies the inverse of the row/column block H = A_ab diag(K) A_ab' to
+    r_ab and to the columns of the coupling P without forming H; mu solves
+    the 4x4 Schur complement S = R - P' H^-1 P by least squares, and
+    z = H^-1 (r_ab - P mu).  passes counts the solve's work so far (see
+    _PASS_MAX).  Returns (z, mu, passes after the CG), or None when they
+    reach _PASS_MAX, S is not finite, or the right side leaves the range
+    of S.
+    """
+    ns, nt = K.shape
+    KV, UtK = K @ V, U.T @ K
+    rs, cs = K.sum(axis=1), K.sum(axis=0)
+    P = np.concatenate([U[:, _PAIR_A] * KV[:, _PAIR_B],
+                        V[:, _PAIR_B] * UtK.T[:, _PAIR_A]])
+    UU = (U[:, :, None] * U[:, None, :]).reshape(ns, 4)
+    VV = (V[:, :, None] * V[:, None, :]).reshape(nt, 4)
+    T = UU.T @ K @ VV
+    R = T[np.add.outer(2 * _PAIR_A, _PAIR_A),
+          np.add.outer(2 * _PAIR_B, _PAIR_B)]
+    n = ns + nt
+    h_ab = LinearOperator((n, n), dtype=np.float64, matvec=lambda z: (
+        np.concatenate([rs * z[:ns] + K @ z[ns:], z[:ns] @ K + cs * z[ns:]])))
+    d = np.concatenate([rs, cs])
+    jacobi = LinearOperator((n, n), dtype=np.float64, matvec=lambda z: z / d)
+
+    def count_pass(_) -> None:
+        nonlocal passes
+        passes += 1
+
+    # H is singular along the shift (1, -1) of rows against columns, but
+    # every column of P and every r_ab the solvers pass is orthogonal to
+    # it, so the systems are consistent.
+    X = np.column_stack([
+        cg(h_ab, col, rtol=_CG_TOL, maxiter=max(1, _PASS_MAX - passes),
+           M=jacobi, callback=count_pass)[0]
+        for col in (*P.T, r_ab)
+    ])
+    S = R - P.T @ X[:, :4]
+    if not np.isfinite(S).all() or passes >= _PASS_MAX:
+        return None
+    rhs = r_lam - P.T @ X[:, 4]
+    mu = np.linalg.lstsq(S, rhs, rcond=1e-10)[0]
+    # A right side outside the range of S lies along a combination of
+    # weights that is additive in rows and columns, so its moment is the
+    # same for every mixing matrix: the targets are unattainable.
+    if np.linalg.norm(S @ mu - rhs) > 0.5 * np.linalg.norm(rhs):
+        return None
+    return X[:, 4] - X[:, :4] @ mu, mu, passes
+
+
+def _entropy_eta(p: EtaProblem) -> tuple[EdgeMixMatrix | None, np.ndarray]:
     """Maximum-entropy mixing matrix hitting the marginals and targets.
 
     Maximises -sum eta log eta subject to the row/column masses and the
@@ -377,11 +431,9 @@ def _entropy_eta(
     phi(lam) = rho.A + kappa.B + m*.lam - sum M.  For each lam, A and B
     balance M to the marginals by Sinkhorn sweeps (two mat-vecs each, the
     scalings folded back into A and B).  The gradient of phi is
-    m* - E_M[W] and its negative Hessian the 4x4 Schur complement
-    S = R - P' H_AB^-1 P; conjugate gradients apply H_AB^-1 without
-    forming it, and predict how A and B move with lam, which warm-starts
-    the next balance.  Steps solve S by least squares and backtrack on phi
-    (Armijo).
+    m* - E_M[W]; _newton_kkt with K = M, r_ab = 0 and r_lam = the gradient
+    gives the lam step as mu and, as z, how A and B move with it, which
+    warm-starts the next balance.  Steps backtrack on phi (Armijo).
 
     Returns (matrix, lam), lam in standardised units: its size tells how
     strongly the Gibbs landscape steers a rewiring chain (see
@@ -396,12 +448,9 @@ def _entropy_eta(
     ns, nt = len(rho), len(kappa)
     passes = 0
 
-    def count_pass(_=None) -> None:
-        nonlocal passes
-        passes += 1
-
     def balance(A, B, lam):
         """Sinkhorn-scale exp(A + B + U Lam V') to the marginals."""
+        nonlocal passes
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             K = U @ lam.reshape(2, 2) @ V.T
             K += A[:, None]
@@ -415,7 +464,7 @@ def _entropy_eta(
                     break
                 if not err < np.inf or passes >= _PASS_MAX:
                     return None
-                count_pass()
+                passes += 1
                 x = rho / Ky
                 y = kappa / (x @ K)
                 Ky = K @ y
@@ -429,51 +478,20 @@ def _entropy_eta(
         if state is None:
             break
         A, B, M = state
-        MV, UtM = M @ V, U.T @ M
-        g = m_star - (UtM @ V).ravel()
-        if np.abs(g).max() < tol:
+        g = m_star - (U.T @ M @ V).ravel()
+        if np.abs(g).max() < _GRAD_TOL:
             return EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
                                  M / M.sum()), lam
 
-        # Curvature: R is the second moment of the weights under M, and P
-        # stacks d(row sums, column sums)/d lam.
-        rs, cs = M.sum(axis=1), M.sum(axis=0)
-        P = np.concatenate([U[:, _PAIR_A] * MV[:, _PAIR_B],
-                            V[:, _PAIR_B] * UtM.T[:, _PAIR_A]])
-        UU = (U[:, :, None] * U[:, None, :]).reshape(ns, 4)
-        VV = (V[:, :, None] * V[:, None, :]).reshape(nt, 4)
-        T = UU.T @ M @ VV
-        R = T[np.add.outer(2 * _PAIR_A, _PAIR_A),
-              np.add.outer(2 * _PAIR_B, _PAIR_B)]
-        n = ns + nt
-        h_ab = LinearOperator((n, n), dtype=np.float64, matvec=lambda z: (
-            np.concatenate([rs * z[:ns] + M @ z[ns:], z[:ns] @ M + cs * z[ns:]])))
-        d = np.concatenate([rs, cs])
-        jacobi = LinearOperator((n, n), dtype=np.float64,
-                                matvec=lambda z: z / d)
-        # H_AB is singular along the shift A + c, B - c, but every column
-        # of P is orthogonal to it, so the systems are consistent.
-        X = np.column_stack([
-            cg(h_ab, col, rtol=1e-8, maxiter=max(1, _PASS_MAX - passes),
-               M=jacobi, callback=count_pass)[0]
-            for col in P.T
-        ])
-        S = R - P.T @ X
-        if not np.isfinite(S).all() or passes >= _PASS_MAX:
+        sol = _newton_kkt(M, U, V, np.zeros(ns + nt), g, passes)
+        if sol is None:
             break
-        step = np.linalg.lstsq(S, g, rcond=1e-10)[0]
-        # A gradient component outside the range of S lies along a
-        # combination of weights that is additive in rows and columns, so
-        # its moment is the same for every mixing matrix: the targets are
-        # unattainable and phi rises without bound along it.
-        if np.linalg.norm(S @ step - g) > 0.5 * np.linalg.norm(g):
-            break
+        z, step, passes = sol
         slope = float(g @ step)
 
         t = 1.0
         while True:
-            dAB = X @ (t * step)
-            state = balance(A - dAB[:ns], B - dAB[ns:], lam + t * step)
+            state = balance(A + t * z[:ns], B + t * z[ns:], lam + t * step)
             if state is not None:
                 A1, B1, M1 = state
                 rise = (rho @ (A1 - A) + kappa @ (B1 - B) - (M1.sum() - M.sum())
@@ -487,12 +505,7 @@ def _entropy_eta(
     return None, lam
 
 
-def _center_eta(
-    p: EtaProblem,
-    eta0: EdgeMixMatrix,
-    max_iters: int = 60,
-    tol: float = 1e-6,
-) -> EdgeMixMatrix | None:
+def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
     """Polish a strictly positive mixing matrix to the analytic centre.
 
     Maximises sum log eta over the constraint polytope by damped Newton
@@ -502,54 +515,30 @@ def _center_eta(
     seen by the rewiring chain; on heavy-tailed degree sequences this cuts
     the steps-to-target by a large factor compared to the entropy point.
 
-    The constraints are linear, so each damped step with factor t shrinks
-    the constraint residual by exactly (1 - t): the iterate keeps the
-    marginals and moments pinned even when stopped well short of the
-    centre, and tol is a quality knob rather than a correctness one.
-    Returns None only when the final residual is not tiny.
+    Each step goes through the entropy solver's kernel, _newton_kkt with
+    K = eta^2 and right side 2 A eta - b, so the full step
+    eta - eta^2 (A' [z; mu]) lands on the linear constraints and a step
+    damped by t shrinks their residual by (1 - t): the iterate stays
+    pinned wherever it stops, and _CENTER_TOL trades only closeness to the
+    centre.  Returns None only when the final residual is not tiny.
     """
-    ns, nt = len(p.source_pairs), len(p.target_pairs)
+    ns = len(p.source_pairs)
     rho, kappa, U, V, m_star = _tilt(p)
-    W = (U.T[:, None, :, None] * V.T[None, :, None, :]).reshape(4, ns, nt)
-    Wf = W.reshape(4, -1)
-    b_full = np.concatenate([rho, kappa, m_star])
+    marginals = np.concatenate([rho, kappa])
 
     X = eta0.H.copy()
-    n = ns + nt + 4
-    for _ in range(max_iters):
+    passes = 0
+    for _ in range(_NEWTON_MAX):
         X2 = X * X
-        P = np.einsum("kst,st->sk", W, X2)
-        Q = np.einsum("kst,st->tk", W, X2)
-        R = (Wf * X2.ravel()) @ Wf.T
-        H = np.zeros((n, n))
-        H[:ns, :ns] = np.diag(X2.sum(axis=1))
-        H[:ns, ns:ns + nt] = X2
-        H[:ns, ns + nt:] = P
-        H[ns:ns + nt, :ns] = X2.T
-        H[ns:ns + nt, ns:ns + nt] = np.diag(X2.sum(axis=0))
-        H[ns:ns + nt, ns + nt:] = Q
-        H[ns + nt:, :ns] = P.T
-        H[ns + nt:, ns:ns + nt] = Q.T
-        H[ns + nt:, ns + nt:] = R
-        ax = np.concatenate([X.sum(axis=1), X.sum(axis=0), Wf @ X.ravel()])
-        # With rhs = 2 Ax - b the full Newton step lands exactly on the
-        # constraints instead of merely preserving the current residual.
-        rhs = 2.0 * ax - b_full
-        # The diagonal spans many orders of magnitude (squared cell
-        # masses), so equilibrate before adding the ridge; a raw additive
-        # ridge would perturb the small-mass rows enough to leak
-        # feasibility error into every step.
-        d = np.sqrt(np.maximum(H.diagonal(), 1e-300))
-        Hs = H / d[:, None] / d[None, :]
-        Hs[np.arange(n), np.arange(n)] += 1e-13
-        try:
-            mult = np.linalg.solve(Hs, rhs / d) / d
-        except np.linalg.LinAlgError:
-            mult = np.linalg.lstsq(Hs, rhs / d, rcond=None)[0] / d
-        at_mult = (mult[:ns][:, None] + mult[ns:ns + nt][None, :]
-                   + np.tensordot(mult[ns + nt:], W, axes=1))
-        dx = X - X2 * at_mult
-        if float((dx * dx / X2).sum()) < tol:
+        sol = _newton_kkt(
+            X2, U, V,
+            2.0 * np.concatenate([X.sum(axis=1), X.sum(axis=0)]) - marginals,
+            2.0 * (U.T @ X @ V).ravel() - m_star, passes)
+        if sol is None:
+            break
+        z, mu, passes = sol
+        dx = X - X2 * (z[:ns, None] + z[ns:] + U @ mu.reshape(2, 2) @ V.T)
+        if float((dx * dx / X2).sum()) < _CENTER_TOL:
             break
         t_ls = 1.0
         neg = dx < 0.0
@@ -564,12 +553,9 @@ def _center_eta(
         else:
             break
         X = stepped
-    resid = max(
-        float(np.abs((X.sum(axis=1) - rho) / rho).max()),
-        float(np.abs((X.sum(axis=0) - kappa) / kappa).max()),
-        float(np.abs(Wf @ X.ravel() - m_star).max()),
-    )
-    if resid > 1e-8:
+    marginal_err = np.concatenate([X.sum(axis=1), X.sum(axis=0)]) / marginals
+    moment_err = (U.T @ X @ V).ravel() - m_star
+    if max(np.abs(marginal_err - 1.0).max(), np.abs(moment_err).max()) > 1e-8:
         return None
     return EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
                          X / X.sum())
@@ -601,7 +587,8 @@ def solve_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     steer a rewiring chain (typical log acceptance ratio below
     _DRIFT_FLOOR, the heavy-tail regime), the point is polished to the
     analytic centre of the feasible polytope, which restores mobility
-    there.  When the entropy solve finds no strictly positive solution
+    there; both interior solves step through one Newton kernel
+    (_newton_kkt).  When the entropy solve finds no strictly positive solution
     (targets on or near the boundary of the attainable region), the spread
     LP (HiGHS) answers instead: every entry of its matrix is at least t*
     times the independence mass, t* the largest share the constraints
@@ -628,10 +615,6 @@ class AssortBounds:
 
     def get(self, a: int, b: int) -> tuple[float, float]:
         return self.bounds[(a, b)]
-
-    def width(self, a: int, b: int) -> float:
-        lo, hi = self.bounds[(a, b)]
-        return hi - lo
 
 
 def _clamp(r: float, what: str) -> float:

@@ -35,6 +35,7 @@ from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
+    _csv_rows,
     _pair_codes,
     _profile_from_moments,
     edge_mix_from_graph,
@@ -130,15 +131,21 @@ class RewiringTrace:
 
 
 def read_trace_csv(path) -> RewiringTrace:
-    rows: list[tuple[int, float, float, float, float, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _TRACE_HEADER:
-            raise ValueError(f"{path}: not a rewiring trace file")
-        for row in reader:
-            step, *vals = row
-            rows.append((int(step), *(float(v) for v in vals)))
+    """Read a trace written by RewiringTrace.to_csv.
+
+    Blank lines are skipped.  A row without six fields, or with a value
+    that is not a finite number, raises ValueError naming its line.
+    """
+    rows = []
+    for line, row in _csv_rows(path, _TRACE_HEADER):
+        try:
+            step, vals = int(row[0]), [float(v) for v in row[1:]]
+        except ValueError:
+            vals = [np.nan]
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{path}:{line}: expected an integer step and "
+                             f"finite values")
+        rows.append((step, *vals))
     return RewiringTrace(rows)
 
 

@@ -309,3 +309,64 @@ def test_bad_input_is_a_one_line_error(er_graph, tmp_path, capsys, command):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad_row", ["1000,0.1", "1000,0.1,x,0.1,0.1,0.5",
+                                     "1000,0.1,nan,0.1,0.1,0.5"],
+                         ids=["short", "non-numeric", "non-finite"])
+def test_bad_trace_row_is_a_one_line_error(er_graph, tmp_path, capsys,
+                                           bad_row):
+    good = tmp_path / "rw.txt"
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "3000", "--seed", "4", "--out",
+                     str(good)]) == 0
+    lines = (tmp_path / "rw.txt.trace.csv").read_text(
+        encoding="utf-8").splitlines()
+    # A blank line is skipped; the bad row is line 4 of the file.
+    bad = tmp_path / "t.csv"
+    bad.write_text("\n".join(lines[:2] + ["", bad_row] + lines[3:]) + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert cli.main(["aggregate", str(bad), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "t.csv:4:" in err[0]
+    assert not out.exists()
+
+
+def test_blank_trace_lines_are_skipped(er_graph, tmp_path):
+    good = tmp_path / "rw.txt"
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "3000", "--seed", "4", "--out",
+                     str(good)]) == 0
+    trace = tmp_path / "rw.txt.trace.csv"
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(lines[:2] + [""] + lines[2:] + [""]) + "\n",
+                     encoding="utf-8")
+    assert read_trace_csv(gappy) == read_trace_csv(trace)
+
+
+@pytest.mark.parametrize("command", ["rewire", "bounds", "scenario-gains"])
+def test_zero_replicates_is_a_one_line_error(er_graph, tmp_path, capsys,
+                                             command):
+    run = tmp_path / "run"
+    run.mkdir()
+    out = str(run / "out")
+    argv = {
+        "rewire": ["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                   "--steps", "1000", "--out", out],
+        "bounds": ["bounds", "--model", "er", "--n", "50", "--p", "0.1",
+                   "--out", out],
+        "scenario-gains": ["scenario-gains", "--alpha", "0.3", "--beta",
+                           "0.4", "--gamma", "0.3", "--delta-in", "1",
+                           "--delta-out", "1", "--edges", "500", "--targets",
+                           "0.1,0.15,0.1,0.15", "--steps", "1000",
+                           "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--replicates", "0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: replicates must be at least 1"]
+    assert list(run.iterdir()) == []

@@ -37,6 +37,8 @@ from didpr.eta import (
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DegreePairDist, degree_pair_dist
 
+from center_reference import reference_center_eta
+
 # Two diagonal degree pairs, 13 nodes worth of mass.  Both end marginals of
 # every coefficient collapse to the same {1: .3, 2: .7} distribution, so all
 # four coefficients are the same function of eta: attainable targets are
@@ -319,6 +321,27 @@ class TestEntropyOracle:
             assert proc.wait(timeout=300) == 0
         one, two = (np.load(out) for out, _ in runs.values())
         assert (np.abs(one - two) / one).max() <= 1e-8
+
+
+class TestCenterOracle:
+    """The dense reference assembles and solves the centre's whole Newton
+    system; from the same entropy start, the low-rank kernel must reach the
+    same centre."""
+
+    @pytest.mark.parametrize("graph, targets", [
+        (lambda: gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=1)),
+         (0.1, 0.15, 0.1, 0.15)),
+        (lambda: gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1)),
+         (0.1, 0.15, 0.1, 0.15)),
+        (lambda: gen_er(300, 0.1, seed=2), (0.2, 0.1, -0.1, 0.05)),
+    ], ids=["dpa3e3", "dpa2e4", "er300"])
+    def test_matches_dense_reference(self, graph, targets):
+        p = problem_from_graph(graph(), targets=AssortProfile(*targets))
+        start = _entropy_eta(p)[0]
+        eta = _center_eta(p, start)
+        ref = reference_center_eta(p, start)
+        assert eta is not None and ref is not None
+        assert (np.abs(eta.H - ref.H) / ref.H).max() <= 1e-8
 
 
 class TestCoefficientBounds:
