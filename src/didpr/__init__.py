@@ -9,13 +9,11 @@ preferential-attachment model behind the generator.
 from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
-    EdgeEndDistributions,
     EdgeMixMatrix,
     assortativity,
     assortativity_from_edges,
     assortativity_of_graph,
     edge_mix_from_graph,
-    end_distributions,
     read_eta_csv,
     write_eta_csv,
 )
@@ -24,8 +22,6 @@ from .eta import (
     EtaProblem,
     assemble_constraints,
     coefficient_bounds,
-    ends_from_nu,
-    g_map,
     problem_from_graph,
     problem_from_nu,
     solve_target_eta,
@@ -58,21 +54,17 @@ __version__ = "0.1.0"
 __all__ = [
     "TYPE_PAIRS",
     "AssortProfile",
-    "EdgeEndDistributions",
     "EdgeMixMatrix",
     "assortativity",
     "assortativity_from_edges",
     "assortativity_of_graph",
     "edge_mix_from_graph",
-    "end_distributions",
     "read_eta_csv",
     "write_eta_csv",
     "AssortBounds",
     "EtaProblem",
     "assemble_constraints",
     "coefficient_bounds",
-    "ends_from_nu",
-    "g_map",
     "problem_from_graph",
     "problem_from_nu",
     "solve_target_eta",

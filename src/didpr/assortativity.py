@@ -10,6 +10,13 @@ The joint behaviour of the four coefficients is captured by the edge mixing
 matrix: the proportion of edges leading from a node with degree pair (i, j)
 to a node with degree pair (k, l).  Only degree pairs realised in the graph
 are materialised, which keeps downstream linear programs tractable.
+
+One helper, _standardise, works out an edge end's degree means and standard
+deviations and centres and scales its degrees by them.  Every coefficient
+is the moment of a standardised source degree times a standardised target
+degree, so the coefficients here, the constraints and bounds in eta and
+the rewiring chain's trace in rewire all take their end moments from it,
+and _profile checks and packs the result.
 """
 from __future__ import annotations
 
@@ -18,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreePairDist, DirectedGraph
+from .graph import DirectedGraph
 
 __all__ = [
     "TYPE_PAIRS",
     "AssortProfile",
-    "EdgeEndDistributions",
     "EdgeMixMatrix",
     "edge_mix_from_graph",
-    "end_distributions",
     "assortativity",
     "assortativity_of_graph",
     "assortativity_from_edges",
@@ -59,45 +64,6 @@ class AssortProfile:
         return max(
             abs(self.get(a, b) - other.get(a, b)) for a, b in TYPE_PAIRS
         )
-
-
-@dataclass(frozen=True)
-class EdgeEndDistributions:
-    """Source-end and target-end degree distributions of a random edge.
-
-    q[a] is the distribution of the source node's type-a degree and
-    q_tilde[b] that of the target node's type-b degree, each as a
-    degree -> probability dict.  sigma_q / sigma_q_tilde hold the matching
-    standard deviations.
-    """
-
-    q: dict[int, dict[int, float]]
-    q_tilde: dict[int, dict[int, float]]
-    sigma_q: dict[int, float]
-    sigma_q_tilde: dict[int, float]
-
-    def mean_q(self, a: int) -> float:
-        return sum(k * p for k, p in self.q[a].items())
-
-    def mean_q_tilde(self, b: int) -> float:
-        return sum(k * p for k, p in self.q_tilde[b].items())
-
-
-def _dist_sigma(dist: dict[int, float]) -> float:
-    """Standard deviation of a degree -> mass dict.
-
-    A single-support marginal must report exactly 0 (degenerate ends make
-    the coefficients undefined, and callers test sigma > 0); the one-pass
-    second-moment formula leaks rounding noise of order 1e-8 there, so the
-    degenerate case is short-circuited and the rest uses centred sums on
-    the renormalised masses.
-    """
-    if len(dist) <= 1:
-        return 0.0
-    total = sum(dist.values())
-    mean = sum(k * v for k, v in dist.items()) / total
-    var = sum((k - mean) ** 2 * v for k, v in dist.items()) / total
-    return float(np.sqrt(max(var, 0.0)))
 
 
 @dataclass
@@ -179,107 +145,85 @@ def edge_mix_from_graph(g: DirectedGraph) -> EdgeMixMatrix:
     return EdgeMixMatrix(decode(s_uniq), decode(t_uniq), counts / m)
 
 
-def _degree_values(pairs: list[tuple[int, int]], dtype=np.float64):
-    arr = np.asarray(pairs, dtype=np.int64)
-    return arr[:, 0].astype(dtype), arr[:, 1].astype(dtype)
+def _standardise(pairs, mass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardise the out- and in-degree of one edge end over its masses.
 
-
-def end_distributions(eta: EdgeMixMatrix) -> EdgeEndDistributions:
-    """Marginal end distributions and their standard deviations.
-
-    The source-end type-a distribution aggregates row masses of eta over the
-    type-a coordinate of the source degree pair; target ends use columns.
+    pairs lists (out, in) degree pairs and mass their masses, of any
+    positive total.  Returns (Z, mean, sd): the two means and standard
+    deviations under the renormalised masses, and Z, the degrees centred by
+    the means and scaled by the sds, one row per pair.  A degree that takes
+    one value on the pairs of positive mass has sd exactly 0 and a zero
+    column: centred sums would leave rounding noise there, and callers test
+    sd > 0.
     """
-    row = eta.row_masses()
-    col = eta.col_masses()
-    s_out, s_in = _degree_values(eta.source_pairs)
-    t_out, t_in = _degree_values(eta.target_pairs)
-
-    def collapse(vals: np.ndarray, mass: np.ndarray) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for v, p in zip(vals.tolist(), mass.tolist()):
-            if p != 0.0:
-                out[int(v)] = out.get(int(v), 0.0) + p
-        return out
-
-    q = {1: collapse(s_out, row), 2: collapse(s_in, row)}
-    q_tilde = {1: collapse(t_out, col), 2: collapse(t_in, col)}
-
-    sigma_q = {a: _dist_sigma(q[a]) for a in (1, 2)}
-    sigma_q_tilde = {b: _dist_sigma(q_tilde[b]) for b in (1, 2)}
-    return EdgeEndDistributions(q, q_tilde, sigma_q, sigma_q_tilde)
+    X = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    w = np.asarray(mass, dtype=np.float64)
+    total = w.sum()
+    if not total > 0.0:
+        raise ValueError("edge end carries no mass")
+    w = w / total
+    mean = w @ X
+    D = X - mean
+    sd = np.sqrt(w @ (D * D))
+    support = X[w > 0.0]
+    sd[(support == support[0]).all(axis=0)] = 0.0
+    Z = np.divide(D, sd, out=np.zeros_like(D), where=sd > 0.0)
+    return Z, mean, sd
 
 
-def _profile_from_moments(
-    cross: dict[tuple[int, int], float],
-    mu_q: dict[int, float],
-    mu_qt: dict[int, float],
-    sig_q: dict[int, float],
-    sig_qt: dict[int, float],
-) -> AssortProfile:
-    vals = {}
-    for a, b in TYPE_PAIRS:
-        if sig_q[a] == 0.0 or sig_qt[b] == 0.0:
+def _require_spread(sd_s, sd_t, pairs=TYPE_PAIRS) -> None:
+    """Raise ValueError unless both ends of every r(a, b) in pairs have a
+    positive sd (source sds sd_s, target sds sd_t, out-degree first)."""
+    for a, b in pairs:
+        if sd_s[a - 1] == 0.0 or sd_t[b - 1] == 0.0:
             raise ValueError(
-                f"degenerate end distribution; r({a},{b}) undefined"
-            )
-        r = (cross[(a, b)] - mu_q[a] * mu_qt[b]) / (sig_q[a] * sig_qt[b])
-        if abs(r) > 1.0 + 1e-9:
-            raise ValueError(f"computed r({a},{b}) = {r} outside [-1, 1]")
-        vals[(a, b)] = r
-    return AssortProfile(vals[(1, 1)], vals[(1, 2)], vals[(2, 1)], vals[(2, 2)])
+                f"degenerate end distribution; r({a},{b}) undefined")
+
+
+def _profile(r, sd_s, sd_t) -> AssortProfile:
+    """The profile of the coefficients r[a-1][b-1].
+
+    Raises ValueError when an end is degenerate (see _require_spread) or a
+    coefficient falls outside [-1, 1] beyond rounding error.
+    """
+    _require_spread(sd_s, sd_t)
+    vals = np.asarray(r, dtype=np.float64).ravel().tolist()
+    for (a, b), val in zip(TYPE_PAIRS, vals):
+        if abs(val) > 1.0 + 1e-9:
+            raise ValueError(f"computed r({a},{b}) = {val} outside [-1, 1]")
+    return AssortProfile(*vals)
 
 
 def assortativity(eta: EdgeMixMatrix) -> AssortProfile:
     """The four assortativity coefficients of an edge mixing matrix.
 
-    Raises ValueError when any needed end distribution is degenerate (zero
-    standard deviation) or a coefficient falls outside [-1, 1] beyond
-    rounding error.
+    With both ends standardised over eta's own marginals (_standardise),
+    r(a, b) is the moment U[:, a-1]' H V[:, b-1].  Raises ValueError when
+    any end distribution is degenerate (zero standard deviation) or a
+    coefficient falls outside [-1, 1] beyond rounding error.
     """
-    ends = end_distributions(eta)
-    s_out, s_in = _degree_values(eta.source_pairs)
-    t_out, t_in = _degree_values(eta.target_pairs)
-    f = {1: s_out, 2: s_in}
-    gv = {1: t_out, 2: t_in}
-    cross = {
-        (a, b): float(f[a] @ eta.H @ gv[b]) for a, b in TYPE_PAIRS
-    }
-    mu_q = {a: ends.mean_q(a) for a in (1, 2)}
-    mu_qt = {b: ends.mean_q_tilde(b) for b in (1, 2)}
-    return _profile_from_moments(cross, mu_q, mu_qt, ends.sigma_q, ends.sigma_q_tilde)
+    H = eta.H / eta.H.sum()
+    U, _, sd_s = _standardise(eta.source_pairs, H.sum(axis=1))
+    V, _, sd_t = _standardise(eta.target_pairs, H.sum(axis=0))
+    return _profile(U.T @ H @ V, sd_s, sd_t)
 
 
 def assortativity_from_edges(g: DirectedGraph) -> AssortProfile:
     """Assortativity computed directly over the edge list.
 
     Pearson correlation of (source type-a degree, target type-b degree)
-    across edges, with population normalisation.  Agrees with
-    assortativity(edge_mix_from_graph(g)) up to rounding and serves as an
-    independent cross-check of that path.
+    across edges, with population normalisation: each edge end is
+    standardised with unit mass per edge.  Agrees with
+    assortativity(edge_mix_from_graph(g)) up to rounding and cross-checks
+    that path's aggregation into degree-pair classes.
     """
-    if g.num_edges == 0:
+    m = g.num_edges
+    if m == 0:
         raise ValueError("graph has no edges; assortativity undefined")
-    x = {
-        1: g.out_deg[g.src].astype(np.float64),
-        2: g.in_deg[g.src].astype(np.float64),
-    }
-    y = {
-        1: g.out_deg[g.dst].astype(np.float64),
-        2: g.in_deg[g.dst].astype(np.float64),
-    }
-    mu_q = {a: float(x[a].mean()) for a in (1, 2)}
-    mu_qt = {b: float(y[b].mean()) for b in (1, 2)}
-    sig_q = {
-        a: float(np.sqrt(max((x[a] * x[a]).mean() - mu_q[a] ** 2, 0.0)))
-        for a in (1, 2)
-    }
-    sig_qt = {
-        b: float(np.sqrt(max((y[b] * y[b]).mean() - mu_qt[b] ** 2, 0.0)))
-        for b in (1, 2)
-    }
-    cross = {(a, b): float((x[a] * y[b]).mean()) for a, b in TYPE_PAIRS}
-    return _profile_from_moments(cross, mu_q, mu_qt, sig_q, sig_qt)
+    deg = np.column_stack([g.out_deg, g.in_deg])
+    U, _, sd_s = _standardise(deg[g.src], np.ones(m))
+    V, _, sd_t = _standardise(deg[g.dst], np.ones(m))
+    return _profile(U.T @ V / m, sd_s, sd_t)
 
 
 def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:
@@ -326,13 +270,24 @@ def read_eta_csv(path) -> EdgeMixMatrix:
     """Rebuild a mixing matrix from its CSV form.
 
     Pair lists are the sorted distinct pairs present in the file; entries
-    absent from the file are zero.  A row without five fields, or with an
-    entry that is negative or not finite, raises ValueError naming its line.
+    absent from the file are zero.  A row without five fields, with a degree
+    that is not a nonnegative integer, or with an entry that is not a finite
+    nonnegative number, raises ValueError naming its line.
     """
     cells: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     for line, row in _csv_rows(path, _ETA_HEADER):
-        i, j, k, l = (int(v) for v in row[:4])
-        value = float(row[4])
+        try:
+            degrees = [int(v) for v in row[:4]]
+        except ValueError:
+            degrees = [-1]
+        if min(degrees) < 0:
+            raise ValueError(f"{path}:{line}: degrees {','.join(row[:4])} "
+                             f"are not all nonnegative integers")
+        i, j, k, l = degrees
+        try:
+            value = float(row[4])
+        except ValueError:
+            value = np.nan
         if not 0.0 <= value < np.inf:
             raise ValueError(f"{path}:{line}: eta entry {row[4]} is not "
                              f"finite and nonnegative")

@@ -30,13 +30,20 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   (Hoffman 1963; the Frechet-Hoeffding bounds).  Conditioned bounds are
   linear programs, solved with HiGHS.
 
-The map between a coefficient r(a, b) and the linear functional it pins is
-g(a, b, r) = sigma_q(a) * sigma_qt(b) * r + mu_q(a) * mu_qt(b), the value
-that the degree-product moment of the mixing matrix must take.
+Every one of these constraints is the same standardised moment.  Each
+problem works out its two edge ends once (EtaProblem.ends): pair masses,
+and degrees standardised over them by assortativity._standardise, the
+helper the coefficients themselves use.  Under a mixing matrix with those
+marginals, r(a, b) is the moment of U[:, a-1] V[:, b-1]; the interior
+solves and the closed-form bounds work on that moment directly.  The LP
+rows keep the raw degree products f_a(s) g_b(t), whose moment is
+mean_s[a] * mean_t[b] + sd_s[a] * sd_t[b] * r(a, b).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,19 +53,17 @@ from . import lp as lplib
 from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
-    EdgeEndDistributions,
     EdgeMixMatrix,
-    _dist_sigma,
+    _require_spread,
+    _standardise,
 )
 from .graph import DegreePairDist, DirectedGraph, degree_pair_dist
 
 __all__ = [
     "EtaProblem",
     "AssortBounds",
-    "ends_from_nu",
     "problem_from_nu",
     "problem_from_graph",
-    "g_map",
     "assemble_constraints",
     "solve_target_eta",
     "coefficient_bounds",
@@ -72,133 +77,74 @@ DEFAULT_ORDER: tuple[tuple[int, int], ...] = TYPE_PAIRS
 _CLAMP_TOL = 1e-6
 
 
+class _Ends(NamedTuple):
+    """Source / target pair masses rho / kappa, and the pairs' (out, in)
+    degrees standardised over them by _standardise: U / V, with means
+    mean_s / mean_t and sds sd_s / sd_t."""
+
+    rho: np.ndarray
+    kappa: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
+    mean_s: np.ndarray
+    mean_t: np.ndarray
+    sd_s: np.ndarray
+    sd_t: np.ndarray
+
+
 @dataclass
 class EtaProblem:
-    """A degree-pair distribution plus optional targets and intervals.
+    """A degree-pair distribution plus optional targets.
 
     source_pairs: realised (out, in) pairs with positive out-degree mass.
     target_pairs: realised (out, in) pairs with positive in-degree mass.
     targets: four prescribed coefficients, or None for a bare polytope.
-    intervals: accumulated interval constraints per type pair, as a mapping
-        (a, b) -> (lower, upper); singletons (v, v) are allowed.
     """
 
     nu: DegreePairDist
     source_pairs: list[tuple[int, int]]
     target_pairs: list[tuple[int, int]]
     targets: AssortProfile | None = None
-    intervals: dict[tuple[int, int], tuple[float, float]] = field(
-        default_factory=dict
-    )
 
-    def __post_init__(self) -> None:
-        for pair, (lo, hi) in self.intervals.items():
-            if pair not in TYPE_PAIRS:
-                raise ValueError(f"unknown type pair {pair}")
-            if lo > hi:
-                raise ValueError(f"empty interval {lo} > {hi} for {pair}")
+    @cached_property
+    def ends(self) -> _Ends:
+        """The edge ends, worked out once per problem.
 
-
-def ends_from_nu(nu: DegreePairDist) -> EdgeEndDistributions:
-    """End distributions implied by the degree-pair distribution alone.
-
-    An edge leaves a node with pair (i, j) with probability proportional to
-    i * nu[i, j] and arrives at (k, l) proportionally to l * nu[k, l]; the
-    end distributions collapse those masses onto single degrees.
-    """
-    src_total = sum(i * p for (i, _), p in nu.entries.items())
-    tgt_total = sum(j * p for (_, j), p in nu.entries.items())
-    if src_total <= 0.0 or tgt_total <= 0.0:
-        raise ValueError("graph has no edges; end distributions undefined")
-
-    q: dict[int, dict[int, float]] = {1: {}, 2: {}}
-    q_tilde: dict[int, dict[int, float]] = {1: {}, 2: {}}
-    for (i, j), p in nu.entries.items():
-        if i > 0:
-            w = i * p / src_total
-            q[1][i] = q[1].get(i, 0.0) + w
-            q[2][j] = q[2].get(j, 0.0) + w
-        if j > 0:
-            w = j * p / tgt_total
-            q_tilde[1][i] = q_tilde[1].get(i, 0.0) + w
-            q_tilde[2][j] = q_tilde[2].get(j, 0.0) + w
-
-    return EdgeEndDistributions(
-        q,
-        q_tilde,
-        {a: _dist_sigma(q[a]) for a in (1, 2)},
-        {b: _dist_sigma(q_tilde[b]) for b in (1, 2)},
-    )
+        An edge leaves a node with pair (i, j) with probability
+        proportional to i * nu[i, j] and arrives at (k, l) proportionally
+        to l * nu[k, l].
+        """
+        nu = self.nu.entries
+        src_total = sum(i * v for (i, _), v in nu.items())
+        tgt_total = sum(j * v for (_, j), v in nu.items())
+        rho = np.array([i * nu[(i, j)] / src_total
+                        for i, j in self.source_pairs])
+        kappa = np.array([l * nu[(k, l)] / tgt_total
+                          for k, l in self.target_pairs])
+        U, mean_s, sd_s = _standardise(self.source_pairs, rho)
+        V, mean_t, sd_t = _standardise(self.target_pairs, kappa)
+        return _Ends(rho, kappa, U, V, mean_s, mean_t, sd_s, sd_t)
 
 
 def problem_from_nu(
-    nu: DegreePairDist,
-    targets: AssortProfile | None = None,
-    intervals: dict[tuple[int, int], tuple[float, float]] | None = None,
+    nu: DegreePairDist, targets: AssortProfile | None = None
 ) -> EtaProblem:
     """Build an EtaProblem; pair lists are derived from the support of nu."""
     source_pairs = sorted(p for p in nu.entries if p[0] > 0)
     target_pairs = sorted(p for p in nu.entries if p[1] > 0)
     if not source_pairs or not target_pairs:
         raise ValueError("degree-pair distribution carries no edges")
-    return EtaProblem(nu, source_pairs, target_pairs, targets, dict(intervals or {}))
+    return EtaProblem(nu, source_pairs, target_pairs, targets)
 
 
 def problem_from_graph(
-    g: DirectedGraph,
-    targets: AssortProfile | None = None,
-    intervals: dict[tuple[int, int], tuple[float, float]] | None = None,
+    g: DirectedGraph, targets: AssortProfile | None = None
 ) -> EtaProblem:
-    return problem_from_nu(degree_pair_dist(g), targets, intervals)
-
-
-def g_map(a: int, b: int, r: float, ends: EdgeEndDistributions) -> float:
-    """Moment value pinned by coefficient r(a, b).
-
-    Affine in r: the degree-product moment equals
-    mu_q(a) * mu_qt(b) + sigma_q(a) * sigma_qt(b) * r.
-    """
-    if (a, b) not in TYPE_PAIRS:
-        raise ValueError(f"unknown type pair ({a},{b})")
-    if ends.sigma_q[a] <= 0.0 or ends.sigma_q_tilde[b] <= 0.0:
-        raise ValueError(
-            f"degenerate end distribution; g({a},{b}) undefined")
-    return ends.mean_q(a) * ends.mean_q_tilde(b) + ends.sigma_q[a] * ends.sigma_q_tilde[b] * r
-
-
-def _inverse_g(a: int, b: int, value: float, ends: EdgeEndDistributions) -> float:
-    return (value - ends.mean_q(a) * ends.mean_q_tilde(b)) / (
-        ends.sigma_q[a] * ends.sigma_q_tilde[b]
-    )
-
-
-def _mass_vectors(p: EtaProblem) -> tuple[np.ndarray, np.ndarray]:
-    src_total = sum(i * v for (i, _), v in p.nu.entries.items())
-    tgt_total = sum(j * v for (_, j), v in p.nu.entries.items())
-    src = np.array([i * p.nu.entries[(i, j)] / src_total for i, j in p.source_pairs])
-    tgt = np.array([l * p.nu.entries[(k, l)] / tgt_total for k, l in p.target_pairs])
-    return src, tgt
-
-
-def _weight_vectors(p: EtaProblem) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    s_arr = np.asarray(p.source_pairs, dtype=np.float64)
-    t_arr = np.asarray(p.target_pairs, dtype=np.float64)
-    f = {1: s_arr[:, 0], 2: s_arr[:, 1]}
-    gv = {1: t_arr[:, 0], 2: t_arr[:, 1]}
-    return f, gv
-
-
-def _require_sigmas(ends: EdgeEndDistributions, pairs) -> None:
-    for a, b in pairs:
-        if ends.sigma_q[a] == 0.0 or ends.sigma_q_tilde[b] == 0.0:
-            raise ValueError(
-                f"degenerate end distribution: sigma is zero for r({a},{b})"
-            )
+    return problem_from_nu(degree_pair_dist(g), targets)
 
 
 def _marginal_rows(p: EtaProblem) -> tuple[sp.csr_matrix, np.ndarray]:
     ns, nt = len(p.source_pairs), len(p.target_pairs)
-    src_mass, tgt_mass = _mass_vectors(p)
     rows = sp.vstack(
         [
             sp.kron(sp.eye(ns, format="csr"), np.ones((1, nt)), format="csr"),
@@ -206,48 +152,61 @@ def _marginal_rows(p: EtaProblem) -> tuple[sp.csr_matrix, np.ndarray]:
         ],
         format="csr",
     )
-    rhs = np.concatenate([src_mass, tgt_mass])
+    rhs = np.concatenate([p.ends.rho, p.ends.kappa])
     return rows, rhs
 
 
-def assemble_constraints(p: EtaProblem) -> lplib.LinearProgram:
+def assemble_constraints(
+    p: EtaProblem,
+    conditioning: dict[tuple[int, int], tuple[float, float]] | None = None,
+) -> lplib.LinearProgram:
     """Linear program over the mixing-matrix entries (row-major, zero cost).
 
     Equality rows: one per source pair (row sums), one per target pair
-    (column sums), plus four moment rows when targets are present.  Interval
-    constraints contribute two <= rows each via the g map.  Redundant rows
-    (the two marginal families share their total) are kept; the solver's
-    presolve copes with rank deficiency.
+    (column sums), plus four moment rows when targets are present.  Each
+    interval (a, b) -> (lower, upper) of `conditioning` contributes two <=
+    rows.  A moment row holds the raw degree products f_a(s) g_b(t), and
+    pinning r(a, b) to r sets its right side to
+    mean_s[a] * mean_t[b] + sd_s[a] * sd_t[b] * r.  Redundant rows (the two
+    marginal families share their total) are kept; the solver's presolve
+    copes with rank deficiency.
     """
-    ns, nt = len(p.source_pairs), len(p.target_pairs)
-    nvars = ns * nt
-    ends = ends_from_nu(p.nu)
-    f, gv = _weight_vectors(p)
+    conditioning = conditioning or {}
+    for pair, (lo, hi) in conditioning.items():
+        if pair not in TYPE_PAIRS:
+            raise ValueError(f"unknown type pair {pair}")
+        if lo > hi:
+            raise ValueError(f"empty interval {lo} > {hi} for {pair}")
+    nvars = len(p.source_pairs) * len(p.target_pairs)
+    e = p.ends
+    f = np.asarray(p.source_pairs, dtype=np.float64)
+    gv = np.asarray(p.target_pairs, dtype=np.float64)
+
+    def row(a: int, b: int) -> np.ndarray:
+        return np.outer(f[:, a - 1], gv[:, b - 1]).ravel()
+
+    def moment(a: int, b: int, r: float) -> float:
+        return (e.mean_s[a - 1] * e.mean_t[b - 1]
+                + e.sd_s[a - 1] * e.sd_t[b - 1] * r)
 
     A_eq, b_eq = _marginal_rows(p)
     if p.targets is not None:
-        _require_sigmas(ends, TYPE_PAIRS)
-        w_rows = np.stack(
-            [np.outer(f[a], gv[b]).ravel() for a, b in TYPE_PAIRS]
-        )
-        rhs = np.array(
-            [g_map(a, b, p.targets.get(a, b), ends) for a, b in TYPE_PAIRS]
-        )
-        A_eq = sp.vstack([A_eq, sp.csr_matrix(w_rows)], format="csr")
-        b_eq = np.concatenate([b_eq, rhs])
+        _require_spread(e.sd_s, e.sd_t)
+        A_eq = sp.vstack(
+            [A_eq, sp.csr_matrix(np.stack([row(a, b) for a, b in TYPE_PAIRS]))],
+            format="csr")
+        b_eq = np.concatenate(
+            [b_eq, [moment(a, b, p.targets.get(a, b)) for a, b in TYPE_PAIRS]])
 
     A_ub = None
     b_ub = None
-    if p.intervals:
-        _require_sigmas(ends, p.intervals.keys())
+    if conditioning:
+        _require_spread(e.sd_s, e.sd_t, conditioning.keys())
         ub_rows = []
         ub_rhs = []
-        for (a, b), (lo, hi) in sorted(p.intervals.items()):
-            w = np.outer(f[a], gv[b]).ravel()
-            ub_rows.append(w)
-            ub_rhs.append(g_map(a, b, hi, ends))
-            ub_rows.append(-w)
-            ub_rhs.append(-g_map(a, b, lo, ends))
+        for (a, b), (lo, hi) in sorted(conditioning.items()):
+            ub_rows += [row(a, b), -row(a, b)]
+            ub_rhs += [moment(a, b, hi), -moment(a, b, lo)]
         A_ub = sp.csr_matrix(np.stack(ub_rows))
         b_ub = np.asarray(ub_rhs)
 
@@ -267,8 +226,7 @@ def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
     coupling, flattened.
     """
     base = assemble_constraints(p)
-    src_mass, tgt_mass = _mass_vectors(p)
-    indep = np.outer(src_mass, tgt_mass).ravel()
+    indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
 
     # Column of t coefficients: each row's value at eta = independence.
     t_col_eq = np.asarray(base.A_eq @ indep).ravel()
@@ -320,24 +278,15 @@ _PAIR_B = np.array([b - 1 for _, b in TYPE_PAIRS])
 def _tilt(p: EtaProblem):
     """Masses, standardised degree factors and targets of a target problem.
 
-    Returns (rho, kappa, U, V, m_star).  rho and kappa are the source and
-    target pair masses.  Column a-1 of U is the type-a degree of each
-    source pair, centred and scaled by the mean and sigma of the source
-    end; V does the same for the target pairs.  The standardised weight of
-    r(a, b) is then the rank-one product W(s, t) = U[s, a-1] V[t, b-1],
-    whose moment under a mixing matrix is the coefficient itself.  m_star
-    holds the targets in TYPE_PAIRS order.
+    Returns (rho, kappa, U, V, m_star) from p.ends; m_star holds the
+    targets in TYPE_PAIRS order.  The standardised weight of r(a, b) is the
+    rank-one product W(s, t) = U[s, a-1] V[t, b-1], whose moment under a
+    mixing matrix is the coefficient itself.
     """
-    ends = ends_from_nu(p.nu)
-    _require_sigmas(ends, TYPE_PAIRS)
-    rho, kappa = _mass_vectors(p)
-    f, gv = _weight_vectors(p)
-    U = np.column_stack([(f[a] - ends.mean_q(a)) / ends.sigma_q[a]
-                         for a in (1, 2)])
-    V = np.column_stack([(gv[b] - ends.mean_q_tilde(b)) / ends.sigma_q_tilde[b]
-                         for b in (1, 2)])
+    e = p.ends
+    _require_spread(e.sd_s, e.sd_t)
     m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
-    return rho, kappa, U, V, m_star
+    return e.rho, e.kappa, e.U, e.V, m_star
 
 
 def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
@@ -670,42 +619,43 @@ def coefficient_bounds(
 ) -> AssortBounds:
     """Attainable range of each queried coefficient.
 
-    For every type pair in `order`, minimise and maximise the associated
-    degree-product moment over the transportation polytope, subject to the
-    interval constraints in `conditioning` (and any already stored on the
-    problem); the optima map back to coefficient bounds through the inverse
-    g map.  Without any conditioning the optima are closed-form (the sorted
-    and reverse-sorted couplings of the two marginals) and no LP is solved;
-    with conditioning each optimum is a HiGHS linear program.  Raises
-    ValueError when the conditioning intervals cut the feasible set down to
-    nothing.
+    For every type pair in `order`, minimise and maximise the coefficient
+    over the transportation polytope, subject to the intervals
+    (a, b) -> (lower, upper) in `conditioning`.  Without conditioning the
+    optima are closed-form: the sorted and reverse-sorted couplings of the
+    two marginals, taken on the standardised degrees, so they are the
+    coefficients themselves and no LP is solved.  With conditioning each
+    optimum is a HiGHS linear program over the raw degree products of
+    assemble_constraints, standardised afterwards.  Raises ValueError on an
+    unknown type pair or an empty interval, and when the conditioning
+    intervals cut the feasible set down to nothing.
     """
-    conditioning = {**p.intervals, **(conditioning or {})}
+    conditioning = dict(conditioning or {})
     for pair in order:
         if pair not in TYPE_PAIRS:
             raise ValueError(f"unknown type pair {pair}")
-    ends = ends_from_nu(p.nu)
-    _require_sigmas(ends, set(order) | set(conditioning.keys()))
-    f, gv = _weight_vectors(p)
-    rho, kappa = _mass_vectors(p)
     prog = None
     if conditioning:
-        prog = assemble_constraints(EtaProblem(
-            p.nu, p.source_pairs, p.target_pairs, None, dict(conditioning)
-        ))
+        bare = EtaProblem(p.nu, p.source_pairs, p.target_pairs)
+        prog = assemble_constraints(bare, conditioning)
+    e = p.ends
+    _require_spread(e.sd_s, e.sd_t, order)
+    f = np.asarray(p.source_pairs, dtype=np.float64)
+    gv = np.asarray(p.target_pairs, dtype=np.float64)
 
     out: dict[tuple[int, int], tuple[float, float]] = {}
     for a, b in order:
         what = f"r({a},{b})"
         if prog is not None:
-            low, high = _lp_moment_range(prog, np.outer(f[a], gv[b]).ravel(),
-                                         what)
+            low, high = _lp_moment_range(
+                prog, np.outer(f[:, a - 1], gv[:, b - 1]).ravel(), what)
+            centre = e.mean_s[a - 1] * e.mean_t[b - 1]
+            scale = e.sd_s[a - 1] * e.sd_t[b - 1]
+            low, high = (low - centre) / scale, (high - centre) / scale
         else:
-            low = -_comonotone_moment(f[a], rho, -gv[b], kappa)
-            high = _comonotone_moment(f[a], rho, gv[b], kappa)
-        lo = _clamp(_inverse_g(a, b, low, ends), f"lower bound of {what}")
-        hi = _clamp(_inverse_g(a, b, high, ends), f"upper bound of {what}")
-        if lo > hi:
-            lo, hi = hi, lo
-        out[(a, b)] = (lo, hi)
+            u, v = e.U[:, a - 1], e.V[:, b - 1]
+            low = -_comonotone_moment(u, e.rho, -v, e.kappa)
+            high = _comonotone_moment(u, e.rho, v, e.kappa)
+        out[(a, b)] = tuple(sorted((_clamp(low, f"lower bound of {what}"),
+                                    _clamp(high, f"upper bound of {what}"))))
     return AssortBounds(out)

@@ -21,7 +21,9 @@ order.
 Accepted swaps change the four degree products by integers.  One integer
 tally per ordered pair of scenario labels holds those changes and the
 accepted count, for every run: checkpoints read its totals, and scenario
-gains fold it by unordered label pair.
+gains fold it by unordered label pair.  The end means and sds that turn
+those sums into coefficients never change either; they come once from
+assortativity._standardise, the helper behind every coefficient.
 """
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ from .assortativity import (
     EdgeMixMatrix,
     _csv_rows,
     _pair_codes,
-    _profile_from_moments,
+    _profile,
+    _standardise,
     edge_mix_from_graph,
-    end_distributions,
 )
 from .graph import _LABEL_NAMES, DirectedGraph
 
@@ -280,10 +282,12 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
         raise ValueError("rewiring needs at least two edges")
     if track_gains and g.edge_labels is None:
         raise ValueError("no scenario labels on this graph")
-    # End moments are rewiring invariants: degrees never change.
-    ends = end_distributions(edge_mix_from_graph(g))
-    mu_q = {a: ends.mean_q(a) for a in (1, 2)}
-    mu_qt = {b: ends.mean_q_tilde(b) for b in (1, 2)}
+    # End moments are rewiring invariants: degrees never change.  The
+    # masses of the graph's degree-pair classes are exact edge counts / m.
+    mix = edge_mix_from_graph(g)
+    _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
+    _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
+    centre, scale = np.outer(mean_s, mean_t), np.outer(sd_s, sd_t)
     sp_node, tp_node = _node_pair_indices(g, eta)
 
     m = g.num_edges
@@ -315,9 +319,10 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
 
     def profile_now() -> AssortProfile:
         s = s_init + tally[1:].sum(axis=1)
-        return _profile_from_moments(
-            {k: float(v) / m for k, v in zip(TYPE_PAIRS, s.tolist())},
-            mu_q, mu_qt, ends.sigma_q, ends.sigma_q_tilde)
+        # A degenerate end divides by zero here, and _profile rejects it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (s.reshape(2, 2) / m - centre) / scale
+        return _profile(r, sd_s, sd_t)
 
     trace = RewiringTrace([(0, *_profile_vals(profile_now()), 0.0)])
     targets = cfg.targets
@@ -362,7 +367,7 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
                 stop = (cfg.stop_early
                         and prof.max_abs_diff(targets) <= cfg.tolerance)
 
-    gains = _gains(tally, names, m, ends) if track_gains else None
+    gains = _gains(tally, names, m, sd_s, sd_t) if track_gains else None
     return result, trace, gains
 
 
@@ -370,10 +375,10 @@ def _profile_vals(p: AssortProfile) -> tuple[float, float, float, float]:
     return (p.r11, p.r12, p.r21, p.r22)
 
 
-def _gains(tally, names, m, ends) -> ScenarioGains:
+def _gains(tally, names, m, sd_s, sd_t) -> ScenarioGains:
     """Fold the chain's tally (columns: ordered label pairs) into gains."""
     def to_r(s: list[int]) -> dict[str, float]:
-        return {f"r{a}{b}": v / (m * ends.sigma_q[a] * ends.sigma_q_tilde[b])
+        return {f"r{a}{b}": v / (m * sd_s[a - 1] * sd_t[b - 1])
                 for (a, b), v in zip(TYPE_PAIRS, s)}
 
     buckets: dict[tuple[str, str], np.ndarray] = {}

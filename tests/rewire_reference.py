@@ -12,9 +12,9 @@ import numpy as np
 
 from didpr.assortativity import (
     TYPE_PAIRS,
-    _profile_from_moments,
+    _profile,
+    _standardise,
     edge_mix_from_graph,
-    end_distributions,
 )
 from didpr.graph import _LABEL_NAMES
 from didpr.rewire import _PROPOSAL_BLOCK, RewiringTrace, ScenarioGains
@@ -22,9 +22,9 @@ from didpr.rewire import _PROPOSAL_BLOCK, RewiringTrace, ScenarioGains
 
 def reference_chain(g, eta, cfg, track_gains=False):
     """Run the chain on g toward eta; returns (dst, trace, gains or None)."""
-    ends = end_distributions(edge_mix_from_graph(g))
-    mu_q = {a: ends.mean_q(a) for a in (1, 2)}
-    mu_qt = {b: ends.mean_q_tilde(b) for b in (1, 2)}
+    mix = edge_mix_from_graph(g)
+    _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
+    _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
     src_index = eta.source_index()
     tgt_index = eta.target_index()
     out_l = g.out_deg.tolist()
@@ -48,9 +48,9 @@ def reference_chain(g, eta, cfg, track_gains=False):
     buckets = {}
 
     def profile_vals():
-        p = _profile_from_moments({k: float(v) / m for k, v in s.items()},
-                                  mu_q, mu_qt, ends.sigma_q,
-                                  ends.sigma_q_tilde)
+        sums = np.array([s[k] for k in TYPE_PAIRS]).reshape(2, 2)
+        r = (sums / m - np.outer(mean_s, mean_t)) / np.outer(sd_s, sd_t)
+        p = _profile(r, sd_s, sd_t)
         return (p.r11, p.r12, p.r21, p.r22)
 
     def within(vals):
@@ -102,8 +102,7 @@ def reference_chain(g, eta, cfg, track_gains=False):
         return np.array(dst, dtype=np.int64), trace, None
 
     def to_r(sums):
-        return {f"r{a}{b}": sums[(a, b)]
-                / (m * ends.sigma_q[a] * ends.sigma_q_tilde[b])
+        return {f"r{a}{b}": sums[(a, b)] / (m * sd_s[a - 1] * sd_t[b - 1])
                 for a, b in TYPE_PAIRS}
 
     gains = ScenarioGains(

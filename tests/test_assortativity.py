@@ -1,25 +1,30 @@
-"""Edge mixing matrix, end distributions, and the four coefficients.
+"""Edge mixing matrix, end standardisation, and the four coefficients.
 
-The reference computation used throughout is a direct Pearson correlation
-over the raw edge list with population normalisation: for type pair (a, b),
-x_e is the source's type-a degree and y_e the target's type-b degree.
+The reference computations are a direct Pearson correlation over the raw
+edge list with population normalisation (for type pair (a, b), x_e is the
+source's type-a degree and y_e the target's type-b degree), and the same
+correlation worked out exactly from integer sums.
 """
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from didpr.assortativity import (
+    TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
+    _standardise,
     assortativity,
     assortativity_from_edges,
     assortativity_of_graph,
     edge_mix_from_graph,
-    end_distributions,
     read_eta_csv,
     write_eta_csv,
 )
-from didpr.generate import gen_er
+from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
+from didpr.rewire import RewiringConfig, rewire
 
 
 def graph_from_pairs(num_nodes, pairs):
@@ -41,6 +46,24 @@ def pearson_profile(g):
             cov = (x * y).mean() - x.mean() * y.mean()
             vals[f"r{a}{b}"] = cov / (x.std() * y.std())
     return AssortProfile(**vals)
+
+
+def exact_profile(g):
+    """r(a, b) from the integer sums m, Sx, Sy, Sxx, Syy and Sxy over the
+    edge list, to 40 significant digits before the final rounding."""
+    x = {1: g.out_deg[g.src].tolist(), 2: g.in_deg[g.src].tolist()}
+    y = {1: g.out_deg[g.dst].tolist(), 2: g.in_deg[g.dst].tolist()}
+    m = g.num_edges
+    vals = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for a, b in TYPE_PAIRS:
+            xs, ys = x[a], y[b]
+            cov = m * sum(u * v for u, v in zip(xs, ys)) - sum(xs) * sum(ys)
+            var_x = m * sum(u * u for u in xs) - sum(xs) ** 2
+            var_y = m * sum(v * v for v in ys) - sum(ys) ** 2
+            vals.append(float(Decimal(cov) / Decimal(var_x * var_y).sqrt()))
+    return AssortProfile(*vals)
 
 
 FIXTURE_PAIRS = [(0, 1), (1, 2), (2, 0), (0, 2)]  # 3 nodes, one doubled source
@@ -87,32 +110,67 @@ class TestEdgeMixFromGraph:
 
 
 class TestEndDistributions:
+    """_standardise: an edge end's degree means and sds, and its degrees
+    centred and scaled by them."""
+
     def test_point_mass(self):
+        for pair in ((2, 3), (5, 7)):
+            Z, mean, sd = _standardise([pair], [1.0])
+            assert mean.tolist() == list(pair)
+            assert sd.tolist() == [0.0, 0.0]
+            assert Z.tolist() == [[0.0, 0.0]]
         eta = EdgeMixMatrix([(2, 3)], [(5, 7)], np.array([[1.0]]))
-        ends = end_distributions(eta)
-        assert ends.q == {1: {2: 1.0}, 2: {3: 1.0}}
-        assert ends.q_tilde == {1: {5: 1.0}, 2: {7: 1.0}}
-        assert all(v == 0.0 for v in ends.sigma_q.values())
-        assert all(v == 0.0 for v in ends.sigma_q_tilde.values())
+        with pytest.raises(ValueError, match="degenerate"):
+            assortativity(eta)
 
     def test_uniform_two_by_two(self):
         pairs = [(1, 1), (2, 2)]
+        for mass in ([0.5, 0.5], [2.0, 2.0]):  # any positive total
+            Z, mean, sd = _standardise(pairs, mass)
+            assert mean.tolist() == [1.5, 1.5]
+            assert sd.tolist() == [0.5, 0.5]
+            assert Z.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
         eta = EdgeMixMatrix(pairs, pairs, np.full((2, 2), 0.25))
-        ends = end_distributions(eta)
-        assert ends.q[1] == {1: 0.5, 2: 0.5}
-        assert ends.sigma_q[1] == pytest.approx(0.5)
-        assert ends.mean_q(1) == pytest.approx(1.5)
+        assert assortativity(eta).as_dict() == dict.fromkeys(
+            ("r11", "r12", "r21", "r22"), 0.0)
 
     def test_source_marginal_matches_nu(self):
+        # A source's out-degree i has mass i nu_ij / sum(i nu), so the
+        # source end's mean out-degree is sum(i^2 nu) / sum(i nu), and so on.
         g = gen_er(150, 0.08, seed=12)
-        ends = end_distributions(edge_mix_from_graph(g))
+        eta = edge_mix_from_graph(g)
+        _, mean, sd = _standardise(eta.source_pairs, eta.row_masses())
         nu = degree_pair_dist(g).entries
-        total = sum(i * v for (i, _), v in nu.items())
-        for i in set(i for i, _ in nu if i > 0):
-            expect = sum(i * v for (k, _), v in nu.items() if k == i)
-            # q^(1)_i = (sum_j i nu_ij) / (sum i nu)
-            expect = i * sum(v for (k, _), v in nu.items() if k == i) / total
-            assert ends.q[1].get(i, 0.0) == pytest.approx(expect, abs=1e-12)
+        total = sum(p[0] * v for p, v in nu.items())
+        for col in (0, 1):
+            m1 = sum(p[0] * p[col] * v for p, v in nu.items()) / total
+            m2 = sum(p[0] * p[col] ** 2 * v for p, v in nu.items()) / total
+            assert mean[col] == pytest.approx(m1, abs=1e-12)
+            assert sd[col] == pytest.approx(np.sqrt(m2 - m1 * m1), abs=1e-10)
+
+
+EXACT_GRAPHS = {
+    "fixture": lambda: graph_from_pairs(3, FIXTURE_PAIRS),
+    **{f"er60-{seed}": lambda seed=seed: gen_er(60, 0.1, seed=seed)
+       for seed in range(5)},
+    "dpa2e3": lambda: gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2_000,
+                                        seed=1)),
+}
+
+
+class TestExactOracle:
+    """Every route to the coefficients against r worked out exactly."""
+
+    @pytest.mark.parametrize("name", list(EXACT_GRAPHS))
+    def test_routes_match_exact_r(self, name):
+        g = EXACT_GRAPHS[name]()
+        want = exact_profile(g)
+        mix = edge_mix_from_graph(g)
+        _, trace = rewire(g, mix, RewiringConfig(max_steps=1, seed=0))
+        step0 = AssortProfile(*trace.checkpoints[0][1:5])
+        for got in (assortativity_of_graph(g), assortativity(mix),
+                    assortativity_from_edges(g), step0):
+            assert got.max_abs_diff(want) <= 1e-12
 
 
 class TestAssortativity:
@@ -215,9 +273,19 @@ class TestEtaCsv:
         with pytest.raises(ValueError):
             read_eta_csv(path)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_bad_entry_rejected_with_its_line(self, tmp_path, value):
+    @pytest.mark.parametrize("row, why", [
+        pytest.param("1,1,2,1,nan", "not finite", id="nan"),
+        pytest.param("1,1,2,1,inf", "not finite", id="inf"),
+        pytest.param("1,1,2,1,-0.5", "not finite", id="-0.5"),
+        pytest.param("1,1,2,1,x", "not finite", id="eta-not-a-number"),
+        pytest.param("x,1,2,1,0.5", "nonnegative integers", id="degree-x"),
+        pytest.param("-1,1,2,1,0.5", "nonnegative integers",
+                     id="degree-negative"),
+        pytest.param("1,1,2.5,1,0.5", "nonnegative integers",
+                     id="degree-fraction"),
+    ])
+    def test_bad_entry_rejected_with_its_line(self, tmp_path, row, why):
         path = tmp_path / "eta.csv"
-        path.write_text(f"i,j,k,l,eta\n1,1,1,1,0.5\n1,1,2,1,{value}\n")
-        with pytest.raises(ValueError, match=r"eta\.csv:3: .*not finite"):
+        path.write_text(f"i,j,k,l,eta\n1,1,1,1,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=rf"eta\.csv:3: .*{why}"):
             read_eta_csv(path)

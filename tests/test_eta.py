@@ -13,23 +13,18 @@ from didpr import lp as lplib
 from didpr.assortativity import (
     TYPE_PAIRS,
     AssortProfile,
-    EdgeEndDistributions,
     EdgeMixMatrix,
+    _standardise,
     assortativity,
     assortativity_of_graph,
     edge_mix_from_graph,
-    end_distributions,
 )
 from didpr.eta import (
-    EtaProblem,
     _center_eta,
     _entropy_eta,
-    _inverse_g,
     _lp_target_eta,
     assemble_constraints,
     coefficient_bounds,
-    ends_from_nu,
-    g_map,
     problem_from_graph,
     problem_from_nu,
     solve_target_eta,
@@ -47,8 +42,8 @@ NU_TOY = DegreePairDist({(1, 1): 6 / 13, (2, 2): 7 / 13})
 TOY_LOW = -3 / 7
 
 
-def toy_problem(targets=None, intervals=None):
-    return problem_from_nu(NU_TOY, targets=targets, intervals=intervals)
+def toy_problem(targets=None):
+    return problem_from_nu(NU_TOY, targets=targets)
 
 
 class TestAssembleConstraints:
@@ -65,7 +60,7 @@ class TestAssembleConstraints:
 
     def test_intervals_add_two_ub_rows_each(self):
         lp = assemble_constraints(
-            toy_problem(intervals={(1, 1): (-0.1, 0.4)}))
+            toy_problem(), conditioning={(1, 1): (-0.1, 0.4)})
         assert lp.num_eq == 4
         assert lp.num_ub == 2
 
@@ -77,86 +72,96 @@ class TestAssembleConstraints:
         assert np.abs(lp.A_eq @ x - lp.b_eq).max() < 1e-12
 
 
+def toy_moment_row(lp):
+    """b_eq of the r(1, 1) row and that row's raw moment under H."""
+    return lp.b_eq[4], lambda H: float((lp.A_eq @ np.ravel(H))[4])
+
+
 class TestGMap:
-    # mu = 2.5 and mu-tilde = 1.6 give the independence moment 4.0;
-    # both sigmas are 0.5, so g(r) = 4 + 0.25 r.
-    ENDS = EdgeEndDistributions(
-        q={1: {2: 0.5, 3: 0.5}, 2: {2: 0.5, 3: 0.5}},
-        q_tilde={1: {1: 0.405, 2: 0.59, 3: 0.005},
-                 2: {1: 0.405, 2: 0.59, 3: 0.005}},
-        sigma_q={1: 0.5, 2: 0.5},
-        sigma_q_tilde={1: 0.5, 2: 0.5},
-    )
+    """Pinning r(a, b) sets the raw degree-product moment to
+    mean_s[a] mean_t[b] + sd_s[a] sd_t[b] r.  On the toy problem every end
+    is {1: .3, 2: .7}: mean 1.7 and variance .21, so r maps to
+    2.89 + .21 r."""
 
     def test_zero_is_independence_value(self):
-        assert g_map(1, 1, 0.0, self.ENDS) == pytest.approx(4.0, abs=1e-12)
+        # the independence coupling's raw moment is the product of means
+        p = toy_problem(targets=AssortProfile(0.0, 0.0, 0.0, 0.0))
+        rhs, moment = toy_moment_row(assemble_constraints(p))
+        assert rhs == pytest.approx(2.89, abs=1e-12)
+        assert moment(np.outer(p.ends.rho, p.ends.kappa)) == pytest.approx(
+            rhs, abs=1e-12)
 
     def test_unit_correlation(self):
-        assert g_map(1, 1, 1.0, self.ENDS) == pytest.approx(4.25, abs=1e-12)
+        # the diagonal coupling has r = 1 and raw moment .3 * 1 + .7 * 4
+        p = toy_problem(targets=AssortProfile(1.0, 1.0, 1.0, 1.0))
+        rhs, moment = toy_moment_row(assemble_constraints(p))
+        assert rhs == pytest.approx(3.1, abs=1e-12)
+        assert moment(np.diag([0.3, 0.7])) == pytest.approx(rhs, abs=1e-12)
 
     def test_inverse_round_trip(self):
-        for r in (-0.8, -0.1, 0.0, 0.35, 1.0):
-            val = g_map(2, 1, r, self.ENDS)
-            assert _inverse_g(2, 1, val, self.ENDS) == pytest.approx(
-                r, abs=1e-12)
+        # Linearity: the right side is affine in r with slope .21.  The LP
+        # solves the raw rows, and the coefficients of its answer give r back.
+        for r in (-0.4, -0.1, 0.0, 0.35, 1.0):
+            p = toy_problem(targets=AssortProfile(r, r, r, r))
+            rhs, _ = toy_moment_row(assemble_constraints(p))
+            assert rhs == pytest.approx(2.89 + 0.21 * r, abs=1e-12)
+            eta = _lp_target_eta(p)
+            assert assortativity(eta).max_abs_diff(
+                AssortProfile(r, r, r, r)) < 1e-9
 
     def test_identity_on_observed_data(self):
         g = gen_er(120, 0.1, seed=31)
         eta = edge_mix_from_graph(g)
-        ends = end_distributions(eta)
-        prof = assortativity(eta)
-        src_deg = np.array(eta.source_pairs, dtype=float)
-        dst_deg = np.array(eta.target_pairs, dtype=float)
-        for a in (1, 2):
-            for b in (1, 2):
-                moment = float(
-                    src_deg[:, a - 1] @ eta.H @ dst_deg[:, b - 1])
-                assert g_map(a, b, prof.get(a, b), ends) == pytest.approx(
-                    moment, abs=1e-10)
+        lp = assemble_constraints(
+            problem_from_graph(g, targets=assortativity(eta)))
+        assert lp.num_eq == len(eta.source_pairs) + len(eta.target_pairs) + 4
+        np.testing.assert_allclose(lp.A_eq @ eta.H.ravel(), lp.b_eq,
+                                   rtol=0.0, atol=1e-10)
 
     def test_degenerate_sigma_rejected(self):
-        ends = EdgeEndDistributions(
-            q={1: {2: 1.0}, 2: {3: 1.0}},
-            q_tilde={1: {5: 1.0}, 2: {7: 1.0}},
-            sigma_q={1: 0.0, 2: 0.0},
-            sigma_q_tilde={1: 0.0, 2: 0.0},
-        )
-        with pytest.raises(ValueError):
-            g_map(1, 1, 0.5, ends)
+        p = problem_from_nu(DegreePairDist({(2, 3): 1.0}),
+                            targets=AssortProfile(0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="degenerate"):
+            assemble_constraints(p)
 
 
 class TestEndsFromNu:
+    """A problem's ends, worked out from nu, against the graph's own."""
+
     def test_matches_graph_route(self):
         g = gen_er(100, 0.1, seed=32)
-        via_nu = ends_from_nu(degree_pair_dist(g))
-        via_eta = end_distributions(edge_mix_from_graph(g))
-        for a in (1, 2):
-            assert via_nu.sigma_q[a] == pytest.approx(via_eta.sigma_q[a],
-                                                      abs=1e-12)
-            assert via_nu.q[a] == pytest.approx(via_eta.q[a], abs=1e-12)
-            assert via_nu.q_tilde[a] == pytest.approx(via_eta.q_tilde[a],
-                                                      abs=1e-12)
+        e = problem_from_graph(g).ends
+        eta = edge_mix_from_graph(g)
+        U, mean_s, sd_s = _standardise(eta.source_pairs, eta.row_masses())
+        V, mean_t, sd_t = _standardise(eta.target_pairs, eta.col_masses())
+        for want, got in ((eta.row_masses(), e.rho), (eta.col_masses(), e.kappa),
+                          (U, e.U), (V, e.V), (mean_s, e.mean_s),
+                          (mean_t, e.mean_t), (sd_s, e.sd_s), (sd_t, e.sd_t)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_degenerate_out_end_has_exactly_zero_sigma(self):
         # Every node has out-degree 3, so both out-degree ends sit on one
         # point, but the renormalised source mass is 0.9999999999999998
         # rather than 1.  The one-pass E[x^2] - E[x]^2 formula leaves
-        # sqrt noise of about 6e-8 there; the centred helper must give 0.
+        # sqrt noise of about 6e-8 there; the helper must give 0.
         nu = DegreePairDist({(3, 1): 3 / 11, (3, 2): 4 / 11, (3, 3): 4 / 11})
-        ends = ends_from_nu(nu)
-        assert list(ends.q[1]) == [3] and list(ends.q_tilde[1]) == [3]
-        mass = ends.q[1][3]
+        e = problem_from_nu(nu).ends
+        mass = e.rho.sum()
         one_pass = np.sqrt(max(9 * mass - (3 * mass) ** 2, 0.0))
         assert one_pass > 0.0  # the input does expose the rounding noise
-        assert ends.sigma_q[1] == 0.0
-        assert ends.sigma_q_tilde[1] == 0.0
-        assert ends.sigma_q[2] > 0.0 and ends.sigma_q_tilde[2] > 0.0
+        assert e.sd_s[0] == 0.0 and e.sd_t[0] == 0.0
+        assert (e.U[:, 0] == 0.0).all() and (e.V[:, 0] == 0.0).all()
+        assert e.sd_s[1] > 0.0 and e.sd_t[1] > 0.0
 
         with pytest.raises(ValueError, match="degenerate"):
             solve_target_eta(problem_from_nu(
                 nu, targets=AssortProfile(0.0, 0.0, 0.0, 0.0)))
         with pytest.raises(ValueError, match="degenerate"):
             coefficient_bounds(problem_from_nu(nu))
+        # the in-in coefficient is still defined
+        lo, hi = coefficient_bounds(problem_from_nu(nu),
+                                    order=((2, 2),)).get(2, 2)
+        assert -1.0 <= lo < hi <= 1.0
 
 
 class TestSolveTargetEta:
@@ -251,13 +256,12 @@ class TestSolveTargetEta:
 
 def _standardised_weights(p):
     """Per-coefficient weights w_ab(s, t) whose eta-moment is r(a, b)."""
-    ends = ends_from_nu(p.nu)
+    e = p.ends
     src = np.array(p.source_pairs, dtype=float)
     tgt = np.array(p.target_pairs, dtype=float)
     return {
-        (a, b): np.outer((src[:, a - 1] - ends.mean_q(a)) / ends.sigma_q[a],
-                         (tgt[:, b - 1] - ends.mean_q_tilde(b))
-                         / ends.sigma_q_tilde[b])
+        (a, b): np.outer((src[:, a - 1] - e.mean_s[a - 1]) / e.sd_s[a - 1],
+                         (tgt[:, b - 1] - e.mean_t[b - 1]) / e.sd_t[b - 1])
         for a, b in TYPE_PAIRS
     }
 
@@ -444,14 +448,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             problem_from_nu(DegreePairDist({(0, 0): 1.0}))
 
+    # Conditioning enters through coefficient_bounds, which rejects an
+    # unknown pair or an empty interval before any work.
     def test_bad_interval_pair_rejected(self):
-        with pytest.raises(ValueError):
-            EtaProblem(NU_TOY, [(1, 1), (2, 2)], [(1, 1), (2, 2)],
-                       None, {(9, 9): (0.0, 0.1)})
+        with pytest.raises(ValueError, match="unknown type pair"):
+            coefficient_bounds(toy_problem(),
+                               conditioning={(9, 9): (0.0, 0.1)})
 
     def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            toy_problem(intervals={(1, 1): (0.5, 0.2)})
+        with pytest.raises(ValueError, match="empty interval"):
+            coefficient_bounds(toy_problem(),
+                               conditioning={(1, 1): (0.5, 0.2)})
 
 
 class TestAdaptiveDispatch:
