@@ -10,8 +10,11 @@ Options may come from flags or from a JSON file given via --config; flags
 win over config values, which win over defaults, and unknown config keys
 are rejected.  Every run that writes files echoes its effective settings
 to <out>.config.json, and re-running from that file reproduces the outputs
-byte for byte.  When no seed is supplied anywhere, the DIDPR_SEED
-environment variable is used, then 0.
+byte for byte.  A seed not given as a flag or in the config is 0.
+
+Every failure a user can cause is a ValueError (CliError is one), a lookup,
+OS or runtime error; `main` turns each into one `error: <message>` line on
+stderr and exit code 1.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .assortativity import (
     read_eta_csv,
     write_eta_csv,
 )
-from .eta import AssortBounds, coefficient_bounds, problem_from_graph, solve_target_eta
+from .eta import coefficient_bounds, problem_from_graph, solve_target_eta
 from .fit import fit_ev
 from .generate import DpaParams, gen_dpa, gen_er
 # degree_pair_dist is no longer called here, but perfbench/tracing.py wraps
@@ -57,7 +60,7 @@ from .rewire import (
 __all__ = ["main", "main_entry"]
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """User-facing failure; message goes to stderr, exit code 1."""
 
 
@@ -82,7 +85,7 @@ class _Opt:
     help: str = ""
 
 
-_SEED_OPT = _Opt("int", help="RNG seed; falls back to DIDPR_SEED, then 0")
+_SEED_OPT = _Opt("int", default=0, help="RNG seed")
 _CHECKPOINT_HELP = ("steps between trace rows; sets only the trace resolution "
                     "and never changes the chain")
 
@@ -234,6 +237,9 @@ def _convert(key: str, opt: _Opt, value):
     if opt.kind == "str":
         value = str(value)
     elif opt.kind == "int":
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise CliError(f"{key} must be an integer, got {value!r}")
         value = int(value)
     elif opt.kind == "float":
         value = float(value)
@@ -258,6 +264,8 @@ def _convert(key: str, opt: _Opt, value):
         value = [str(v) for v in value]
     else:  # pragma: no cover - schema bug
         raise AssertionError(opt.kind)
+    if opt.kind in ("floats", "pairs", "paths") and not value:
+        raise CliError(f"{key} needs at least one value")
     if opt.choices is not None and value not in opt.choices:
         raise CliError(
             f"{key} must be one of {', '.join(map(str, opt.choices))}"
@@ -291,9 +299,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     params: dict = {}
     for key, opt in schema.items():
         value = getattr(args, key, None)
-        if value in (None, []) and key in cfg:
-            value = cfg[key]
-        if value in (None, []):
+        if value in (None, []):  # [] is an absent nargs="*" positional
+            value = cfg.get(key)
+        if value is None:
             value = opt.default
         if value is not None:
             value = _convert(key, opt, value)
@@ -301,18 +309,16 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     missing = [k for k, o in schema.items() if o.required and params[k] is None]
     if missing:
         raise CliError(f"missing required options: {', '.join(missing)}")
-    if params.get("replicates", 1) < 1:
-        raise CliError("replicates must be at least 1")
-    if "seed" in schema and params["seed"] is None:
-        env = os.environ.get("DIDPR_SEED", "").strip()
-        params["seed"] = int(env) if env else 0
+    for key in ("replicates", "jobs"):
+        if params.get(key, 1) < 1:
+            raise CliError(f"{key} must be at least 1")
     return params
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _write_json(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _echo_config(command: str, params: dict, anchor_path: str) -> None:
@@ -321,13 +327,9 @@ def _echo_config(command: str, params: dict, anchor_path: str) -> None:
     The file is itself a valid --config for the same subcommand, so a run
     can be reproduced from it exactly.
     """
-    doc = {"command": command}
-    for key, value in params.items():
-        if value is not None:
-            doc[key] = _jsonable(value)
-    with open(f"{anchor_path}.config.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json({"command": command,
+                 **{k: v for k, v in params.items() if v is not None}},
+                f"{anchor_path}.config.json")
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +358,16 @@ def _profile_fields(g: DirectedGraph) -> dict:
     return fields
 
 
-def _require(params: dict, keys: list[str], context: str) -> None:
-    missing = [k for k in keys if params.get(k) is None]
+def _model_graph(params: dict, model: str, seed) -> DirectedGraph:
+    """Generate one graph of the er or dpa model from the resolved options."""
+    keys = ("n", "p") if model == "er" else _DPA_OPTS
+    missing = [k for k in keys if params[k] is None]
     if missing:
-        raise CliError(f"{context} needs: {', '.join(missing)}")
-
-
-def _dpa_params(params: dict, seed) -> DpaParams:
-    _require(params, list(_DPA_OPTS), "the dpa model")
-    try:
-        return DpaParams(params["alpha"], params["beta"], params["gamma"],
-                         params["delta_in"], params["delta_out"],
-                         params["edges"], seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"the {model} model needs: {', '.join(missing)}")
+    values = [params[k] for k in keys]
+    if model == "er":
+        return gen_er(*values, seed)
+    return gen_dpa(DpaParams(*values, seed))
 
 
 def _replicate_path(path: str, rep: int, replicates: int) -> str:
@@ -383,33 +381,27 @@ def _pair_code(pair: tuple[int, int]) -> str:
     return f"{pair[0]}{pair[1]}"
 
 
-def _print_unattainable(bounds: AssortBounds) -> None:
-    print("error: the target coefficients are jointly unattainable for "
-          "this degree structure", file=sys.stderr)
-    print("attainable range of each coefficient on its own:", file=sys.stderr)
-    for a, b in TYPE_PAIRS:
-        lo, hi = bounds.get(a, b)
-        print(f"  r({a},{b}) in [{lo:.4f}, {hi:.4f}]", file=sys.stderr)
-
-
 def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile):
+    """The eta realising targets on g's degree structure, or a CliError that
+    gives each coefficient's attainable range on its own."""
     eta = solve_target_eta(problem_from_graph(g, targets=targets))
     if eta is None:
-        _print_unattainable(coefficient_bounds(problem_from_graph(g)))
-        raise SystemExit(1)
+        bounds = coefficient_bounds(problem_from_graph(g))
+        ranges = ", ".join("r{}{} in [{:.4f}, {:.4f}]".format(
+            a, b, *bounds.get(a, b)) for a, b in TYPE_PAIRS)
+        raise CliError("the targets are jointly unattainable for this degree "
+                       f"structure (each alone: {ranges})")
     return eta
 
 
-def _spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(count)
-
-
-def _map_jobs(worker, jobs_args: list, jobs: int) -> list:
-    """Run worker over jobs_args, in order, optionally across processes."""
-    if jobs <= 1 or len(jobs_args) <= 1:
-        return [worker(a) for a in jobs_args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, jobs_args))
+def _map_jobs(worker, jobs_args: list[tuple], jobs: int) -> list:
+    """worker(*args) for each args tuple, in order, across up to `jobs`
+    processes."""
+    if jobs == 1 or len(jobs_args) == 1:
+        return [worker(*args) for args in jobs_args]
+    # Under the fork start method the pool starts all its workers at once.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) as pool:
+        return list(pool.map(worker, *zip(*jobs_args)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +409,7 @@ def _map_jobs(worker, jobs_args: list, jobs: int) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(params: dict) -> int:
-    if params["model"] == "er":
-        _require(params, ["n", "p"], "the er model")
-        try:
-            g = gen_er(params["n"], params["p"], params["seed"])
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    else:
-        g = gen_dpa(_dpa_params(params, params["seed"]))
+    g = _model_graph(params, params["model"], params["seed"])
     write_edge_list(g, params["out"])
     if g.edge_labels is not None:
         write_edge_labels(g, f"{params['out']}.labels")
@@ -443,27 +428,20 @@ def cmd_assort(params: dict) -> int:
     doc = {"nodes": g.num_nodes, "edges": g.num_edges, **profile.as_dict()}
     print(json.dumps(doc))
     if params["out"]:
-        with open(params["out"], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, params["out"])
         _echo_config("assort", params, params["out"])
     return 0
 
 
-def _bounds_worker(job):
-    graph_path, model, mparams, seed_seq, pairs, cond_pair, cond_values = job
-    if graph_path is not None:
-        g = _load_graph(graph_path)
-    elif model == "er":
-        g = gen_er(mparams["n"], mparams["p"], seed_seq)
+def _bounds_worker(params: dict, seed) -> list[tuple]:
+    if params["graph"] is not None:
+        g = _load_graph(params["graph"])
     else:
-        g = gen_dpa(DpaParams(mparams["alpha"], mparams["beta"],
-                              mparams["gamma"], mparams["delta_in"],
-                              mparams["delta_out"], mparams["edges"],
-                              seed_seq))
+        g = _model_graph(params, params["model"], seed)
     problem = problem_from_graph(g)
+    pairs, cond_pair = params["pairs"], params["condition_pair"]
     rows = []
-    for value in cond_values:
+    for value in params["condition_values"] or (None,):
         conditioning = None
         if value is not None:
             conditioning = {cond_pair: (value, value)}
@@ -486,25 +464,11 @@ def cmd_bounds(params: dict) -> int:
         raise CliError("replicates only make sense with --model")
     if (params["condition_pair"] is None) != (params["condition_values"] is None):
         raise CliError("--condition-pair and --condition-values go together")
-    if params["model"] == "er":
-        _require(params, ["n", "p"], "the er model")
-    elif params["model"] == "dpa":
-        _require(params, list(_DPA_OPTS), "the dpa model")
 
-    cond_values = (list(params["condition_values"])
-                   if params["condition_values"] is not None else [None])
     replicates = params["replicates"]
-    seeds = _spawn_seeds(params["seed"], replicates)
-    jobs_args = [
-        (params["graph"], params["model"],
-         {k: params[k] for k in ("n", "p", *_DPA_OPTS)},
-         seeds[rep], params["pairs"], params["condition_pair"], cond_values)
-        for rep in range(replicates)
-    ]
-    try:
-        per_rep = _map_jobs(_bounds_worker, jobs_args, params["jobs"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    seeds = np.random.SeedSequence(params["seed"]).spawn(replicates)
+    per_rep = _map_jobs(_bounds_worker, [(params, s) for s in seeds],
+                        params["jobs"])
 
     with open(params["out"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -532,12 +496,6 @@ def cmd_solve_eta(params: dict) -> int:
     return 0
 
 
-def _rewire_worker(job):
-    g, eta, cfg = job
-    result, trace = rewire(g, eta, cfg)
-    return result, trace
-
-
 def cmd_rewire(params: dict) -> int:
     g = _load_graph(params["graph"])
     targets = (AssortProfile(*params["targets"])
@@ -554,22 +512,16 @@ def cmd_rewire(params: dict) -> int:
     trace_base = params["trace"] or f"{params['out']}.trace.csv"
 
     replicates = params["replicates"]
-    seeds = _spawn_seeds(params["seed"], replicates)
-    jobs_args = []
-    for rep in range(replicates):
-        cfg = RewiringConfig(
-            max_steps=params["steps"],
-            checkpoint_every=params["checkpoint_every"],
-            tolerance=params["tolerance"],
-            stop_early=params["stop_early"],
-            seed=seeds[rep],
-            targets=targets,
-        )
-        jobs_args.append((g, eta, cfg))
-    try:
-        results = _map_jobs(_rewire_worker, jobs_args, params["jobs"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    seeds = np.random.SeedSequence(params["seed"]).spawn(replicates)
+    jobs_args = [
+        (g, eta, RewiringConfig(max_steps=params["steps"],
+                                checkpoint_every=params["checkpoint_every"],
+                                tolerance=params["tolerance"],
+                                stop_early=params["stop_early"],
+                                seed=seed, targets=targets))
+        for seed in seeds
+    ]
+    results = _map_jobs(rewire, jobs_args, params["jobs"])
 
     # Recount from each rewired edge list before anything is written: the
     # same sources and in-degrees mean every degree pair survived.
@@ -600,17 +552,12 @@ def cmd_rewire(params: dict) -> int:
 
 def cmd_fit(params: dict) -> int:
     g = _load_graph(params["graph"])
-    try:
-        fitted = fit_ev(g, params["n_tail"], grid_size=params["grid_size"],
-                        sim_edges=params["sim_edges"], seed=params["seed"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    fitted = fit_ev(g, params["n_tail"], grid_size=params["grid_size"],
+                    sim_edges=params["sim_edges"], seed=params["seed"])
     doc = fitted.as_dict()
     print(json.dumps(doc))
     if params["out"]:
-        with open(params["out"], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, params["out"])
         _echo_config("fit", params, params["out"])
     return 0
 
@@ -621,37 +568,23 @@ _BUCKET_ORDER = (
 )
 
 
-def _gains_worker(job):
-    mparams, targets_t, steps, checkpoint_every, seed_seq = job
-    gen_seed, chain_seed = seed_seq.spawn(2)
-    g = gen_dpa(DpaParams(mparams["alpha"], mparams["beta"], mparams["gamma"],
-                          mparams["delta_in"], mparams["delta_out"],
-                          mparams["edges"], gen_seed))
-    targets = AssortProfile(*targets_t)
-    eta = solve_target_eta(problem_from_graph(g, targets=targets))
-    if eta is None:
-        raise ValueError("targets unattainable for a generated replicate; "
-                         "pick milder targets")
-    cfg = RewiringConfig(max_steps=steps, checkpoint_every=checkpoint_every,
+def _gains_worker(params: dict, seed):
+    gen_seed, chain_seed = seed.spawn(2)
+    g = _model_graph(params, "dpa", gen_seed)
+    targets = AssortProfile(*params["targets"])
+    eta = _solve_eta_or_fail(g, targets)
+    cfg = RewiringConfig(max_steps=params["steps"],
+                         checkpoint_every=params["checkpoint_every"],
                          seed=chain_seed, targets=targets)
     _, _, gains = rewire_with_scenario_gains(g, eta, cfg)
     return gains
 
 
 def cmd_scenario_gains(params: dict) -> int:
-    _require(params, list(_DPA_OPTS), "the dpa model")
     replicates = params["replicates"]
-    seeds = _spawn_seeds(params["seed"], replicates)
-    mparams = {k: params[k] for k in _DPA_OPTS}
-    jobs_args = [
-        (mparams, params["targets"], params["steps"],
-         params["checkpoint_every"], seeds[rep])
-        for rep in range(replicates)
-    ]
-    try:
-        all_gains = _map_jobs(_gains_worker, jobs_args, params["jobs"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    seeds = np.random.SeedSequence(params["seed"]).spawn(replicates)
+    all_gains = _map_jobs(_gains_worker, [(params, s) for s in seeds],
+                          params["jobs"])
 
     with open(params["out"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -747,15 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        params = _resolve(args, args.command)
-        return handler(params)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        return _HANDLERS[args.command](_resolve(args, args.command))
     except (ValueError, LookupError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -279,6 +279,8 @@ def _bad_inputs(graph, tmp):
     malformed.write_text("0 1\n1 two\n", encoding="utf-8")
     not_a_trace = tmp / "not_a_trace.csv"
     not_a_trace.write_text("a,b\n1,2\n", encoding="utf-8")
+    empty_pairs = tmp / "empty.config.json"
+    empty_pairs.write_text(json.dumps({"pairs": []}), encoding="utf-8")
     out = str(tmp / "out")
     return {
         "generate": ["generate", "er", "--n", "10", "--out", out],
@@ -292,16 +294,31 @@ def _bad_inputs(graph, tmp):
         "scenario-gains": ["scenario-gains", "--targets", "0.1,0.1,0.1,0.1",
                            "--steps", "100", "--out", out],
         "aggregate": ["aggregate", str(not_a_trace), "--out", out],
+        "bounds-empty-pairs": ["bounds", "--graph", str(graph), "--pairs", ",",
+                               "--out", out],
+        "bounds-empty-values": ["bounds", "--graph", str(graph),
+                                "--condition-pair", "11",
+                                "--condition-values", ",", "--out", out],
+        "bounds-empty-config-pairs": ["bounds", "--graph", str(graph),
+                                      "--config", str(empty_pairs),
+                                      "--out", out],
     }
 
 
+_BAD_CASES = sorted(cli._HANDLERS) + ["bounds-empty-pairs",
+                                      "bounds-empty-values",
+                                      "bounds-empty-config-pairs"]
+
+
 def test_bad_inputs_cover_every_subcommand(tmp_path):
-    assert set(_bad_inputs(tmp_path / "g.txt", tmp_path)) == set(cli._HANDLERS)
+    cases = _bad_inputs(tmp_path / "g.txt", tmp_path)
+    assert sorted(cases) == sorted(_BAD_CASES)
+    assert {argv[0] for argv in cases.values()} == set(cli._HANDLERS)
 
 
-@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
-def test_bad_input_is_a_one_line_error(er_graph, tmp_path, capsys, command):
-    argv = _bad_inputs(er_graph, tmp_path)[command]
+@pytest.mark.parametrize("case", _BAD_CASES)
+def test_bad_input_is_a_one_line_error(er_graph, tmp_path, capsys, case):
+    argv = _bad_inputs(er_graph, tmp_path)[case]
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -365,8 +382,98 @@ def test_zero_replicates_is_a_one_line_error(er_graph, tmp_path, capsys,
                            "0.1,0.15,0.1,0.15", "--steps", "1000",
                            "--out", out],
     }[command]
+    for key in ("replicates", "jobs"):
+        capsys.readouterr()
+        assert cli.main(argv + [f"--{key}", "0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {key} must be at least 1"]
+        assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("key,value", [("steps", 2500.9), ("seed", True)])
+def test_non_integer_config_value_is_a_one_line_error(er_graph, tmp_path,
+                                                      capsys, key, value):
+    cfg = tmp_path / "bad.config.json"
+    cfg.write_text(json.dumps({"command": "rewire", "graph": str(er_graph),
+                               "targets": [0.1, 0.1, 0.1, 0.1],
+                               "steps": 2500, key: value}), encoding="utf-8")
+    run = tmp_path / "run"
+    run.mkdir()
     capsys.readouterr()
-    assert cli.main(argv + ["--replicates", "0"]) == 1
+    assert cli.main(["rewire", "--config", str(cfg),
+                     "--out", str(run / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: replicates must be at least 1"]
+    assert err == [f"error: {key} must be an integer, got {value!r}"]
+    assert list(run.iterdir()) == []
+
+
+_DPA_500 = ["--alpha", "0.3", "--beta", "0.4", "--gamma", "0.3",
+            "--delta-in", "1", "--delta-out", "1", "--edges", "500"]
+
+
+@pytest.mark.parametrize("command", ["rewire", "bounds", "scenario-gains"])
+def test_two_jobs_reproduce_one_job(er_graph, tmp_path, command):
+    argv = {
+        "rewire": ["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                   "--steps", "2000", "--replicates", "2", "--seed", "3"],
+        "bounds": ["bounds", "--model", "er", "--n", "60", "--p", "0.1",
+                   "--replicates", "2", "--seed", "3"],
+        "scenario-gains": ["scenario-gains", *_DPA_500, "--targets",
+                           "0.1,0.15,0.1,0.15", "--steps", "2000",
+                           "--replicates", "2", "--seed", "3"],
+    }[command]
+    outputs = []
+    for jobs in ("1", "2"):
+        run = tmp_path / f"jobs{jobs}"
+        run.mkdir()
+        assert cli.main(argv + ["--jobs", jobs, "--out",
+                                str(run / "out.txt")]) == 0
+        config = json.loads((run / "out.txt.config.json").read_text(
+            encoding="utf-8"))
+        assert config.pop("jobs") == int(jobs)
+        config.pop("out")
+        files = {p.name: p.read_bytes() for p in run.iterdir()
+                 if not p.name.endswith(".config.json")}
+        outputs.append((config, files))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == (4 if command == "rewire" else 1)
+
+
+def _toy_graph(path):
+    """The degree structure of test_eta's toy problem: six nodes of degree
+    pair (1, 1) and seven of (2, 2), where only equal targets in
+    [-3/7, 1] are attainable."""
+    ring = [(i, (i + 1) % 13) for i in range(13)]
+    odd = [6, 8, 10, 12, 7, 9, 11]
+    chord = [(odd[i], odd[(i + 1) % 7]) for i in range(7)]
+    path.write_text("".join(f"{u} {v}\n" for u, v in ring + chord),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve-eta", "rewire", "scenario-gains"])
+def test_unattainable_targets_are_a_one_line_error(tmp_path, capsys, command):
+    toy = _toy_graph(tmp_path / "toy.txt")
+    run = tmp_path / "run"
+    run.mkdir()
+    out = str(run / "out")
+    argv = {
+        "solve-eta": ["solve-eta", toy, "--targets", "0.5,0.4,0.5,0.5"],
+        "rewire": ["rewire", toy, "--targets", "0.5,0.4,0.5,0.5",
+                   "--steps", "100"],
+        # r11 of these DPA graphs stays below 0.8.
+        "scenario-gains": ["scenario-gains", *_DPA_500, "--targets",
+                           "0.9,0.9,0.9,0.9", "--steps", "100"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    ranges = ", ".join(rf"r{a}{b} in \[-?\d\.\d{{4}}, -?\d\.\d{{4}}\]"
+                        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    assert re.fullmatch(r"error: the targets are jointly unattainable for "
+                        rf"this degree structure \(each alone: {ranges}\)",
+                        err[0])
+    if command != "scenario-gains":
+        assert err[0].count("[-0.4286, 1.0000]") == 4
     assert list(run.iterdir()) == []
