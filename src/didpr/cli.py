@@ -384,9 +384,10 @@ def _pair_code(pair: tuple[int, int]) -> str:
 def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile):
     """The eta realising targets on g's degree structure, or a CliError that
     gives each coefficient's attainable range on its own."""
-    eta = solve_target_eta(problem_from_graph(g, targets=targets))
+    p = problem_from_graph(g, targets=targets)
+    eta = solve_target_eta(p)
     if eta is None:
-        bounds = coefficient_bounds(problem_from_graph(g))
+        bounds = coefficient_bounds(p)
         ranges = ", ".join("r{}{} in [{:.4f}, {:.4f}]".format(
             a, b, *bounds.get(a, b)) for a, b in TYPE_PAIRS)
         raise CliError("the targets are jointly unattainable for this degree "

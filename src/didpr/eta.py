@@ -35,9 +35,9 @@ problem works out its two edge ends once (EtaProblem.ends): pair masses,
 and degrees standardised over them by assortativity._standardise, the
 helper the coefficients themselves use.  Under a mixing matrix with those
 marginals, r(a, b) is the moment of U[:, a-1] V[:, b-1]; the interior
-solves and the closed-form bounds work on that moment directly.  The LP
-rows keep the raw degree products f_a(s) g_b(t), whose moment is
-mean_s[a] * mean_t[b] + sd_s[a] * sd_t[b] * r(a, b).
+solves, the closed-form bounds and the LP rows all work on that moment
+directly, so a pinned coefficient is its own right side and an LP optimum
+is the coefficient itself.
 """
 from __future__ import annotations
 
@@ -72,22 +72,20 @@ __all__ = [
 
 DEFAULT_ORDER: tuple[tuple[int, int], ...] = TYPE_PAIRS
 
-# Overshoot beyond [-1, 1] tolerated (and clamped) when mapping LP optima
-# back to coefficient bounds; anything larger is a solver failure.
+# Overshoot beyond [-1, 1] tolerated (and clamped) when reading LP optima
+# as coefficient bounds; anything larger is a solver failure.
 _CLAMP_TOL = 1e-6
 
 
 class _Ends(NamedTuple):
     """Source / target pair masses rho / kappa, and the pairs' (out, in)
-    degrees standardised over them by _standardise: U / V, with means
-    mean_s / mean_t and sds sd_s / sd_t."""
+    degrees standardised over them by _standardise: U / V, with sds
+    sd_s / sd_t."""
 
     rho: np.ndarray
     kappa: np.ndarray
     U: np.ndarray
     V: np.ndarray
-    mean_s: np.ndarray
-    mean_t: np.ndarray
     sd_s: np.ndarray
     sd_t: np.ndarray
 
@@ -121,9 +119,9 @@ class EtaProblem:
                         for i, j in self.source_pairs])
         kappa = np.array([l * nu[(k, l)] / tgt_total
                           for k, l in self.target_pairs])
-        U, mean_s, sd_s = _standardise(self.source_pairs, rho)
-        V, mean_t, sd_t = _standardise(self.target_pairs, kappa)
-        return _Ends(rho, kappa, U, V, mean_s, mean_t, sd_s, sd_t)
+        U, _, sd_s = _standardise(self.source_pairs, rho)
+        V, _, sd_t = _standardise(self.target_pairs, kappa)
+        return _Ends(rho, kappa, U, V, sd_s, sd_t)
 
 
 def problem_from_nu(
@@ -143,33 +141,21 @@ def problem_from_graph(
     return problem_from_nu(degree_pair_dist(g), targets)
 
 
-def _marginal_rows(p: EtaProblem) -> tuple[sp.csr_matrix, np.ndarray]:
-    ns, nt = len(p.source_pairs), len(p.target_pairs)
-    rows = sp.vstack(
-        [
-            sp.kron(sp.eye(ns, format="csr"), np.ones((1, nt)), format="csr"),
-            sp.kron(np.ones((1, ns)), sp.eye(nt, format="csr"), format="csr"),
-        ],
-        format="csr",
-    )
-    rhs = np.concatenate([p.ends.rho, p.ends.kappa])
-    return rows, rhs
-
-
 def assemble_constraints(
     p: EtaProblem,
     conditioning: dict[tuple[int, int], tuple[float, float]] | None = None,
 ) -> lplib.LinearProgram:
     """Linear program over the mixing-matrix entries (row-major, zero cost).
 
-    Equality rows: one per source pair (row sums), one per target pair
-    (column sums), plus four moment rows when targets are present.  Each
-    interval (a, b) -> (lower, upper) of `conditioning` contributes two <=
-    rows.  A moment row holds the raw degree products f_a(s) g_b(t), and
-    pinning r(a, b) to r sets its right side to
-    mean_s[a] * mean_t[b] + sd_s[a] * sd_t[b] * r.  Redundant rows (the two
-    marginal families share their total) are kept; the solver's presolve
-    copes with rank deficiency.
+    Equality rows: one per source pair (row sums) and one per target pair
+    (column sums).  Every pinned coefficient r(a, b) adds the standardised
+    moment row U[:, a-1] (x) V[:, b-1], whose value under a mixing matrix
+    with these marginals is r(a, b) itself.  The targets and the intervals
+    (a, b) -> (lower, upper) of `conditioning` are pins alike: a point
+    (lower == upper, as every target is) is one equality row with right
+    side r, an interval two <= rows.  Redundant rows (the two marginal
+    families share their total) are kept; the solver's presolve copes with
+    rank deficiency.
     """
     conditioning = conditioning or {}
     for pair, (lo, hi) in conditioning.items():
@@ -177,41 +163,29 @@ def assemble_constraints(
             raise ValueError(f"unknown type pair {pair}")
         if lo > hi:
             raise ValueError(f"empty interval {lo} > {hi} for {pair}")
-    nvars = len(p.source_pairs) * len(p.target_pairs)
-    e = p.ends
-    f = np.asarray(p.source_pairs, dtype=np.float64)
-    gv = np.asarray(p.target_pairs, dtype=np.float64)
-
-    def row(a: int, b: int) -> np.ndarray:
-        return np.outer(f[:, a - 1], gv[:, b - 1]).ravel()
-
-    def moment(a: int, b: int, r: float) -> float:
-        return (e.mean_s[a - 1] * e.mean_t[b - 1]
-                + e.sd_s[a - 1] * e.sd_t[b - 1] * r)
-
-    A_eq, b_eq = _marginal_rows(p)
+    pins = list(conditioning.items())
     if p.targets is not None:
-        _require_spread(e.sd_s, e.sd_t)
-        A_eq = sp.vstack(
-            [A_eq, sp.csr_matrix(np.stack([row(a, b) for a, b in TYPE_PAIRS]))],
-            format="csr")
-        b_eq = np.concatenate(
-            [b_eq, [moment(a, b, p.targets.get(a, b)) for a, b in TYPE_PAIRS]])
-
-    A_ub = None
-    b_ub = None
-    if conditioning:
-        _require_spread(e.sd_s, e.sd_t, conditioning.keys())
-        ub_rows = []
-        ub_rhs = []
-        for (a, b), (lo, hi) in sorted(conditioning.items()):
-            ub_rows += [row(a, b), -row(a, b)]
-            ub_rhs += [moment(a, b, hi), -moment(a, b, lo)]
-        A_ub = sp.csr_matrix(np.stack(ub_rows))
-        b_ub = np.asarray(ub_rhs)
-
+        pins += [(pair, (p.targets.get(*pair),) * 2) for pair in TYPE_PAIRS]
+    e = p.ends
+    _require_spread(e.sd_s, e.sd_t, [pair for pair, _ in pins])
+    ns, nt = len(p.source_pairs), len(p.target_pairs)
+    eq_rows = [sp.kron(sp.eye(ns), np.ones((1, nt))),
+               sp.kron(np.ones((1, ns)), sp.eye(nt))]
+    eq_rhs = [e.rho, e.kappa]
+    ub_rows, ub_rhs = [], []
+    for (a, b), (lo, hi) in sorted(pins):
+        row = sp.csr_matrix(np.outer(e.U[:, a - 1], e.V[:, b - 1]).ravel())
+        if lo == hi:
+            eq_rows.append(row)
+            eq_rhs.append([lo])
+        else:
+            ub_rows += [row, -row]
+            ub_rhs += [[hi], [-lo]]
+    A_ub = sp.vstack(ub_rows, format="csr") if ub_rows else None
+    b_ub = np.concatenate(ub_rhs) if ub_rhs else None
     return lplib.LinearProgram(
-        nvars, np.zeros(nvars), A_eq, b_eq, A_ub, b_ub
+        ns * nt, np.zeros(ns * nt), sp.vstack(eq_rows, format="csr"),
+        np.concatenate(eq_rhs), A_ub, b_ub
     )
 
 
@@ -625,8 +599,8 @@ def coefficient_bounds(
     optima are closed-form: the sorted and reverse-sorted couplings of the
     two marginals, taken on the standardised degrees, so they are the
     coefficients themselves and no LP is solved.  With conditioning each
-    optimum is a HiGHS linear program over the raw degree products of
-    assemble_constraints, standardised afterwards.  Raises ValueError on an
+    optimum is a HiGHS linear program over the standardised moment rows of
+    assemble_constraints, so it too is the coefficient.  Raises ValueError on an
     unknown type pair or an empty interval, and when the conditioning
     intervals cut the feasible set down to nothing.
     """
@@ -640,20 +614,14 @@ def coefficient_bounds(
         prog = assemble_constraints(bare, conditioning)
     e = p.ends
     _require_spread(e.sd_s, e.sd_t, order)
-    f = np.asarray(p.source_pairs, dtype=np.float64)
-    gv = np.asarray(p.target_pairs, dtype=np.float64)
 
     out: dict[tuple[int, int], tuple[float, float]] = {}
     for a, b in order:
         what = f"r({a},{b})"
+        u, v = e.U[:, a - 1], e.V[:, b - 1]
         if prog is not None:
-            low, high = _lp_moment_range(
-                prog, np.outer(f[:, a - 1], gv[:, b - 1]).ravel(), what)
-            centre = e.mean_s[a - 1] * e.mean_t[b - 1]
-            scale = e.sd_s[a - 1] * e.sd_t[b - 1]
-            low, high = (low - centre) / scale, (high - centre) / scale
+            low, high = _lp_moment_range(prog, np.outer(u, v).ravel(), what)
         else:
-            u, v = e.U[:, a - 1], e.V[:, b - 1]
             low = -_comonotone_moment(u, e.rho, -v, e.kappa)
             high = _comonotone_moment(u, e.rho, v, e.kappa)
         out[(a, b)] = tuple(sorted((_clamp(low, f"lower bound of {what}"),

@@ -12,7 +12,7 @@ never trusted on feasibility.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,8 +88,6 @@ class LpSolution:
     status: LpStatus
     x: np.ndarray | None = None
     objective: float | None = None
-    iterations: int = 0
-    residuals: dict[str, float] = field(default_factory=dict)
 
 
 def verify_solution(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
@@ -109,7 +107,7 @@ def verify_solution(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     return {"eq": eq_res, "ub": ub_res, "neg": neg}
 
 
-def _check_optimal(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
+def _check_optimal(lp: LinearProgram, x: np.ndarray) -> None:
     res = verify_solution(lp, x)
     b_sup = 0.0
     if lp.b_eq is not None and lp.b_eq.size:
@@ -120,7 +118,6 @@ def _check_optimal(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
             "HiGHS returned an 'optimal' point violating the constraints "
             f"(residuals {res})"
         )
-    return res
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -146,14 +143,13 @@ def solve(lp: LinearProgram) -> LpSolution:
             "ipm_optimality_tolerance": 1e-10,
         },
     )
-    iters = int(getattr(res, "nit", 0) or 0)
     if res.status == 0:
         x = np.asarray(res.x)
-        return LpSolution(LpStatus.OPTIMAL, x, float(res.fun), iters,
-                          _check_optimal(lp, x))
+        _check_optimal(lp, x)
+        return LpSolution(LpStatus.OPTIMAL, x, float(res.fun))
     if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE, iterations=iters)
+        return LpSolution(LpStatus.INFEASIBLE)
     if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
+        return LpSolution(LpStatus.UNBOUNDED)
     raise LpError(f"HiGHS failed: status {res.status} ({res.message})")
 

@@ -64,6 +64,13 @@ class TestAssembleConstraints:
         assert lp.num_eq == 4
         assert lp.num_ub == 2
 
+    def test_point_pin_adds_one_eq_row(self):
+        lp = assemble_constraints(
+            toy_problem(), conditioning={(1, 1): (0.4, 0.4)})
+        assert lp.num_eq == 5
+        assert lp.num_ub == 0
+        assert lp.b_eq[4] == 0.4
+
     def test_observed_eta_satisfies_marginal_rows(self):
         g = gen_er(80, 0.1, seed=30)
         eta = edge_mix_from_graph(g)
@@ -73,38 +80,39 @@ class TestAssembleConstraints:
 
 
 def toy_moment_row(lp):
-    """b_eq of the r(1, 1) row and that row's raw moment under H."""
+    """b_eq of the r(1, 1) row and that row's moment under H."""
     return lp.b_eq[4], lambda H: float((lp.A_eq @ np.ravel(H))[4])
 
 
 class TestGMap:
-    """Pinning r(a, b) sets the raw degree-product moment to
-    mean_s[a] mean_t[b] + sd_s[a] sd_t[b] r.  On the toy problem every end
-    is {1: .3, 2: .7}: mean 1.7 and variance .21, so r maps to
-    2.89 + .21 r."""
+    """Pinning r(a, b) adds the standardised moment row U[:, a-1] V[:, b-1]
+    with right side r itself: under a mixing matrix with the problem's
+    marginals, the row's moment is the coefficient.  On the toy problem
+    every end is {1: .3, 2: .7}: mean 1.7 and variance .21."""
 
     def test_zero_is_independence_value(self):
-        # the independence coupling's raw moment is the product of means
+        # both standardised ends have mean 0, and so has their product
+        # under the independence coupling
         p = toy_problem(targets=AssortProfile(0.0, 0.0, 0.0, 0.0))
         rhs, moment = toy_moment_row(assemble_constraints(p))
-        assert rhs == pytest.approx(2.89, abs=1e-12)
+        assert rhs == 0.0
         assert moment(np.outer(p.ends.rho, p.ends.kappa)) == pytest.approx(
-            rhs, abs=1e-12)
+            0.0, abs=1e-12)
 
     def test_unit_correlation(self):
-        # the diagonal coupling has r = 1 and raw moment .3 * 1 + .7 * 4
+        # the diagonal coupling has r = 1: (.3 * .49 + .7 * .09) / .21
         p = toy_problem(targets=AssortProfile(1.0, 1.0, 1.0, 1.0))
         rhs, moment = toy_moment_row(assemble_constraints(p))
-        assert rhs == pytest.approx(3.1, abs=1e-12)
-        assert moment(np.diag([0.3, 0.7])) == pytest.approx(rhs, abs=1e-12)
+        assert rhs == 1.0
+        assert moment(np.diag([0.3, 0.7])) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_round_trip(self):
-        # Linearity: the right side is affine in r with slope .21.  The LP
-        # solves the raw rows, and the coefficients of its answer give r back.
+        # The right side is r itself.  The LP solves the standardised rows,
+        # and the coefficients of its answer give r back.
         for r in (-0.4, -0.1, 0.0, 0.35, 1.0):
             p = toy_problem(targets=AssortProfile(r, r, r, r))
             rhs, _ = toy_moment_row(assemble_constraints(p))
-            assert rhs == pytest.approx(2.89 + 0.21 * r, abs=1e-12)
+            assert rhs == r
             eta = _lp_target_eta(p)
             assert assortativity(eta).max_abs_diff(
                 AssortProfile(r, r, r, r)) < 1e-9
@@ -132,11 +140,10 @@ class TestEndsFromNu:
         g = gen_er(100, 0.1, seed=32)
         e = problem_from_graph(g).ends
         eta = edge_mix_from_graph(g)
-        U, mean_s, sd_s = _standardise(eta.source_pairs, eta.row_masses())
-        V, mean_t, sd_t = _standardise(eta.target_pairs, eta.col_masses())
+        U, _, sd_s = _standardise(eta.source_pairs, eta.row_masses())
+        V, _, sd_t = _standardise(eta.target_pairs, eta.col_masses())
         for want, got in ((eta.row_masses(), e.rho), (eta.col_masses(), e.kappa),
-                          (U, e.U), (V, e.V), (mean_s, e.mean_s),
-                          (mean_t, e.mean_t), (sd_s, e.sd_s), (sd_t, e.sd_t)):
+                          (U, e.U), (V, e.V), (sd_s, e.sd_s), (sd_t, e.sd_t)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_degenerate_out_end_has_exactly_zero_sigma(self):
@@ -255,15 +262,16 @@ class TestSolveTargetEta:
 
 
 def _standardised_weights(p):
-    """Per-coefficient weights w_ab(s, t) whose eta-moment is r(a, b)."""
-    e = p.ends
-    src = np.array(p.source_pairs, dtype=float)
-    tgt = np.array(p.target_pairs, dtype=float)
-    return {
-        (a, b): np.outer((src[:, a - 1] - e.mean_s[a - 1]) / e.sd_s[a - 1],
-                         (tgt[:, b - 1] - e.mean_t[b - 1]) / e.sd_t[b - 1])
-        for a, b in TYPE_PAIRS
-    }
+    """Per-coefficient weights w_ab(s, t) whose eta-moment is r(a, b),
+    standardised here from the raw degrees and the end masses."""
+    def standardise(pairs, mass):
+        x = np.array(pairs, dtype=float)
+        x -= mass @ x
+        return x / np.sqrt(mass @ (x * x))
+
+    u = standardise(p.source_pairs, p.ends.rho)
+    v = standardise(p.target_pairs, p.ends.kappa)
+    return {(a, b): np.outer(u[:, a - 1], v[:, b - 1]) for a, b in TYPE_PAIRS}
 
 
 class TestEntropyOracle:
@@ -441,6 +449,23 @@ class TestAttainabilityConsistency:
         assert lo - 1e-6 <= obs.r11 <= hi + 1e-6
         beyond = AssortProfile(hi + 0.05, obs.r12, obs.r21, obs.r22)
         assert solve_target_eta(problem_from_graph(g, targets=beyond)) is None
+
+
+    @pytest.mark.parametrize("n, attainable", [(60, True), (150, False)])
+    def test_boundary_target_gets_a_verdict(self, n, attainable):
+        # r11 at its closed-form maximum, the rest at 0: the entropy solve
+        # finds no positive point, so the LP gives the verdict.  The same
+        # target on ER with n = 1000 (attainable) is too slow for this suite.
+        g = gen_er(n, 0.1, seed=1)
+        hi = coefficient_bounds(problem_from_graph(g)).get(1, 1)[1]
+        p = problem_from_graph(g, targets=AssortProfile(hi, 0.0, 0.0, 0.0))
+        assert _entropy_eta(p)[0] is None
+        eta = solve_target_eta(p)
+        if attainable:
+            assert eta is not None
+            assert assortativity(eta).max_abs_diff(p.targets) < 1e-9
+        else:
+            assert eta is None
 
 
 class TestProblemValidation:

@@ -1,9 +1,15 @@
 """Fitting the attachment model: tail indices on samples with a known
 exponent, and parameter recovery on generated graphs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from didpr.fit import fit_ev, tail_index
+import didpr
+from didpr.fit import _ks_two_sample, fit_ev, tail_index
 from didpr.generate import DpaParams, gen_dpa
 
 
@@ -28,3 +34,28 @@ def test_fit_ev_recovers_scenario_probabilities(seed):
         pytest.approx(1.0, abs=1e-12))
     assert fitted.a_hat == pytest.approx(fitted.iota2_hat / fitted.iota1_hat)
     assert fitted.delta_in_hat > 0.0 and fitted.delta_out_hat > 0.0
+
+
+def test_ks_two_sample_matches_scipy():
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        # few distinct values, so both samples carry ties within and across
+        x = rng.integers(0, 12, rng.integers(1, 60)) / 11.0
+        y = rng.integers(0, 12, rng.integers(1, 60)) / 11.0
+        assert _ks_two_sample(x, y) == ks_2samp(x, y).statistic
+        x, y = rng.random(rng.integers(1, 300)), rng.random(rng.integers(1, 300))
+        assert _ks_two_sample(x, y) == ks_2samp(x, y).statistic
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes about as long to import as the rest of the CLI
+    src_dir = str(Path(didpr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, didpr.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,9 @@
 """The HiGHS-backed LP layer against a brute-force reference."""
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
+from didpr import lp as lplib
 from didpr.lp import LinearProgram, LpStatus, solve, verify_solution
 from lp_reference import random_lp, reference_solve
 
@@ -103,6 +104,15 @@ class TestContracts:
             assert res["eq"] <= 1e-7 * (1.0 + np.abs(lp.b_eq).max(initial=0.0))
             assert res["ub"] <= 1e-7
             assert res["neg"] <= 1e-9
+
+    def test_optimal_point_off_the_rows_raises(self, monkeypatch):
+        # A solver that calls a point optimal is not trusted: solve()
+        # re-checks it against the original rows.
+        monkeypatch.setattr(lplib, "linprog", lambda *a, **k: OptimizeResult(
+            status=0, x=np.array([0.5, 0.0]), fun=0.5, message="forged"))
+        lp = make_lp(2, [1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(lplib.LpError, match="violating the constraints"):
+            solve(lp)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
