@@ -28,7 +28,11 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   Monge property, so the maximum is attained by the comonotone (sorted)
   coupling of the two marginals and the minimum by the antitone one
   (Hoffman 1963; the Frechet-Hoeffding bounds).  Conditioned bounds are
-  linear programs, solved with HiGHS.
+  linear programs over the ns x nt cells, solved by column generation: a
+  basic optimum has at most ns + nt + 1 cells (Dantzig 1951), so HiGHS
+  gets only a restricted master, seeded with the comonotone and antitone
+  supports of every pair involved, while numpy prices all cells from its
+  duals and lets in those that can still move the bound.
 
 Every one of these constraints is the same standardised moment.  Each
 problem works out its two edge ends once (EtaProblem.ends): pair masses,
@@ -546,14 +550,16 @@ def _clamp(r: float, what: str) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _comonotone_moment(f: np.ndarray, rho: np.ndarray,
-                       g: np.ndarray, kappa: np.ndarray) -> float:
-    """Maximum of sum f(s) g(t) eta(s, t) over couplings eta of rho, kappa.
+def _comonotone_coupling(f: np.ndarray, rho: np.ndarray, g: np.ndarray,
+                         kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+    """Comonotone coupling of rho and kappa along the values f and g.
 
-    The comonotone coupling attains it: lay both marginals out in
-    increasing order of their values on [0, 1] and pair equal quantiles.
-    Between consecutive points of the merged cumulative-mass grids both
-    values are constant, so the sum runs over those pieces.
+    Lay both marginals out in increasing order of their values on [0, 1]
+    and pair equal quantiles.  Between consecutive points of the merged
+    cumulative-mass grids both cells are constant, so the coupling is one
+    cell per piece: returns the pieces' rows, columns and masses, at most
+    ns + nt of them.  Negating g gives the antitone coupling.
     """
     fo = np.argsort(f, kind="stable")
     go = np.argsort(g, kind="stable")
@@ -565,23 +571,105 @@ def _comonotone_moment(f: np.ndarray, rho: np.ndarray,
     # reaches c; the clip absorbs rounding in the two totals.
     i = np.minimum(np.searchsorted(cf, cuts), len(cf) - 1)
     j = np.minimum(np.searchsorted(cg, cuts), len(cg) - 1)
-    return float(widths @ (f[fo][i] * g[go][j]))
+    return fo[i], go[j], widths
+
+
+def _comonotone_moment(f: np.ndarray, rho: np.ndarray,
+                       g: np.ndarray, kappa: np.ndarray) -> float:
+    """Maximum of sum f(s) g(t) eta(s, t) over couplings eta of rho, kappa,
+    which the comonotone coupling attains."""
+    i, j, widths = _comonotone_coupling(f, rho, g, kappa)
+    return float(widths @ (f[i] * g[j]))
+
+
+# Column generation (_lp_moment_range).  Up to _PRICE_WIDTH cells of every
+# row and of every column enter each round (one cell per round took
+# thousands of rounds on ER), each below -_PRICE_TOL.  Artificials summing
+# to more than _PHASE_ONE_TOL miss the rows by more than HiGHS's
+# feasibility tolerance.
+_PRICE_WIDTH = 3
+_PRICE_TOL = 1e-10
+_PHASE_ONE_TOL = 1e-9
+
+
+def _entering(reduced: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Flat indices of the inactive cells that enter the master: the
+    _PRICE_WIDTH most negative reduced costs of every row and every
+    column, if below -_PRICE_TOL."""
+    ns, nt = active.shape
+    R = np.where(active, np.inf, reduced.reshape(ns, nt))
+    by_row = np.argpartition(R, min(_PRICE_WIDTH, nt) - 1, axis=1)
+    by_col = np.argpartition(R, min(_PRICE_WIDTH, ns) - 1, axis=0)
+    cand = np.union1d(
+        (np.arange(ns)[:, None] * nt + by_row[:, :_PRICE_WIDTH]).ravel(),
+        (by_col[:_PRICE_WIDTH] * nt + np.arange(nt)).ravel())
+    return cand[R.flat[cand] < -_PRICE_TOL]
 
 
 def _lp_moment_range(prog: lplib.LinearProgram, w: np.ndarray,
-                     what: str) -> tuple[float, float]:
-    """Minimum and maximum of w . eta over the program's feasible set."""
+                     seed: np.ndarray, what: str) -> tuple[float, float]:
+    """Minimum and maximum of w . eta over the program's feasible set.
+
+    prog is the full program over the ns x nt cells (assemble_constraints),
+    seed an ns x nt mask of the cells each end starts from.  HiGHS only ever
+    sees a restricted master: the program's columns at the active cells.
+    From its duals y, z the reduced cost of every cell, w - A_eq' y -
+    A_ub' z, is one sparse product; the cells that can improve the bound
+    enter (_entering) and the master is solved again.  When none is below
+    -_PRICE_TOL the duals are feasible for the full program up to that
+    amount per cell, and every coupling has total mass 1, so the master's
+    optimum is within _PRICE_TOL of the full one.
+
+    Cells only enter, so a master can be infeasible only before phase I
+    has run.  Phase I minimises the sum of artificials on every row,
+    pricing the same way with cost 0 on the cells; a positive sum that no
+    cell can lower proves the conditioning intervals unattainable.
+    """
+    A_eq = prog.A_eq.tocsc()
+    A_ub = (sp.csc_matrix((0, prog.num_vars)) if prog.A_ub is None
+            else prog.A_ub.tocsc())
+    b_ub = np.zeros(0) if prog.b_ub is None else prog.b_ub
+    # Artificials: both ways on every equality row, downward on every
+    # <= row.
+    m_eq = prog.num_eq
+    art = sp.block_diag([sp.hstack([sp.eye(m_eq), -sp.eye(m_eq)]),
+                         -sp.eye(A_ub.shape[0])], format="csr")
+    art_eq, art_ub = art[:m_eq], art[m_eq:]
     vals = []
     for sign in (1.0, -1.0):
-        sol = lplib.solve(lplib.LinearProgram(
-            prog.num_vars, sign * w, prog.A_eq, prog.b_eq, prog.A_ub, prog.b_ub,
-        ))
-        if sol.status is lplib.LpStatus.INFEASIBLE:
-            raise ValueError("conditioning intervals unattainable")
-        if sol.status is not lplib.LpStatus.OPTIMAL:
-            raise lplib.LpError(
-                f"unexpected LP status {sol.status} while bounding {what}"
-            )
+        active = seed.copy()
+        phase_one = ran_phase_one = False
+        while True:
+            cols = np.flatnonzero(active)
+            if phase_one:
+                c = np.concatenate([np.zeros(len(cols)),
+                                    np.ones(art.shape[1])])
+                master = lplib.LinearProgram(
+                    len(c), c, sp.hstack([A_eq[:, cols], art_eq]), prog.b_eq,
+                    sp.hstack([A_ub[:, cols], art_ub]), b_ub)
+            else:
+                master = lplib.LinearProgram(
+                    len(cols), sign * w[cols], A_eq[:, cols], prog.b_eq,
+                    A_ub[:, cols], b_ub)
+            sol = lplib.solve(master)
+            if sol.status is lplib.LpStatus.INFEASIBLE and not ran_phase_one:
+                phase_one = ran_phase_one = True
+                continue
+            if sol.status is not lplib.LpStatus.OPTIMAL:
+                raise lplib.LpError(
+                    f"unexpected LP status {sol.status} while bounding {what}"
+                )
+            reduced = ((0.0 if phase_one else sign * w)
+                       - A_eq.T @ sol.eq_duals - A_ub.T @ sol.ub_duals)
+            enter = _entering(reduced, active)
+            if enter.size:
+                active.flat[enter] = True
+            elif not phase_one:
+                break
+            elif sol.objective > _PHASE_ONE_TOL:
+                raise ValueError("conditioning intervals unattainable")
+            else:
+                phase_one = False
         vals.append(sign * sol.objective)
     return vals[0], vals[1]
 
@@ -599,10 +687,12 @@ def coefficient_bounds(
     optima are closed-form: the sorted and reverse-sorted couplings of the
     two marginals, taken on the standardised degrees, so they are the
     coefficients themselves and no LP is solved.  With conditioning each
-    optimum is a HiGHS linear program over the standardised moment rows of
-    assemble_constraints, so it too is the coefficient.  Raises ValueError on an
-    unknown type pair or an empty interval, and when the conditioning
-    intervals cut the feasible set down to nothing.
+    optimum is a linear program over the standardised moment rows of
+    assemble_constraints, so it too is the coefficient; column generation
+    solves it (_lp_moment_range), seeded with the comonotone and antitone
+    supports of the bounded pair and of every conditioning pair.  Raises
+    ValueError on an unknown type pair or an empty interval, and when the
+    conditioning intervals cut the feasible set down to nothing.
     """
     conditioning = dict(conditioning or {})
     for pair in order:
@@ -620,7 +710,16 @@ def coefficient_bounds(
         what = f"r({a},{b})"
         u, v = e.U[:, a - 1], e.V[:, b - 1]
         if prog is not None:
-            low, high = _lp_moment_range(prog, np.outer(u, v).ravel(), what)
+            # Seed: the comonotone and antitone supports of the bounded
+            # pair and of every conditioning pair.
+            seed = np.zeros((len(e.rho), len(e.kappa)), dtype=bool)
+            for c, d in ((a, b), *conditioning):
+                for sign in (1.0, -1.0):
+                    i, j, _ = _comonotone_coupling(
+                        e.U[:, c - 1], e.rho, sign * e.V[:, d - 1], e.kappa)
+                    seed[i, j] = True
+            low, high = _lp_moment_range(prog, np.outer(u, v).ravel(),
+                                         seed, what)
         else:
             low = -_comonotone_moment(u, e.rho, -v, e.kappa)
             high = _comonotone_moment(u, e.rho, v, e.kappa)

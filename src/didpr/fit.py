@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from .generate import DpaParams, gen_dpa
@@ -115,6 +114,9 @@ def invert_tail_indices(
 
 def _mle_exponent(values: np.ndarray, counts: np.ndarray, x_min: int) -> float:
     """Maximum-likelihood exponent of a discrete power law on x >= x_min."""
+    # Imported here, as in lp.solve: only fit needs it.
+    from scipy.optimize import minimize_scalar
+
     n = counts.sum()
     log_sum = float(counts @ np.log(values))
 

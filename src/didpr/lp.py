@@ -2,8 +2,9 @@
 
 Problems are minimisation over x >= 0 with sparse equality and <= rows,
 solved by scipy's HiGHS wrapper.  The library needs an LP only where no
-closed form exists: conditioned coefficient bounds, and the fallback of
-the mixing-matrix solver, whose feasibility also settles attainability.
+closed form exists: the restricted masters of the conditioned coefficient
+bounds, which price cells from the duals, and the fallback of the
+mixing-matrix solver, whose feasibility also settles attainability.
 
 An Optimal answer is re-checked against the original rows by an
 independent residual pass before it is returned; solver internals are
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 __all__ = [
     "LpStatus",
@@ -85,9 +85,15 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """Solver answer.  At an optimum, eq_duals / ub_duals hold the
+    derivative of the objective with respect to each row's right side, so
+    c - A_eq' eq_duals - A_ub' ub_duals are the reduced costs."""
+
     status: LpStatus
     x: np.ndarray | None = None
     objective: float | None = None
+    eq_duals: np.ndarray | None = None
+    ub_duals: np.ndarray | None = None
 
 
 def verify_solution(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
@@ -126,6 +132,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     Optimal answers are verified against the constraints before being
     returned.
     """
+    # Imported here: scipy.optimize is a large share of the CLI's start-up,
+    # and most subcommands never solve an LP.
+    from scipy.optimize import linprog
+
     # Interior point with crossover: on the wide, shallow transportation
     # systems this library produces it is an order of magnitude faster than
     # dual simplex, and crossover still lands on a basic solution.
@@ -146,7 +156,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     if res.status == 0:
         x = np.asarray(res.x)
         _check_optimal(lp, x)
-        return LpSolution(LpStatus.OPTIMAL, x, float(res.fun))
+        return LpSolution(LpStatus.OPTIMAL, x, float(res.fun),
+                          np.asarray(res.eqlin.marginals),
+                          np.asarray(res.ineqlin.marginals))
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE)
     if res.status == 3:

@@ -32,6 +32,7 @@ from didpr.eta import (
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DegreePairDist, degree_pair_dist
 
+from bounds_reference import reference_range
 from center_reference import reference_center_eta
 
 # Two diagonal degree pairs, 13 nodes worth of mass.  Both end marginals of
@@ -432,6 +433,128 @@ class TestCoefficientBounds:
         with pytest.raises(AssertionError, match="called the LP"):
             coefficient_bounds(toy_problem(),
                                conditioning={(1, 1): (0.0, 0.5)})
+
+
+def _oracle_problem(name):
+    if name == "toy":
+        return toy_problem()
+    if name == "er300":
+        return problem_from_graph(gen_er(300, 0.05, seed=1))
+    return problem_from_graph(
+        gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1)))
+
+
+@pytest.fixture(scope="module", params=["toy", "er300", "dpa5e3"])
+def oracle_problem(request):
+    p = _oracle_problem(request.param)
+    return p, coefficient_bounds(p)
+
+
+def assert_matches_full_program(p, conditioning, order):
+    """coefficient_bounds against the full ns x nt program, to 1e-10;
+    unattainable intervals must be rejected by both."""
+    want = {pair: reference_range(p, pair, conditioning) for pair in order}
+    if any(w is None for w in want.values()):
+        assert all(w is None for w in want.values())
+        with pytest.raises(ValueError, match="unattainable"):
+            coefficient_bounds(p, order=order, conditioning=conditioning)
+        return
+    got = coefficient_bounds(p, order=order, conditioning=conditioning)
+    for pair in order:
+        diff = np.subtract(got.get(*pair), np.clip(want[pair], -1.0, 1.0))
+        assert np.abs(diff).max() <= 1e-10, (pair, got.get(*pair), want[pair])
+
+
+class TestConditionedBoundsOracle:
+    """Column generation against the full program of tests/bounds_reference.py
+    on the toy problem, ER with n = 300 and DPA with 5e3 edges.  The ER
+    graph has p = 0.05: at p = 0.1 the reference takes twice as long."""
+
+    def test_every_ordered_pair(self, oracle_problem):
+        p, free = oracle_problem
+        for pin in TYPE_PAIRS:
+            value = sum(free.get(*pin)) / 2.0
+            assert_matches_full_program(
+                p, {pin: (value, value)},
+                tuple(pair for pair in TYPE_PAIRS if pair != pin))
+
+    def test_interval(self, oracle_problem):
+        p, free = oracle_problem
+        lo, hi = free.get(1, 1)
+        assert_matches_full_program(
+            p, {(1, 1): (lo + 0.2 * (hi - lo), lo + 0.6 * (hi - lo))},
+            ((2, 2),))
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
+    def test_value_at_an_end_of_its_range(self, oracle_problem, end):
+        p, free = oracle_problem
+        value = free.get(1, 1)[end]
+        assert_matches_full_program(p, {(1, 1): (value, value)}, ((2, 2),))
+
+    def test_three_pins(self, oracle_problem):
+        # the independence coupling attains every coefficient 0
+        p, _ = oracle_problem
+        assert_matches_full_program(
+            p, {(1, 2): (0.0, 0.0), (2, 1): (-0.05, 0.05), (2, 2): (0.0, 0.0)},
+            ((1, 1),))
+
+    def test_unattainable_interval(self, oracle_problem):
+        p, free = oracle_problem
+        hi = free.get(2, 2)[1]
+        assert_matches_full_program(p, {(2, 2): (hi + 0.01, hi + 0.02)},
+                                    ((1, 1),))
+
+    # Pins near the edge of the joint region of (r12, r21, r22), found by
+    # search: no mix of the seed's comonotone and antitone supports meets
+    # all three, so the seeded master is infeasible and phase I prices in
+    # the cells that meet them.  With r22 = 0.5 the three are jointly
+    # unattainable although each lies inside its own range.
+    @pytest.mark.parametrize("r22, attainable", [(0.21, True), (0.5, False)])
+    def test_infeasible_seed_goes_through_phase_one(self, monkeypatch, r22,
+                                                    attainable):
+        p = problem_from_graph(gen_er(30, 0.1, seed=1))
+        cond = {(1, 2): (0.745, 0.745), (2, 1): (0.878, 0.878),
+                (2, 2): (r22, r22)}
+        free = coefficient_bounds(p)
+        assert all(free.get(*pin)[0] < lo <= free.get(*pin)[1]
+                   for pin, (lo, _) in cond.items())
+        want = reference_range(p, (1, 1), cond)
+        assert (want is not None) == attainable
+
+        statuses = []
+        solve = lplib.solve
+
+        def logged(prog):
+            sol = solve(prog)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(lplib, "solve", logged)
+        if attainable:
+            got = coefficient_bounds(p, order=((1, 1),), conditioning=cond)
+            assert np.abs(np.subtract(got.get(1, 1), want)).max() <= 1e-10
+        else:
+            with pytest.raises(ValueError, match="unattainable"):
+                coefficient_bounds(p, order=((1, 1),), conditioning=cond)
+        assert statuses[0] is lplib.LpStatus.INFEASIBLE
+        assert len(statuses) > 2
+
+    def test_no_master_is_the_full_program(self, monkeypatch):
+        # no silent fall-back to the full ns x nt program
+        p = problem_from_graph(
+            gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1)))
+        cells = len(p.source_pairs) * len(p.target_pairs)
+        sizes = []
+        solve = lplib.solve
+
+        def logged(prog):
+            sizes.append(prog.num_vars)
+            return solve(prog)
+
+        monkeypatch.setattr(lplib, "solve", logged)
+        coefficient_bounds(p, order=((2, 2),),
+                           conditioning={(1, 1): (0.1, 0.1)})
+        assert sizes and max(sizes) <= cells / 2
 
 
 class TestAttainabilityConsistency:

@@ -1,6 +1,7 @@
 """The HiGHS-backed LP layer against a brute-force reference."""
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult, linprog
 
 from didpr import lp as lplib
@@ -105,11 +106,33 @@ class TestContracts:
             assert res["ub"] <= 1e-7
             assert res["neg"] <= 1e-9
 
+    def test_duals_certify_the_optimum(self):
+        # The duals are feasible (reduced costs >= 0, <= rows priced <= 0)
+        # and close the duality gap: b_eq.y + b_ub.z is the optimum.
+        rng = np.random.default_rng(24)
+        checked = 0
+        for _ in range(40):
+            lp = random_lp(rng, make_lp)
+            sol = solve(lp)
+            if sol.status is not LpStatus.OPTIMAL:
+                continue
+            checked += 1
+            reduced = (lp.c - lp.A_eq.T @ sol.eq_duals
+                       - lp.A_ub.T @ sol.ub_duals)
+            assert reduced.min(initial=0.0) >= -1e-9
+            assert sol.ub_duals.max(initial=0.0) <= 1e-9
+            assert lp.b_eq @ sol.eq_duals + lp.b_ub @ sol.ub_duals == \
+                pytest.approx(sol.objective, abs=1e-9)
+        assert checked >= 10
+
     def test_optimal_point_off_the_rows_raises(self, monkeypatch):
         # A solver that calls a point optimal is not trusted: solve()
         # re-checks it against the original rows.
-        monkeypatch.setattr(lplib, "linprog", lambda *a, **k: OptimizeResult(
-            status=0, x=np.array([0.5, 0.0]), fun=0.5, message="forged"))
+        # solve() imports linprog when called, so the patch reaches it.
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: OptimizeResult(
+                                status=0, x=np.array([0.5, 0.0]), fun=0.5,
+                                message="forged"))
         lp = make_lp(2, [1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
         with pytest.raises(lplib.LpError, match="violating the constraints"):
             solve(lp)
