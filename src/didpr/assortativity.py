@@ -17,15 +17,24 @@ is the moment of a standardised source degree times a standardised target
 degree, so the coefficients here, the constraints and bounds in eta and
 the rewiring chain's trace in rewire all take their end moments from it,
 and _profile checks and packs the result.
+
+The eta CSV stores a mixing matrix.  Written (write_eta_csv): the line
+"i,j,k,l,eta", then "i,j,k,l,x" for each positive entry x = H[s, t], where
+(i, j) = source_pairs[s] and (k, l) = target_pairs[t], in row-major order
+of H; x is formatted with %.17g, which reads back as the same float64.
+Every line ends in CRLF and nothing is quoted.  Read (read_eta_csv, with
+the line rules of the graph module): the first line must be the header
+exactly; blank lines are skipped; every other line holds five
+comma-separated fields, four integer degrees in [0, 2**31) and a finite
+nonnegative entry, and no (i, j, k, l) may appear twice.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _csv_rows, _first_problem, _parse_rows
 
 __all__ = [
     "TYPE_PAIRS",
@@ -136,13 +145,14 @@ def edge_mix_from_graph(g: DirectedGraph) -> EdgeMixMatrix:
 
     counts = np.zeros((s_uniq.size, t_uniq.size), dtype=np.int64)
     np.add.at(counts, (s_idx, t_idx), 1)
+    return EdgeMixMatrix(_decode_pairs(s_uniq), _decode_pairs(t_uniq),
+                         counts / m)
 
-    def decode(codes: np.ndarray) -> list[tuple[int, int]]:
-        his = (codes >> 32).tolist()
-        los = (codes & ((np.int64(1) << 32) - 1)).tolist()
-        return [(int(a), int(b)) for a, b in zip(his, los)]
 
-    return EdgeMixMatrix(decode(s_uniq), decode(t_uniq), counts / m)
+def _decode_pairs(codes: np.ndarray) -> list[tuple[int, int]]:
+    """The (a, b) pairs that _pair_codes encoded as codes."""
+    return list(zip((codes >> 32).tolist(),
+                    (codes & ((np.int64(1) << 32) - 1)).tolist()))
 
 
 def _standardise(pairs, mass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,73 +242,73 @@ def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:
 
 
 _ETA_HEADER = ("i", "j", "k", "l", "eta")
-
-
-def _csv_rows(path, header: tuple[str, ...]):
-    """Yield (line number, fields) per data row of a CSV file.  Blank lines
-    are skipped; a bad header, or a row with another field count, raises
-    ValueError naming its line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
-            yield reader.line_num, row
+_ETA_DTYPE = np.dtype([("degrees", np.int64, (4,)), ("eta", np.float64)])
 
 
 def write_eta_csv(eta: EdgeMixMatrix, path) -> None:
     """Write the positive entries of a mixing matrix as (i, j, k, l, eta) rows.
 
-    Rows follow the row-major order of H, so the output is deterministic.
+    Rows follow the row-major order of H, so the output is deterministic;
+    the bytes are given in the module docstring.  Each source prefix
+    "i,j," and target prefix "k,l," is formatted once, and the text is
+    written one source row at a time.
     """
+    targets = [f"{k},{l}," for k, l in eta.target_pairs]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ETA_HEADER)
-        for s, (i, j) in enumerate(eta.source_pairs):
-            row = eta.H[s]
-            for t, (k, l) in enumerate(eta.target_pairs):
-                if row[t] > 0.0:
-                    writer.writerow([i, j, k, l, f"{row[t]:.17g}"])
+        fh.write(",".join(_ETA_HEADER) + "\r\n")
+        for (i, j), row in zip(eta.source_pairs, eta.H):
+            cols = np.flatnonzero(row > 0.0)
+            source = f"{i},{j},"
+            fh.write("".join([f"{source}{targets[t]}{v:.17g}\r\n" for t, v
+                              in zip(cols.tolist(), row[cols].tolist())]))
 
 
 def read_eta_csv(path) -> EdgeMixMatrix:
-    """Rebuild a mixing matrix from its CSV form.
+    """Rebuild a mixing matrix from its CSV form (module docstring).
 
     Pair lists are the sorted distinct pairs present in the file; entries
-    absent from the file are zero.  A row without five fields, with a degree
-    that is not a nonnegative integer, or with an entry that is not a finite
-    nonnegative number, raises ValueError naming its line.
+    absent from the file are zero.  The first bad row raises ValueError
+    naming its line: one without five fields, with a degree that is not a
+    nonnegative integer below 2**31, with an entry that is not a finite
+    nonnegative number, or repeating the cell of an earlier row.
     """
-    cells: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-    for line, row in _csv_rows(path, _ETA_HEADER):
-        try:
-            degrees = [int(v) for v in row[:4]]
-        except ValueError:
-            degrees = [-1]
-        if min(degrees) < 0:
-            raise ValueError(f"{path}:{line}: degrees {','.join(row[:4])} "
-                             f"are not all nonnegative integers")
-        i, j, k, l = degrees
-        try:
-            value = float(row[4])
-        except ValueError:
-            value = np.nan
-        if not 0.0 <= value < np.inf:
-            raise ValueError(f"{path}:{line}: eta entry {row[4]} is not "
-                             f"finite and nonnegative")
-        cells[((i, j), (k, l))] = value
-    if not cells:
+    nos, rows = _csv_rows(path, _ETA_HEADER)
+    table, parsed = _parse_rows(rows, _ETA_DTYPE, ",")
+    degrees, values = table["degrees"], table["eta"]
+    s_uniq, s_idx = np.unique(_pair_codes(degrees[:, 0], degrees[:, 1]),
+                              return_inverse=True)
+    t_uniq, t_idx = np.unique(_pair_codes(degrees[:, 2], degrees[:, 3]),
+                              return_inverse=True)
+    cells = s_idx * t_uniq.size + t_idx
+    _, first, inverse = np.unique(cells, return_index=True,
+                                  return_inverse=True)
+    first = first[inverse]
+    # _pair_codes packs two degrees into one int64: both must be < 2**31.
+    problem = _first_problem(len(rows), parsed,
+                             ((degrees < 0) | (degrees >= 2**31)).any(axis=1),
+                             ~((values >= 0.0) & (values < np.inf)),
+                             first < np.arange(parsed))
+    if problem:
+        row, kind = problem
+        fields = rows[row].split(",")
+        if kind == 3 and len(fields) == len(_ETA_HEADER):
+            # Five fields, one unparsable: the entry (kind 1) when the row
+            # parses with it replaced by 0, else the degrees (kind 0).
+            kind = _parse_rows([",".join(fields[:4] + ["0"])], _ETA_DTYPE,
+                               ",")[1]
+        if kind == 0:
+            why = (f"degrees {','.join(fields[:4])} are not all nonnegative "
+                   f"integers below 2**31")
+        elif kind == 1:
+            why = f"eta entry {fields[4]} is not finite and nonnegative"
+        elif kind == 2:
+            why = (f"duplicate entry {','.join(fields[:4])} (first on line "
+                   f"{nos[first[row]]})")
+        else:
+            why = f"expected {len(_ETA_HEADER)} fields, got {len(fields)}"
+        raise ValueError(f"{path}:{nos[row]}: {why}")
+    if not rows:
         raise ValueError(f"{path}: no entries")
-    source_pairs = sorted({sp for sp, _ in cells})
-    target_pairs = sorted({tp for _, tp in cells})
-    s_index = {p: i for i, p in enumerate(source_pairs)}
-    t_index = {p: i for i, p in enumerate(target_pairs)}
-    H = np.zeros((len(source_pairs), len(target_pairs)))
-    for (sp, tp), val in cells.items():
-        H[s_index[sp], t_index[tp]] = val
-    return EdgeMixMatrix(source_pairs, target_pairs, H)
+    H = np.zeros((s_uniq.size, t_uniq.size))
+    H[s_idx, t_idx] = values
+    return EdgeMixMatrix(_decode_pairs(s_uniq), _decode_pairs(t_uniq), H)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .generate import DpaParams, gen_dpa
 from .graph import DirectedGraph
@@ -114,8 +113,9 @@ def invert_tail_indices(
 
 def _mle_exponent(values: np.ndarray, counts: np.ndarray, x_min: int) -> float:
     """Maximum-likelihood exponent of a discrete power law on x >= x_min."""
-    # Imported here, as in lp.solve: only fit needs it.
+    # Imported here, as in lp.solve: only fit needs these.
     from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
 
     n = counts.sum()
     log_sum = float(counts @ np.log(values))
@@ -134,6 +134,8 @@ def _mle_exponent(values: np.ndarray, counts: np.ndarray, x_min: int) -> float:
 def _ks_distance(values: np.ndarray, counts: np.ndarray, expo: float,
                  x_min: int) -> float:
     """KS distance between the empirical tail and the fitted power law."""
+    from scipy.special import zeta
+
     n = counts.sum()
     emp_cdf = np.cumsum(counts) / n
     z0 = zeta(expo, x_min)

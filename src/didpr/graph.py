@@ -3,6 +3,23 @@
 The graph is stored as parallel source/target index arrays so that degree
 lookups and edge swaps stay cheap during long rewiring runs.  Self-loops and
 repeated edges are allowed everywhere; node ids are 0-based integers.
+
+File formats.  Every reader here and in assortativity and rewire takes UTF-8
+text whose lines end in LF, CRLF or CR, parses all rows in one np.loadtxt
+call and raises on the first bad line as "path:line: ...", counting every
+line of the file, blank and comment lines included.  Integers are decimal;
+as np.loadtxt allows, a field may carry spaces around it and a leading '+'.
+
+* Edge list, read: each line is stripped; empty lines are skipped; a line
+  starting with '#' or '%' is a comment, and a comment "# nodes=N" (the
+  last one counts) fixes the node count, which is otherwise one plus the
+  largest id.  Every other line is "src dst": two nonnegative integers
+  separated by spaces or tabs, with nothing after them (no third field, no
+  trailing comment).  Written: b"# nodes=N\n", then b"src\tdst\n" per edge
+  in storage order.
+* Label sidecar ("<edge list>.labels"), read: one code a, b or g per line,
+  stripped, blank lines skipped, one per edge.  Written: b"code\n" per
+  edge in storage order.
 """
 from __future__ import annotations
 
@@ -147,98 +164,157 @@ def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list file I/O
+# Text files
 # ---------------------------------------------------------------------------
 
-def read_edge_list(path) -> DirectedGraph:
-    """Read a whitespace-separated edge list.
+# Rows per write call: the writers build text in chunks of this many lines,
+# so memory stays flat however large the graph.
+_WRITE_ROWS = 100_000
 
-    Each data line holds "src dst" (tabs or spaces).  Lines starting with
-    '#' or '%' are comments; a comment of the form "# nodes=N" fixes the node
-    count.  Without such a header the node count is one plus the largest id
-    seen.  Malformed lines raise GraphFormatError with the line number.
+
+def _lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; LF, CRLF and CR each end a line."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().split("\n")
+
+
+def _csv_rows(path, header: tuple[str, ...]) -> tuple[list[int], list[str]]:
+    """(line numbers, lines) of the data rows of a CSV file: the nonblank
+    lines after a header line that must read exactly `header`."""
+    lines = _lines(path)
+    if lines[0].split(",") != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    nos = [no for no, line in enumerate(lines[1:], 2) if line]
+    return nos, [lines[no - 1] for no in nos]
+
+
+def _parse_rows(rows: list[str], dtype: np.dtype, delimiter=None):
+    """Parse rows in one np.loadtxt call into a structured array.
+
+    Returns (table, n): table holds rows[:n], and n is the index of the
+    first row that does not parse (len(rows) when all do).  dtype fixes the
+    field count, so a row parses or fails on its own, and the first failure
+    is found by halving with the parser itself as the test.
     """
+    def parse(part):
+        if not part:
+            return np.empty(0, dtype)
+        return np.loadtxt(part, dtype=dtype, delimiter=delimiter,
+                          comments=None, ndmin=1)
+    try:
+        return parse(rows), len(rows)
+    except ValueError:
+        lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(rows[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return parse(rows[:lo]), lo
+
+
+def _first_problem(num_rows: int, parsed: int, *flags):
+    """(row, kind) of the earliest bad row, or None when every row is good.
+
+    flags are row masks over the first `parsed` rows; kind is the index of
+    the first mask that flags the row, or len(flags) for the row that did
+    not parse.
+    """
+    found = (parsed, len(flags)) if parsed < num_rows else None
+    for kind, bad in enumerate(flags):
+        if bad.any() and (found is None or np.argmax(bad) < found[0]):
+            found = (int(np.argmax(bad)), kind)
+    return found
+
+
+_EDGE_DTYPE = np.dtype([("ends", np.int64, (2,))])
+
+
+def read_edge_list(path) -> DirectedGraph:
+    """Read a whitespace-separated edge list (format in the module docstring).
+
+    Malformed lines raise GraphFormatError naming the first bad line.
+    """
+    lines = [line.strip() for line in _lines(path)]
+    nos = [no for no, s in enumerate(lines, 1) if s and s[0] not in "#%"]
+    rows = [lines[no - 1] for no in nos]
+    table, parsed = _parse_rows(rows, _EDGE_DTYPE)
+    ends = table["ends"]
+    problem = _first_problem(len(rows), parsed, (ends < 0).any(axis=1))
+    stop = nos[problem[0]] if problem else len(lines)
     declared: int | None = None
-    srcs: list[int] = []
-    dsts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line[0] in "#%":
-                body = line[1:].strip()
-                if body.startswith("nodes="):
-                    try:
-                        declared = int(body[len("nodes="):])
-                    except ValueError as exc:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: bad node-count header {body!r}"
-                        ) from exc
-                    if declared < 0:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: negative node count {declared}"
-                        )
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'src dst', got {line!r}"
-                )
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer node id in {line!r}"
-                ) from exc
-            if u < 0 or v < 0:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: negative node id in {line!r}"
-                )
-            srcs.append(u)
-            dsts.append(v)
-    top = max(max(srcs, default=-1), max(dsts, default=-1))
+    for no in [no for no, s in enumerate(lines[:stop], 1)
+               if s[:1] in ("#", "%")]:
+        body = lines[no - 1][1:].strip()
+        if not body.startswith("nodes="):
+            continue
+        try:
+            declared = int(body[len("nodes="):])
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{no}: bad node-count header {body!r}") from exc
+        if declared < 0:
+            raise GraphFormatError(
+                f"{path}:{no}: negative node count {declared}")
+    if problem:
+        row, kind = problem
+        line = rows[row]
+        why = ("negative node id in" if kind == 0
+               else "non-integer node id in" if len(line.split()) == 2
+               else "expected 'src dst', got")
+        raise GraphFormatError(f"{path}:{nos[row]}: {why} {line!r}")
+    top = int(ends.max(initial=-1))
     num_nodes = declared if declared is not None else top + 1
     if top >= num_nodes:
         raise GraphFormatError(
             f"{path}: node id {top} exceeds declared node count {num_nodes}"
         )
-    return DirectedGraph.from_edges(num_nodes, srcs, dsts)
+    return DirectedGraph.from_edges(num_nodes, ends[:, 0], ends[:, 1])
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Write a graph as an edge list, preserving edge order.
 
     A "# nodes=N" header is always written so isolated nodes survive a
-    round trip.
+    round trip.  Each node id is formatted once and looked up per edge.
     """
+    ids = np.array(list(map(str, range(g.num_nodes))), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes={g.num_nodes}\n")
-        for u, v in zip(g.src.tolist(), g.dst.tolist()):
-            fh.write(f"{u}\t{v}\n")
+        for lo in range(0, g.num_edges, _WRITE_ROWS):
+            src, dst = g.src[lo:lo + _WRITE_ROWS], g.dst[lo:lo + _WRITE_ROWS]
+            rows = np.empty((src.size, 4), dtype=object)
+            rows[:, 0], rows[:, 1] = ids[src], "\t"
+            rows[:, 2], rows[:, 3] = ids[dst], "\n"
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def write_edge_labels(g: DirectedGraph, path) -> None:
     """Write per-edge scenario labels, one single-letter code per line."""
     if g.edge_labels is None:
         raise ValueError("graph carries no edge labels")
+    codes = g.edge_labels.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for code in g.edge_labels.tolist():
-            fh.write(f"{code}\n")
+        for lo in range(0, len(codes), _WRITE_ROWS):
+            fh.write("\n".join(codes[lo:lo + _WRITE_ROWS]) + "\n")
 
 
 def read_edge_labels(path, num_edges: int) -> np.ndarray:
-    """Read a label sidecar written by write_edge_labels."""
-    codes: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line not in _LABEL_NAMES:
-                raise GraphFormatError(f"{path}:{lineno}: unknown label {line!r}")
-            codes.append(line)
+    """Read a label sidecar written by write_edge_labels.
+
+    Blank lines are skipped; an unknown code raises GraphFormatError naming
+    its line.
+    """
+    lines = [line.strip() for line in _lines(path)]
+    nos = [no for no, s in enumerate(lines, 1) if s]
+    codes = [lines[no - 1] for no in nos]
+    bad = [code not in _LABEL_NAMES for code in codes]
+    if any(bad):
+        row = bad.index(True)
+        raise GraphFormatError(
+            f"{path}:{nos[row]}: unknown label {codes[row]!r}")
     if len(codes) != num_edges:
         raise GraphFormatError(
             f"{path}: {len(codes)} labels for {num_edges} edges"

@@ -27,7 +27,6 @@ assortativity._standardise, the helper behind every coefficient.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -37,13 +36,18 @@ from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
-    _csv_rows,
     _pair_codes,
     _profile,
     _standardise,
     edge_mix_from_graph,
 )
-from .graph import _LABEL_NAMES, DirectedGraph
+from .graph import (
+    _LABEL_NAMES,
+    DirectedGraph,
+    _csv_rows,
+    _first_problem,
+    _parse_rows,
+)
 
 __all__ = [
     "RewiringConfig",
@@ -55,6 +59,7 @@ __all__ = [
 ]
 
 _TRACE_HEADER = ("step", "r11", "r12", "r21", "r22", "acc_rate")
+_TRACE_DTYPE = np.dtype([("step", np.int64), ("values", np.float64, (5,))])
 
 # Proposals are drawn from the generator in blocks of this size, whatever
 # the checkpoint cadence, so a run's trajectory is a function of the seed and
@@ -122,33 +127,35 @@ class RewiringTrace:
         return None
 
     def to_csv(self, path) -> None:
+        """Write the rows as CSV: the header, then step and the five
+        values formatted %.12g, CRLF line ends."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_TRACE_HEADER)
-            for step, r11, r12, r21, r22, acc in self.checkpoints:
-                writer.writerow(
-                    [step, f"{r11:.12g}", f"{r12:.12g}", f"{r21:.12g}",
-                     f"{r22:.12g}", f"{acc:.12g}"]
-                )
+            fh.write(",".join(_TRACE_HEADER) + "\r\n")
+            fh.write("".join([
+                f"{step},{r11:.12g},{r12:.12g},{r21:.12g},{r22:.12g},"
+                f"{acc:.12g}\r\n"
+                for step, r11, r12, r21, r22, acc in self.checkpoints]))
 
 
 def read_trace_csv(path) -> RewiringTrace:
     """Read a trace written by RewiringTrace.to_csv.
 
-    Blank lines are skipped.  A row without six fields, or with a value
-    that is not a finite number, raises ValueError naming its line.
+    Blank lines are skipped.  The first row without six fields, or with a
+    value that is not a finite number, raises ValueError naming its line.
     """
-    rows = []
-    for line, row in _csv_rows(path, _TRACE_HEADER):
-        try:
-            step, vals = int(row[0]), [float(v) for v in row[1:]]
-        except ValueError:
-            vals = [np.nan]
-        if not np.isfinite(vals).all():
-            raise ValueError(f"{path}:{line}: expected an integer step and "
-                             f"finite values")
-        rows.append((step, *vals))
-    return RewiringTrace(rows)
+    nos, rows = _csv_rows(path, _TRACE_HEADER)
+    table, parsed = _parse_rows(rows, _TRACE_DTYPE, ",")
+    problem = _first_problem(len(rows), parsed,
+                             ~np.isfinite(table["values"]).all(axis=1))
+    if problem:
+        row = problem[0]
+        width = len(rows[row].split(","))
+        why = ("expected an integer step and finite values"
+               if width == len(_TRACE_HEADER)
+               else f"expected {len(_TRACE_HEADER)} fields, got {width}")
+        raise ValueError(f"{path}:{nos[row]}: {why}")
+    return RewiringTrace(list(zip(table["step"].tolist(),
+                                  *table["values"].T.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +170,13 @@ def _node_pair_indices(g: DirectedGraph, eta: EdgeMixMatrix):
     """
     codes = _pair_codes(g.out_deg, g.in_deg)
     found = []
-    for ends, pairs, side in ((g.src, eta.source_pairs, "source"),
-                              (g.dst, eta.target_pairs, "target")):
+    # A node is some edge's source (target) exactly when its out- (in-)
+    # degree is positive.
+    for deg, pairs, side in ((g.out_deg, eta.source_pairs, "source"),
+                             (g.in_deg, eta.target_pairs, "target")):
         keys = _pair_codes(*np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
         order = np.argsort(keys)
-        nodes = np.unique(ends)
+        nodes = np.flatnonzero(deg)
         pos = np.searchsorted(keys, codes[nodes], sorter=order)
         hit = pos < keys.size
         hit[hit] = keys[order[pos[hit]]] == codes[nodes[hit]]

@@ -250,6 +250,23 @@ class TestProfile:
         assert a.max_abs_diff(b) == pytest.approx(0.2)
 
 
+BAD_ETA_ROWS = [
+    pytest.param("1,1,2,1,nan", "not finite", id="nan"),
+    pytest.param("1,1,2,1,inf", "not finite", id="inf"),
+    pytest.param("1,1,2,1,-0.5", "not finite", id="-0.5"),
+    pytest.param("1,1,2,1,x", "not finite", id="eta-not-a-number"),
+    pytest.param("x,1,2,1,0.5", "nonnegative integers", id="degree-x"),
+    pytest.param("-1,1,2,1,0.5", "nonnegative integers",
+                 id="degree-negative"),
+    pytest.param("1,1,2.5,1,0.5", "nonnegative integers",
+                 id="degree-fraction"),
+    pytest.param("1,1,4294967297,1,0.5", "nonnegative integers below",
+                 id="degree-beyond-pair-codes"),
+    pytest.param("1,1,1,1,0.25", "duplicate entry", id="duplicate"),
+    pytest.param("1,1,2,1", "expected 5 fields, got 4", id="short"),
+]
+
+
 class TestEtaCsv:
     def test_round_trip(self, tmp_path):
         eta = edge_mix_from_graph(gen_er(60, 0.1, seed=15))
@@ -273,19 +290,56 @@ class TestEtaCsv:
         with pytest.raises(ValueError):
             read_eta_csv(path)
 
-    @pytest.mark.parametrize("row, why", [
-        pytest.param("1,1,2,1,nan", "not finite", id="nan"),
-        pytest.param("1,1,2,1,inf", "not finite", id="inf"),
-        pytest.param("1,1,2,1,-0.5", "not finite", id="-0.5"),
-        pytest.param("1,1,2,1,x", "not finite", id="eta-not-a-number"),
-        pytest.param("x,1,2,1,0.5", "nonnegative integers", id="degree-x"),
-        pytest.param("-1,1,2,1,0.5", "nonnegative integers",
-                     id="degree-negative"),
-        pytest.param("1,1,2.5,1,0.5", "nonnegative integers",
-                     id="degree-fraction"),
-    ])
+    @pytest.mark.parametrize("row, why", BAD_ETA_ROWS)
     def test_bad_entry_rejected_with_its_line(self, tmp_path, row, why):
         path = tmp_path / "eta.csv"
         path.write_text(f"i,j,k,l,eta\n1,1,1,1,0.5\n{row}\n")
         with pytest.raises(ValueError, match=rf"eta\.csv:3: .*{why}"):
             read_eta_csv(path)
+
+    @pytest.mark.parametrize("row, why", BAD_ETA_ROWS)
+    def test_blank_lines_count_toward_the_line(self, tmp_path, row, why):
+        path = tmp_path / "eta.csv"
+        path.write_text(f"i,j,k,l,eta\n1,1,1,1,0.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=rf"eta\.csv:4: .*{why}"):
+            read_eta_csv(path)
+
+    @pytest.mark.parametrize("row, why", BAD_ETA_ROWS)
+    def test_first_bad_row_of_many(self, tmp_path, row, why):
+        # The bulk parser must name the first bad row however deep it sits,
+        # ahead of a later row that is bad in another way.
+        rows = [f"{i},{j},{k},1,0.001" for i in range(1, 11)
+                for j in range(1, 11) for k in range(1, 21)]
+        rows[0] = "1,1,1,1,0.5"
+        rows[1500] = row
+        rows[1800] = "1,2,3"
+        path = tmp_path / "eta.csv"
+        path.write_bytes(("i,j,k,l,eta\r\n" + "\r\n".join(rows)
+                          + "\r\n").encode())
+        with pytest.raises(ValueError, match=rf"eta\.csv:1502: .*{why}"):
+            read_eta_csv(path)
+
+    def test_repeated_cell_rejected(self, tmp_path):
+        path = tmp_path / "eta.csv"
+        path.write_text("i,j,k,l,eta\n1,1,1,1,0.5\n1,1,1,1,0.25\n"
+                        "2,1,1,1,0.5\n")
+        with pytest.raises(ValueError, match=r"eta\.csv:3: duplicate entry "
+                                             r"1,1,1,1 \(first on line 2\)"):
+            read_eta_csv(path)
+
+    def test_csv_bytes(self, tmp_path):
+        # Header, then "i,j,k,l,%.17g" rows in row-major order of H, CRLF
+        # line ends; the zero cell is left out.
+        eta = EdgeMixMatrix([(1, 0), (2, 3)], [(0, 1), (4, 2)],
+                            np.array([[0.1, 0.0], [0.2, 0.7]]))
+        path = tmp_path / "eta.csv"
+        write_eta_csv(eta, path)
+        assert path.read_bytes() == (
+            b"i,j,k,l,eta\r\n"
+            b"1,0,0,1,0.10000000000000001\r\n"
+            b"2,3,0,1,0.20000000000000001\r\n"
+            b"2,3,4,2,0.69999999999999996\r\n")
+        back = read_eta_csv(path)
+        assert back.source_pairs == eta.source_pairs
+        assert back.target_pairs == eta.target_pairs
+        np.testing.assert_array_equal(back.H, eta.H)

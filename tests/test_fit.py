@@ -51,13 +51,14 @@ def test_ks_two_sample_matches_scipy():
 
 def test_cli_import_leaves_scipy_stats_and_optimize_out():
     # scipy.stats takes about as long to import as the rest of the CLI, and
-    # scipy.optimize a quarter of it; only fit and the LP paths need them.
+    # scipy.optimize and scipy.special a quarter of it or less; only fit
+    # and the LP paths need them.
     src_dir = str(Path(didpr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, didpr.cli; print(sorted({'scipy.stats', "
-         "'scipy.optimize'} & set(sys.modules)))"],
+         "'scipy.optimize', 'scipy.special'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

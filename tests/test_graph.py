@@ -218,6 +218,44 @@ class TestEdgeListIO:
         path.write_text("# nodes=5\n0 1\n")
         assert read_edge_list(path).num_nodes == 5
 
+    def test_blank_and_comment_lines_count_toward_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# nodes=3\n0 1\n\n0 x\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.txt:4"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("bad_row, why", [
+        pytest.param("0", "expected 'src dst'", id="one-field"),
+        pytest.param("0 1 2", "expected 'src dst'", id="three-fields"),
+        pytest.param("0 1 # note", "expected 'src dst'", id="inline-comment"),
+        pytest.param("0 1.5", "non-integer", id="fraction"),
+        pytest.param("-1 2", "negative", id="negative"),
+    ])
+    def test_first_bad_line_of_many(self, tmp_path, bad_row, why):
+        # The bulk parser must name the first bad line however deep it sits,
+        # before later bad lines and after comment, blank and CRLF lines.
+        rows = [f"{v} {(v * 7) % 500}" for v in range(2000)]
+        rows[1234] = bad_row
+        rows[1700] = "x y"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(("# nodes=500\r\n% note\r\n\r\n"
+                          + "\r\n".join(rows) + "\r\n").encode())
+        with pytest.raises(GraphFormatError, match=rf"bad\.txt:1238: {why}"):
+            read_edge_list(path)
+
+    def test_bad_node_header_before_bad_row_is_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n# nodes=x\n0\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.txt:2: bad node-count"):
+            read_edge_list(path)
+
+    def test_crlf_comments_and_spacing_accepted(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"# nodes=6\r\n  0\t 1 \r\n\r\n% c\r\n5  2\r\n")
+        g = read_edge_list(path)
+        assert g.num_nodes == 6
+        assert g.edges() == [(0, 1), (5, 2)]
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1\n0\n")
@@ -251,6 +289,32 @@ class TestEdgeListIO:
         assert h.num_nodes == g.num_nodes
         assert h.edges() == g.edges()
         assert np.array_equal(h.out_deg, g.out_deg)
+
+    def test_edge_list_bytes(self, tmp_path):
+        # Header, then one "src<TAB>dst<LF>" line per edge in storage order.
+        g = graph_from_pairs(12, [(10, 2), (0, 11), (11, 11)])
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        assert path.read_bytes() == b"# nodes=12\n10\t2\n0\t11\n11\t11\n"
+
+    def test_empty_edge_list_bytes(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_edge_list(graph_from_pairs(3, []), path)
+        assert path.read_bytes() == b"# nodes=3\n"
+        assert read_edge_list(path).num_nodes == 3
+
+    def test_label_sidecar_bytes(self, tmp_path):
+        labels = np.array(["a", "b", "g", "b"])
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels)
+        path = tmp_path / "g.labels"
+        write_edge_labels(g, path)
+        assert path.read_bytes() == b"a\nb\ng\nb\n"
+
+    def test_unknown_label_names_its_line(self, tmp_path):
+        path = tmp_path / "g.labels"
+        path.write_text("a\n\nb\nz\n")
+        with pytest.raises(GraphFormatError, match=r"g\.labels:4: unknown"):
+            read_edge_labels(path, 3)
 
     def test_label_sidecar_round_trip(self, tmp_path):
         labels = np.array(["a", "b", "g", "b"])

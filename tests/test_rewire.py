@@ -19,6 +19,9 @@ from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import (
     _PROPOSAL_BLOCK,
     RewiringConfig,
+    RewiringTrace,
+    _node_pair_indices,
+    read_trace_csv,
     rewire,
     rewire_with_scenario_gains,
 )
@@ -202,3 +205,28 @@ def test_stop_early_inside_a_block_matches_scalar_reference(dpa):
     last = trace.checkpoints[-1][0]
     assert last < cfg.max_steps and last % _PROPOSAL_BLOCK != 0
     assert trace.final_profile().max_abs_diff(TARGETS) <= cfg.tolerance
+
+
+def test_trace_csv_bytes(tmp_path):
+    # Header, then the step and five %.12g values per row, CRLF line ends.
+    trace = RewiringTrace([(0, 0.1, -0.2, 0.3, 1 / 3, 0.0),
+                           (1000, 0.5, 0.25, -1e-20, 1.0, 0.125)])
+    path = tmp_path / "t.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == (
+        b"step,r11,r12,r21,r22,acc_rate\r\n"
+        b"0,0.1,-0.2,0.3,0.333333333333,0\r\n"
+        b"1000,0.5,0.25,-1e-20,1,0.125\r\n")
+    assert read_trace_csv(path).checkpoints == [
+        (0, 0.1, -0.2, 0.3, 0.333333333333, 0.0),
+        (1000, 0.5, 0.25, -1e-20, 1.0, 0.125)]
+
+
+def test_node_pair_indices_cover_exactly_the_edge_ends():
+    # Nodes 3 and 4 have no out-edges and node 0 no in-edges: they get -1
+    # on that side and a pair index on the other.
+    g = DirectedGraph.from_edges(5, [0, 0, 1, 2, 2], [1, 2, 2, 3, 4])
+    eta = edge_mix_from_graph(g)
+    src_idx, dst_idx = _node_pair_indices(g, eta)
+    assert src_idx.tolist() == [1, 0, 2, -1, -1]
+    assert dst_idx.tolist() == [-1, 1, 2, 0, 0]
