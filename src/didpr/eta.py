@@ -16,11 +16,11 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   heavy-tail regime); either interior point lets chains mix orders of
   magnitude faster than a basic LP solution.  When no strictly positive
   solution turns up, an LP that maximises a share of the independence
-  coupling answers instead, and its feasibility status settles
-  attainability.  Both interior solves take Newton steps through one
-  kernel: conjugate gradients on the row/column block and a 4x4 Schur
-  complement for the four moment rows, so their work is a few hundred
-  mat-vecs with the ns x nt matrix, at any problem size.
+  coupling answers instead, and its feasibility settles attainability.
+  Both interior solves take Newton steps through one kernel: conjugate
+  gradients on the row/column block and a 4x4 Schur complement for the
+  four moment rows, so their work is a few hundred mat-vecs with the
+  ns x nt matrix, at any problem size.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -28,11 +28,10 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   Monge property, so the maximum is attained by the comonotone (sorted)
   coupling of the two marginals and the minimum by the antitone one
   (Hoffman 1963; the Frechet-Hoeffding bounds).  Conditioned bounds are
-  linear programs over the ns x nt cells, solved by column generation: a
-  basic optimum has at most ns + nt + 1 cells (Dantzig 1951), so HiGHS
-  gets only a restricted master, seeded with the comonotone and antitone
-  supports of every pair involved, while numpy prices all cells from its
-  duals and lets in those that can still move the bound.
+  linear programs over the ns x nt cells, like the solve's fallback.  Both
+  LPs run by column generation (_column_generation): a basic optimum has
+  no more cells than the program has rows (Dantzig 1951), so HiGHS gets
+  only restricted masters, and numpy prices every cell from their duals.
 
 Every one of these constraints is the same standardised moment.  Each
 problem works out its two edge ends once (EtaProblem.ends): pair masses,
@@ -185,10 +184,11 @@ def assemble_constraints(
         else:
             ub_rows += [row, -row]
             ub_rhs += [[hi], [-lo]]
-    A_ub = sp.vstack(ub_rows, format="csr") if ub_rows else None
-    b_ub = np.concatenate(ub_rhs) if ub_rhs else None
+    A_ub = (sp.vstack(ub_rows, format="csc") if ub_rows
+            else sp.csc_matrix((0, ns * nt)))
+    b_ub = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
     return lplib.LinearProgram(
-        ns * nt, np.zeros(ns * nt), sp.vstack(eq_rows, format="csr"),
+        ns * nt, np.zeros(ns * nt), sp.vstack(eq_rows, format="csc"),
         np.concatenate(eq_rhs), A_ub, b_ub
     )
 
@@ -197,26 +197,23 @@ def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
     """Variant of the target system that favours interior solutions.
 
     Substitute eta = psi + t * (independence coupling), psi >= 0, and
-    maximise t <= 1.  Feasibility is unchanged (t = 0 recovers the plain
-    system), but at the optimum every entry of eta is at least t* times the
-    independence mass, which keeps later rewiring chains mobile.  Returns
-    the lifted program (t is the last variable) and the independence
-    coupling, flattened.
+    maximise t (the row sums keep it at most 1).  Feasibility is unchanged
+    (t = 0 recovers the plain system), but at the optimum every entry of eta
+    is at least t* times the independence mass, which keeps later rewiring
+    chains mobile.  Returns the lifted program (t is the last variable) and
+    the independence coupling, flattened.
     """
     base = assemble_constraints(p)
     indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
 
     # Column of t coefficients: each row's value at eta = independence.
     t_col_eq = np.asarray(base.A_eq @ indep).ravel()
-    A_eq = sp.hstack([base.A_eq, sp.csr_matrix(t_col_eq[:, None])], format="csr")
-    A_ub = sp.csr_matrix(
-        np.concatenate([np.zeros(base.num_vars), [1.0]])[None, :]
-    )
+    A_eq = sp.hstack([base.A_eq, sp.csc_matrix(t_col_eq[:, None])], format="csc")
     c = np.zeros(base.num_vars + 1)
     c[-1] = -1.0
     lifted = lplib.LinearProgram(
-        base.num_vars + 1, c, A_eq, base.b_eq, A_ub, np.array([1.0])
-    )
+        base.num_vars + 1, c, A_eq, base.b_eq,
+        sp.csc_matrix((0, base.num_vars + 1)), base.b_ub)
     return lifted, indep
 
 
@@ -489,18 +486,17 @@ def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
 
 
 def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
-    """Solve the spread program (see _spread_program); None if infeasible."""
-    ns, nt = len(p.source_pairs), len(p.target_pairs)
+    """Solve the spread program (see _spread_program) by column generation,
+    seeded with the supports of the four target pairs; None if infeasible."""
     prog, indep = _spread_program(p)
-    sol = lplib.solve(prog)
-    if sol.status is lplib.LpStatus.INFEASIBLE:
+    found = _column_generation(prog, prog.c, _seed(p.ends, TYPE_PAIRS),
+                               "the spread program")
+    if found is None:
         return None
-    if sol.status is not lplib.LpStatus.OPTIMAL:
-        raise lplib.LpError(f"unexpected LP status {sol.status}")
-    flat = sol.x[:-1] + sol.x[-1] * indep
-    flat = np.where(flat < 0.0, 0.0, flat)
+    x = found[1]
+    flat = np.maximum(x[:-1] + x[-1] * indep, 0.0)
     eta = EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
-                        flat.reshape(ns, nt))
+                        flat.reshape(len(p.source_pairs), -1))
     eta.validate(atol=1e-6)
     return eta
 
@@ -517,9 +513,9 @@ def solve_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     there; both interior solves step through one Newton kernel
     (_newton_kkt).  When the entropy solve finds no strictly positive solution
     (targets on or near the boundary of the attainable region), the spread
-    LP (HiGHS) answers instead: every entry of its matrix is at least t*
-    times the independence mass, t* the largest share the constraints
-    allow, and its feasibility status decides attainability.
+    LP answers instead (_lp_target_eta): every entry of its matrix is at
+    least t* times the independence mass, t* the largest share the
+    constraints allow, and its feasibility decides attainability.
     """
     if p.targets is None:
         raise ValueError("solve_target_eta requires targets")
@@ -582,7 +578,7 @@ def _comonotone_moment(f: np.ndarray, rho: np.ndarray,
     return float(widths @ (f[i] * g[j]))
 
 
-# Column generation (_lp_moment_range).  Up to _PRICE_WIDTH cells of every
+# Column generation (_column_generation).  Up to _PRICE_WIDTH cells of every
 # row and of every column enter each round (one cell per round took
 # thousands of rounds on ER), each below -_PRICE_TOL.  Artificials summing
 # to more than _PHASE_ONE_TOL miss the rows by more than HiGHS's
@@ -590,6 +586,17 @@ def _comonotone_moment(f: np.ndarray, rho: np.ndarray,
 _PRICE_WIDTH = 3
 _PRICE_TOL = 1e-10
 _PHASE_ONE_TOL = 1e-9
+
+
+def _seed(e: _Ends, pairs) -> np.ndarray:
+    """The comonotone and antitone supports of the pairs, as an ns x nt mask."""
+    seed = np.zeros((len(e.rho), len(e.kappa)), dtype=bool)
+    for a, b in pairs:
+        for sign in (1.0, -1.0):
+            i, j, _ = _comonotone_coupling(e.U[:, a - 1], e.rho,
+                                           sign * e.V[:, b - 1], e.kappa)
+            seed[i, j] = True
+    return seed
 
 
 def _entering(reduced: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -606,72 +613,65 @@ def _entering(reduced: np.ndarray, active: np.ndarray) -> np.ndarray:
     return cand[R.flat[cand] < -_PRICE_TOL]
 
 
-def _lp_moment_range(prog: lplib.LinearProgram, w: np.ndarray,
-                     seed: np.ndarray, what: str) -> tuple[float, float]:
-    """Minimum and maximum of w . eta over the program's feasible set.
+def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
+                       seed: np.ndarray, what: str
+                       ) -> tuple[float, np.ndarray] | None:
+    """Minimum of c . x over the program's feasible set, and a minimiser.
 
-    prog is the full program over the ns x nt cells (assemble_constraints),
-    seed an ns x nt mask of the cells each end starts from.  HiGHS only ever
-    sees a restricted master: the program's columns at the active cells.
-    From its duals y, z the reduced cost of every cell, w - A_eq' y -
-    A_ub' z, is one sparse product; the cells that can improve the bound
-    enter (_entering) and the master is solved again.  When none is below
-    -_PRICE_TOL the duals are feasible for the full program up to that
-    amount per cell, and every coupling has total mass 1, so the master's
-    optimum is within _PRICE_TOL of the full one.
+    The program's first ns x nt columns are the cells of a mixing matrix,
+    and HiGHS only ever sees a restricted master: the columns at the active
+    cells, which start from the ns x nt mask seed (see _seed), plus any
+    further columns (the spread program's t).  From its duals y, z the
+    reduced cost of every cell, c - A_eq' y - A_ub' z, is one sparse
+    product; the cells that can lower the objective enter (_entering) and
+    the master is solved again.  When none is below -_PRICE_TOL the duals
+    are feasible for the full program up to that amount per cell, and the
+    cells carry total mass at most 1, so the master's optimum is within
+    _PRICE_TOL of the full one.  Returns (objective, x), x zero off the
+    active cells.
 
     Cells only enter, so a master can be infeasible only before phase I
     has run.  Phase I minimises the sum of artificials on every row,
     pricing the same way with cost 0 on the cells; a positive sum that no
-    cell can lower proves the conditioning intervals unattainable.
+    cell can lower proves the program infeasible, and the answer is None.
     """
-    A_eq = prog.A_eq.tocsc()
-    A_ub = (sp.csc_matrix((0, prog.num_vars)) if prog.A_ub is None
-            else prog.A_ub.tocsc())
-    b_ub = np.zeros(0) if prog.b_ub is None else prog.b_ub
-    # Artificials: both ways on every equality row, downward on every
-    # <= row.
-    m_eq = prog.num_eq
-    art = sp.block_diag([sp.hstack([sp.eye(m_eq), -sp.eye(m_eq)]),
-                         -sp.eye(A_ub.shape[0])], format="csr")
-    art_eq, art_ub = art[:m_eq], art[m_eq:]
-    vals = []
-    for sign in (1.0, -1.0):
-        active = seed.copy()
-        phase_one = ran_phase_one = False
-        while True:
-            cols = np.flatnonzero(active)
-            if phase_one:
-                c = np.concatenate([np.zeros(len(cols)),
-                                    np.ones(art.shape[1])])
-                master = lplib.LinearProgram(
-                    len(c), c, sp.hstack([A_eq[:, cols], art_eq]), prog.b_eq,
-                    sp.hstack([A_ub[:, cols], art_ub]), b_ub)
-            else:
-                master = lplib.LinearProgram(
-                    len(cols), sign * w[cols], A_eq[:, cols], prog.b_eq,
-                    A_ub[:, cols], b_ub)
-            sol = lplib.solve(master)
-            if sol.status is lplib.LpStatus.INFEASIBLE and not ran_phase_one:
-                phase_one = ran_phase_one = True
-                continue
-            if sol.status is not lplib.LpStatus.OPTIMAL:
-                raise lplib.LpError(
-                    f"unexpected LP status {sol.status} while bounding {what}"
-                )
-            reduced = ((0.0 if phase_one else sign * w)
-                       - A_eq.T @ sol.eq_duals - A_ub.T @ sol.ub_duals)
-            enter = _entering(reduced, active)
-            if enter.size:
-                active.flat[enter] = True
-            elif not phase_one:
-                break
-            elif sol.objective > _PHASE_ONE_TOL:
-                raise ValueError("conditioning intervals unattainable")
-            else:
-                phase_one = False
-        vals.append(sign * sol.objective)
-    return vals[0], vals[1]
+    A_eq, A_ub, m_eq = prog.A_eq, prog.A_ub, prog.num_eq
+    kept = np.arange(seed.size, prog.num_vars)
+    active = seed.copy()
+    art = None
+    phase_one = False
+    while True:
+        cols = np.concatenate([np.flatnonzero(active), kept])
+        cost, eq, ub = c[cols], A_eq[:, cols], A_ub[:, cols]
+        if phase_one:
+            cost = np.concatenate([np.zeros(len(cols)), np.ones(art.shape[1])])
+            eq, ub = sp.hstack([eq, art[:m_eq]]), sp.hstack([ub, art[m_eq:]])
+        sol = lplib.solve(lplib.LinearProgram(len(cost), cost, eq, prog.b_eq,
+                                              ub, prog.b_ub))
+        if sol.status is lplib.LpStatus.INFEASIBLE and art is None:
+            # Artificials, built at the first infeasible master: both ways
+            # on every equality row, downward on every <= row.
+            eye = sp.eye(m_eq)
+            art = sp.block_diag([sp.hstack([eye, -eye]),
+                                 -sp.eye(prog.num_ub)], format="csc")
+            phase_one = True
+            continue
+        if sol.status is not lplib.LpStatus.OPTIMAL:
+            raise lplib.LpError(f"unexpected LP status {sol.status} for {what}")
+        reduced = ((0.0 if phase_one else c)
+                   - A_eq.T @ sol.eq_duals - A_ub.T @ sol.ub_duals)
+        enter = _entering(reduced[:seed.size], active)
+        if enter.size:
+            active.flat[enter] = True
+        elif not phase_one:
+            break
+        elif sol.objective > _PHASE_ONE_TOL:
+            return None
+        else:
+            phase_one = False
+    x = np.zeros(prog.num_vars)
+    x[cols] = sol.x
+    return sol.objective, x
 
 
 def coefficient_bounds(
@@ -689,7 +689,7 @@ def coefficient_bounds(
     coefficients themselves and no LP is solved.  With conditioning each
     optimum is a linear program over the standardised moment rows of
     assemble_constraints, so it too is the coefficient; column generation
-    solves it (_lp_moment_range), seeded with the comonotone and antitone
+    solves it (_column_generation), seeded with the comonotone and antitone
     supports of the bounded pair and of every conditioning pair.  Raises
     ValueError on an unknown type pair or an empty interval, and when the
     conditioning intervals cut the feasible set down to nothing.
@@ -710,16 +710,15 @@ def coefficient_bounds(
         what = f"r({a},{b})"
         u, v = e.U[:, a - 1], e.V[:, b - 1]
         if prog is not None:
-            # Seed: the comonotone and antitone supports of the bounded
-            # pair and of every conditioning pair.
-            seed = np.zeros((len(e.rho), len(e.kappa)), dtype=bool)
-            for c, d in ((a, b), *conditioning):
-                for sign in (1.0, -1.0):
-                    i, j, _ = _comonotone_coupling(
-                        e.U[:, c - 1], e.rho, sign * e.V[:, d - 1], e.kappa)
-                    seed[i, j] = True
-            low, high = _lp_moment_range(prog, np.outer(u, v).ravel(),
-                                         seed, what)
+            w = np.outer(u, v).ravel()
+            seed = _seed(e, ((a, b), *conditioning))
+            extremes = []
+            for sign in (1.0, -1.0):
+                found = _column_generation(prog, sign * w, seed, what)
+                if found is None:
+                    raise ValueError("conditioning intervals unattainable")
+                extremes.append(sign * found[0])
+            low, high = extremes
         else:
             low = -_comonotone_moment(u, e.rho, -v, e.kappa)
             high = _comonotone_moment(u, e.rho, v, e.kappa)

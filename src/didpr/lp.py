@@ -1,10 +1,10 @@
 """Linear programming layer.
 
 Problems are minimisation over x >= 0 with sparse equality and <= rows,
-solved by scipy's HiGHS wrapper.  The library needs an LP only where no
-closed form exists: the restricted masters of the conditioned coefficient
-bounds, which price cells from the duals, and the fallback of the
-mixing-matrix solver, whose feasibility also settles attainability.
+stored by column, as HiGHS (through scipy) takes them.  The library's two
+LPs, the conditioned coefficient bounds and the fallback of the
+mixing-matrix solver, run as restricted masters priced by numpy
+(eta._column_generation), never as the full ns x nt program.
 
 An Optimal answer is re-checked against the original rows by an
 independent residual pass before it is returned; solver internals are
@@ -44,9 +44,9 @@ class LinearProgram:
 
     num_vars: int
     c: np.ndarray
-    A_eq: sp.csr_matrix | None = None
+    A_eq: sp.csc_matrix | None = None
     b_eq: np.ndarray | None = None
-    A_ub: sp.csr_matrix | None = None
+    A_ub: sp.csc_matrix | None = None
     b_ub: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -56,7 +56,7 @@ class LinearProgram:
         for name in ("A_eq", "A_ub"):
             mat = getattr(self, name)
             if mat is not None:
-                mat = sp.csr_matrix(mat)
+                mat = sp.csc_matrix(mat)
                 if mat.shape[1] != self.num_vars:
                     raise ValueError(f"{name} has {mat.shape[1]} columns, "
                                      f"expected {self.num_vars}")

@@ -21,8 +21,11 @@ from didpr.assortativity import (
 )
 from didpr.eta import (
     _center_eta,
+    _column_generation,
     _entropy_eta,
     _lp_target_eta,
+    _seed,
+    _spread_program,
     assemble_constraints,
     coefficient_bounds,
     problem_from_graph,
@@ -32,7 +35,7 @@ from didpr.eta import (
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DegreePairDist, degree_pair_dist
 
-from bounds_reference import reference_range
+from bounds_reference import reference_range, reference_spread
 from center_reference import reference_center_eta
 
 # Two diagonal degree pairs, 13 nodes worth of mass.  Both end marginals of
@@ -85,7 +88,7 @@ def toy_moment_row(lp):
     return lp.b_eq[4], lambda H: float((lp.A_eq @ np.ravel(H))[4])
 
 
-class TestGMap:
+class TestMomentRows:
     """Pinning r(a, b) adds the standardised moment row U[:, a-1] V[:, b-1]
     with right side r itself: under a mixing matrix with the problem's
     marginals, the row's moment is the coefficient.  On the toy problem
@@ -134,7 +137,7 @@ class TestGMap:
             assemble_constraints(p)
 
 
-class TestEndsFromNu:
+class TestProblemEnds:
     """A problem's ends, worked out from nu, against the graph's own."""
 
     def test_matches_graph_route(self):
@@ -202,7 +205,7 @@ class TestSolveTargetEta:
         assert eta is not None
         assert assortativity(eta).max_abs_diff(tgt) < 1e-9
 
-    def test_boundary_targets_reachable_via_auto(self):
+    def test_boundary_targets_reachable(self):
         tgt = AssortProfile(1.0, 1.0, 1.0, 1.0)
         eta = solve_target_eta(toy_problem(targets=tgt))
         assert eta is not None
@@ -212,10 +215,10 @@ class TestSolveTargetEta:
     # entropy solve finds no strictly positive point, and the centre polish,
     # started from a strictly positive but infeasible matrix, cannot reach
     # the constraints.  solve_target_eta then reports None.
-    @pytest.mark.parametrize("method", ["entropy", "center"])
-    def test_interior_methods_raise_on_unattainable(self, method):
+    @pytest.mark.parametrize("route", ["entropy", "center"])
+    def test_interior_methods_raise_on_unattainable(self, route):
         p = toy_problem(targets=AssortProfile(0.5, 0.4, 0.5, 0.5))
-        if method == "entropy":
+        if route == "entropy":
             eta = _entropy_eta(p)[0]
         else:
             ns, nt = len(p.source_pairs), len(p.target_pairs)
@@ -228,7 +231,7 @@ class TestSolveTargetEta:
     # Each route of solve_target_eta on its own: the entropy point, its
     # centre polish, and the spread LP fallback.
     ROUTES = {
-        "auto": solve_target_eta,
+        "solve": solve_target_eta,
         "entropy": lambda p: _entropy_eta(p)[0],
         "center": lambda p: _center_eta(p, _entropy_eta(p)[0]),
         "spread": _lp_target_eta,
@@ -247,10 +250,8 @@ class TestSolveTargetEta:
         # The entropy solve finds no strictly positive matrix here, yet one
         # exists: the spread LP keeps every entry at least t* = 0.034 times
         # the independence mass.  A basic LP solution has 2.8% support.
-        g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 1022, seed=281922))
-        tgt = AssortProfile(0.40786717969867986, 0.3146593057866909,
-                            0.7319272474337181, 0.1591612431119376)
-        p = problem_from_graph(g, targets=tgt)
+        p = fallback_problem()
+        tgt = p.targets
         assert _entropy_eta(p)[0] is None
         eta = solve_target_eta(p)
         assert eta is not None and (eta.H > 0.0).all()
@@ -260,6 +261,22 @@ class TestSolveTargetEta:
     def test_targets_required(self):
         with pytest.raises(ValueError):
             solve_target_eta(toy_problem())
+
+
+def fallback_problem():
+    """DPA with 1,022 edges and targets where the entropy solve finds no
+    strictly positive matrix, though one exists."""
+    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 1022, seed=281922))
+    return problem_from_graph(g, targets=AssortProfile(
+        0.40786717969867986, 0.3146593057866909, 0.7319272474337181,
+        0.1591612431119376))
+
+
+def boundary_problem(n):
+    """r11 at its closed-form maximum on ER(n, 0.1), the rest at 0."""
+    g = gen_er(n, 0.1, seed=1)
+    hi = coefficient_bounds(problem_from_graph(g)).get(1, 1)[1]
+    return problem_from_graph(g, targets=AssortProfile(hi, 0.0, 0.0, 0.0))
 
 
 def _standardised_weights(p):
@@ -540,7 +557,8 @@ class TestConditionedBoundsOracle:
         assert len(statuses) > 2
 
     def test_no_master_is_the_full_program(self, monkeypatch):
-        # no silent fall-back to the full ns x nt program
+        # no silent fall-back to the full ns x nt program, in the
+        # conditioned bounds or in the solve's LP fallback
         p = problem_from_graph(
             gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1)))
         cells = len(p.source_pairs) * len(p.target_pairs)
@@ -555,6 +573,54 @@ class TestConditionedBoundsOracle:
         coefficient_bounds(p, order=((2, 2),),
                            conditioning={(1, 1): (0.1, 0.1)})
         assert sizes and max(sizes) <= cells / 2
+
+        sizes.clear()
+        p = fallback_problem()
+        assert solve_target_eta(p) is not None
+        assert sizes and max(sizes) <= len(p.source_pairs) * len(
+            p.target_pairs) / 2
+
+
+def spread_optimum(p):
+    """t* of the spread program by column generation, or None."""
+    prog, _ = _spread_program(p)
+    found = _column_generation(prog, prog.c, _seed(p.ends, TYPE_PAIRS),
+                               "the spread program")
+    return None if found is None else -found[0]
+
+
+def dpa5e3_problem(targets):
+    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1))
+    return problem_from_graph(g, targets=AssortProfile(*targets))
+
+
+class TestSpreadOracle:
+    """The solve's LP fallback against the full spread program of
+    tests/bounds_reference.py: the same verdict, and t* to 1e-9."""
+
+    # Each case lists (problem, attainable) pairs.
+    @pytest.mark.parametrize("cases", [
+        lambda: [(toy_problem(targets=AssortProfile(r, r, r, r)), True)
+                 for r in (-0.4, -0.1, 0.0, 0.35, 1.0)],
+        lambda: [(boundary_problem(60), True)],
+        lambda: [(boundary_problem(150), False)],
+        lambda: [(problem_from_graph(
+            gen_er(300, 0.1, seed=2),
+            targets=AssortProfile(0.2, 0.1, -0.1, 0.05)), True)],
+        lambda: [(fallback_problem(), True)],
+        lambda: [(dpa5e3_problem((0.1, 0.15, 0.1, 0.15)), True),
+                 (dpa5e3_problem((0.99, 0.5, -0.4, -0.3)), False)],
+    ], ids=["toy", "er60-boundary", "er150-boundary", "er300", "dpa1022",
+            "dpa5e3"])
+    def test_matches_full_program(self, cases):
+        for p, attainable in cases():
+            want = reference_spread(p)
+            assert (want is not None) == attainable
+            got = spread_optimum(p)
+            if attainable:
+                assert got == pytest.approx(want, abs=1e-9)
+            else:
+                assert got is None
 
 
 class TestAttainabilityConsistency:
@@ -578,10 +644,9 @@ class TestAttainabilityConsistency:
     def test_boundary_target_gets_a_verdict(self, n, attainable):
         # r11 at its closed-form maximum, the rest at 0: the entropy solve
         # finds no positive point, so the LP gives the verdict.  The same
-        # target on ER with n = 1000 (attainable) is too slow for this suite.
-        g = gen_er(n, 0.1, seed=1)
-        hi = coefficient_bounds(problem_from_graph(g)).get(1, 1)[1]
-        p = problem_from_graph(g, targets=AssortProfile(hi, 0.0, 0.0, 0.0))
+        # target on ER with n = 1000 (attainable) takes ~10 s, so the CI
+        # workflow checks it through the CLI instead.
+        p = boundary_problem(n)
         assert _entropy_eta(p)[0] is None
         eta = solve_target_eta(p)
         if attainable:
