@@ -11,7 +11,6 @@ from .assortativity import (
     AssortProfile,
     EdgeMixMatrix,
     assortativity,
-    assortativity_from_edges,
     assortativity_of_graph,
     edge_mix_from_graph,
     read_eta_csv,
@@ -27,7 +26,7 @@ from .eta import (
     solve_target_eta,
 )
 from .fit import EvFit, beta_hat, fit_ev, invert_tail_indices, polar_transform, tail_index, tail_indices_from_params
-from .generate import DpaParams, gen_dpa, gen_er, scenario_of_edge
+from .generate import DpaParams, gen_dpa, gen_er
 from .graph import (
     DegreePairDist,
     DirectedGraph,
@@ -56,7 +55,6 @@ __all__ = [
     "AssortProfile",
     "EdgeMixMatrix",
     "assortativity",
-    "assortativity_from_edges",
     "assortativity_of_graph",
     "edge_mix_from_graph",
     "read_eta_csv",
@@ -78,7 +76,6 @@ __all__ = [
     "DpaParams",
     "gen_dpa",
     "gen_er",
-    "scenario_of_edge",
     "DegreePairDist",
     "DirectedGraph",
     "GraphFormatError",

@@ -43,7 +43,6 @@ __all__ = [
     "edge_mix_from_graph",
     "assortativity",
     "assortativity_of_graph",
-    "assortativity_from_edges",
     "write_eta_csv",
     "read_eta_csv",
 ]
@@ -216,24 +215,6 @@ def assortativity(eta: EdgeMixMatrix) -> AssortProfile:
     U, _, sd_s = _standardise(eta.source_pairs, H.sum(axis=1))
     V, _, sd_t = _standardise(eta.target_pairs, H.sum(axis=0))
     return _profile(U.T @ H @ V, sd_s, sd_t)
-
-
-def assortativity_from_edges(g: DirectedGraph) -> AssortProfile:
-    """Assortativity computed directly over the edge list.
-
-    Pearson correlation of (source type-a degree, target type-b degree)
-    across edges, with population normalisation: each edge end is
-    standardised with unit mass per edge.  Agrees with
-    assortativity(edge_mix_from_graph(g)) up to rounding and cross-checks
-    that path's aggregation into degree-pair classes.
-    """
-    m = g.num_edges
-    if m == 0:
-        raise ValueError("graph has no edges; assortativity undefined")
-    deg = np.column_stack([g.out_deg, g.in_deg])
-    U, _, sd_s = _standardise(deg[g.src], np.ones(m))
-    V, _, sd_t = _standardise(deg[g.dst], np.ones(m))
-    return _profile(U.T @ V / m, sd_s, sd_t)
 
 
 def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:

@@ -23,7 +23,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,6 +399,10 @@ def _map_jobs(worker, jobs_args: list[tuple], jobs: int) -> list:
     processes."""
     if jobs == 1 or len(jobs_args) == 1:
         return [worker(*args) for args in jobs_args]
+    # Imported here: it adds ~30 ms to every start-up, and only --jobs > 1
+    # needs it.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Under the fork start method the pool starts all its workers at once.
     with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) as pool:
         return list(pool.map(worker, *zip(*jobs_args)))

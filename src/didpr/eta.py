@@ -20,7 +20,9 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   Both interior solves take Newton steps through one kernel: conjugate
   gradients on the row/column block and a 4x4 Schur complement for the
   four moment rows, so their work is a few hundred mat-vecs with the
-  ns x nt matrix, at any problem size.
+  ns x nt matrix, at any problem size.  They run on numpy alone; scipy
+  is imported only by the LPs below (scipy.sparse here, HiGHS through
+  lp.solve).
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -49,8 +51,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import lp as lplib
 from .assortativity import (
@@ -160,6 +160,8 @@ def assemble_constraints(
     families share their total) are kept; the solver's presolve copes with
     rank deficiency.
     """
+    import scipy.sparse as sp
+
     conditioning = conditioning or {}
     for pair, (lo, hi) in conditioning.items():
         if pair not in TYPE_PAIRS:
@@ -203,6 +205,8 @@ def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
     chains mobile.  Returns the lifted program (t is the last variable) and
     the independence coupling, flattened.
     """
+    import scipy.sparse as sp
+
     base = assemble_constraints(p)
     indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
 
@@ -287,10 +291,45 @@ def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
     return float(np.abs(delta).mean())
 
 
+def _cg(matvec, b, d, maxiter):
+    """Conjugate gradients for H x = b from x = 0, H given by matvec,
+    preconditioned by its diagonal d: (x, iterations).
+
+    Stops once the residual is below _CG_TOL |b|, or after maxiter
+    iterations.  Every step repeats scipy.sparse.linalg.cg's arithmetic
+    (scipy 1.17, rtol=_CG_TOL, M = diag(1/d)) in its order, so x is the
+    same to the bit; b is made contiguous first, as scipy's ravel does.
+    """
+    b = np.ascontiguousarray(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b, 0
+    atol = _CG_TOL * float(bnorm)
+    x, r = np.zeros_like(b), b.copy()
+    p = rho_prev = None
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, it
+        z = r / d
+        rho = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
 def _newton_kkt(K, U, V, r_ab, r_lam, passes):
     """Solve A diag(K) A' [z; mu] = [r_ab; r_lam], A the constraint map.
 
     A stacks row sums, column sums and the four standardised moments.  CG
+    (_cg, in numpy: the CLI then starts without scipy.sparse.linalg)
     applies the inverse of the row/column block H = A_ab diag(K) A_ab' to
     r_ab and to the columns of the coupling P without forming H; mu solves
     the 4x4 Schur complement S = R - P' H^-1 P by least squares, and
@@ -309,24 +348,19 @@ def _newton_kkt(K, U, V, r_ab, r_lam, passes):
     T = UU.T @ K @ VV
     R = T[np.add.outer(2 * _PAIR_A, _PAIR_A),
           np.add.outer(2 * _PAIR_B, _PAIR_B)]
-    n = ns + nt
-    h_ab = LinearOperator((n, n), dtype=np.float64, matvec=lambda z: (
-        np.concatenate([rs * z[:ns] + K @ z[ns:], z[:ns] @ K + cs * z[ns:]])))
     d = np.concatenate([rs, cs])
-    jacobi = LinearOperator((n, n), dtype=np.float64, matvec=lambda z: z / d)
 
-    def count_pass(_) -> None:
-        nonlocal passes
-        passes += 1
+    def h_ab(z):
+        return np.concatenate([rs * z[:ns] + K @ z[ns:],
+                               z[:ns] @ K + cs * z[ns:]])
 
     # H is singular along the shift (1, -1) of rows against columns, but
     # every column of P and every r_ab the solvers pass is orthogonal to
     # it, so the systems are consistent.
-    X = np.column_stack([
-        cg(h_ab, col, rtol=_CG_TOL, maxiter=max(1, _PASS_MAX - passes),
-           M=jacobi, callback=count_pass)[0]
-        for col in (*P.T, r_ab)
-    ])
+    X = np.empty((ns + nt, 5))
+    for k, col in enumerate((*P.T, r_ab)):
+        X[:, k], its = _cg(h_ab, col, d, max(1, _PASS_MAX - passes))
+        passes += its
     S = R - P.T @ X[:, :4]
     if not np.isfinite(S).all() or passes >= _PASS_MAX:
         return None
@@ -635,6 +669,8 @@ def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
     pricing the same way with cost 0 on the cells; a positive sum that no
     cell can lower proves the program infeasible, and the answer is None.
     """
+    import scipy.sparse as sp
+
     A_eq, A_ub, m_eq = prog.A_eq, prog.A_ub, prog.num_eq
     kept = np.arange(seed.size, prog.num_vars)
     active = seed.copy()

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _LABEL_NAMES, DirectedGraph
+from .graph import DirectedGraph
 from .weighted import CumulativeWeightTree
 
-__all__ = ["DpaParams", "gen_er", "gen_dpa", "scenario_of_edge"]
+__all__ = ["DpaParams", "gen_er", "gen_dpa"]
 
 # Row block size for the Bernoulli sweep in gen_er.
 _ER_BLOCK_CELLS = 4_000_000
@@ -158,16 +158,3 @@ def gen_dpa(params: DpaParams) -> DirectedGraph:
         dst[e] = v2
 
     return DirectedGraph.from_edges(n, src, dst, edge_labels=labels)
-
-
-def scenario_of_edge(g: DirectedGraph, edge_index: int) -> str:
-    """Scenario name ("alpha", "beta", "gamma") of one generated edge.
-
-    Raises ValueError for graphs without scenario labels and IndexError for
-    a bad edge index.
-    """
-    if g.edge_labels is None:
-        raise ValueError("no scenario labels on this graph")
-    if not 0 <= edge_index < g.num_edges:
-        raise IndexError(f"edge index {edge_index} out of range")
-    return _LABEL_NAMES[str(g.edge_labels[edge_index])]

@@ -24,8 +24,14 @@ as np.loadtxt allows, a field may carry spaces around it and a leading '+'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+# Nearly every subcommand uses both (np.unique loads numpy.ma on its first
+# call), so they load with the package rather than inside the first stage
+# that needs them.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "DirectedGraph",
@@ -38,7 +44,7 @@ __all__ = [
     "write_edge_labels",
 ]
 
-# Scenario label codes of generated edges, shared by generate and rewire.
+# Scenario label codes of generated edges, used by read_edge_labels and rewire.
 _LABEL_NAMES = {"a": "alpha", "b": "beta", "g": "gamma"}
 
 
@@ -106,29 +112,6 @@ class DirectedGraph:
     def num_edges(self) -> int:
         return int(self.src.size)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list as (source, target) tuples, in storage order."""
-        return list(zip(self.src.tolist(), self.dst.tolist()))
-
-    def copy(self) -> "DirectedGraph":
-        labels = None if self.edge_labels is None else self.edge_labels.copy()
-        return DirectedGraph(
-            self.num_nodes,
-            self.src.copy(),
-            self.dst.copy(),
-            self.out_deg.copy(),
-            self.in_deg.copy(),
-            labels,
-        )
-
-    def degrees_consistent(self) -> bool:
-        """True when the cached degree arrays match a recount of the edges."""
-        out = np.bincount(self.src, minlength=self.num_nodes)
-        inn = np.bincount(self.dst, minlength=self.num_nodes)
-        return bool(
-            np.array_equal(out, self.out_deg) and np.array_equal(inn, self.in_deg)
-        )
-
 
 @dataclass(frozen=True)
 class DegreePairDist:
@@ -139,12 +122,6 @@ class DegreePairDist:
     """
 
     entries: dict[tuple[int, int], float]
-
-    def marginal_out(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for (i, _), p in self.entries.items():
-            out[i] = out.get(i, 0.0) + p
-        return out
 
 
 def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
@@ -274,13 +251,24 @@ def read_edge_list(path) -> DirectedGraph:
     return DirectedGraph.from_edges(num_nodes, ends[:, 0], ends[:, 1])
 
 
+@lru_cache(maxsize=1)
+def _node_ids(num_nodes: int) -> np.ndarray:
+    """The decimal strings of the node ids, as a read-only object array.
+    The last table is kept: rewiring replicates write one node set again
+    and again."""
+    ids = np.array(list(map(str, range(num_nodes))), dtype=object)
+    ids.flags.writeable = False
+    return ids
+
+
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Write a graph as an edge list, preserving edge order.
 
     A "# nodes=N" header is always written so isolated nodes survive a
-    round trip.  Each node id is formatted once and looked up per edge.
+    round trip.  Each node id is formatted once (_node_ids) and looked up
+    per edge.
     """
-    ids = np.array(list(map(str, range(g.num_nodes))), dtype=object)
+    ids = _node_ids(g.num_nodes)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes={g.num_nodes}\n")
         for lo in range(0, g.num_edges, _WRITE_ROWS):

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "LpStatus",
@@ -50,6 +53,8 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        import scipy.sparse as sp
+
         self.c = np.asarray(self.c, dtype=np.float64)
         if self.c.shape != (self.num_vars,):
             raise ValueError("objective length does not match num_vars")
@@ -132,8 +137,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     Optimal answers are verified against the constraints before being
     returned.
     """
-    # Imported here: scipy.optimize is a large share of the CLI's start-up,
-    # and most subcommands never solve an LP.
+    # Imported here, as scipy.sparse is where a program is built: the CLI
+    # starts without scipy, and only conditioned bounds and the solve's LP
+    # fallback pay for loading it.
     from scipy.optimize import linprog
 
     # Interior point with crossover: on the wide, shallow transportation

@@ -16,7 +16,6 @@ from didpr.assortativity import (
     EdgeMixMatrix,
     _standardise,
     assortativity,
-    assortativity_from_edges,
     assortativity_of_graph,
     edge_mix_from_graph,
     read_eta_csv,
@@ -25,6 +24,8 @@ from didpr.assortativity import (
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import RewiringConfig, rewire
+
+from graph_helpers import assortativity_from_edges, edges
 
 
 def graph_from_pairs(num_nodes, pairs):
@@ -36,8 +37,8 @@ def graph_from_pairs(num_nodes, pairs):
 def pearson_profile(g):
     """Brute-force oracle: correlate end degrees edge by edge."""
     ends = {1: (g.out_deg, g.out_deg), 2: (g.in_deg, g.in_deg)}
-    src = np.array([s for s, _ in g.edges()])
-    dst = np.array([t for _, t in g.edges()])
+    src = np.array([s for s, _ in edges(g)])
+    dst = np.array([t for _, t in edges(g)])
     vals = {}
     for a in (1, 2):
         for b in (1, 2):
@@ -215,8 +216,8 @@ class TestAssortativity:
         perm = np.random.default_rng(1).permutation(g.num_nodes)
         relabeled = DirectedGraph.from_edges(
             g.num_nodes,
-            perm[np.array([s for s, _ in g.edges()])],
-            perm[np.array([t for _, t in g.edges()])],
+            perm[np.array([s for s, _ in edges(g)])],
+            perm[np.array([t for _, t in edges(g)])],
         )
         diff = assortativity_of_graph(g).max_abs_diff(
             assortativity_of_graph(relabeled))

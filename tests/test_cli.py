@@ -1,7 +1,11 @@
 """End-to-end runs of the subcommands that go through the eta solver."""
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,12 @@ from didpr import cli
 from didpr.assortativity import (
     AssortProfile,
     assortativity,
-    assortativity_from_edges,
     read_eta_csv,
 )
 from didpr.graph import degree_pair_dist, read_edge_list
 from didpr.rewire import read_trace_csv, rewire
+
+from graph_helpers import assortativity_from_edges
 
 TARGETS = AssortProfile(0.1, 0.1, 0.1, 0.1)
 
@@ -52,6 +57,47 @@ def test_solve_eta_csv(er_graph, tmp_path, capsys):
     assert assortativity(eta).max_abs_diff(TARGETS) < 1e-6
     summary = json.loads(capsys.readouterr().out)
     assert summary["entries"] == int(np.count_nonzero(eta.H))
+
+
+# Runs the light-tailed pipeline in one fresh process and reports, after
+# each stage, whether any scipy module is loaded; a conditioned bounds call
+# then shows that the check can see scipy arrive.
+_SCIPY_FREE_SESSION = """
+import json, sys
+from didpr.cli import main
+d = sys.argv[1]
+g = d + "/er.txt"
+stages = [
+    ["generate", "er", "--n", "100", "--p", "0.1", "--seed", "5", "--out", g],
+    ["bounds", "--graph", g, "--out", d + "/bounds.csv"],
+    ["solve-eta", g, "--targets", "0.1,0.1,0.1,0.1", "--out", d + "/eta.csv"],
+    ["rewire", g, "--eta", d + "/eta.csv", "--steps", "2000",
+     "--out", d + "/rewired.txt"],
+    ["bounds", "--graph", g, "--pairs", "22", "--condition-pair", "11",
+     "--condition-values", "0.1", "--out", d + "/conditioned.csv"],
+]
+report = []
+for argv in stages:
+    code = main(argv)
+    report.append([argv[0], code, sorted(m for m in sys.modules
+                                         if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+
+def test_light_tailed_pipeline_loads_no_scipy(tmp_path):
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SESSION,
+                          str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [(stage, code) for stage, code, _ in report] == [
+        ("generate", 0), ("bounds", 0), ("solve-eta", 0), ("rewire", 0),
+        ("bounds", 0)]
+    assert [loaded for _, _, loaded in report[:4]] == [[]] * 4
+    assert "scipy.optimize" in report[4][2]
 
 
 def test_rewire_edge_list_and_trace(er_graph, tmp_path):

@@ -1,4 +1,5 @@
 """Constraint assembly, target mixing-matrix solving, and coefficient bounds."""
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import didpr
 
+from didpr import eta as etalib
 from didpr import lp as lplib
 from didpr.assortativity import (
     TYPE_PAIRS,
@@ -20,6 +22,7 @@ from didpr.assortativity import (
     edge_mix_from_graph,
 )
 from didpr.eta import (
+    _CG_TOL,
     _center_eta,
     _column_generation,
     _entropy_eta,
@@ -372,6 +375,98 @@ class TestCenterOracle:
         ref = reference_center_eta(p, start)
         assert eta is not None and ref is not None
         assert (np.abs(eta.H - ref.H) / ref.H).max() <= 1e-8
+
+
+def _scipy_cg(matvec, b, d, maxiter):
+    """scipy's cg on the same system and preconditioner: (x, iterations)."""
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    n = len(d)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x = cg(LinearOperator((n, n), matvec=matvec, dtype=np.float64), b,
+           rtol=_CG_TOL, maxiter=maxiter, callback=count,
+           M=LinearOperator((n, n), matvec=lambda z: z / d,
+                            dtype=np.float64))[0]
+    return x, iterations
+
+
+def _scipy_has_rtol():
+    from scipy.sparse.linalg import cg
+
+    return "rtol" in inspect.signature(cg).parameters
+
+
+@pytest.mark.skipif(not _scipy_has_rtol(),
+                    reason="scipy before 1.12 names cg's tolerance tol")
+class TestCgOracle:
+    """The in-house CG repeats scipy.sparse.linalg.cg's arithmetic, so on
+    every system the Newton kernel hands it, scipy must return the same x to
+    the bit after the same number of iterations."""
+
+    CASES = {
+        "toy": (lambda: toy_problem(targets=AssortProfile(0.5, 0.5, 0.5, 0.5)),
+                False),
+        "er150": (lambda: problem_from_graph(
+            gen_er(150, 0.1, seed=1),
+            targets=AssortProfile(0.2, 0.1, -0.1, 0.05)), False),
+        "dpa3e3": (lambda: problem_from_graph(
+            gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=1)),
+            targets=AssortProfile(0.1, 0.15, 0.1, 0.15)), True),
+    }
+
+    @staticmethod
+    def recorded_systems(monkeypatch, case):
+        """Every (matvec, b, d, maxiter, x, iterations) of the _cg calls in
+        the entropy solve and, where asked, its centre polish; b as the
+        kernel passed it (the P columns are strided views)."""
+        make, polish = TestCgOracle.CASES[case]
+        calls = []
+        real = etalib._cg
+
+        def recording(matvec, b, d, maxiter):
+            x, iterations = real(matvec, b, d, maxiter)
+            calls.append((matvec, b, d, maxiter, x, iterations))
+            return x, iterations
+
+        monkeypatch.setattr(etalib, "_cg", recording)
+        p = make()
+        eta = _entropy_eta(p)[0]
+        assert eta is not None
+        if polish:
+            assert _center_eta(p, eta) is not None
+        return calls
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_kernel_system_matches_scipy(self, monkeypatch, case):
+        calls = self.recorded_systems(monkeypatch, case)
+        # Five right sides per Newton step: four P columns and r_ab.
+        assert calls and len(calls) % 5 == 0
+        for matvec, b, d, maxiter, x, iterations in calls:
+            want_x, want_iterations = _scipy_cg(matvec, b, d, maxiter)
+            assert np.array_equal(x, want_x)
+            assert iterations == want_iterations
+
+    def test_zero_right_side(self, monkeypatch):
+        matvec, b, d, maxiter = self.recorded_systems(monkeypatch, "er150")[0][:4]
+        zero = np.zeros_like(b)
+        x, iterations = etalib._cg(matvec, zero, d, maxiter)
+        want_x, want_iterations = _scipy_cg(matvec, zero, d, maxiter)
+        assert np.array_equal(x, want_x) and not x.any()
+        assert iterations == want_iterations == 0
+
+    def test_budget_runs_out(self, monkeypatch):
+        calls = self.recorded_systems(monkeypatch, "dpa3e3")
+        matvec, b, d, _, _, needed = max(calls, key=lambda call: call[5])
+        budget = needed // 2
+        x, iterations = etalib._cg(matvec, b, d, budget)
+        want_x, want_iterations = _scipy_cg(matvec, b, d, budget)
+        assert np.array_equal(x, want_x)
+        assert iterations == want_iterations == budget
 
 
 class TestCoefficientBounds:

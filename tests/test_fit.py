@@ -50,15 +50,17 @@ def test_ks_two_sample_matches_scipy():
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_out():
-    # scipy.stats takes about as long to import as the rest of the CLI, and
-    # scipy.optimize and scipy.special a quarter of it or less; only fit
-    # and the LP paths need them.
+    # Start-up loads no scipy module at all: scipy.sparse and its linalg
+    # were about two thirds of it, scipy.stats as much again.  Only the
+    # fit and the LP paths need scipy.  The process pool is loaded only
+    # for --jobs > 1.
     src_dir = str(Path(didpr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, didpr.cli; print(sorted({'scipy.stats', "
-         "'scipy.optimize', 'scipy.special'} & set(sys.modules)))"],
+         "import sys, didpr.cli; didpr.cli.build_parser(); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+         "or m == 'concurrent.futures.process'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -14,6 +14,8 @@ from didpr.graph import (
     write_edge_list,
 )
 
+from graph_helpers import copy_graph, degrees_consistent, edges, marginal_out
+
 
 def sample_edge_pair(g: DirectedGraph, rng: np.random.Generator) -> tuple[int, int]:
     """Draw two distinct edge indices uniformly at random.
@@ -58,7 +60,7 @@ class TestDirectedGraph:
         assert g.out_deg.tolist() == [2, 0, 1, 1]
         assert g.in_deg.tolist() == [1, 1, 2, 0]
         assert g.num_edges == 4
-        assert g.degrees_consistent()
+        assert degrees_consistent(g)
 
     def test_degree_sums_match_edge_count(self):
         g = gen_er(50, 0.2, seed=3)
@@ -73,10 +75,10 @@ class TestDirectedGraph:
 
     def test_copy_is_independent(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
-        h = g.copy()
+        h = copy_graph(g)
         swap_edges(h, 0, 1)
-        assert g.edges() == [(0, 1), (1, 2)]
-        assert h.edges() != g.edges()
+        assert edges(g) == [(0, 1), (1, 2)]
+        assert edges(h) != edges(g)
 
 
 class TestDegreePairDist:
@@ -109,7 +111,7 @@ class TestDegreePairDist:
         # nodes so the normal approximation is meaningful.
         n, p = 1000, 0.1
         g = gen_er(n, p, seed=42)
-        marg = degree_pair_dist(g).marginal_out()
+        marg = marginal_out(degree_pair_dist(g))
         checked = 0
         for d in range(n + 1):
             pmf = stats.binom.pmf(d, n, p)
@@ -161,12 +163,12 @@ class TestSwapEdges:
     def test_targets_exchange(self):
         g = graph_from_pairs(4, [(0, 1), (2, 3)])
         swap_edges(g, 0, 1)
-        assert g.edges() == [(0, 3), (2, 1)]
+        assert edges(g) == [(0, 3), (2, 1)]
 
     def test_shared_target_is_identity(self):
         g = graph_from_pairs(3, [(0, 1), (2, 1)])
         swap_edges(g, 0, 1)
-        assert sorted(g.edges()) == [(0, 1), (2, 1)]
+        assert sorted(edges(g)) == [(0, 1), (2, 1)]
 
     def test_degrees_bit_identical(self):
         g = gen_er(30, 0.2, seed=9)
@@ -177,7 +179,7 @@ class TestSwapEdges:
             swap_edges(g, e1, e2)
         assert np.array_equal(g.out_deg, out0)
         assert np.array_equal(g.in_deg, in0)
-        assert g.degrees_consistent()
+        assert degrees_consistent(g)
 
     def test_nu_invariant_under_swaps(self):
         g = gen_er(30, 0.2, seed=10)
@@ -204,14 +206,14 @@ class TestEdgeListIO:
         path.write_text("0 1\n1 2\n")
         g = read_edge_list(path)
         assert g.num_nodes == 3
-        assert g.edges() == [(0, 1), (1, 2)]
+        assert edges(g) == [(0, 1), (1, 2)]
 
     def test_comment_and_self_loop(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("% comment\n0 0\n")
         g = read_edge_list(path)
         assert g.num_nodes == 1
-        assert g.edges() == [(0, 0)]
+        assert edges(g) == [(0, 0)]
 
     def test_nodes_header_preserves_isolated(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -254,7 +256,7 @@ class TestEdgeListIO:
         path.write_bytes(b"# nodes=6\r\n  0\t 1 \r\n\r\n% c\r\n5  2\r\n")
         g = read_edge_list(path)
         assert g.num_nodes == 6
-        assert g.edges() == [(0, 1), (5, 2)]
+        assert edges(g) == [(0, 1), (5, 2)]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -287,7 +289,7 @@ class TestEdgeListIO:
         assert "# nodes=40" in path.read_text().splitlines()[0]
         h = read_edge_list(path)
         assert h.num_nodes == g.num_nodes
-        assert h.edges() == g.edges()
+        assert edges(h) == edges(g)
         assert np.array_equal(h.out_deg, g.out_deg)
 
     def test_edge_list_bytes(self, tmp_path):
@@ -296,6 +298,17 @@ class TestEdgeListIO:
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert path.read_bytes() == b"# nodes=12\n10\t2\n0\t11\n11\t11\n"
+
+    def test_edge_list_bytes_across_node_counts(self, tmp_path):
+        # The id strings of the last node count are kept between writes;
+        # a write with another count must not reuse them.
+        small = graph_from_pairs(3, [(2, 0)])
+        large = graph_from_pairs(12, [(11, 2), (10, 10)])
+        want = {3: b"# nodes=3\n2\t0\n", 12: b"# nodes=12\n11\t2\n10\t10\n"}
+        for k, g in enumerate([small, large, large, small, large]):
+            path = tmp_path / f"g{k}.txt"
+            write_edge_list(g, path)
+            assert path.read_bytes() == want[g.num_nodes]
 
     def test_empty_edge_list_bytes(self, tmp_path):
         path = tmp_path / "g.txt"
