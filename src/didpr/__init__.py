@@ -46,7 +46,6 @@ from .rewire import (
     rewire,
     rewire_with_scenario_gains,
 )
-from .weighted import CumulativeWeightTree
 
 __version__ = "0.1.0"
 
@@ -95,6 +94,5 @@ __all__ = [
     "read_trace_csv",
     "rewire",
     "rewire_with_scenario_gains",
-    "CumulativeWeightTree",
     "__version__",
 ]

@@ -13,11 +13,15 @@ network, which makes it robust to how the bulk of the degrees was formed:
 * fit_ev: glue the above together, choose alpha by matching the observed
   tail-angle sample against simulated networks over a candidate grid, and
   recover the delta offsets by inverting the tail-index formulas.
+
+The tail fit runs on numpy alone: _fminbound and _hurwitz_zeta repeat
+scipy's bounded minimiser and cephes' zeta operation for operation, so the
+fit reads scipy's numbers bit for bit without paying to import it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,17 +62,7 @@ class EvFit:
     a_hat: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "gamma_hat": self.gamma_hat,
-            "delta_in_hat": self.delta_in_hat,
-            "delta_out_hat": self.delta_out_hat,
-            "iota1_hat": self.iota1_hat,
-            "iota2_hat": self.iota2_hat,
-            "n_tail": self.n_tail,
-            "a_hat": self.a_hat,
-        }
+        return asdict(self)
 
 
 def beta_hat(g: DirectedGraph) -> float:
@@ -111,35 +105,130 @@ def invert_tail_indices(
 # Discrete power-law tail fitting (minimum KS distance)
 # ---------------------------------------------------------------------------
 
+# Euler-Maclaurin coefficients and stopping threshold of cephes' zeta.c.
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x: float, q):
+    """Hurwitz zeta sum over k >= 0 of (k + q)**-x, x > 1, 1 <= q <= 1e8.
+
+    cephes' zeta, the one scipy.special.zeta calls, step for step, so each
+    value is bit-equal to scipy's (above q = 1e8 cephes switches to an
+    asymptotic form; degrees stay far below).  Powers use math.pow, the
+    libm pow that cephes calls: numpy's SIMD power rounds some differently.
+    """
+    if np.ndim(q):
+        return np.array([_hurwitz_zeta(x, v)
+                         for v in np.asarray(q, dtype=np.float64).tolist()])
+    x, q = float(x), float(q)
+    s = math.pow(q, -x)
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+def _fminbound(func, bounds):
+    """Brent's bounded minimiser; returns (x, number of func calls).
+
+    scipy 1.17's minimize_scalar(method="bounded") with xatol 1e-6 and at
+    most 500 calls, operation for operation: it visits the same points and
+    returns the same x.
+    """
+    a, b = bounds
+    xatol, maxiter = 1e-6, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx, num = func(xf), 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while num < maxiter and abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc = nfc, fnfc, xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, num
+
+
 def _mle_exponent(values: np.ndarray, counts: np.ndarray, x_min: int) -> float:
     """Maximum-likelihood exponent of a discrete power law on x >= x_min."""
-    # Imported here, as in lp.solve: only fit needs these.
-    from scipy.optimize import minimize_scalar
-    from scipy.special import zeta
-
     n = counts.sum()
     log_sum = float(counts @ np.log(values))
 
     def nll(expo: float) -> float:
-        z = zeta(expo, x_min)
-        if not np.isfinite(z) or z <= 0.0:
-            return np.inf
-        return expo * log_sum + n * np.log(z)
+        return expo * log_sum + n * np.log(_hurwitz_zeta(expo, x_min))
 
-    res = minimize_scalar(nll, bounds=_EXPONENT_BOUNDS, method="bounded",
-                          options={"xatol": 1e-6})
-    return float(res.x)
+    return float(_fminbound(nll, _EXPONENT_BOUNDS)[0])
 
 
 def _ks_distance(values: np.ndarray, counts: np.ndarray, expo: float,
                  x_min: int) -> float:
     """KS distance between the empirical tail and the fitted power law."""
-    from scipy.special import zeta
-
     n = counts.sum()
     emp_cdf = np.cumsum(counts) / n
-    z0 = zeta(expo, x_min)
-    fit_cdf = 1.0 - zeta(expo, values + 1) / z0
+    z0 = _hurwitz_zeta(expo, x_min)
+    fit_cdf = 1.0 - _hurwitz_zeta(expo, values + 1) / z0
     return float(np.abs(emp_cdf - fit_cdf).max())
 
 

@@ -12,6 +12,16 @@ proportionally to in-degree + delta_in.  The process is seeded with a
 single node carrying a self-loop; the seed loop is dropped from the output,
 so a run returns exactly the requested number of edges, each labelled with
 its scenario.
+
+The weights live in two Fenwick trees, plain lists searched and updated
+inline.  The endpoint uniforms come in one block after the scenario ones;
+PCG64 fills it with the numbers that one scalar draw per endpoint gave.
+Every tree add keeps its order, and a descent starts at the largest power
+of two below the node count: each higher node covers every node, so holds
+the running total, which the drawn point stays below.  A seed thus gives
+the graph of the tree sampler in tests/dpa_reference.py bit for bit.  An
+O(1) urn (the end of a uniform edge, else a uniform node) would draw other
+graphs per seed; it waits until perfbench stops generating with gen_dpa.
 """
 from __future__ import annotations
 
@@ -20,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
-from .weighted import CumulativeWeightTree
 
 __all__ = ["DpaParams", "gen_er", "gen_dpa"]
 
@@ -103,58 +112,77 @@ def gen_dpa(params: DpaParams) -> DirectedGraph:
     """
     num_edges = params.target_edges
     rng = np.random.default_rng(params.seed)
-    cap = num_edges + 1  # every step adds at most one node, plus the seed
-
-    d_out = np.zeros(cap, dtype=np.int64)
-    d_in = np.zeros(cap, dtype=np.int64)
-    out_tree = CumulativeWeightTree(cap)
-    in_tree = CumulativeWeightTree(cap)
-
-    # seed: one node with a self-loop (dropped from the output below)
-    d_out[0] = 1
-    d_in[0] = 1
-    out_tree.add(0, 1.0 + params.delta_out)
-    in_tree.add(0, 1.0 + params.delta_in)
-    n = 1
-
-    src = np.empty(num_edges, dtype=np.int64)
-    dst = np.empty(num_edges, dtype=np.int64)
-    labels = np.empty(num_edges, dtype="U1")
-
     scen = rng.random(num_edges)
-    alpha = params.alpha
-    ab = params.alpha + params.beta
-    for e in range(num_edges):
-        u = scen[e]
-        if u < alpha:
-            v2 = in_tree.sample(rng.random() * in_tree.total)
-            v1 = n
+    # 0, 1, 2 for an alpha, beta, gamma step: u < alpha, u < alpha + beta
+    codes = ((scen >= params.alpha).astype(np.int64)
+             + (scen >= params.alpha + params.beta))
+    uni = rng.random(num_edges + int(np.count_nonzero(codes == 1))).tolist()
+    delta_in, delta_out = params.delta_in, params.delta_out
+    seed_in, seed_out = 1.0 + delta_in, 1.0 + delta_out
+
+    cap = num_edges + 1  # every step adds at most one node, plus the seed
+    size = 1 << (cap - 1).bit_length()
+    out_tree = [0.0] * (size + 1)
+    in_tree = [0.0] * (size + 1)
+    i = 1  # the seed: one node with a self-loop, dropped from the output
+    while i <= size:
+        out_tree[i] += seed_out
+        in_tree[i] += seed_in
+        i += i & -i
+    out_total, in_total = seed_out, seed_in
+    n, top, j = 1, 0, 0  # nodes, largest power of two below n, next draw
+    src = [0] * num_edges
+    dst = [0] * num_edges
+    for e, code in enumerate(codes.tolist()):
+        if code != 0:  # beta and gamma draw an existing source
+            point = uni[j] * out_total
+            j += 1
+            v1, mask = 0, top
+            while mask:
+                if out_tree[v1 + mask] <= point:
+                    point -= out_tree[v1 + mask]
+                    v1 += mask
+                mask >>= 1
+            v1 = v1 if v1 < cap else cap - 1  # the tree's float-drift guard
+        if code != 2:  # alpha and beta draw an existing target
+            point = uni[j] * in_total
+            j += 1
+            v2, mask = 0, top
+            while mask:
+                if in_tree[v2 + mask] <= point:
+                    point -= in_tree[v2 + mask]
+                    v2 += mask
+                mask >>= 1
+            v2 = v2 if v2 < cap else cap - 1
+        if code == 0:
+            v1, add_out, add_in = n, seed_out, delta_in
+        elif code == 2:
+            v2, add_out, add_in = n, delta_out, seed_in
+        if code != 1:  # alpha and gamma add node n
+            i = n + 1
+            while i <= size:
+                out_tree[i] += add_out
+                in_tree[i] += add_in
+                i += i & -i
+            out_total += add_out
+            in_total += add_in
             n += 1
-            d_out[v1] = 1
-            out_tree.add(v1, 1.0 + params.delta_out)
-            in_tree.add(v1, params.delta_in)
-            d_in[v2] += 1
-            in_tree.add(v2, 1.0)
-            labels[e] = "a"
-        elif u < ab:
-            v1 = out_tree.sample(rng.random() * out_tree.total)
-            v2 = in_tree.sample(rng.random() * in_tree.total)
-            d_out[v1] += 1
-            out_tree.add(v1, 1.0)
-            d_in[v2] += 1
-            in_tree.add(v2, 1.0)
-            labels[e] = "b"
-        else:
-            v1 = out_tree.sample(rng.random() * out_tree.total)
-            v2 = n
-            n += 1
-            d_in[v2] = 1
-            in_tree.add(v2, 1.0 + params.delta_in)
-            out_tree.add(v2, params.delta_out)
-            d_out[v1] += 1
-            out_tree.add(v1, 1.0)
-            labels[e] = "g"
+            if n > top << 1:
+                top = top << 1 or 1
+        if code != 0:
+            i = v1 + 1
+            while i <= size:
+                out_tree[i] += 1.0
+                i += i & -i
+            out_total += 1.0
+        if code != 2:
+            i = v2 + 1
+            while i <= size:
+                in_tree[i] += 1.0
+                i += i & -i
+            in_total += 1.0
         src[e] = v1
         dst[e] = v2
 
+    labels = np.array(["a", "b", "g"])[codes]
     return DirectedGraph.from_edges(n, src, dst, edge_labels=labels)

@@ -59,25 +59,15 @@ def test_solve_eta_csv(er_graph, tmp_path, capsys):
     assert summary["entries"] == int(np.count_nonzero(eta.H))
 
 
-# Runs the light-tailed pipeline in one fresh process and reports, after
-# each stage, whether any scipy module is loaded; a conditioned bounds call
-# then shows that the check can see scipy arrive.
-_SCIPY_FREE_SESSION = """
+# Runs the stages given as JSON in one fresh process and reports, after
+# each stage, its exit code and the scipy modules loaded so far.  Each
+# session ends with a conditioned bounds call, which shows that the check
+# can see scipy arrive.
+_SCIPY_SESSION = """
 import json, sys
 from didpr.cli import main
-d = sys.argv[1]
-g = d + "/er.txt"
-stages = [
-    ["generate", "er", "--n", "100", "--p", "0.1", "--seed", "5", "--out", g],
-    ["bounds", "--graph", g, "--out", d + "/bounds.csv"],
-    ["solve-eta", g, "--targets", "0.1,0.1,0.1,0.1", "--out", d + "/eta.csv"],
-    ["rewire", g, "--eta", d + "/eta.csv", "--steps", "2000",
-     "--out", d + "/rewired.txt"],
-    ["bounds", "--graph", g, "--pairs", "22", "--condition-pair", "11",
-     "--condition-values", "0.1", "--out", d + "/conditioned.csv"],
-]
 report = []
-for argv in stages:
+for argv in json.loads(sys.argv[1]):
     code = main(argv)
     report.append([argv[0], code, sorted(m for m in sys.modules
                                          if m.split(".")[0] == "scipy")])
@@ -85,19 +75,62 @@ print(json.dumps(report))
 """
 
 
-def test_light_tailed_pipeline_loads_no_scipy(tmp_path):
+def _scipy_report(stages):
     src_dir = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SESSION,
-                          str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", _SCIPY_SESSION,
+                          json.dumps(stages)],
                          env=env, capture_output=True, text=True, check=True)
-    report = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_light_tailed_pipeline_loads_no_scipy(tmp_path):
+    d = str(tmp_path)
+    g = d + "/er.txt"
+    report = _scipy_report([
+        ["generate", "er", "--n", "100", "--p", "0.1", "--seed", "5",
+         "--out", g],
+        ["bounds", "--graph", g, "--out", d + "/bounds.csv"],
+        ["solve-eta", g, "--targets", "0.1,0.1,0.1,0.1",
+         "--out", d + "/eta.csv"],
+        ["rewire", g, "--eta", d + "/eta.csv", "--steps", "2000",
+         "--out", d + "/rewired.txt"],
+        ["bounds", "--graph", g, "--pairs", "22", "--condition-pair", "11",
+         "--condition-values", "0.1", "--out", d + "/conditioned.csv"],
+    ])
     assert [(stage, code) for stage, code, _ in report] == [
         ("generate", 0), ("bounds", 0), ("solve-eta", 0), ("rewire", 0),
         ("bounds", 0)]
     assert [loaded for _, _, loaded in report[:4]] == [[]] * 4
     assert "scipy.optimize" in report[4][2]
+
+
+def test_real_data_pipeline_loads_no_scipy(tmp_path):
+    # The fit's tail numerics run on numpy alone, so the whole real-data
+    # workflow (generate, fit, unconditioned bounds, rewire, scenario
+    # gains) on a heavy-tailed graph loads no scipy module.
+    d = str(tmp_path)
+    g = d + "/dpa.txt"
+    targets = ["--targets", "0.1,0.15,0.1,0.15"]
+    report = _scipy_report([
+        ["generate", "dpa", "--alpha", "0.3", "--beta", "0.4", "--gamma",
+         "0.3", "--delta-in", "1", "--delta-out", "1", "--edges", "3000",
+         "--seed", "2", "--out", g],
+        ["fit", g, "--n-tail", "50", "--grid-size", "5", "--seed", "1",
+         "--out", d + "/fit.json"],
+        ["bounds", "--graph", g, "--pairs", "11", "--out", d + "/bounds.csv"],
+        ["rewire", g, *targets, "--steps", "2000", "--out", d + "/rw.txt"],
+        ["scenario-gains", *_DPA_500, *targets, "--steps", "2000",
+         "--replicates", "2", "--seed", "9", "--out", d + "/gains.csv"],
+        ["bounds", "--graph", g, "--pairs", "22", "--condition-pair", "11",
+         "--condition-values", "0.1", "--out", d + "/conditioned.csv"],
+    ])
+    assert [(stage, code) for stage, code, _ in report] == [
+        ("generate", 0), ("fit", 0), ("bounds", 0), ("rewire", 0),
+        ("scenario-gains", 0), ("bounds", 0)]
+    assert [loaded for _, _, loaded in report[:5]] == [[]] * 5
+    assert "scipy.optimize" in report[5][2]
 
 
 def test_rewire_edge_list_and_trace(er_graph, tmp_path):

@@ -1,5 +1,6 @@
 """Fitting the attachment model: tail indices on samples with a known
 exponent, and parameter recovery on generated graphs."""
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 import didpr
-from didpr.fit import _ks_two_sample, fit_ev, tail_index
+import didpr.fit
+from didpr.fit import (
+    _EXPONENT_BOUNDS,
+    _fminbound,
+    _hurwitz_zeta,
+    _ks_two_sample,
+    fit_ev,
+    tail_index,
+)
 from didpr.generate import DpaParams, gen_dpa
 
 
@@ -36,6 +45,102 @@ def test_fit_ev_recovers_scenario_probabilities(seed):
     assert fitted.delta_in_hat > 0.0 and fitted.delta_out_hat > 0.0
 
 
+def test_fit_ev_pinned_on_dpa():
+    # Values of the scipy-based fit this one replaced, DPA 2e4 at seed 1.
+    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1))
+    assert fit_ev(g, 200, seed=1).as_dict() == {
+        "alpha_hat": 0.33236499999999997,
+        "beta_hat": 0.39570000000000005,
+        "gamma_hat": 0.271935,
+        "delta_in_hat": 0.48446346292984593,
+        "delta_out_hat": 0.355791863532063,
+        "iota1_hat": 1.8198641819743209,
+        "iota2_hat": 1.775612439340589,
+        "n_tail": 200,
+        "a_hat": 0.9756840411102963,
+    }
+
+
+class TestHurwitzZetaOracle:
+    # Near 1, where the Euler-Maclaurin tail carries the sum, up to the
+    # upper end of the exponent search.
+    XS = [1.0 + 1e-6, 1.0 + 3e-6, 1.0 + 1e-5, 1.0 + 1e-4, 1.001, 1.01,
+          1.1, 1.5, 1.75, 2.0, 2.3, 2.5, 3.0, 3.7, 5.0, 7.25, 9.0, 12.0]
+
+    def test_arrays_match_scipy(self):
+        from scipy.special import zeta
+
+        qs = np.arange(1, 5001)
+        xs = self.XS + np.random.default_rng(3).uniform(1.0, 12.0, 6).tolist()
+        for x in xs:
+            np.testing.assert_array_equal(_hurwitz_zeta(x, qs), zeta(x, qs))
+
+    def test_scalars_match_scipy(self):
+        from scipy.special import zeta
+
+        rng = np.random.default_rng(4)
+        xs = self.XS + (1.0 + 11.0 * rng.random(200)).tolist()
+        for x in xs:
+            for q in [1, 2, 9, 10, 11, 5000] + rng.integers(1, 5001, 5).tolist():
+                assert _hurwitz_zeta(x, q) == zeta(x, q), (x, q)
+
+
+class TestFminboundOracle:
+    @staticmethod
+    def _check(func):
+        from scipy.optimize import minimize_scalar
+
+        want = minimize_scalar(func, bounds=_EXPONENT_BOUNDS,
+                               method="bounded", options={"xatol": 1e-6})
+        assert _fminbound(func, _EXPONENT_BOUNDS) == (want.x, want.nfev)
+
+    @pytest.mark.parametrize("sample", ["dpa", "zipf"])
+    def test_every_tail_likelihood(self, sample, monkeypatch):
+        seen = []
+
+        def spy(func, bounds):
+            seen.append(func)
+            return _fminbound(func, bounds)
+
+        monkeypatch.setattr(didpr.fit, "_fminbound", spy)
+        if sample == "dpa":
+            g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1))
+            tail_index(g.out_deg)
+            tail_index(g.in_deg)
+        else:
+            tail_index(np.random.default_rng(1).zipf(2.5, 20_000))
+        assert len(seen) > 20
+        for func in seen:
+            self._check(func)
+
+    @pytest.mark.parametrize("centre", [3.7, 1.0, 12.0, 0.5, 20.0])
+    def test_quadratics(self, centre):
+        self._check(lambda x: (x - centre) ** 2)
+
+    def test_constant(self):
+        self._check(lambda x: 2.5)
+
+    # Flat stretches make the bracket updates compare equal values and
+    # points (the step and ceil cases need the `nfc == xf` and
+    # `fulc == nfc` tests).
+    @pytest.mark.parametrize("func", [
+        lambda x: 0.0 if 4.0 < x < 6.0 else 1.0,
+        lambda x: float(int(abs(x - 7.0) * 2)),
+        lambda x: float(math.ceil(abs(x - 5.5))),
+        lambda x: float(math.floor(x)),
+        lambda x: max(0.0, abs(x - 5.0) - 1.0),
+    ], ids=["step", "stairs", "ceil", "floor", "flat-bottom"])
+    def test_ties(self, func):
+        self._check(func)
+
+    # scipy's numpy-scalar arithmetic warns on inf - inf; the result holds.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cut", [2.0, 6.0, 9.5])
+    def test_infinite_on_part_of_the_interval(self, cut):
+        self._check(lambda x: np.inf if x < cut else (x - 4.0) ** 2)
+        self._check(lambda x: np.inf if x > cut else (x - 8.0) ** 2)
+
+
 def test_ks_two_sample_matches_scipy():
     from scipy.stats import ks_2samp
 
@@ -51,9 +156,8 @@ def test_ks_two_sample_matches_scipy():
 
 def test_cli_import_leaves_scipy_stats_and_optimize_out():
     # Start-up loads no scipy module at all: scipy.sparse and its linalg
-    # were about two thirds of it, scipy.stats as much again.  Only the
-    # fit and the LP paths need scipy.  The process pool is loaded only
-    # for --jobs > 1.
+    # were about two thirds of it, scipy.stats as much again.  Only the LP
+    # paths need scipy.  The process pool is loaded only for --jobs > 1.
     src_dir = str(Path(didpr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))

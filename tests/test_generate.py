@@ -1,10 +1,10 @@
-"""Random network generators and the dynamic weighted-sampling tree."""
+"""Random network generators, and the weighted-sampling tree of the
+reference generator."""
 import numpy as np
 import pytest
 
 from didpr.generate import DpaParams, gen_dpa, gen_er
-from didpr.weighted import CumulativeWeightTree
-
+from dpa_reference import CumulativeWeightTree, reference_gen_dpa
 from graph_helpers import edges, scenario_of_edge
 
 
@@ -107,6 +107,59 @@ class TestGenDpa:
         assert g.num_edges == 300
 
 
+# (alpha, beta, gamma, delta_in, delta_out): the paper's model with unit
+# offsets, the nine candidates fit_ev simulates for DPA 2e4 at seed 1
+# (non-integer offsets), and the pure and two-scenario corner cases.
+_DPA_GRID = [
+    (0.3, 0.4, 0.3, 1.0, 1.0),
+    (0.18129, 0.39570000000000005, 0.42300999999999994,
+     0.040560353094699186, 0.8107579090256435),
+    (0.211505, 0.39570000000000005, 0.39279499999999995,
+     0.12934097506172826, 0.719764699926927),
+    (0.24172, 0.39570000000000005, 0.36257999999999996,
+     0.21812159702875802, 0.6287714908282113),
+    (0.271935, 0.39570000000000005, 0.33236499999999997,
+     0.30690221899578707, 0.5377782817294952),
+    (0.30215, 0.39570000000000005, 0.30215,
+     0.39568284096281686, 0.44678507263077943),
+    (0.33236499999999997, 0.39570000000000005, 0.271935,
+     0.48446346292984593, 0.355791863532063),
+    (0.36258, 0.39570000000000005, 0.24171999999999993,
+     0.5732440848968757, 0.2647986544333469),
+    (0.392795, 0.39570000000000005, 0.21150499999999994,
+     0.6620247068639051, 0.17380544533463116),
+    (0.42301, 0.39570000000000005, 0.18128999999999995,
+     0.7508053288309345, 0.08281223623591506),
+    (0.0, 0.6, 0.4, 1.0, 1.0),
+    (0.4, 0.6, 0.0, 1.0, 1.0),
+    (0.0, 1.0, 0.0, 1.0, 1.0),
+    (1.0, 0.0, 0.0, 1.0, 1.0),
+    (0.0, 0.0, 1.0, 1.0, 1.0),
+]
+
+
+def _assert_same_graph(params):
+    got, want = gen_dpa(params), reference_gen_dpa(params)
+    assert got.num_nodes == want.num_nodes
+    np.testing.assert_array_equal(got.src, want.src)
+    np.testing.assert_array_equal(got.dst, want.dst)
+    assert got.edge_labels.dtype == want.edge_labels.dtype == "<U1"
+    np.testing.assert_array_equal(got.edge_labels, want.edge_labels)
+
+
+class TestGenDpaMatchesReference:
+    # Edge counts around the powers of two where the Fenwick trees grow a
+    # level and the descents start one level higher.
+    @pytest.mark.parametrize("num_edges", [1, 2, 1023, 1024, 1025, 2047])
+    @pytest.mark.parametrize("model", _DPA_GRID)
+    def test_bit_for_bit(self, model, num_edges):
+        for seed in (1, 2):
+            _assert_same_graph(DpaParams(*model, num_edges, seed=seed))
+
+    def test_paper_scale(self):
+        _assert_same_graph(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1))
+
+
 class TestScenarioOfEdge:
     def test_names(self):
         g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 200, seed=8))
@@ -128,6 +181,7 @@ class TestScenarioOfEdge:
 
 
 class TestCumulativeWeightTree:
+    # The tree of the reference generator in tests/dpa_reference.py.
     def test_prefix_sums_match_naive(self):
         rng = np.random.default_rng(11)
         weights = rng.random(37)
