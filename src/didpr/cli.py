@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .graph import (  # noqa: F401
 from .rewire import (
     RewiringConfig,
     RewiringTrace,
+    chain_setup,
     read_trace_csv,
     rewire,
     rewire_with_scenario_gains,
@@ -525,7 +527,10 @@ def cmd_rewire(params: dict) -> int:
                                 seed=seed, targets=targets))
         for seed in seeds
     ]
-    results = _map_jobs(rewire, jobs_args, params["jobs"])
+    # The replicates share one graph and one eta, so their seed-free setup
+    # is built once.
+    results = _map_jobs(partial(rewire, setup=chain_setup(g, eta)),
+                        jobs_args, params["jobs"])
 
     # Recount from each rewired edge list before anything is written: the
     # same sources and in-degrees mean every degree pair survived.

@@ -16,14 +16,21 @@ than the highest level among the earlier proposals of its block that share
 an edge with it.  This is exact.  A proposal reads and writes only its own
 two edges' targets (degrees never change), so proposals with no edge in
 common commute, and level order keeps every pair that shares one in step
-order.
+order.  Each block runs in one such sweep, whatever the checkpoint cadence:
+the sweep reports where in the block each accepted proposal stands, and a
+checkpoint inside the block sums only the accepted proposals before it.
+Should the chain stop there, the block's edges get back the targets they
+held before it, and the proposals before the checkpoint run again; by the
+same argument, none of them depended on a later one.
 
 Accepted swaps change the four degree products by integers.  One integer
 tally per ordered pair of scenario labels holds those changes and the
 accepted count, for every run: checkpoints read its totals, and scenario
 gains fold it by unordered label pair.  The end means and sds that turn
-those sums into coefficients never change either; they come once from
+those sums into coefficients never change either; they come from
 assortativity._standardise, the helper behind every coefficient.
+chain_setup gathers them with the chain's other seed-free inputs, once per
+graph and eta, and replicate chains share the result.
 """
 from __future__ import annotations
 
@@ -50,9 +57,11 @@ from .graph import (
 )
 
 __all__ = [
+    "ChainSetup",
     "RewiringConfig",
     "RewiringTrace",
     "ScenarioGains",
+    "chain_setup",
     "rewire",
     "rewire_with_scenario_gains",
     "read_trace_csv",
@@ -63,8 +72,8 @@ _TRACE_DTYPE = np.dtype([("step", np.int64), ("values", np.float64, (5,))])
 
 # Proposals are drawn from the generator in blocks of this size, whatever
 # the checkpoint cadence, so a run's trajectory is a function of the seed and
-# the step count alone.  Levels are found once per block; a checkpoint
-# inside a block splits it into segments that run level by level in turn.
+# the step count alone.  Each block runs in one level sweep, and its
+# checkpoints read the tally of the accepted proposals before them.
 # Checkpointing sets only the trace resolution; it never changes the chain.
 _PROPOSAL_BLOCK = 8192
 # Bits that number the 2 * _PROPOSAL_BLOCK edge touches of one block.
@@ -210,31 +219,35 @@ def _levels(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     key.sort()
     touch = key & ((1 << _TOUCH_BITS) - 1)
     key >>= _TOUCH_BITS
-    repeat = key[1:] == key[:-1]
-    # The proposal that touched each touch's edge last before it (b: none).
-    pred = np.full(2 * b, b, dtype=np.int64)
-    pred[touch[1:][repeat]] = touch[:-1][repeat] >> 1
-    p1, p2 = pred.reshape(b, 2).T.copy()
-    # Levels only rise from 0; each pass settles at least one more level.
-    # They stay below the block size, so int16 holds them.
+    # The proposal that touched each touch's edge last before it (b: none),
+    # one row per edge of the proposal.
+    pred = np.empty(2 * b, dtype=np.int64)
+    pred[touch[0]] = b
+    pred[touch[1:]] = np.where(key[1:] == key[:-1], touch[:-1] >> 1, b)
+    pred = pred.reshape(b, 2).T.copy()
+    # Pass k leaves every level at min(level, k), so the levels are final
+    # once their highest is below k.  They stay below the block size, so
+    # int16 holds them.
     lev = np.zeros(b + 1, dtype=np.int16)
     lev[b] = -1
-    new = np.empty(b, dtype=np.int16)
-    while True:
-        np.maximum(lev.take(p1), lev.take(p2), out=new)
-        new += 1
-        if np.array_equal(new, lev[:b]):
-            return new
-        lev[:b] = new
+    out = lev[:b]
+    both = np.empty((2, b), dtype=np.int16)
+    for k in itertools.count(1):
+        lev.take(pred, out=both, mode="wrap")
+        np.maximum(both[0], both[1], out=out)
+        out += 1
+        if out.max() < k:
+            return out
 
 
 def _sweep(dst, e1, e2, u, lev, row, tp, Hf, ints, floats, flags):
-    """Run one segment of proposals level by level, updating dst in place.
+    """Run proposals level by level, updating dst in place.
 
     Every level writes into slices of the caller's scratch rows, so the
     loop allocates no arrays of its own.  Returns the accepted proposals'
-    edges and the targets those held before the swap.  Indices are always
-    in range; mode="wrap" only lets take() write straight into its output.
+    positions among the given ones, and their rows: the two edges and the
+    targets those held before the swap.  Indices are always in range;
+    mode="wrap" only lets take() write straight into its output.
     """
     n = e1.size
     a1, a2, v2, v4, r1, r2, t1, t2, idx = ints[:, :n]
@@ -267,7 +280,8 @@ def _sweep(dst, e1, e2, u, lev, row, tp, Hf, ints, floats, flags):
             np.copyto(idx[s], keep)
             np.copyto(idx[s], swap, where=acc)
             dst[edges[s]] = idx[s]
-    return a1[ok], a2[ok], v2[ok], v4[ok]
+    hit = np.flatnonzero(ok)
+    return order.take(hit), ints[:4, :n].take(hit, axis=1)
 
 
 @dataclass
@@ -285,33 +299,63 @@ class ScenarioGains:
     total_delta_r: dict[str, float]
 
 
-def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
-               track_gains: bool):
+@dataclass(frozen=True)
+class ChainSetup:
+    """What every chain on one graph toward one eta shares.
+
+    Degrees never change, so none of it depends on the seed: the ends'
+    degree means and sds, each edge's source degrees and eta row offset,
+    each node's eta target-pair index, and the initial degree-product sums.
+    """
+
+    centre: np.ndarray
+    scale: np.ndarray
+    sd_s: np.ndarray
+    sd_t: np.ndarray
+    so: np.ndarray
+    si: np.ndarray
+    row: np.ndarray
+    tp_node: np.ndarray
+    s_init: np.ndarray
+
+
+def chain_setup(g: DirectedGraph, eta: EdgeMixMatrix) -> ChainSetup:
+    """The invariants of rewiring g toward eta, for any number of chains.
+
+    Raises ValueError when g has fewer than two edges, or when a realised
+    degree pair is missing from eta.
+    """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
-    if track_gains and g.edge_labels is None:
-        raise ValueError("no scenario labels on this graph")
-    # End moments are rewiring invariants: degrees never change.  The
-    # masses of the graph's degree-pair classes are exact edge counts / m.
+    # The masses of the graph's degree-pair classes are exact edge counts / m.
     mix = edge_mix_from_graph(g)
     _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
     _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
-    centre, scale = np.outer(mean_s, mean_t), np.outer(sd_s, sd_t)
     sp_node, tp_node = _node_pair_indices(g, eta)
+    out_deg, in_deg = g.out_deg, g.in_deg
+    so, si = out_deg[g.src], in_deg[g.src]     # per-edge source degrees
+    s_init = np.array([int(x @ y[g.dst]) for x in (so, si)
+                       for y in (out_deg, in_deg)], dtype=np.int64)
+    return ChainSetup(np.outer(mean_s, mean_t), np.outer(sd_s, sd_t),
+                      sd_s, sd_t, so, si, sp_node[g.src] * eta.H.shape[1],
+                      tp_node, s_init)
 
+
+def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
+               track_gains: bool, setup: ChainSetup | None = None):
+    if setup is None:
+        setup = chain_setup(g, eta)
+    if track_gains and g.edge_labels is None:
+        raise ValueError("no scenario labels on this graph")
     m = g.num_edges
     rng = np.random.default_rng(cfg.seed)
     out_deg, in_deg = g.out_deg, g.in_deg
+    so, si, sd_s, sd_t = setup.so, setup.si, setup.sd_s, setup.sd_t
     # The chain swaps targets in the result's own dst.
     labels = None if g.edge_labels is None else g.edge_labels.copy()
     result = DirectedGraph(g.num_nodes, g.src.copy(), g.dst.copy(),
                            out_deg.copy(), in_deg.copy(), labels)
     dst = result.dst
-    so, si = out_deg[g.src], in_deg[g.src]     # per-edge source degrees
-    Hf = eta.H.ravel()
-    row = sp_node[g.src] * eta.H.shape[1]      # offset of each edge's H row
-    s_init = np.array([int(x @ y[dst]) for x in (so, si)
-                       for y in (out_deg, in_deg)], dtype=np.int64)
     # Rows: accepted swaps, then the changes of the four degree products.
     # Columns: ordered pairs of scenario labels; one column without gains.
     names, lab = [""], np.zeros(m, dtype=np.int64)
@@ -322,25 +366,26 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
     # Scratch rows for _sweep.  Per-level arrays would be small and of ever
     # new sizes; numpy caches such buffers, and scattered over the heap they
     # kept the memory freed around them from going back to the system.
-    ints = np.empty((9, _PROPOSAL_BLOCK), dtype=np.int64)
-    floats = np.empty((4, _PROPOSAL_BLOCK))
-    flags = np.empty((2, _PROPOSAL_BLOCK), dtype=bool)
+    scratch = (np.empty((9, _PROPOSAL_BLOCK), dtype=np.int64),
+               np.empty((4, _PROPOSAL_BLOCK)),
+               np.empty((2, _PROPOSAL_BLOCK), dtype=bool))
+    fixed = (setup.row, setup.tp_node, eta.H.ravel(), *scratch)
 
-    def profile_now() -> AssortProfile:
-        s = s_init + tally[1:].sum(axis=1)
+    def profile_of(sums) -> AssortProfile:
+        s = setup.s_init + sums[1:].sum(axis=1)
         # A degenerate end divides by zero here, and _profile rejects it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = (s.reshape(2, 2) / m - centre) / scale
+            r = (s.reshape(2, 2) / m - setup.centre) / setup.scale
         return _profile(r, sd_s, sd_t)
 
-    trace = RewiringTrace([(0, *_profile_vals(profile_now()), 0.0)])
-    targets = cfg.targets
-    stop = (cfg.stop_early
-            and trace.final_profile().max_abs_diff(targets) <= cfg.tolerance)
-    steps_done = 0
-    last_ckpt = 0
-    last_accepted = 0
-    next_ckpt = min(cfg.checkpoint_every, cfg.max_steps)
+    def reached(prof: AssortProfile) -> bool:
+        return (cfg.stop_early
+                and prof.max_abs_diff(cfg.targets) <= cfg.tolerance)
+
+    trace = RewiringTrace([(0, *_profile_vals(profile_of(tally)), 0.0)])
+    stop = reached(trace.final_profile())
+    every = cfg.checkpoint_every
+    steps_done = last_accepted = 0
     while steps_done < cfg.max_steps and not stop:
         blk = min(_PROPOSAL_BLOCK, cfg.max_steps - steps_done)
         e1s = rng.integers(0, m, size=blk)
@@ -348,33 +393,48 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
         e2s = e2s + (e2s >= e1s)
         us = rng.random(blk)
         lev = _levels(e1s, e2s)
-        pos = 0
-        while pos < blk and not stop:
-            end = min(blk, pos + next_ckpt - steps_done)
-            x1, x2, v2, v4 = _sweep(dst, e1s[pos:end], e2s[pos:end],
-                                    us[pos:end], lev[pos:end], row, tp_node,
-                                    Hf, ints, floats, flags)
-            d_out, d_in = so[x1] - so[x2], si[x1] - si[x2]
-            g_out = out_deg[v4] - out_deg[v2]
-            g_in = in_deg[v4] - in_deg[v2]
-            pair = lab[x1] * nl + lab[x2]
-            for counts, change in zip(tally, (1, d_out * g_out, d_out * g_in,
-                                              d_in * g_out, d_in * g_in)):
-                np.add.at(counts, pair, change)
-            steps_done += end - pos
-            pos = end
-            if steps_done == next_ckpt:
-                prof = profile_now()
-                accepted = int(tally[0].sum())
-                trace.checkpoints.append((
-                    steps_done, *_profile_vals(prof),
-                    (accepted - last_accepted) / (steps_done - last_ckpt)))
-                last_ckpt = steps_done
-                last_accepted = accepted
-                next_ckpt = min(steps_done + cfg.checkpoint_every,
-                                cfg.max_steps)
-                stop = (cfg.stop_early
-                        and prof.max_abs_diff(targets) <= cfg.tolerance)
+        # The block's checkpoints, as counts of its proposals that run
+        # before them: the cadence's multiples and the run's last step.
+        ckpts = list(range(every - steps_done % every, blk + 1, every))
+        if steps_done + blk == cfg.max_steps and ckpts[-1:] != [blk]:
+            ckpts.append(blk)
+        if cfg.stop_early:
+            before = dst.take(e1s), dst.take(e2s)
+        pos, (x1, x2, v2, v4) = _sweep(dst, e1s, e2s, us, lev, *fixed)
+        d_out, d_in = so[x1] - so[x2], si[x1] - si[x2]
+        g_out = out_deg[v4] - out_deg[v2]
+        g_in = in_deg[v4] - in_deg[v2]
+        # Tally by (checkpoints passed, label pair).  The running sums over
+        # the first axis are what the block adds up to each checkpoint.
+        cell = (pos + steps_done % every) // every * (nl * nl)
+        cell += lab[x1] * nl + lab[x2]
+        part = np.zeros((5, len(ckpts) + 1, nl * nl), dtype=np.int64)
+        for counts, change in zip(part.reshape(5, -1),
+                                  (1, d_out * g_out, d_out * g_in,
+                                   d_in * g_out, d_in * g_in)):
+            np.add.at(counts, cell, change)
+        part = part.cumsum(axis=1)
+        done = part[:, -1]
+        for j, end in enumerate(ckpts):
+            sums = tally + part[:, j]
+            prof = profile_of(sums)
+            accepted = int(sums[0].sum())
+            step, last = steps_done + end, trace.checkpoints[-1][0]
+            trace.checkpoints.append((step, *_profile_vals(prof),
+                                      (accepted - last_accepted)
+                                      / (step - last)))
+            last_accepted = accepted
+            if reached(prof):
+                if end < blk:
+                    # Rewind the block's edges and replay the proposals
+                    # before the checkpoint: their outcomes stay the same.
+                    dst[e1s], dst[e2s] = before
+                    _sweep(dst, e1s[:end], e2s[:end], us[:end], lev[:end],
+                           *fixed)
+                stop, done, blk = True, part[:, j], end
+                break
+        tally += done
+        steps_done += blk
 
     gains = _gains(tally, names, m, sd_s, sd_t) if track_gains else None
     return result, trace, gains
@@ -403,15 +463,18 @@ def _gains(tally, names, m, sd_s, sd_t) -> ScenarioGains:
 
 
 def rewire(
-    g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig
+    g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig, *,
+    setup: ChainSetup | None = None,
 ) -> tuple[DirectedGraph, RewiringTrace]:
     """Run the rewiring chain; the input graph is left untouched.
 
     Returns the rewired graph and the checkpoint trace.  Node degrees (and
     hence the degree-pair distribution) are preserved exactly by
-    construction.
+    construction.  setup, if given, must be chain_setup(g, eta); replicate
+    chains on one graph share it instead of each rebuilding it.
     """
-    result, trace, _ = _run_chain(g, eta, cfg, track_gains=False)
+    result, trace, _ = _run_chain(g, eta, cfg, track_gains=False,
+                                  setup=setup)
     return result, trace
 
 

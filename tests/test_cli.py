@@ -233,8 +233,8 @@ def test_rewire_degree_check_fails_before_any_output(er_graph, tmp_path,
     # it runs before any replicate is written.
     calls = []
 
-    def faulty_rewire(g, eta, cfg):
-        rewired, trace = rewire(g, eta, cfg)
+    def faulty_rewire(g, eta, cfg, **shared):
+        rewired, trace = rewire(g, eta, cfg, **shared)
         calls.append(cfg)
         if len(calls) == 2:
             rewired.dst[0] = (rewired.dst[0] + 1) % rewired.num_nodes

@@ -1,5 +1,7 @@
-"""The rewiring chain: its stationary law, the level-batched chain against
-the scalar reference, and the telescoping of scenario gains."""
+"""The rewiring chain: its stationary law, the level search against its
+definition, the level-batched chain (stops inside a block included)
+against the scalar reference, and the telescoping of scenario gains."""
+import importlib
 import itertools
 from collections import Counter
 
@@ -20,7 +22,9 @@ from didpr.rewire import (
     _PROPOSAL_BLOCK,
     RewiringConfig,
     RewiringTrace,
+    _levels,
     _node_pair_indices,
+    chain_setup,
     read_trace_csv,
     rewire,
     rewire_with_scenario_gains,
@@ -45,10 +49,13 @@ def test_product_updates_match_recomputation(dpa):
                          targets=TARGETS)
     plain, trace = rewire(g, eta, cfg)
     tracked, trace_g, gains = rewire_with_scenario_gains(g, eta, cfg)
+    # Replicates share one chain_setup; it must not change the chain.
+    shared, trace_s = rewire(g, eta, cfg, setup=chain_setup(g, eta))
 
     assert len(trace.checkpoints) == 25
-    assert trace.checkpoints == trace_g.checkpoints
+    assert trace.checkpoints == trace_g.checkpoints == trace_s.checkpoints
     assert np.array_equal(plain.dst, tracked.dst)
+    assert np.array_equal(plain.dst, shared.dst)
     # The gains telescope: buckets sum to the total, and the total is the
     # change between the first and last checkpoints.
     first, last = trace.checkpoints[0], trace.checkpoints[-1]
@@ -205,6 +212,84 @@ def test_stop_early_inside_a_block_matches_scalar_reference(dpa):
     last = trace.checkpoints[-1][0]
     assert last < cfg.max_steps and last % _PROPOSAL_BLOCK != 0
     assert trace.final_profile().max_abs_diff(TARGETS) <= cfg.tolerance
+
+
+def _count_sweeps(monkeypatch):
+    """Count the chain's level sweeps: one per block, plus one replay when
+    the chain stops at a checkpoint strictly inside a block."""
+    module = importlib.import_module("didpr.rewire")
+    calls = []
+    sweep = module._sweep
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return sweep(*args)
+
+    monkeypatch.setattr(module, "_sweep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("every, seed", [
+    (250, 4), (3_000, 2), (10_000, 4), (_PROPOSAL_BLOCK - 1, 1),
+    (_PROPOSAL_BLOCK, 1),
+], ids=["first-block", "second-block", "cadence-above-block",
+        "one-before-block-end", "block-end"])
+def test_stop_early_replays_only_inside_a_block(monkeypatch, every, seed):
+    # On three edges every proposal conflicts with every other, and the
+    # chain moves between two profiles; it stops at the first checkpoint
+    # in the second.  A stop inside a block sweeps the whole block, then
+    # replays the proposals before the stop; one at a block's end does not.
+    g, eta = _toy_graph([2, 3, 3], [3, 3, 2])
+    sweeps = _count_sweeps(monkeypatch)
+    cfg = RewiringConfig(max_steps=100_000, checkpoint_every=every,
+                         tolerance=0.5, stop_early=True, seed=seed,
+                         targets=AssortProfile(1.0, 1.0, 1.0, 1.0))
+    trace = _assert_matches_reference(g, eta, cfg)
+    last = trace.checkpoints[-1][0]
+    prefix = last % _PROPOSAL_BLOCK
+    assert 0 < last < cfg.max_steps
+    assert (prefix == 0) == (every == _PROPOSAL_BLOCK)
+    assert sweeps == ([_PROPOSAL_BLOCK] * -(-last // _PROPOSAL_BLOCK)
+                      + [prefix] * (prefix > 0))
+
+
+def test_targets_met_at_step_zero_run_no_block(dpa, monkeypatch):
+    g, _ = dpa
+    eta = edge_mix_from_graph(g)
+    sweeps = _count_sweeps(monkeypatch)
+    cfg = RewiringConfig(max_steps=50_000, checkpoint_every=1_000,
+                         stop_early=True, seed=2,
+                         targets=assortativity_of_graph(g))
+    trace = _assert_matches_reference(g, eta, cfg, gains=True)
+    assert [row[0] for row in trace.checkpoints] == [0]
+    assert sweeps == []
+
+
+def _reference_levels(e1, e2):
+    """1 + the highest level among the earlier proposals that share an edge
+    with it, else 0, one proposal at a time.  The highest such level is the
+    larger of the highest levels so far on the proposal's two edges."""
+    top, levels = {}, []
+    for a, b in zip(e1.tolist(), e2.tolist()):
+        level = 1 + max(top.get(a, -1), top.get(b, -1))
+        top[a] = top[b] = level
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("m", [3, 5, 47, 1_000, 20_000])
+@pytest.mark.parametrize("size", [1, 2, 777, _PROPOSAL_BLOCK])
+def test_levels_match_their_definition(m, size):
+    rng = np.random.default_rng(m * size)
+    e1 = rng.integers(0, m, size=size)
+    e2 = rng.integers(0, m - 1, size=size)
+    e2 += e2 >= e1
+    levels = _levels(e1, e2).tolist()
+    assert levels == _reference_levels(e1, e2)
+    if m == 3:
+        # Any two proposals on three edges share one, so a full block
+        # takes one pass per proposal.
+        assert levels == list(range(size))
 
 
 def test_trace_csv_bytes(tmp_path):
