@@ -267,6 +267,9 @@ def _convert(key: str, opt: _Opt, value):
         raise AssertionError(opt.kind)
     if opt.kind in ("floats", "pairs", "paths") and not value:
         raise CliError(f"{key} needs at least one value")
+    if opt.kind in ("float", "floats", "targets") and not np.isfinite(
+            value).all():
+        raise CliError(f"{key} must be finite, got {value!r}")
     if opt.choices is not None and value not in opt.choices:
         raise CliError(
             f"{key} must be one of {', '.join(map(str, opt.choices))}"

@@ -22,7 +22,7 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   four moment rows, so their work is a few hundred mat-vecs with the
   ns x nt matrix, at any problem size.  They run on numpy alone; scipy
   is imported only by the LPs below (scipy.sparse here, HiGHS through
-  lp.solve).
+  lp.Model).
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -34,6 +34,9 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   LPs run by column generation (_column_generation): a basic optimum has
   no more cells than the program has rows (Dantzig 1951), so HiGHS gets
   only restricted masters, and numpy prices every cell from their duals.
+  The masters of one optimisation are one HiGHS model, which takes the
+  entering cells as new columns and re-solves from its last basis
+  (Lubbecke & Desrosiers 2005).
 
 Every one of these constraints is the same standardised moment.  Each
 problem works out its two edge ends once (EtaProblem.ends): pair masses,
@@ -166,11 +169,13 @@ def assemble_constraints(
     for pair, (lo, hi) in conditioning.items():
         if pair not in TYPE_PAIRS:
             raise ValueError(f"unknown type pair {pair}")
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError(f"non-finite interval [{lo}, {hi}] for {pair}")
         if lo > hi:
             raise ValueError(f"empty interval {lo} > {hi} for {pair}")
     pins = list(conditioning.items())
     if p.targets is not None:
-        pins += [(pair, (p.targets.get(*pair),) * 2) for pair in TYPE_PAIRS]
+        pins += [(pair, (r, r)) for pair, r in zip(TYPE_PAIRS, _targets(p))]
     e = p.ends
     _require_spread(e.sd_s, e.sd_t, [pair for pair, _ in pins])
     ns, nt = len(p.source_pairs), len(p.target_pairs)
@@ -193,6 +198,14 @@ def assemble_constraints(
         ns * nt, np.zeros(ns * nt), sp.vstack(eq_rows, format="csc"),
         np.concatenate(eq_rhs), A_ub, b_ub
     )
+
+
+def _targets(p: EtaProblem) -> np.ndarray:
+    """p's four targets in TYPE_PAIRS order; ValueError unless finite."""
+    m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
+    if not np.isfinite(m_star).all():
+        raise ValueError(f"targets must be finite, got {m_star.tolist()}")
+    return m_star
 
 
 def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
@@ -264,8 +277,7 @@ def _tilt(p: EtaProblem):
     """
     e = p.ends
     _require_spread(e.sd_s, e.sd_t)
-    m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
-    return e.rho, e.kappa, e.U, e.V, m_star
+    return e.rho, e.kappa, e.U, e.V, _targets(p)
 
 
 def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
@@ -655,41 +667,54 @@ def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
     The program's first ns x nt columns are the cells of a mixing matrix,
     and HiGHS only ever sees a restricted master: the columns at the active
     cells, which start from the ns x nt mask seed (see _seed), plus any
-    further columns (the spread program's t).  From its duals y, z the
-    reduced cost of every cell, c - A_eq' y - A_ub' z, is one sparse
-    product; the cells that can lower the objective enter (_entering) and
-    the master is solved again.  When none is below -_PRICE_TOL the duals
-    are feasible for the full program up to that amount per cell, and the
-    cells carry total mass at most 1, so the master's optimum is within
-    _PRICE_TOL of the full one.  Returns (objective, x), x zero off the
-    active cells.
+    further columns (the spread program's t).  All masters of one call are
+    one lplib.Model.  From a master's duals y, z the reduced cost of every
+    cell, c - A_eq' y - A_ub' z, is one sparse product; the cells that can
+    lower the objective enter (_entering) as new columns of the model, which
+    re-solves from its last basis.  An entering cell is capped by the masses
+    of its row and of its column, a bound the first ns + nt equalities
+    already imply: it costs no vertex, and it lets the re-solve start from a
+    dual feasible basis (see lplib.Model).  When no reduced cost is below
+    -_PRICE_TOL the duals, with the multipliers of the caps, are feasible
+    for the full program up to that amount per cell, and the cells carry
+    total mass at most 1, so the master's optimum is within _PRICE_TOL of
+    the full one.  Returns (objective, x), x zero off the active cells.
 
     Cells only enter, so a master can be infeasible only before phase I
-    has run.  Phase I minimises the sum of artificials on every row,
-    pricing the same way with cost 0 on the cells; a positive sum that no
-    cell can lower proves the program infeasible, and the answer is None.
+    has run.  Phase I adds artificials on every row to the model and
+    minimises their sum, pricing the same way with cost 0 on the cells; a
+    positive sum that no cell can lower proves the program infeasible (its
+    feasible points all keep within the caps), and the answer is None.
+    Otherwise the cells get their costs back and the artificials close at
+    0, in the same model.
     """
     import scipy.sparse as sp
 
     A_eq, A_ub, m_eq = prog.A_eq, prog.A_ub, prog.num_eq
-    kept = np.arange(seed.size, prog.num_vars)
+    # Every cell is capped by the masses of its row and of its column: the
+    # first ns + nt equalities, whose coefficients are all nonnegative.
+    ns, nt = seed.shape
+    cap = np.minimum.outer(prog.b_eq[:ns], prog.b_eq[ns:ns + nt]).ravel()
     active = seed.copy()
     art = None
+    # Program column of every model column; -1 marks an artificial.
+    where = np.concatenate([np.flatnonzero(active),
+                            np.arange(seed.size, prog.num_vars)])
+    model = lplib.Model(lplib.LinearProgram(
+        len(where), c[where], A_eq[:, where], prog.b_eq, A_ub[:, where],
+        prog.b_ub))
     phase_one = False
     while True:
-        cols = np.concatenate([np.flatnonzero(active), kept])
-        cost, eq, ub = c[cols], A_eq[:, cols], A_ub[:, cols]
-        if phase_one:
-            cost = np.concatenate([np.zeros(len(cols)), np.ones(art.shape[1])])
-            eq, ub = sp.hstack([eq, art[:m_eq]]), sp.hstack([ub, art[m_eq:]])
-        sol = lplib.solve(lplib.LinearProgram(len(cost), cost, eq, prog.b_eq,
-                                              ub, prog.b_ub))
+        sol = model.solve()
         if sol.status is lplib.LpStatus.INFEASIBLE and art is None:
-            # Artificials, built at the first infeasible master: both ways
+            # Artificials, added at the first infeasible master: both ways
             # on every equality row, downward on every <= row.
             eye = sp.eye(m_eq)
             art = sp.block_diag([sp.hstack([eye, -eye]),
                                  -sp.eye(prog.num_ub)], format="csc")
+            model.add_columns(np.ones(art.shape[1]), art[:m_eq], art[m_eq:])
+            where = np.concatenate([where, np.full(art.shape[1], -1)])
+            model.set_cost((where < 0).astype(float))
             phase_one = True
             continue
         if sol.status is not lplib.LpStatus.OPTIMAL:
@@ -699,14 +724,22 @@ def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
         enter = _entering(reduced[:seed.size], active)
         if enter.size:
             active.flat[enter] = True
+            model.add_columns(np.zeros(enter.size) if phase_one else c[enter],
+                              A_eq[:, enter], A_ub[:, enter], cap[enter])
+            where = np.concatenate([where, enter])
         elif not phase_one:
             break
         elif sol.objective > _PHASE_ONE_TOL:
             return None
         else:
+            # Phase II: the cells get their costs back and the
+            # artificials close at 0.
+            model.set_cost(np.where(where < 0, 0.0, c[where]))
+            model.close(np.flatnonzero(where < 0))
             phase_one = False
     x = np.zeros(prog.num_vars)
-    x[cols] = sol.x
+    cells = where >= 0
+    x[where[cells]] = sol.x[cells]
     return sol.objective, x
 
 

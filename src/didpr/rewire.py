@@ -101,8 +101,9 @@ class RewiringConfig:
             raise ValueError("max_steps must be at least 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0.0:
+            raise ValueError(
+                f"tolerance must be positive, got {self.tolerance}")
         if self.stop_early and self.targets is None:
             raise ValueError("stop_early requires targets")
 

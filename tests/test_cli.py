@@ -407,6 +407,34 @@ def test_bad_input_is_a_one_line_error(er_graph, tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("condition_values", ["bounds", "--pairs", "22", "--condition-pair", "11",
+                          "--condition-values", "nan"]),
+    ("condition_values", ["bounds", "--pairs", "22", "--condition-pair", "11",
+                          "--condition-values", "0.1,inf"]),
+    ("targets", ["solve-eta", "--targets", "nan,0,0,0"]),
+    ("targets", ["solve-eta", "--targets", "0,0,-inf,0"]),
+    ("targets", ["rewire", "--targets", "nan,0,0,0", "--steps", "100"]),
+    ("tolerance", ["rewire", "--targets", "0,0,0,0", "--steps", "100",
+                   "--tolerance", "nan", "--stop-early"]),
+], ids=["bounds-nan", "bounds-inf", "solve-eta-nan", "solve-eta-inf",
+        "rewire-nan-targets", "rewire-nan-tolerance"])
+def test_non_finite_option_is_named(er_graph, tmp_path, capsys, option,
+                                    argv):
+    # Non-finite numbers stop at the option parser, which names the option,
+    # instead of reaching the LP layer or a chain that can never stop.
+    command, *rest = argv
+    graph = ["--graph", str(er_graph)] if command == "bounds" else [
+        str(er_graph)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([command, *graph, *rest, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {option} must be finite, got ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_row", ["1000,0.1", "1000,0.1,x,0.1,0.1,0.5",
                                      "1000,0.1,nan,0.1,0.1,0.5"],
                          ids=["short", "non-numeric", "non-finite"])

@@ -539,7 +539,8 @@ class TestCoefficientBounds:
         def no_lp(*args, **kwargs):
             raise AssertionError("unconditioned bounds called the LP")
 
-        monkeypatch.setattr(lplib, "solve", no_lp)
+        # every LP, masters and one-shot solves alike, runs in Model.solve
+        monkeypatch.setattr(lplib.Model, "solve", no_lp)
         b = coefficient_bounds(problem_from_graph(gen_er(150, 0.1, seed=3)))
         assert all(-1.0 <= lo < hi <= 1.0 for lo, hi in b.bounds.values())
         with pytest.raises(AssertionError, match="called the LP"):
@@ -633,15 +634,17 @@ class TestConditionedBoundsOracle:
         want = reference_range(p, (1, 1), cond)
         assert (want is not None) == attainable
 
+        # every master is one Model.solve: the seeded one, then phase I's
+        # and phase II's re-solves of the same model
         statuses = []
-        solve = lplib.solve
+        solve = lplib.Model.solve
 
-        def logged(prog):
-            sol = solve(prog)
+        def logged(model):
+            sol = solve(model)
             statuses.append(sol.status)
             return sol
 
-        monkeypatch.setattr(lplib, "solve", logged)
+        monkeypatch.setattr(lplib.Model, "solve", logged)
         if attainable:
             got = coefficient_bounds(p, order=((1, 1),), conditioning=cond)
             assert np.abs(np.subtract(got.get(1, 1), want)).max() <= 1e-10
@@ -657,14 +660,15 @@ class TestConditionedBoundsOracle:
         p = problem_from_graph(
             gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1)))
         cells = len(p.source_pairs) * len(p.target_pairs)
+        # a master's size is its model's column count when it is solved
         sizes = []
-        solve = lplib.solve
+        solve = lplib.Model.solve
 
-        def logged(prog):
-            sizes.append(prog.num_vars)
-            return solve(prog)
+        def logged(model):
+            sizes.append(model.prog.num_vars)
+            return solve(model)
 
-        monkeypatch.setattr(lplib, "solve", logged)
+        monkeypatch.setattr(lplib.Model, "solve", logged)
         coefficient_bounds(p, order=((2, 2),),
                            conditioning={(1, 1): (0.1, 0.1)})
         assert sizes and max(sizes) <= cells / 2
@@ -767,6 +771,27 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="empty interval"):
             coefficient_bounds(toy_problem(),
                                conditioning={(1, 1): (0.5, 0.2)})
+
+    # nan != nan, so a NaN pin would fail the point test and go to the LP
+    # layer as an interval; every pin must be finite.
+    @pytest.mark.parametrize("interval", [(np.nan, np.nan), (0.1, np.inf),
+                                          (-np.inf, 0.1)],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="non-finite interval"):
+            assemble_constraints(toy_problem(),
+                                 conditioning={(1, 1): interval})
+        with pytest.raises(ValueError, match="non-finite interval"):
+            coefficient_bounds(toy_problem(), order=((2, 2),),
+                               conditioning={(1, 1): interval})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_targets_rejected(self, bad):
+        p = toy_problem(targets=AssortProfile(bad, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="targets must be finite"):
+            assemble_constraints(p)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            solve_target_eta(p)
 
 
 class TestAdaptiveDispatch:

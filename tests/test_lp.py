@@ -1,8 +1,8 @@
 """The HiGHS-backed LP layer against a brute-force reference."""
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult, linprog
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from didpr import lp as lplib
 from didpr.lp import LinearProgram, LpStatus, solve, verify_solution
@@ -127,12 +127,11 @@ class TestContracts:
 
     def test_optimal_point_off_the_rows_raises(self, monkeypatch):
         # A solver that calls a point optimal is not trusted: solve()
-        # re-checks it against the original rows.
-        # solve() imports linprog when called, so the patch reaches it.
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *a, **k: OptimizeResult(
-                                status=0, x=np.array([0.5, 0.0]), fun=0.5,
-                                message="forged"))
+        # re-checks it against the original rows.  HiGHS solves the real
+        # program and reports it Optimal; the point it hands back is forged.
+        monkeypatch.setattr(lplib.Model, "_optimum",
+                            lambda self: (np.array([0.5, 0.0]), 0.5,
+                                          np.zeros(1)))
         lp = make_lp(2, [1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
         with pytest.raises(lplib.LpError, match="violating the constraints"):
             solve(lp)
@@ -155,3 +154,155 @@ class TestContracts:
     def test_nonfinite_rhs_rejected(self):
         with pytest.raises(ValueError):
             make_lp(1, [1.0], A_eq=[[1.0]], b_eq=[np.inf])
+
+
+def _northwest_corner(rho, kappa):
+    """A basic plan with margins rho and kappa, on ns + nt - 1 cells."""
+    x = np.zeros((len(rho), len(kappa)))
+    left_r, left_k = rho.copy(), kappa.copy()
+    i = j = 0
+    while i < len(rho) and j < len(kappa):
+        x[i, j] = m = min(left_r[i], left_k[j])
+        left_r[i] -= m
+        left_k[j] -= m
+        if left_r[i] <= left_k[j]:
+            i += 1
+        else:
+            j += 1
+    return x
+
+
+def transportation_program(rng):
+    """A random ns x nt transportation program with one = side row and one
+    pair of <= side rows, as the eta module builds them.  Every row holds
+    at x0, the mean of the northwest and southwest corner plans, which is
+    no vertex: so the program's optimum is as nondegenerate as random data
+    make it, and its duals are unique.  Returns (program, x0, cell caps).
+    """
+    ns, nt = rng.integers(3, 9, size=2)
+    rho, kappa = rng.dirichlet(np.ones(ns)), rng.dirichlet(np.ones(nt))
+    x0 = (_northwest_corner(rho, kappa)
+          + _northwest_corner(rho[::-1], kappa)[::-1]).ravel() / 2
+    w_eq, w_ub = rng.standard_normal((2, ns * nt))
+    A_eq = sp.vstack([sp.kron(sp.eye(ns), np.ones((1, nt))),
+                      sp.kron(np.ones((1, ns)), sp.eye(nt)),
+                      sp.csr_matrix(w_eq)], format="csc")
+    b_eq = np.concatenate([rho, kappa, [w_eq @ x0]])
+    A_ub = sp.csc_matrix(np.vstack([w_ub, -w_ub]))
+    b_ub = np.array([w_ub @ x0 + 0.05, 0.05 - w_ub @ x0])
+    prog = LinearProgram(ns * nt, rng.standard_normal(ns * nt), A_eq, b_eq,
+                         A_ub, b_ub)
+    return prog, x0, np.minimum.outer(rho, kappa).ravel()
+
+
+def restricted(prog, cols):
+    return LinearProgram(len(cols), prog.c[cols], prog.A_eq[:, cols],
+                         prog.b_eq, prog.A_ub[:, cols], prog.b_ub)
+
+
+def reduced_costs(prog, sol):
+    return prog.c - prog.A_eq.T @ sol.eq_duals - prog.A_ub.T @ sol.ub_duals
+
+
+def grown_models(seed, capped):
+    """For 40 random transportation programs: a Model of the plan's cells
+    and a third of the rest, then three batches of new columns.  Yields
+    (model, its program's columns so far, program, caps) after each
+    batch's re-solve, and the re-solve's answer."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        prog, x0, cap = transportation_program(rng)
+        rest = rng.permutation(np.flatnonzero(x0 == 0))
+        cols = np.concatenate([np.flatnonzero(x0), rest[:len(rest) // 3]])
+        model = lplib.Model(restricted(prog, cols))
+        assert model.solve().status is LpStatus.OPTIMAL
+        for batch in np.array_split(rest[len(rest) // 3:], 3):
+            model.add_columns(prog.c[batch], prog.A_eq[:, batch],
+                              prog.A_ub[:, batch],
+                              cap[batch] if capped else None)
+            cols = np.concatenate([cols, batch])
+            yield model, cols, prog, cap, model.solve()
+
+
+class TestWarmStart:
+    """Model re-solves from its last basis against cold one-shot solves."""
+
+    def test_resolve_after_new_columns_matches_a_cold_solve(self):
+        iterations = 0
+        for model, cols, prog, _, warm in grown_models(30, capped=False):
+            iterations += model.simplex_iterations
+            sub = restricted(prog, cols)
+            cold = solve(sub)
+            assert warm.status is cold.status is LpStatus.OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert np.abs(reduced_costs(sub, warm)
+                          - reduced_costs(sub, cold)).max() <= 1e-10
+        # the batches do move the optimum: the re-solves pivot
+        assert iterations > 0
+
+    def test_capped_columns_keep_the_optimum(self):
+        # A cap the rows imply costs no vertex, so the optimum is the cold
+        # one.  At a binding cap the duals are not unique, so instead of
+        # matching the cold solve's, the warm duals must certify the
+        # optimum themselves: reduced costs >= 0 below the cap, <= 0 at it,
+        # and no duality gap once the caps' multipliers are counted.
+        for model, cols, prog, cap, warm in grown_models(31, capped=True):
+            sub = restricted(prog, cols)
+            assert warm.status is LpStatus.OPTIMAL
+            assert warm.objective == pytest.approx(solve(sub).objective,
+                                                   abs=1e-10)
+            d = reduced_costs(sub, warm)
+            at_cap = np.isclose(warm.x, cap[cols], rtol=0.0, atol=1e-9)
+            assert d[~at_cap].min(initial=0.0) >= -1e-9
+            assert d[at_cap].max(initial=0.0) <= 1e-9
+            dual_objective = (sub.b_eq @ warm.eq_duals
+                              + sub.b_ub @ warm.ub_duals
+                              + d[at_cap] @ cap[cols][at_cap])
+            assert dual_objective == pytest.approx(warm.objective, abs=1e-10)
+
+    def test_resolve_without_new_columns_takes_no_pivot(self):
+        for model, _, _, _, warm in grown_models(32, capped=True):
+            empty = sp.csc_matrix((model.prog.num_eq, 0))
+            model.add_columns(np.zeros(0), empty,
+                              sp.csc_matrix((model.prog.num_ub, 0)))
+            again = model.solve()
+            assert model.simplex_iterations == 0
+            assert np.array_equal(again.x, warm.x)
+
+    def test_bad_columns_rejected_before_highs_reads_them(self):
+        model = lplib.Model(make_lp(2, [1.0, 2.0], A_eq=[[1.0, 1.0]],
+                                    b_eq=[1.0]))
+        col, no_rows = sp.csc_matrix([[1.0]]), sp.csc_matrix((0, 1))
+        with pytest.raises(ValueError, match="objective length"):
+            model.add_columns(np.ones(2), col, no_rows)
+        with pytest.raises(ValueError, match="upper length"):
+            model.add_columns(np.ones(1), col, no_rows, upper=np.ones(3))
+        with pytest.raises(ValueError, match="objective length"):
+            model.set_cost(np.ones(3))
+        with pytest.raises(lplib.LpError, match="rejected"):
+            model.close(np.array([2]))
+        # the model is unchanged
+        assert model.prog.num_vars == 2
+        assert model.solve().objective == pytest.approx(1.0, abs=1e-12)
+
+    def test_new_objective_matches_a_cold_solve(self):
+        # set_cost, then close, as column generation ends its phase I;
+        # closing columns at 0 in the last optimum keeps the program feasible
+        rng = np.random.default_rng(33)
+        done = None
+        for model, cols, prog, _, last in grown_models(34, capped=True):
+            if model is done:
+                continue  # the model's costs are no longer the program's
+            done = model
+            c = rng.standard_normal(len(cols))
+            shut = (last.x == 0.0) & (rng.random(len(cols)) < 0.5)
+            model.set_cost(c)
+            model.close(np.flatnonzero(shut))
+            warm = model.solve()
+            sub = restricted(prog, cols)
+            cold = solve(LinearProgram(int((~shut).sum()), c[~shut],
+                                       sub.A_eq[:, ~shut], sub.b_eq,
+                                       sub.A_ub[:, ~shut], sub.b_ub))
+            assert warm.status is cold.status is LpStatus.OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert not warm.x[shut].any()

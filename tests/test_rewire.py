@@ -292,6 +292,14 @@ def test_levels_match_their_definition(m, size):
         assert levels == list(range(size))
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -0.1, float("nan")])
+def test_tolerance_must_be_positive(tolerance):
+    # nan fails every comparison, so only `not tolerance > 0` rejects it; a
+    # nan tolerance would let a stop-early chain run without ever stopping
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        RewiringConfig(max_steps=10, tolerance=tolerance)
+
+
 def test_trace_csv_bytes(tmp_path):
     # Header, then the step and five %.12g values per row, CRLF line ends.
     trace = RewiringTrace([(0, 0.1, -0.2, 0.3, 1 / 3, 0.0),
