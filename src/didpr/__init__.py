@@ -19,7 +19,6 @@ from .assortativity import (
 from .eta import (
     AssortBounds,
     EtaProblem,
-    assemble_constraints,
     coefficient_bounds,
     problem_from_graph,
     problem_from_nu,
@@ -37,7 +36,7 @@ from .graph import (
     write_edge_labels,
     write_edge_list,
 )
-from .lp import LinearProgram, LpError, LpSolution, LpStatus, solve
+from .lp import LpError, LpSolution, LpStatus, solve
 from .rewire import (
     RewiringConfig,
     RewiringTrace,
@@ -60,7 +59,6 @@ __all__ = [
     "write_eta_csv",
     "AssortBounds",
     "EtaProblem",
-    "assemble_constraints",
     "coefficient_bounds",
     "problem_from_graph",
     "problem_from_nu",
@@ -83,7 +81,6 @@ __all__ = [
     "read_edge_list",
     "write_edge_labels",
     "write_edge_list",
-    "LinearProgram",
     "LpError",
     "LpSolution",
     "LpStatus",

@@ -95,12 +95,6 @@ class EdgeMixMatrix:
                 f"({len(self.source_pairs)} x {len(self.target_pairs)})"
             )
 
-    def source_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.source_pairs)}
-
-    def target_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.target_pairs)}
-
     def validate(self, atol: float = 1e-9) -> None:
         """Check nonnegativity and total mass one; raise on violation."""
         if self.H.size == 0:

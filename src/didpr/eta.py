@@ -21,8 +21,7 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   gradients on the row/column block and a 4x4 Schur complement for the
   four moment rows, so their work is a few hundred mat-vecs with the
   ns x nt matrix, at any problem size.  They run on numpy alone; scipy
-  is imported only by the LPs below (scipy.sparse here, HiGHS through
-  lp.Model).
+  is imported only by the LPs below, for HiGHS through lp.Model.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -36,7 +35,9 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   only restricted masters, and numpy prices every cell from their duals.
   The masters of one optimisation are one HiGHS model, which takes the
   entering cells as new columns and re-solves from its last basis
-  (Lubbecke & Desrosiers 2005).
+  (Lubbecke & Desrosiers 2005).  A cell's column is built from the edge
+  ends only when it enters (_Program), and pricing is a dense expression
+  in the duals, so no LP ever forms the full constraint matrix.
 
 Every one of these constraints is the same standardised moment.  Each
 problem works out its two edge ends once (EtaProblem.ends): pair masses,
@@ -70,13 +71,9 @@ __all__ = [
     "AssortBounds",
     "problem_from_nu",
     "problem_from_graph",
-    "assemble_constraints",
     "solve_target_eta",
     "coefficient_bounds",
-    "DEFAULT_ORDER",
 ]
-
-DEFAULT_ORDER: tuple[tuple[int, int], ...] = TYPE_PAIRS
 
 # Overshoot beyond [-1, 1] tolerated (and clamped) when reading LP optima
 # as coefficient bounds; anything larger is a solver failure.
@@ -147,57 +144,58 @@ def problem_from_graph(
     return problem_from_nu(degree_pair_dist(g), targets)
 
 
-def assemble_constraints(
-    p: EtaProblem,
-    conditioning: dict[tuple[int, int], tuple[float, float]] | None = None,
-) -> lplib.LinearProgram:
-    """Linear program over the mixing-matrix entries (row-major, zero cost).
+class _Program(NamedTuple):
+    """An LP over the flat ns x nt cells of a mixing matrix, as
+    lplib.Model takes it: rows lower <= A x <= upper.  Rows s and ns + t
+    pin the masses of source pair s and target pair t; then one row per
+    pinned pair (a, b), in the order of pairs, holds the standardised moment
+    U[:, a-1] (x) V[:, b-1], whose value under a mixing matrix with these
+    marginals is r(a, b) itself.  A point pin (lower == upper, as every
+    target is) is an equality, an interval one ranged row.  Redundant rows
+    (the two marginal families share their total) are kept; the solver's
+    presolve copes with rank deficiency."""
 
-    Equality rows: one per source pair (row sums) and one per target pair
-    (column sums).  Every pinned coefficient r(a, b) adds the standardised
-    moment row U[:, a-1] (x) V[:, b-1], whose value under a mixing matrix
-    with these marginals is r(a, b) itself.  The targets and the intervals
-    (a, b) -> (lower, upper) of `conditioning` are pins alike: a point
-    (lower == upper, as every target is) is one equality row with right
-    side r, an interval two <= rows.  Redundant rows (the two marginal
-    families share their total) are kept; the solver's presolve copes with
-    rank deficiency.
-    """
-    import scipy.sparse as sp
+    ends: _Ends
+    pairs: list[tuple[int, int]]
+    lower: np.ndarray
+    upper: np.ndarray
 
-    conditioning = conditioning or {}
-    for pair, (lo, hi) in conditioning.items():
-        if pair not in TYPE_PAIRS:
-            raise ValueError(f"unknown type pair {pair}")
-        if not np.isfinite([lo, hi]).all():
-            raise ValueError(f"non-finite interval [{lo}, {hi}] for {pair}")
-        if lo > hi:
-            raise ValueError(f"empty interval {lo} > {hi} for {pair}")
-    pins = list(conditioning.items())
-    if p.targets is not None:
-        pins += [(pair, (r, r)) for pair, r in zip(TYPE_PAIRS, _targets(p))]
-    e = p.ends
-    _require_spread(e.sd_s, e.sd_t, [pair for pair, _ in pins])
-    ns, nt = len(p.source_pairs), len(p.target_pairs)
-    eq_rows = [sp.kron(sp.eye(ns), np.ones((1, nt))),
-               sp.kron(np.ones((1, ns)), sp.eye(nt))]
-    eq_rhs = [e.rho, e.kappa]
-    ub_rows, ub_rhs = [], []
-    for (a, b), (lo, hi) in sorted(pins):
-        row = sp.csr_matrix(np.outer(e.U[:, a - 1], e.V[:, b - 1]).ravel())
-        if lo == hi:
-            eq_rows.append(row)
-            eq_rhs.append([lo])
-        else:
-            ub_rows += [row, -row]
-            ub_rhs += [[hi], [-lo]]
-    A_ub = (sp.vstack(ub_rows, format="csc") if ub_rows
-            else sp.csc_matrix((0, ns * nt)))
-    b_ub = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
-    return lplib.LinearProgram(
-        ns * nt, np.zeros(ns * nt), sp.vstack(eq_rows, format="csc"),
-        np.concatenate(eq_rhs), A_ub, b_ub
-    )
+    def columns(self, cells: np.ndarray):
+        """CSC arrays (start, index, value) of A's columns at the flat
+        cells: rows in ascending order, exact zeros dropped."""
+        e = self.ends
+        ns, nt = len(e.rho), len(e.kappa)
+        s, t = np.divmod(cells, nt)
+        index = np.empty((len(cells), 2 + len(self.pairs)), dtype=np.int32)
+        index[:, 0], index[:, 1] = s, ns + t
+        index[:, 2:] = ns + nt + np.arange(len(self.pairs))
+        value = np.ones(index.shape)
+        for k, (a, b) in enumerate(self.pairs):
+            value[:, 2 + k] = e.U[s, a - 1] * e.V[t, b - 1]
+        keep = value != 0.0
+        start = np.zeros(len(cells) + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=start[1:])
+        return start, index[keep], value[keep]
+
+    def reduced(self, c, y: np.ndarray) -> np.ndarray:
+        """c - A' y over every cell: the reduced costs of row duals y."""
+        e = self.ends
+        ns, nt = len(e.rho), len(e.kappa)
+        R = y[:ns, None] + y[ns:ns + nt]
+        for k, (a, b) in enumerate(self.pairs):
+            R += y[ns + nt + k] * np.outer(e.U[:, a - 1], e.V[:, b - 1])
+        return c - R.ravel()
+
+
+def _program(e: _Ends,
+             pins: dict[tuple[int, int], tuple[float, float]]) -> _Program:
+    """The LP of the polytope of the ends e, with the pins
+    (a, b) -> (lower, upper)."""
+    pairs = sorted(pins)
+    _require_spread(e.sd_s, e.sd_t, pairs)
+    lower, upper = np.array([pins[pair] for pair in pairs]).reshape(-1, 2).T
+    return _Program(e, pairs, np.concatenate([e.rho, e.kappa, lower]),
+                    np.concatenate([e.rho, e.kappa, upper]))
 
 
 def _targets(p: EtaProblem) -> np.ndarray:
@@ -206,32 +204,6 @@ def _targets(p: EtaProblem) -> np.ndarray:
     if not np.isfinite(m_star).all():
         raise ValueError(f"targets must be finite, got {m_star.tolist()}")
     return m_star
-
-
-def _spread_program(p: EtaProblem) -> tuple[lplib.LinearProgram, np.ndarray]:
-    """Variant of the target system that favours interior solutions.
-
-    Substitute eta = psi + t * (independence coupling), psi >= 0, and
-    maximise t (the row sums keep it at most 1).  Feasibility is unchanged
-    (t = 0 recovers the plain system), but at the optimum every entry of eta
-    is at least t* times the independence mass, which keeps later rewiring
-    chains mobile.  Returns the lifted program (t is the last variable) and
-    the independence coupling, flattened.
-    """
-    import scipy.sparse as sp
-
-    base = assemble_constraints(p)
-    indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
-
-    # Column of t coefficients: each row's value at eta = independence.
-    t_col_eq = np.asarray(base.A_eq @ indep).ravel()
-    A_eq = sp.hstack([base.A_eq, sp.csc_matrix(t_col_eq[:, None])], format="csc")
-    c = np.zeros(base.num_vars + 1)
-    c[-1] = -1.0
-    lifted = lplib.LinearProgram(
-        base.num_vars + 1, c, A_eq, base.b_eq,
-        sp.csc_matrix((0, base.num_vars + 1)), base.b_ub)
-    return lifted, indep
 
 
 # A rewiring chain driven by the entropy tilt is effectively diffusive when
@@ -308,7 +280,7 @@ def _cg(matvec, b, d, maxiter):
     preconditioned by its diagonal d: (x, iterations).
 
     Stops once the residual is below _CG_TOL |b|, or after maxiter
-    iterations.  Every step repeats scipy.sparse.linalg.cg's arithmetic
+    iterations.  Every step repeats the arithmetic of scipy's sparse cg
     (scipy 1.17, rtol=_CG_TOL, M = diag(1/d)) in its order, so x is the
     same to the bit; b is made contiguous first, as scipy's ravel does.
     """
@@ -341,7 +313,7 @@ def _newton_kkt(K, U, V, r_ab, r_lam, passes):
     """Solve A diag(K) A' [z; mu] = [r_ab; r_lam], A the constraint map.
 
     A stacks row sums, column sums and the four standardised moments.  CG
-    (_cg, in numpy: the CLI then starts without scipy.sparse.linalg)
+    (_cg, in numpy: the CLI then starts without scipy)
     applies the inverse of the row/column block H = A_ab diag(K) A_ab' to
     r_ab and to the columns of the coupling P without forming H; mu solves
     the 4x4 Schur complement S = R - P' H^-1 P by least squares, and
@@ -531,15 +503,43 @@ def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
                          X / X.sum())
 
 
+def _spread(p: EtaProblem) -> tuple[float, np.ndarray] | None:
+    """The spread program by column generation, seeded with the supports
+    of the four target pairs: (-t*, x), or None if infeasible.
+
+    A variant of the target system that favours interior solutions:
+    substitute eta = psi + t * (independence coupling), psi >= 0, and
+    maximise t (the row sums keep it at most 1).  Feasibility is unchanged
+    (t = 0 recovers the plain system), but at the optimum every entry of eta
+    is at least t* times the independence mass, which keeps later rewiring
+    chains mobile.  x holds psi over the cells, then t*.  t's column is the
+    coupling's image under the rows, each summed in cell order (cumsum), as
+    a mat-vec with the full program adds them.
+    """
+    e = p.ends
+    m_star = _targets(p)
+    prog = _program(e, dict(zip(TYPE_PAIRS, zip(m_star, m_star))))
+    indep = np.outer(e.rho, e.kappa)
+    t_col = np.concatenate([
+        np.cumsum(indep, axis=1)[:, -1], np.cumsum(indep, axis=0)[-1],
+        [np.cumsum(np.outer(e.U[:, a - 1], e.V[:, b - 1]) * indep)[-1]
+         for a, b in prog.pairs]])
+    rows = np.flatnonzero(t_col)
+    c = np.zeros(indep.size + 1)
+    c[-1] = -1.0
+    return _column_generation(prog, c, _seed(e, TYPE_PAIRS),
+                              "the spread program",
+                              ([0, len(rows)], rows, t_col[rows]))
+
+
 def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
-    """Solve the spread program (see _spread_program) by column generation,
-    seeded with the supports of the four target pairs; None if infeasible."""
-    prog, indep = _spread_program(p)
-    found = _column_generation(prog, prog.c, _seed(p.ends, TYPE_PAIRS),
-                               "the spread program")
+    """The spread program's mixing matrix (see _spread); None if
+    infeasible."""
+    found = _spread(p)
     if found is None:
         return None
     x = found[1]
+    indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
     flat = np.maximum(x[:-1] + x[-1] * indep, 0.0)
     eta = EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
                         flat.reshape(len(p.source_pairs), -1))
@@ -659,73 +659,68 @@ def _entering(reduced: np.ndarray, active: np.ndarray) -> np.ndarray:
     return cand[R.flat[cand] < -_PRICE_TOL]
 
 
-def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
-                       seed: np.ndarray, what: str
+def _column_generation(prog: _Program, c: np.ndarray, seed: np.ndarray,
+                       what: str, extra=None
                        ) -> tuple[float, np.ndarray] | None:
     """Minimum of c . x over the program's feasible set, and a minimiser.
 
-    The program's first ns x nt columns are the cells of a mixing matrix,
-    and HiGHS only ever sees a restricted master: the columns at the active
-    cells, which start from the ns x nt mask seed (see _seed), plus any
-    further columns (the spread program's t).  All masters of one call are
-    one lplib.Model.  From a master's duals y, z the reduced cost of every
-    cell, c - A_eq' y - A_ub' z, is one sparse product; the cells that can
-    lower the objective enter (_entering) as new columns of the model, which
-    re-solves from its last basis.  An entering cell is capped by the masses
-    of its row and of its column, a bound the first ns + nt equalities
-    already imply: it costs no vertex, and it lets the re-solve start from a
-    dual feasible basis (see lplib.Model).  When no reduced cost is below
+    c holds the costs of the ns x nt cells, then of any further columns,
+    given as CSC arrays extra = (start, index, value): the spread
+    program's t.  HiGHS only ever sees a restricted master: the further
+    columns and those at the active cells, which start from the ns x nt
+    mask seed (see _seed).  All masters of one call are one lplib.Model.
+    From a master's row duals y the reduced cost of every cell, c - A' y,
+    is one dense expression (_Program.reduced); the cells that can lower
+    the objective enter (_entering) as new columns of the model, which
+    re-solves from its last basis.  An entering cell is capped by the
+    masses of its row and of its column, a bound the first ns + nt rows
+    already imply: it costs no vertex, and it lets the re-solve start from
+    a dual feasible basis (see lplib.Model).  When no reduced cost is below
     -_PRICE_TOL the duals, with the multipliers of the caps, are feasible
     for the full program up to that amount per cell, and the cells carry
     total mass at most 1, so the master's optimum is within _PRICE_TOL of
     the full one.  Returns (objective, x), x zero off the active cells.
 
     Cells only enter, so a master can be infeasible only before phase I
-    has run.  Phase I adds artificials on every row to the model and
-    minimises their sum, pricing the same way with cost 0 on the cells; a
-    positive sum that no cell can lower proves the program infeasible (its
-    feasible points all keep within the caps), and the answer is None.
-    Otherwise the cells get their costs back and the artificials close at
-    0, in the same model.
+    has run.  Phase I adds artificials both ways on every row to the model
+    and minimises their sum, pricing the same way with cost 0 on the
+    cells; a positive sum that no cell can lower proves the program
+    infeasible (its feasible points all keep within the caps), and the
+    answer is None.  Otherwise the cells get their costs back and the
+    artificials close at 0, in the same model.
     """
-    import scipy.sparse as sp
-
-    A_eq, A_ub, m_eq = prog.A_eq, prog.A_ub, prog.num_eq
     # Every cell is capped by the masses of its row and of its column: the
-    # first ns + nt equalities, whose coefficients are all nonnegative.
+    # first ns + nt rows, whose coefficients are all nonnegative.
     ns, nt = seed.shape
-    cap = np.minimum.outer(prog.b_eq[:ns], prog.b_eq[ns:ns + nt]).ravel()
+    cap = np.minimum.outer(prog.lower[:ns], prog.lower[ns:ns + nt]).ravel()
     active = seed.copy()
-    art = None
     # Program column of every model column; -1 marks an artificial.
-    where = np.concatenate([np.flatnonzero(active),
-                            np.arange(seed.size, prog.num_vars)])
-    model = lplib.Model(lplib.LinearProgram(
-        len(where), c[where], A_eq[:, where], prog.b_eq, A_ub[:, where],
-        prog.b_ub))
-    phase_one = False
+    where = np.flatnonzero(active)
+    model = lplib.Model(prog.lower, prog.upper, c[where],
+                        *prog.columns(where))
+    if extra is not None:
+        model.add_columns(c[seed.size:], *extra)
+        where = np.concatenate([where, np.arange(seed.size, len(c))])
+    m = len(prog.lower)
+    phase_one = artificial = False
     while True:
         sol = model.solve()
-        if sol.status is lplib.LpStatus.INFEASIBLE and art is None:
-            # Artificials, added at the first infeasible master: both ways
-            # on every equality row, downward on every <= row.
-            eye = sp.eye(m_eq)
-            art = sp.block_diag([sp.hstack([eye, -eye]),
-                                 -sp.eye(prog.num_ub)], format="csc")
-            model.add_columns(np.ones(art.shape[1]), art[:m_eq], art[m_eq:])
-            where = np.concatenate([where, np.full(art.shape[1], -1)])
+        if sol.status is lplib.LpStatus.INFEASIBLE and not artificial:
+            model.add_columns(np.ones(2 * m), np.arange(2 * m + 1),
+                              np.tile(np.arange(m), 2),
+                              np.repeat([1.0, -1.0], m))
+            where = np.concatenate([where, np.full(2 * m, -1)])
             model.set_cost((where < 0).astype(float))
-            phase_one = True
+            phase_one = artificial = True
             continue
         if sol.status is not lplib.LpStatus.OPTIMAL:
             raise lplib.LpError(f"unexpected LP status {sol.status} for {what}")
-        reduced = ((0.0 if phase_one else c)
-                   - A_eq.T @ sol.eq_duals - A_ub.T @ sol.ub_duals)
-        enter = _entering(reduced[:seed.size], active)
+        reduced = prog.reduced(0.0 if phase_one else c[:seed.size], sol.duals)
+        enter = _entering(reduced, active)
         if enter.size:
             active.flat[enter] = True
             model.add_columns(np.zeros(enter.size) if phase_one else c[enter],
-                              A_eq[:, enter], A_ub[:, enter], cap[enter])
+                              *prog.columns(enter), cap[enter])
             where = np.concatenate([where, enter])
         elif not phase_one:
             break
@@ -737,7 +732,7 @@ def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
             model.set_cost(np.where(where < 0, 0.0, c[where]))
             model.close(np.flatnonzero(where < 0))
             phase_one = False
-    x = np.zeros(prog.num_vars)
+    x = np.zeros(len(c))
     cells = where >= 0
     x[where[cells]] = sol.x[cells]
     return sol.objective, x
@@ -745,7 +740,7 @@ def _column_generation(prog: lplib.LinearProgram, c: np.ndarray,
 
 def coefficient_bounds(
     p: EtaProblem,
-    order: tuple[tuple[int, int], ...] = DEFAULT_ORDER,
+    order: tuple[tuple[int, int], ...] = TYPE_PAIRS,
     conditioning: dict[tuple[int, int], tuple[float, float]] | None = None,
 ) -> AssortBounds:
     """Attainable range of each queried coefficient.
@@ -757,21 +752,23 @@ def coefficient_bounds(
     two marginals, taken on the standardised degrees, so they are the
     coefficients themselves and no LP is solved.  With conditioning each
     optimum is a linear program over the standardised moment rows of
-    assemble_constraints, so it too is the coefficient; column generation
+    _Program, so it too is the coefficient; column generation
     solves it (_column_generation), seeded with the comonotone and antitone
     supports of the bounded pair and of every conditioning pair.  Raises
     ValueError on an unknown type pair or an empty interval, and when the
     conditioning intervals cut the feasible set down to nothing.
     """
     conditioning = dict(conditioning or {})
-    for pair in order:
+    for pair in (*order, *conditioning):
         if pair not in TYPE_PAIRS:
             raise ValueError(f"unknown type pair {pair}")
-    prog = None
-    if conditioning:
-        bare = EtaProblem(p.nu, p.source_pairs, p.target_pairs)
-        prog = assemble_constraints(bare, conditioning)
+    for pair, (lo, hi) in conditioning.items():
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError(f"non-finite interval [{lo}, {hi}] for {pair}")
+        if lo > hi:
+            raise ValueError(f"empty interval {lo} > {hi} for {pair}")
     e = p.ends
+    prog = _program(e, conditioning) if conditioning else None
     _require_spread(e.sd_s, e.sd_t, order)
 
     out: dict[tuple[int, int], tuple[float, float]] = {}

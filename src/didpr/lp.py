@@ -1,39 +1,38 @@
 """Linear programming layer.
 
-Problems are minimisation over x >= 0 with sparse equality and <= rows,
-stored by column.  One HiGHS driver runs them all: Model, built on the
-bindings scipy ships (scipy.optimize._highspy), keeps its rows and grows
-by columns.  Its first solve is interior point with crossover; after new
-columns it re-solves by the simplex from the basis the solve before left,
-so a program that gained a few columns costs a few pivots, not a new
-solve.  The library's two LPs, the conditioned coefficient bounds and the
-fallback of the mixing-matrix solver, each run as one Model of restricted
-masters priced by numpy (eta._column_generation), never as the full
-ns x nt program; solve() is the one-shot call on the same class.
+Every program here is min c.x subject to lower <= A x <= upper and x >= 0,
+in HiGHS's own row form: a row with lower == upper is an equality, one
+with lower = -inf a <= row, and one with two finite bounds a range.  A is
+given by columns, as numpy CSC arrays: column j has the row indices
+index[start[j]:start[j+1]] and the entries value[start[j]:start[j+1]].
+
+One HiGHS driver runs them all: Model, built on the bindings scipy ships
+(scipy.optimize._highspy), keeps its rows and grows by columns.  Its first
+solve is interior point with crossover; after new columns it re-solves by
+the simplex from the basis the solve before left, so a program that gained
+a few columns costs a few pivots, not a new solve.  The library's two LPs,
+the conditioned coefficient bounds and the fallback of the mixing-matrix
+solver, each run as one Model of restricted masters priced by numpy
+(eta._column_generation), never as the full ns x nt program; solve() is
+the one-shot call on the same class.
 
 An Optimal answer is re-checked against the model's rows by an
-independent residual pass before it is returned; solver internals are
-never trusted on feasibility.
+independent residual pass, a mat-vec over the model's own arrays, before
+it is returned; solver internals are never trusted on feasibility.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "LpStatus",
     "LpError",
-    "LinearProgram",
     "LpSolution",
     "Model",
     "solve",
-    "verify_solution",
 ]
 
 
@@ -48,97 +47,15 @@ class LpError(RuntimeError):
 
 
 @dataclass
-class LinearProgram:
-    """min c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0."""
-
-    num_vars: int
-    c: np.ndarray
-    A_eq: sp.csc_matrix | None = None
-    b_eq: np.ndarray | None = None
-    A_ub: sp.csc_matrix | None = None
-    b_ub: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        import scipy.sparse as sp
-
-        self.c = np.asarray(self.c, dtype=np.float64)
-        if self.c.shape != (self.num_vars,):
-            raise ValueError("objective length does not match num_vars")
-        for name in ("A_eq", "A_ub"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = sp.csc_matrix(mat)
-                if mat.shape[1] != self.num_vars:
-                    raise ValueError(f"{name} has {mat.shape[1]} columns, "
-                                     f"expected {self.num_vars}")
-                setattr(self, name, mat)
-        for aname, bname in (("A_eq", "b_eq"), ("A_ub", "b_ub")):
-            mat = getattr(self, aname)
-            vec = getattr(self, bname)
-            if (mat is None) != (vec is None):
-                raise ValueError(f"{aname} and {bname} must be given together")
-            if vec is not None:
-                vec = np.asarray(vec, dtype=np.float64)
-                if vec.shape != (mat.shape[0],):
-                    raise ValueError(f"{bname} length does not match {aname}")
-                if not np.all(np.isfinite(vec)):
-                    raise ValueError(f"{bname} contains non-finite values")
-                setattr(self, bname, vec)
-
-    @property
-    def num_eq(self) -> int:
-        return 0 if self.A_eq is None else self.A_eq.shape[0]
-
-    @property
-    def num_ub(self) -> int:
-        return 0 if self.A_ub is None else self.A_ub.shape[0]
-
-
-@dataclass
 class LpSolution:
-    """Solver answer.  At an optimum, eq_duals / ub_duals hold the
-    derivative of the objective with respect to each row's right side, so
-    c - A_eq' eq_duals - A_ub' ub_duals are the reduced costs."""
+    """Solver answer.  At an optimum, duals hold the derivative of the
+    objective with respect to each row's active bound, so c - A' duals are
+    the reduced costs."""
 
     status: LpStatus
     x: np.ndarray | None = None
     objective: float | None = None
-    eq_duals: np.ndarray | None = None
-    ub_duals: np.ndarray | None = None
-
-
-def verify_solution(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
-    """Residuals of x against the original rows.
-
-    Returns max equality residual, max inequality overshoot, and the most
-    negative coordinate (as a positive number).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    eq_res = 0.0
-    if lp.A_eq is not None:
-        eq_res = float(np.abs(lp.A_eq @ x - lp.b_eq).max(initial=0.0))
-    ub_res = 0.0
-    if lp.A_ub is not None:
-        ub_res = float(np.maximum(lp.A_ub @ x - lp.b_ub, 0.0).max(initial=0.0))
-    neg = float(max(0.0, -x.min(initial=0.0)))
-    return {"eq": eq_res, "ub": ub_res, "neg": neg}
-
-
-def _check_optimal(lp: LinearProgram, x: np.ndarray,
-                   upper: np.ndarray | None = None) -> None:
-    res = verify_solution(lp, x)
-    if upper is not None:
-        res["upper"] = float(np.maximum(x - upper, 0.0).max(initial=0.0))
-    b_sup = 0.0
-    if lp.b_eq is not None and lp.b_eq.size:
-        b_sup = float(np.abs(lp.b_eq).max())
-    scale = 1.0 + b_sup
-    if (res["eq"] > 1e-7 * scale or res["ub"] > 1e-7 * scale
-            or res["neg"] > 1e-7 or res.get("upper", 0.0) > 1e-7):
-        raise LpError(
-            "HiGHS returned an 'optimal' point violating the constraints "
-            f"(residuals {res})"
-        )
+    duals: np.ndarray | None = None
 
 
 # HiGHS options for every model; simplex_strategy 1 is the dual simplex.
@@ -152,23 +69,17 @@ _OPTIONS = {
 }
 
 
-def _stacked(A_ub, A_eq) -> sp.csc_matrix:
-    """The columns as HiGHS holds them: <= rows first, then equalities."""
-    import scipy.sparse as sp
-
-    return sp.vstack([A_ub, A_eq], format="csc")
-
-
 class Model:
-    """min c.x over the rows of a LinearProgram, grown by columns and
+    """min c.x over the rows lower <= A x <= upper, grown by columns and
     re-solved from its last basis.
 
-    The rows are fixed when the model is built, and its columns are the
-    program's, with bounds x >= 0.  add_columns appends columns, optionally
-    capped above; set_cost replaces the whole objective and close fixes
-    columns at 0.  None of the three discards the basis.  prog mirrors the
-    model's columns and costs; every Optimal answer is checked against it
-    and against the caps.
+    The rows are fixed when the model is built, with its first columns:
+    costs c and CSC arrays start, index, value (see the module docstring),
+    bounds x >= 0.  add_columns appends columns, optionally capped above;
+    set_cost replaces the whole objective and close fixes columns at 0.
+    None of the three discards the basis.  The model keeps its own copy of
+    the rows, columns and caps, checks every length against it before
+    HiGHS reads an array, and checks every Optimal answer against it.
 
     solve() picks the algorithm from the state the model is in:
     * no basis (the first solve, or one after an interior point run that
@@ -187,39 +98,36 @@ class Model:
       mass) costs no vertex.
     """
 
-    def __init__(self, prog: LinearProgram) -> None:
-        # Imported here, as scipy.sparse is where a program is built: the
-        # CLI starts without scipy, and only conditioned bounds and the
-        # solve's LP fallback pay for loading it.
-        import scipy.sparse as sp
+    def __init__(self, lower, upper, c, start, index, value) -> None:
+        # Imported here: the CLI starts without scipy, and only conditioned
+        # bounds and the solve's LP fallback pay for loading it.
         from scipy.optimize._highspy import _core
 
-        n = prog.num_vars
-        empty = {"A_eq": sp.csc_matrix((0, n)), "b_eq": np.zeros(0),
-                 "A_ub": sp.csc_matrix((0, n)), "b_ub": np.zeros(0)}
-        prog = replace(prog, **{k: v for k, v in empty.items()
-                                if getattr(prog, k) is None})
+        lower = np.asarray(lower, dtype=np.float64)
+        upper = np.asarray(upper, dtype=np.float64)
+        if lower.shape != upper.shape or lower.ndim != 1:
+            raise ValueError("row bounds lower and upper differ in length")
+        if not ((lower < np.inf) & (upper > -np.inf)).all():
+            raise ValueError("row bounds contain non-finite values")
         self._core = _core
-        self.prog = prog
-        self._upper = np.full(n, np.inf)
+        self._lower, self._upper = lower, upper
+        # The columns as HiGHS holds them, for the checks: CSC arrays and caps.
+        self._start, self._index = np.zeros(1, np.int64), np.zeros(0, np.int32)
+        self._value, self._caps = np.zeros(0), np.zeros(0)
         self._cost_changed = False
         self._h = _core._Highs()
         for key, val in _OPTIONS.items():
             self._h.setOptionValue(key, val)
-        A = _stacked(prog.A_ub, prog.A_eq)
-        inf = _core.kHighsInf
-        m = _core.HighsLp()
-        m.num_col_, m.num_row_ = n, A.shape[0]
-        m.col_cost_ = prog.c
-        m.col_lower_ = np.zeros(n)
-        m.col_upper_ = self._upper
-        m.row_lower_ = np.concatenate([np.full(prog.num_ub, -inf), prog.b_eq])
-        m.row_upper_ = np.concatenate([prog.b_ub, prog.b_eq])
-        a = m.a_matrix_
-        a.format_ = _core.MatrixFormat.kColwise
-        a.num_col_, a.num_row_ = n, A.shape[0]
-        a.start_, a.index_, a.value_ = A.indptr, A.indices, A.data
-        self._checked(self._h.passModel(m), "the program")
+        # The rows come without entries; the columns bring them.
+        m = len(lower)
+        self._checked(self._h.addRows(
+            m, lower, upper, 0, np.zeros(m, np.int32), np.zeros(0, np.int32),
+            np.zeros(0)), "the rows")
+        self.add_columns(c, start, index, value)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self._caps)
 
     @property
     def simplex_iterations(self) -> int:
@@ -230,37 +138,42 @@ class Model:
         if status == self._core.HighsStatus.kError:
             raise LpError(f"HiGHS rejected {what}")
 
-    def add_columns(self, c: np.ndarray, A_eq, A_ub,
-                    upper: np.ndarray | None = None) -> None:
-        """Append columns with costs c, the given rows' entries and caps
-        upper (none if None)."""
-        import scipy.sparse as sp
-
-        old = self.prog
-        # The mirror checks every length before HiGHS reads the arrays.
-        prog = LinearProgram(
-            old.num_vars + A_eq.shape[1], np.concatenate([old.c, c]),
-            sp.hstack([old.A_eq, A_eq]), old.b_eq,
-            sp.hstack([old.A_ub, A_ub]), old.b_ub)
-        k = prog.num_vars - old.num_vars
+    def add_columns(self, c, start, index, value, upper=None) -> None:
+        """Append columns with costs c, CSC arrays start, index, value over
+        the model's rows, and caps upper (none if None)."""
+        c = np.asarray(c, dtype=np.float64)
+        start = np.asarray(start, dtype=np.int32)
+        index = np.asarray(index, dtype=np.int32)
+        value = np.asarray(value, dtype=np.float64)
+        k = len(start) - 1
+        if (start.ndim != 1 or k < 0 or start[0] != 0
+                or (np.diff(start) < 0).any() or start[-1] != len(index)
+                or index.shape != value.shape):
+            raise ValueError("column arrays start, index, value disagree")
+        if ((index < 0) | (index >= len(self._lower))).any():
+            raise ValueError("column entries outside the model's rows")
+        if c.shape != (k,):
+            raise ValueError("objective length does not match the columns")
         upper = np.full(k, np.inf) if upper is None else np.asarray(
             upper, dtype=np.float64)
         if upper.shape != (k,):
             raise ValueError("upper length does not match the columns")
-        A = _stacked(A_ub, A_eq)
-        self._checked(self._h.addCols(k, prog.c[old.num_vars:], np.zeros(k),
-                                      upper, A.nnz, A.indptr[:-1], A.indices,
-                                      A.data), "the new columns")
-        self.prog = prog
-        self._upper = np.concatenate([self._upper, upper])
+        self._checked(self._h.addCols(k, c, np.zeros(k), upper, len(index),
+                                      start[:-1], index, value),
+                      "the new columns")
+        self._start = np.append(self._start, self._start[-1] + start[1:])
+        self._index = np.concatenate([self._index, index])
+        self._value = np.concatenate([self._value, value])
+        self._caps = np.concatenate([self._caps, upper])
 
-    def set_cost(self, c: np.ndarray) -> None:
+    def set_cost(self, c) -> None:
         """Replace the objective of every column."""
-        prog = replace(self.prog, c=c)
-        n = prog.num_vars
+        c = np.asarray(c, dtype=np.float64)
+        n = self.num_vars
+        if c.shape != (n,):
+            raise ValueError("objective length does not match the columns")
         self._checked(self._h.changeColsCost(
-            n, np.arange(n, dtype=np.int32), prog.c), "the new costs")
-        self.prog = prog
+            n, np.arange(n, dtype=np.int32), c), "the new costs")
         self._cost_changed = True
 
     def close(self, cols: np.ndarray) -> None:
@@ -269,7 +182,24 @@ class Model:
         self._checked(self._h.changeColsBounds(
             len(cols), np.asarray(cols, dtype=np.int32), zeros, zeros),
             "the columns to close")
-        self._upper[cols] = 0.0
+        self._caps[cols] = 0.0
+
+    def _check_optimal(self, x: np.ndarray) -> None:
+        """Raise LpError unless x keeps the rows to 1e-7 times one plus the
+        largest equality right side, and x >= 0 and the caps to 1e-7."""
+        lower, upper = self._lower, self._upper
+        activity = np.bincount(
+            self._index, self._value * np.repeat(x, np.diff(self._start)),
+            minlength=len(lower))
+        rows = np.maximum(lower - activity, activity - upper).max(initial=0.0)
+        neg = -x.min(initial=0.0)
+        over = (x - self._caps).max(initial=0.0)
+        scale = 1.0 + np.abs(lower[lower == upper]).max(initial=0.0)
+        if rows > 1e-7 * scale or neg > 1e-7 or over > 1e-7:
+            raise LpError(
+                "HiGHS returned an 'optimal' point violating the constraints "
+                f"(rows by {rows:.3g}, x >= 0 by {neg:.3g}, "
+                f"caps by {over:.3g})")
 
     def _optimum(self) -> tuple[np.ndarray, float, np.ndarray]:
         """HiGHS's optimal point, objective and row duals."""
@@ -292,10 +222,8 @@ class Model:
         if ran != core.HighsStatus.kError:
             if status == core.HighsModelStatus.kOptimal:
                 x, objective, duals = self._optimum()
-                _check_optimal(self.prog, x, self._upper)
-                m_ub = self.prog.num_ub
-                return LpSolution(LpStatus.OPTIMAL, x, float(objective),
-                                  duals[m_ub:], duals[:m_ub])
+                self._check_optimal(x)
+                return LpSolution(LpStatus.OPTIMAL, x, float(objective), duals)
             if status == core.HighsModelStatus.kInfeasible:
                 return LpSolution(LpStatus.INFEASIBLE)
             if status == core.HighsModelStatus.kUnbounded:
@@ -303,10 +231,6 @@ class Model:
         raise LpError(f"HiGHS failed: {h.modelStatusToString(status)}")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve a linear program with HiGHS, once (see Model).
-
-    Optimal answers are verified against the constraints before being
-    returned.
-    """
-    return Model(lp).solve()
+def solve(lower, upper, c, start, index, value) -> LpSolution:
+    """Solve a linear program with HiGHS, once (see Model)."""
+    return Model(lower, upper, c, start, index, value).solve()

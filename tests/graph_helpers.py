@@ -1,13 +1,19 @@
 """Graph helpers the tests use and the library does not.
 
 Edge tuples, an independent graph copy, a degree recount, the out-degree
-marginal of a degree-pair distribution, an edge's scenario name, and the
-four coefficients computed straight over the edge list, the cross-check of
-the library's route through the edge mixing matrix.
+marginal of a degree-pair distribution, an edge's scenario name, the
+row and column of each degree pair in a mixing matrix, and the four
+coefficients computed straight over the edge list, the cross-check of the
+library's route through the edge mixing matrix.
 """
 import numpy as np
 
-from didpr.assortativity import AssortProfile, _profile, _standardise
+from didpr.assortativity import (
+    AssortProfile,
+    EdgeMixMatrix,
+    _profile,
+    _standardise,
+)
 from didpr.graph import _LABEL_NAMES, DegreePairDist, DirectedGraph
 
 
@@ -50,6 +56,16 @@ def scenario_of_edge(g: DirectedGraph, edge_index: int) -> str:
     if not 0 <= edge_index < g.num_edges:
         raise IndexError(f"edge index {edge_index} out of range")
     return _LABEL_NAMES[str(g.edge_labels[edge_index])]
+
+
+def source_index(eta: EdgeMixMatrix) -> dict[tuple[int, int], int]:
+    """Source pair -> its row of eta.H."""
+    return {p: i for i, p in enumerate(eta.source_pairs)}
+
+
+def target_index(eta: EdgeMixMatrix) -> dict[tuple[int, int], int]:
+    """Target pair -> its column of eta.H."""
+    return {p: i for i, p in enumerate(eta.target_pairs)}
 
 
 def assortativity_from_edges(g: DirectedGraph) -> AssortProfile:

@@ -13,10 +13,58 @@ from zero by far more than the 1e-7 feasibility tolerance, so the float
 enumeration is exact in effect.
 """
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 FEAS_TOL = 1e-7
+
+
+def csc(A):
+    """The CSC arrays (start, index, value) of a matrix's columns."""
+    A = sp.csc_matrix(A)
+    return A.indptr, A.indices, A.data
+
+
+@dataclass
+class Program:
+    """min c.x subject to lower <= A x <= upper, x >= 0, with A dense: the
+    row form lplib.Model takes."""
+
+    c: np.ndarray
+    A: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def model_args(self):
+        """Model's arguments: row bounds, costs and CSC columns."""
+        return (self.lower, self.upper, self.c, *csc(self.A))
+
+    def split(self):
+        """(A_eq, b_eq, A_ub, b_ub): the rows with lower == upper as
+        equalities, every other finite bound as one <= row."""
+        eq = self.lower == self.upper
+        top = ~eq & np.isfinite(self.upper)
+        bottom = ~eq & np.isfinite(self.lower)
+        return (self.A[eq], self.lower[eq],
+                np.vstack([self.A[top], -self.A[bottom]]),
+                np.concatenate([self.upper[top], -self.lower[bottom]]))
+
+
+def program(n, c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
+    """The Program of min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0 over
+    n variables: its <= rows first, then the equalities."""
+    if A_eq is None:
+        A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+    if A_ub is None:
+        A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
+    b_eq, b_ub = np.asarray(b_eq, float), np.asarray(b_ub, float)
+    return Program(np.asarray(c, float),
+                   np.vstack([np.asarray(A_ub, float).reshape(-1, n),
+                              np.asarray(A_eq, float).reshape(-1, n)]),
+                   np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+                   np.concatenate([b_ub, b_eq]))
 
 
 def _vertices(rows, rhs, n, check):
@@ -37,12 +85,9 @@ def _vertices(rows, rhs, n, check):
 
 
 def reference_solve(lp):
-    """Return (status name, optimal objective or None)."""
-    n = lp.num_vars
-    A_eq = lp.A_eq.toarray() if lp.A_eq is not None else np.zeros((0, n))
-    A_ub = lp.A_ub.toarray() if lp.A_ub is not None else np.zeros((0, n))
-    b_eq = lp.b_eq if lp.b_eq is not None else np.zeros(0)
-    b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
+    """Return (status name, optimal objective or None) of a Program."""
+    n = len(lp.c)
+    A_eq, b_eq, A_ub, b_ub = lp.split()
     eye = np.eye(n)
     rows = list(A_eq) + list(A_ub) + list(eye)
     rhs = list(b_eq) + list(b_ub) + [0.0] * n
@@ -79,7 +124,7 @@ def reference_solve(lp):
     return "Optimal", min(float(lp.c @ v) for v in verts)
 
 
-def random_lp(rng, make):
+def random_lp(rng):
     """Random small LP with integer data; about half are built around a
     known feasible point so all three statuses occur."""
     n = int(rng.integers(1, 7))
@@ -95,4 +140,4 @@ def random_lp(rng, make):
     else:
         b_eq = rng.integers(-4, 5, size=m_eq).astype(float)
         b_ub = rng.integers(-4, 5, size=m_ub).astype(float)
-    return make(n, c, A_eq, b_eq, A_ub, b_ub)
+    return program(n, c, A_eq, b_eq, A_ub, b_ub)

@@ -19,14 +19,16 @@ from didpr.assortativity import (
 from didpr.graph import _LABEL_NAMES
 from didpr.rewire import _PROPOSAL_BLOCK, RewiringTrace, ScenarioGains
 
+from graph_helpers import source_index, target_index
+
 
 def reference_chain(g, eta, cfg, track_gains=False):
     """Run the chain on g toward eta; returns (dst, trace, gains or None)."""
     mix = edge_mix_from_graph(g)
     _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
     _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
-    src_index = eta.source_index()
-    tgt_index = eta.target_index()
+    src_index = source_index(eta)
+    tgt_index = target_index(eta)
     out_l = g.out_deg.tolist()
     in_l = g.in_deg.tolist()
     src = g.src.tolist()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import didpr
 
@@ -23,13 +24,12 @@ from didpr.assortativity import (
 )
 from didpr.eta import (
     _CG_TOL,
+    EtaProblem,
     _center_eta,
-    _column_generation,
     _entropy_eta,
     _lp_target_eta,
-    _seed,
-    _spread_program,
-    assemble_constraints,
+    _program,
+    _spread,
     coefficient_bounds,
     problem_from_graph,
     problem_from_nu,
@@ -38,7 +38,12 @@ from didpr.eta import (
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DegreePairDist, degree_pair_dist
 
-from bounds_reference import reference_range, reference_spread
+from bounds_reference import (
+    full_program,
+    reference_range,
+    reference_spread,
+    spread_program,
+)
 from center_reference import reference_center_eta
 
 # Two diagonal degree pairs, 13 nodes worth of mass.  Both end marginals of
@@ -53,42 +58,52 @@ def toy_problem(targets=None):
     return problem_from_nu(NU_TOY, targets=targets)
 
 
+def target_program(p):
+    """The LP rows of p's polytope with its four targets pinned."""
+    return _program(p.ends, {(a, b): (p.targets.get(a, b),) * 2
+                             for a, b in TYPE_PAIRS})
+
+
+def matrix(prog):
+    """The program's whole constraint matrix, built from its columns."""
+    cells = len(prog.ends.rho) * len(prog.ends.kappa)
+    start, index, value = prog.columns(np.arange(cells))
+    return sp.csc_matrix((value, index, start), shape=(len(prog.lower), cells))
+
+
 class TestAssembleConstraints:
     def test_marginals_only_row_count(self):
-        lp = assemble_constraints(toy_problem())
-        assert lp.num_vars == 4
-        assert lp.num_eq == 4
-        assert lp.num_ub == 0
+        prog = _program(toy_problem().ends, {})
+        assert matrix(prog).shape == (4, 4)
+        assert np.array_equal(prog.lower, prog.upper)
 
     def test_targets_add_four_rows(self):
-        lp = assemble_constraints(
+        prog = target_program(
             toy_problem(targets=AssortProfile(0.2, 0.2, 0.2, 0.2)))
-        assert lp.num_eq == 8
+        assert len(prog.lower) == 8
+        assert np.array_equal(prog.lower, prog.upper)
 
-    def test_intervals_add_two_ub_rows_each(self):
-        lp = assemble_constraints(
-            toy_problem(), conditioning={(1, 1): (-0.1, 0.4)})
-        assert lp.num_eq == 4
-        assert lp.num_ub == 2
+    def test_interval_adds_one_ranged_row(self):
+        prog = _program(toy_problem().ends, {(1, 1): (-0.1, 0.4)})
+        assert len(prog.lower) == 5
+        assert (prog.lower[4], prog.upper[4]) == (-0.1, 0.4)
 
     def test_point_pin_adds_one_eq_row(self):
-        lp = assemble_constraints(
-            toy_problem(), conditioning={(1, 1): (0.4, 0.4)})
-        assert lp.num_eq == 5
-        assert lp.num_ub == 0
-        assert lp.b_eq[4] == 0.4
+        prog = _program(toy_problem().ends, {(1, 1): (0.4, 0.4)})
+        assert len(prog.lower) == 5
+        assert prog.lower[4] == prog.upper[4] == 0.4
 
     def test_observed_eta_satisfies_marginal_rows(self):
         g = gen_er(80, 0.1, seed=30)
         eta = edge_mix_from_graph(g)
-        lp = assemble_constraints(problem_from_graph(g))
+        prog = _program(problem_from_graph(g).ends, {})
         x = eta.H.reshape(-1)
-        assert np.abs(lp.A_eq @ x - lp.b_eq).max() < 1e-12
+        assert np.abs(matrix(prog) @ x - prog.lower).max() < 1e-12
 
 
-def toy_moment_row(lp):
-    """b_eq of the r(1, 1) row and that row's moment under H."""
-    return lp.b_eq[4], lambda H: float((lp.A_eq @ np.ravel(H))[4])
+def toy_moment_row(prog):
+    """The right side of the r(1, 1) row and that row's moment under H."""
+    return prog.lower[4], lambda H: float((matrix(prog) @ np.ravel(H))[4])
 
 
 class TestMomentRows:
@@ -101,7 +116,7 @@ class TestMomentRows:
         # both standardised ends have mean 0, and so has their product
         # under the independence coupling
         p = toy_problem(targets=AssortProfile(0.0, 0.0, 0.0, 0.0))
-        rhs, moment = toy_moment_row(assemble_constraints(p))
+        rhs, moment = toy_moment_row(target_program(p))
         assert rhs == 0.0
         assert moment(np.outer(p.ends.rho, p.ends.kappa)) == pytest.approx(
             0.0, abs=1e-12)
@@ -109,7 +124,7 @@ class TestMomentRows:
     def test_unit_correlation(self):
         # the diagonal coupling has r = 1: (.3 * .49 + .7 * .09) / .21
         p = toy_problem(targets=AssortProfile(1.0, 1.0, 1.0, 1.0))
-        rhs, moment = toy_moment_row(assemble_constraints(p))
+        rhs, moment = toy_moment_row(target_program(p))
         assert rhs == 1.0
         assert moment(np.diag([0.3, 0.7])) == pytest.approx(1.0, abs=1e-12)
 
@@ -118,7 +133,7 @@ class TestMomentRows:
         # and the coefficients of its answer give r back.
         for r in (-0.4, -0.1, 0.0, 0.35, 1.0):
             p = toy_problem(targets=AssortProfile(r, r, r, r))
-            rhs, _ = toy_moment_row(assemble_constraints(p))
+            rhs, _ = toy_moment_row(target_program(p))
             assert rhs == r
             eta = _lp_target_eta(p)
             assert assortativity(eta).max_abs_diff(
@@ -127,17 +142,18 @@ class TestMomentRows:
     def test_identity_on_observed_data(self):
         g = gen_er(120, 0.1, seed=31)
         eta = edge_mix_from_graph(g)
-        lp = assemble_constraints(
+        prog = target_program(
             problem_from_graph(g, targets=assortativity(eta)))
-        assert lp.num_eq == len(eta.source_pairs) + len(eta.target_pairs) + 4
-        np.testing.assert_allclose(lp.A_eq @ eta.H.ravel(), lp.b_eq,
+        assert len(prog.lower) == (len(eta.source_pairs)
+                                   + len(eta.target_pairs) + 4)
+        np.testing.assert_allclose(matrix(prog) @ eta.H.ravel(), prog.lower,
                                    rtol=0.0, atol=1e-10)
 
     def test_degenerate_sigma_rejected(self):
         p = problem_from_nu(DegreePairDist({(2, 3): 1.0}),
                             targets=AssortProfile(0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="degenerate"):
-            assemble_constraints(p)
+            target_program(p)
 
 
 class TestProblemEnds:
@@ -665,7 +681,7 @@ class TestConditionedBoundsOracle:
         solve = lplib.Model.solve
 
         def logged(model):
-            sizes.append(model.prog.num_vars)
+            sizes.append(model.num_vars)
             return solve(model)
 
         monkeypatch.setattr(lplib.Model, "solve", logged)
@@ -682,9 +698,7 @@ class TestConditionedBoundsOracle:
 
 def spread_optimum(p):
     """t* of the spread program by column generation, or None."""
-    prog, _ = _spread_program(p)
-    found = _column_generation(prog, prog.c, _seed(p.ends, TYPE_PAIRS),
-                               "the spread program")
+    found = _spread(p)
     return None if found is None else -found[0]
 
 
@@ -720,6 +734,77 @@ class TestSpreadOracle:
                 assert got == pytest.approx(want, abs=1e-9)
             else:
                 assert got is None
+
+
+def _same_model_problem(name):
+    """A problem and point conditioning for TestSameModel."""
+    if name == "toy":
+        return toy_problem(targets=AssortProfile(0.35, 0.35, 0.35, 0.35)), {
+            (1, 1): (0.35, 0.35)}
+    g = (gen_er(150, 0.1, seed=3) if name == "er150" else
+         gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2_000, seed=1)))
+    obs = assortativity_of_graph(g)
+    return problem_from_graph(g, targets=obs), {
+        (1, 2): (obs.r12, obs.r12), (2, 1): (0.0, 0.0),
+        (2, 2): (obs.r22, obs.r22)}
+
+
+@pytest.mark.parametrize("name", ["toy", "er150", "dpa2e3"])
+class TestSameModel:
+    """Point pins give HiGHS the very model the full sparse program of
+    tests/bounds_reference.py gives: the same row bounds, columns and
+    reduced costs, bit for bit, so the masters solve as they did when the
+    library sliced that program."""
+
+    @staticmethod
+    def programs(name):
+        """(library program, oracle rows) for the conditioned bounds' bare
+        problem and for the target problem."""
+        p, cond = _same_model_problem(name)
+        bare = EtaProblem(p.nu, p.source_pairs, p.target_pairs)
+        return [(_program(p.ends, cond), full_program(bare, cond)),
+                (target_program(p), full_program(p))]
+
+    def test_columns_are_the_sliced_full_program(self, name):
+        rng = np.random.default_rng(40)
+        for prog, (A_eq, b_eq, A_ub, _) in self.programs(name):
+            # sp.kron stores the zeros of eye(nt) for nt <= 2, as on the
+            # toy problem; HiGHS drops them as it reads the matrix
+            A_eq.eliminate_zeros()
+            assert A_ub.shape[0] == 0
+            assert np.array_equal(prog.lower, b_eq)
+            assert np.array_equal(prog.upper, b_eq)
+            cells = A_eq.shape[1]
+            for size in (1, cells // 7 + 1, cells):
+                pick = np.sort(rng.choice(cells, size=size, replace=False))
+                want = A_eq[:, pick]
+                for got, arr in zip(prog.columns(pick),
+                                    (want.indptr, want.indices, want.data)):
+                    assert np.array_equal(got, arr)
+
+    def test_dense_reduced_costs_are_bit_equal(self, name):
+        rng = np.random.default_rng(41)
+        for prog, (A_eq, *_) in self.programs(name):
+            for _ in range(3):
+                c = rng.standard_normal(A_eq.shape[1])
+                y = rng.standard_normal(A_eq.shape[0])
+                assert np.array_equal(prog.reduced(c, y), c - A_eq.T @ y)
+                assert np.array_equal(prog.reduced(0.0, y), 0.0 - A_eq.T @ y)
+
+    def test_spread_column_is_the_full_programs(self, name, monkeypatch):
+        p, _ = _same_model_problem(name)
+        seen = {}
+
+        def capture(prog, c, seed, what, extra=None):
+            seen.update(c=c, extra=extra)
+
+        monkeypatch.setattr(etalib, "_column_generation", capture)
+        _spread(p)
+        c, A_eq, *_ = spread_program(p)
+        t = A_eq[:, -1]
+        assert np.array_equal(seen["c"], c)
+        for got, arr in zip(seen["extra"], (t.indptr, t.indices, t.data)):
+            assert np.array_equal(got, arr)
 
 
 class TestAttainabilityConsistency:
@@ -779,9 +864,6 @@ class TestProblemValidation:
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="non-finite interval"):
-            assemble_constraints(toy_problem(),
-                                 conditioning={(1, 1): interval})
-        with pytest.raises(ValueError, match="non-finite interval"):
             coefficient_bounds(toy_problem(), order=((2, 2),),
                                conditioning={(1, 1): interval})
 
@@ -789,7 +871,7 @@ class TestProblemValidation:
     def test_non_finite_targets_rejected(self, bad):
         p = toy_problem(targets=AssortProfile(bad, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="targets must be finite"):
-            assemble_constraints(p)
+            _lp_target_eta(p)
         with pytest.raises(ValueError, match="targets must be finite"):
             solve_target_eta(p)
 

@@ -1,23 +1,16 @@
 """The HiGHS-backed LP layer against a brute-force reference."""
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from didpr import lp as lplib
-from didpr.lp import LinearProgram, LpStatus, solve, verify_solution
-from lp_reference import random_lp, reference_solve
+from didpr.lp import LpStatus
+from lp_reference import Program, csc, random_lp, reference_solve
+from lp_reference import program as make_lp
 
 
-def make_lp(n, c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
-    empty = lambda: (np.zeros((0, n)), np.zeros(0))
-    if A_eq is None:
-        A_eq, b_eq = empty()
-    if A_ub is None:
-        A_ub, b_ub = empty()
-    return LinearProgram(n, np.asarray(c, float),
-                         np.asarray(A_eq, float), np.asarray(b_eq, float),
-                         np.asarray(A_ub, float), np.asarray(b_ub, float))
+def solve(prog):
+    return lplib.solve(*prog.model_args())
 
 
 # solve() runs HiGHS's interior point with crossover.  The pinned programs
@@ -29,9 +22,9 @@ _SCIPY_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
 
 
 def cross_check(lp, algorithm):
-    res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq,
-                  b_eq=lp.b_eq, bounds=(0, None),
-                  method=_CROSS_CHECK[algorithm])
+    A_eq, b_eq, A_ub, b_ub = lp.split()
+    res = linprog(lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=(0, None), method=_CROSS_CHECK[algorithm])
     return _SCIPY_STATUS[res.status], res
 
 
@@ -78,7 +71,7 @@ class TestAgainstReference:
         rng = np.random.default_rng(20)
         optimal = infeasible = unbounded = 0
         for _ in range(60):
-            lp = random_lp(rng, make_lp)
+            lp = random_lp(rng)
             want_status, want_obj = reference_solve(lp)
             sol = solve(lp)
             assert sol.status.name.title() == want_status
@@ -97,14 +90,16 @@ class TestContracts:
     def test_optimal_solutions_verified(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            lp = random_lp(rng, make_lp)
+            lp = random_lp(rng)
             sol = solve(lp)
             if sol.status is not LpStatus.OPTIMAL:
                 continue
-            res = verify_solution(lp, sol.x)
-            assert res["eq"] <= 1e-7 * (1.0 + np.abs(lp.b_eq).max(initial=0.0))
-            assert res["ub"] <= 1e-7
-            assert res["neg"] <= 1e-9
+            A_eq, b_eq, A_ub, b_ub = lp.split()
+            eq = np.abs(A_eq @ sol.x - b_eq).max(initial=0.0)
+            assert eq <= 1e-7 * (1.0 + np.abs(b_eq).max(initial=0.0))
+            ub = np.maximum(A_ub @ sol.x - b_ub, 0.0).max(initial=0.0)
+            assert ub <= 1e-7
+            assert max(0.0, -sol.x.min(initial=0.0)) <= 1e-9
 
     def test_duals_certify_the_optimum(self):
         # The duals are feasible (reduced costs >= 0, <= rows priced <= 0)
@@ -112,16 +107,16 @@ class TestContracts:
         rng = np.random.default_rng(24)
         checked = 0
         for _ in range(40):
-            lp = random_lp(rng, make_lp)
+            lp = random_lp(rng)
             sol = solve(lp)
             if sol.status is not LpStatus.OPTIMAL:
                 continue
             checked += 1
-            reduced = (lp.c - lp.A_eq.T @ sol.eq_duals
-                       - lp.A_ub.T @ sol.ub_duals)
+            reduced = lp.c - lp.A.T @ sol.duals
             assert reduced.min(initial=0.0) >= -1e-9
-            assert sol.ub_duals.max(initial=0.0) <= 1e-9
-            assert lp.b_eq @ sol.eq_duals + lp.b_ub @ sol.ub_duals == \
+            ub = lp.lower == -np.inf
+            assert sol.duals[ub].max(initial=0.0) <= 1e-9
+            assert np.where(ub, lp.upper, lp.lower) @ sol.duals == \
                 pytest.approx(sol.objective, abs=1e-9)
         assert checked >= 10
 
@@ -138,7 +133,7 @@ class TestContracts:
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
-        lp = random_lp(rng, make_lp)
+        lp = random_lp(rng)
         a = solve(lp)
         b = solve(lp)
         assert a.status is b.status
@@ -147,13 +142,17 @@ class TestContracts:
             assert a.objective == b.objective
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LinearProgram(2, np.zeros(3), np.zeros((0, 2)), np.zeros(0),
-                          np.zeros((0, 2)), np.zeros(0))
+        # two columns, three costs; then row bounds of unequal lengths
+        with pytest.raises(ValueError, match="objective length"):
+            lplib.Model(np.zeros(0), np.zeros(0), np.zeros(3), [0, 0, 0],
+                        [], [])
+        with pytest.raises(ValueError, match="row bounds"):
+            lplib.Model(np.zeros(1), np.zeros(2), np.zeros(1), [0, 0], [],
+                        [])
 
     def test_nonfinite_rhs_rejected(self):
         with pytest.raises(ValueError):
-            make_lp(1, [1.0], A_eq=[[1.0]], b_eq=[np.inf])
+            solve(make_lp(1, [1.0], A_eq=[[1.0]], b_eq=[np.inf]))
 
 
 def _northwest_corner(rho, kappa):
@@ -173,35 +172,40 @@ def _northwest_corner(rho, kappa):
 
 
 def transportation_program(rng):
-    """A random ns x nt transportation program with one = side row and one
-    pair of <= side rows, as the eta module builds them.  Every row holds
-    at x0, the mean of the northwest and southwest corner plans, which is
-    no vertex: so the program's optimum is as nondegenerate as random data
-    make it, and its duals are unique.  Returns (program, x0, cell caps).
+    """A random ns x nt transportation program with one equality side row
+    and one ranged side row, as the eta module builds them.  Every row
+    holds at x0, the mean of the northwest and southwest corner plans,
+    which is no vertex: so the program's optimum is as nondegenerate as
+    random data make it, and its duals are unique.  Returns (program, x0,
+    cell caps).
     """
     ns, nt = rng.integers(3, 9, size=2)
     rho, kappa = rng.dirichlet(np.ones(ns)), rng.dirichlet(np.ones(nt))
     x0 = (_northwest_corner(rho, kappa)
           + _northwest_corner(rho[::-1], kappa)[::-1]).ravel() / 2
     w_eq, w_ub = rng.standard_normal((2, ns * nt))
-    A_eq = sp.vstack([sp.kron(sp.eye(ns), np.ones((1, nt))),
-                      sp.kron(np.ones((1, ns)), sp.eye(nt)),
-                      sp.csr_matrix(w_eq)], format="csc")
-    b_eq = np.concatenate([rho, kappa, [w_eq @ x0]])
-    A_ub = sp.csc_matrix(np.vstack([w_ub, -w_ub]))
-    b_ub = np.array([w_ub @ x0 + 0.05, 0.05 - w_ub @ x0])
-    prog = LinearProgram(ns * nt, rng.standard_normal(ns * nt), A_eq, b_eq,
-                         A_ub, b_ub)
+    A = np.vstack([np.kron(np.eye(ns), np.ones((1, nt))),
+                   np.kron(np.ones((1, ns)), np.eye(nt)), w_eq, w_ub])
+    lower = np.concatenate([rho, kappa, [w_eq @ x0, w_ub @ x0 - 0.05]])
+    upper = np.concatenate([rho, kappa, [w_eq @ x0, w_ub @ x0 + 0.05]])
+    prog = Program(rng.standard_normal(ns * nt), A, lower, upper)
     return prog, x0, np.minimum.outer(rho, kappa).ravel()
 
 
 def restricted(prog, cols):
-    return LinearProgram(len(cols), prog.c[cols], prog.A_eq[:, cols],
-                         prog.b_eq, prog.A_ub[:, cols], prog.b_ub)
+    return Program(prog.c[cols], prog.A[:, cols], prog.lower, prog.upper)
 
 
 def reduced_costs(prog, sol):
-    return prog.c - prog.A_eq.T @ sol.eq_duals - prog.A_ub.T @ sol.ub_duals
+    return prog.c - prog.A.T @ sol.duals
+
+
+def dual_objective(prog, duals):
+    """Each row's dual times the bound it prices: the lower one where the
+    dual is positive, the upper one where it is negative."""
+    priced = duals != 0.0
+    bound = np.where(duals > 0.0, prog.lower, prog.upper)
+    return bound[priced] @ duals[priced]
 
 
 def grown_models(seed, capped):
@@ -214,11 +218,10 @@ def grown_models(seed, capped):
         prog, x0, cap = transportation_program(rng)
         rest = rng.permutation(np.flatnonzero(x0 == 0))
         cols = np.concatenate([np.flatnonzero(x0), rest[:len(rest) // 3]])
-        model = lplib.Model(restricted(prog, cols))
+        model = lplib.Model(*restricted(prog, cols).model_args())
         assert model.solve().status is LpStatus.OPTIMAL
         for batch in np.array_split(rest[len(rest) // 3:], 3):
-            model.add_columns(prog.c[batch], prog.A_eq[:, batch],
-                              prog.A_ub[:, batch],
+            model.add_columns(prog.c[batch], *csc(prog.A[:, batch]),
                               cap[batch] if capped else None)
             cols = np.concatenate([cols, batch])
             yield model, cols, prog, cap, model.solve()
@@ -255,34 +258,34 @@ class TestWarmStart:
             at_cap = np.isclose(warm.x, cap[cols], rtol=0.0, atol=1e-9)
             assert d[~at_cap].min(initial=0.0) >= -1e-9
             assert d[at_cap].max(initial=0.0) <= 1e-9
-            dual_objective = (sub.b_eq @ warm.eq_duals
-                              + sub.b_ub @ warm.ub_duals
-                              + d[at_cap] @ cap[cols][at_cap])
-            assert dual_objective == pytest.approx(warm.objective, abs=1e-10)
+            total = (dual_objective(sub, warm.duals)
+                     + d[at_cap] @ cap[cols][at_cap])
+            assert total == pytest.approx(warm.objective, abs=1e-10)
 
     def test_resolve_without_new_columns_takes_no_pivot(self):
         for model, _, _, _, warm in grown_models(32, capped=True):
-            empty = sp.csc_matrix((model.prog.num_eq, 0))
-            model.add_columns(np.zeros(0), empty,
-                              sp.csc_matrix((model.prog.num_ub, 0)))
+            model.add_columns(np.zeros(0), [0], [], [])
             again = model.solve()
             assert model.simplex_iterations == 0
             assert np.array_equal(again.x, warm.x)
 
     def test_bad_columns_rejected_before_highs_reads_them(self):
-        model = lplib.Model(make_lp(2, [1.0, 2.0], A_eq=[[1.0, 1.0]],
-                                    b_eq=[1.0]))
-        col, no_rows = sp.csc_matrix([[1.0]]), sp.csc_matrix((0, 1))
+        model = lplib.Model(*make_lp(2, [1.0, 2.0], A_eq=[[1.0, 1.0]],
+                                     b_eq=[1.0]).model_args())
         with pytest.raises(ValueError, match="objective length"):
-            model.add_columns(np.ones(2), col, no_rows)
+            model.add_columns(np.ones(2), [0, 1], [0], [1.0])
         with pytest.raises(ValueError, match="upper length"):
-            model.add_columns(np.ones(1), col, no_rows, upper=np.ones(3))
+            model.add_columns(np.ones(1), [0, 1], [0], [1.0], upper=np.ones(3))
+        with pytest.raises(ValueError, match="disagree"):
+            model.add_columns(np.ones(1), [0, 2], [0], [1.0])
+        with pytest.raises(ValueError, match="outside the model's rows"):
+            model.add_columns(np.ones(1), [0, 1], [1], [1.0])
         with pytest.raises(ValueError, match="objective length"):
             model.set_cost(np.ones(3))
         with pytest.raises(lplib.LpError, match="rejected"):
             model.close(np.array([2]))
         # the model is unchanged
-        assert model.prog.num_vars == 2
+        assert model.num_vars == 2
         assert model.solve().objective == pytest.approx(1.0, abs=1e-12)
 
     def test_new_objective_matches_a_cold_solve(self):
@@ -300,9 +303,8 @@ class TestWarmStart:
             model.close(np.flatnonzero(shut))
             warm = model.solve()
             sub = restricted(prog, cols)
-            cold = solve(LinearProgram(int((~shut).sum()), c[~shut],
-                                       sub.A_eq[:, ~shut], sub.b_eq,
-                                       sub.A_ub[:, ~shut], sub.b_ub))
+            cold = solve(Program(c[~shut], sub.A[:, ~shut], sub.lower,
+                                 sub.upper))
             assert warm.status is cold.status is LpStatus.OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
             assert not warm.x[shut].any()

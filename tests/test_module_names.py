@@ -4,7 +4,9 @@ A function that reads a name which is neither bound at module level nor a
 builtin imports and collects fine, then raises NameError only when it runs.
 This scan reports such names statically, one line per name, with the
 standard-library symtable module.  A second scan does the same for names a
-module exports in __all__ or imports from a sibling module.
+module exports in __all__ or imports from a sibling module.  A third lists
+every scipy import: the package runs on numpy, and the one scipy module it
+loads is HiGHS's bindings, for the LPs.
 """
 import ast
 import builtins
@@ -113,3 +115,37 @@ def test_export_scan_flags_stale_names(tmp_path):
 @pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
 def test_exports_and_sibling_imports_bound(path):
     assert stale_exports(path) == []
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """'<file> <module>' for each scipy module the file imports, at any
+    depth of its syntax tree."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [f"{path.name} {mod}" for mod in found
+            if mod.split(".")[0] == "scipy"]
+
+
+def test_import_scan_finds_nested_scipy_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import scipy.sparse as sp\n"
+        "def f():\n"
+        "    from scipy.optimize import linprog\n",
+        encoding="utf-8",
+    )
+    assert scipy_imports(probe) == ["probe.py scipy.sparse",
+                                    "probe.py scipy.optimize"]
+
+
+def test_only_scipy_import_is_highs_in_lp():
+    found = [line for path in MODULE_FILES for line in scipy_imports(path)]
+    assert found == ["lp.py scipy.optimize._highspy"]
