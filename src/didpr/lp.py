@@ -6,11 +6,11 @@ with lower = -inf a <= row, and one with two finite bounds a range.  A is
 given by columns, as numpy CSC arrays: column j has the row indices
 index[start[j]:start[j+1]] and the entries value[start[j]:start[j+1]].
 
-One HiGHS driver runs them all: Model, built on the bindings scipy ships
-(scipy.optimize._highspy), keeps its rows and grows by columns.  Its first
-solve is interior point with crossover; after new columns it re-solves by
-the simplex from the basis the solve before left, so a program that gained
-a few columns costs a few pivots, not a new solve.  The library's two LPs,
+One HiGHS driver runs them all: Model, built on the HiGHS extension scipy
+ships, keeps its rows and grows by columns.  Its first solve is interior
+point with crossover; after new columns it re-solves by the simplex from
+the basis the solve before left, so a program that gained a few columns
+costs a few pivots, not a new solve.  The library's two LPs,
 the conditioned coefficient bounds and the fallback of the mixing-matrix
 solver, each run as one Model of restricted masters priced by numpy
 (eta._column_generation), never as the full ns x nt program; solve() is
@@ -19,11 +19,21 @@ the one-shot call on the same class.
 An Optimal answer is re-checked against the model's rows by an
 independent residual pass, a mat-vec over the model's own arrays, before
 it is returned; solver internals are never trusted on feasibility.
+
+The extension is loaded from its file, scipy/optimize/_highspy/_core plus
+this interpreter's extension suffix, found without importing scipy: by
+name it would first run scipy.optimize's __init__, some 320 modules it
+does not use.  That path is scipy's private layout (scipy>=1.15); a scipy
+that moves it fails every LP with a one-line LpError.
 """
 from __future__ import annotations
 
 import enum
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -56,6 +66,28 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None
+
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS extension, loaded from its file under its own name, or
+    the module already imported under that name."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy = importlib.util.find_spec("scipy")
+    for root in scipy.submodule_search_locations if scipy else ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(_CORE, path)
+                core = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_CORE, loader))
+                sys.modules[_CORE] = core
+                loader.exec_module(core)
+                return core
+    raise LpError(f"HiGHS's extension {_CORE} not found: needs scipy>=1.15")
 
 
 # HiGHS options for every model; simplex_strategy 1 is the dual simplex.
@@ -99,9 +131,9 @@ class Model:
     """
 
     def __init__(self, lower, upper, c, start, index, value) -> None:
-        # Imported here: the CLI starts without scipy, and only conditioned
-        # bounds and the solve's LP fallback pay for loading it.
-        from scipy.optimize._highspy import _core
+        # Loaded here: the CLI starts without scipy, and only conditioned
+        # bounds and the solve's LP fallback pay for loading the extension.
+        _core = _highs_core()
 
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)

@@ -1,8 +1,17 @@
 """The HiGHS-backed LP layer against a brute-force reference."""
+import importlib.machinery
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from didpr import cli
 from didpr import lp as lplib
 from didpr.lp import LpStatus
 from lp_reference import Program, csc, random_lp, reference_solve
@@ -308,3 +317,104 @@ class TestWarmStart:
             assert warm.status is cold.status is LpStatus.OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
             assert not warm.x[shut].any()
+
+
+# HiGHS's extension is loaded from its file (lp._highs_core), not through
+# scipy.optimize.  In a fresh interpreter, whichever of didpr's LP and
+# scipy.optimize loads first, both must share one extension module, and
+# neither may change the other's answers: scipy's linprog and a
+# conditioned coefficient_bounds on a small DPA graph.
+_LOAD_ORDER = """
+import json, sys
+from didpr.eta import coefficient_bounds, problem_from_graph
+from didpr.generate import DpaParams, gen_dpa
+
+def bounds():
+    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 1000, seed=2))
+    b = coefficient_bounds(problem_from_graph(g), order=((2, 2),),
+                           conditioning={(1, 1): (0.1, 0.1)})
+    return list(b.get(2, 2))
+
+def linprog():
+    from scipy.optimize import linprog
+    return linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                   method="highs").fun
+
+order = sys.argv[1]
+out = {}
+if order == "scipy-first":
+    out["linprog"] = linprog()
+out["bounds"] = bounds()
+if order == "didpr-first":
+    out["linprog"] = linprog()
+if order != "alone":
+    from scipy.optimize._highspy import _highs_wrapper
+    from didpr.lp import Model
+    used = {id(sys.modules["scipy.optimize._highspy._core"]),
+            id(_highs_wrapper._h), id(Model([1.0], [1.0], [1.0], [0, 1],
+                                              [0], [1.0])._core)}
+    out["cores"] = len(used)
+print(json.dumps(out))
+"""
+
+
+def _fresh_run(order):
+    src_dir = str(Path(lplib.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LOAD_ORDER, order],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def bounds_alone():
+    return _fresh_run("alone")["bounds"]
+
+
+@pytest.mark.parametrize("order", ["didpr-first", "scipy-first"])
+def test_highs_shared_with_scipy_optimize_in_either_order(order, bounds_alone):
+    run = _fresh_run(order)
+    assert run["cores"] == 1
+    assert run["linprog"] == pytest.approx(1.0, abs=1e-12)
+    assert run["bounds"] == bounds_alone
+
+
+@pytest.fixture
+def no_highs(monkeypatch, tmp_path):
+    """Point the extension's lookup at an empty scipy tree."""
+    real = importlib.util.find_spec
+
+    def find_spec(name, package=None):
+        if name != "scipy":
+            return real(name, package)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        return spec
+
+    monkeypatch.delitem(sys.modules, lplib._CORE, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+
+
+def test_missing_highs_extension_names_the_scipy_needed(no_highs):
+    with pytest.raises(lplib.LpError, match=r"scipy>=1\.15") as err:
+        lplib.Model([1.0], [1.0], [1.0], [0, 1], [0], [1.0])
+    assert "\n" not in str(err.value)
+
+
+def test_missing_highs_extension_is_a_one_line_cli_error(no_highs, tmp_path,
+                                                         capsys):
+    g, out = tmp_path / "dpa.txt", tmp_path / "bounds.csv"
+    assert cli.main(["generate", "dpa", "--alpha", "0.3", "--beta", "0.4",
+                     "--gamma", "0.3", "--delta-in", "1", "--delta-out", "1",
+                     "--edges", "500", "--seed", "2", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert cli.main(["bounds", "--graph", str(g), "--pairs", "22",
+                     "--condition-pair", "11", "--condition-values", "0.1",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "scipy>=1.15" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
