@@ -20,9 +20,17 @@ as np.loadtxt allows, a field may carry spaces around it and a leading '+'.
 * Label sidecar ("<edge list>.labels"), read: one code a, b or g per line,
   stripped, blank lines skipped, one per edge.  Written: b"code\n" per
   edge in storage order.
+
+Two read paths, one result.  Every file the writers here make takes the
+bulk path: a plain edge list (printable ASCII but '%', tabs and line ends,
+every '#' at the start of a line) is parsed by one np.loadtxt pass over the
+file, and a sidecar of a, b, g and LF, one code per line, by one split.
+Any other file, and a plain one whose bulk read fails or finds a bad value,
+goes through the line scan described above, the one place that names errors.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -212,8 +220,72 @@ _EDGE_DTYPE = np.dtype([("ends", np.int64, (2,))])
 def read_edge_list(path) -> DirectedGraph:
     """Read a whitespace-separated edge list (format in the module docstring).
 
-    Malformed lines raise GraphFormatError naming the first bad line.
+    A plain file (_plain) goes through _bulk_edge_list.  Any other file,
+    and a plain one that the bulk path turns back, goes through the line
+    scan (_scan_edge_list), which raises GraphFormatError naming the first
+    bad line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    g = _bulk_edge_list(path, data) if _plain(data) else None
+    return _scan_edge_list(path) if g is None else g
+
+
+# Bytes of a plain edge list: printable ASCII but '%', tab, LF and CR.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b"%", b"") + b"\t\n\r"
+
+
+def _plain(data: bytes) -> bool:
+    """Whether the bulk path may read the file: every '#' starts a line, so
+    np.loadtxt drops exactly the scan's comment lines, and the file holds
+    only _PLAIN_BYTES.  Without '%', a '%' comment, which np.loadtxt would
+    take for a bad row, goes straight to the scan; the rest of that rule is
+    a precaution: where str.strip and np.loadtxt could part on what is
+    whitespace, the line scan decides."""
+    if data.translate(None, _PLAIN_BYTES):
+        return False
+    hashes, first = data.count(b"#"), data.startswith(b"#")
+    return hashes == first or hashes == first + data.count(b"\n#")
+
+
+def _bulk_edge_list(path, data: bytes) -> DirectedGraph | None:
+    """The graph of a plain edge list, parsed in one np.loadtxt pass, with
+    the "# nodes=N" headers read from its '#' lines; None when the line scan
+    must run, to name an error or because np.loadtxt could not read it."""
+    declared: int | None = None
+    at = data.find(b"#")
+    while at >= 0:
+        end = data.find(b"\n", at)
+        body = data[at + 1:end if end >= 0 else None].strip()
+        if body.startswith(b"nodes="):
+            # A lone CR inside body fails int() too: the scan reads it.
+            try:
+                declared = int(body[len(b"nodes="):])
+            except ValueError:
+                return None
+        at = data.find(b"#", at + 1)
+    # Any failure leaves the file to the line scan, which reads it again
+    # and decides.  Not only ValueError: np.loadtxt opens a name ending in
+    # .gz, .bz2, .xz or .lzma through a decompressor, which raises its own.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            ends = np.loadtxt(path, dtype=_EDGE_DTYPE, comments="#",
+                              ndmin=1, encoding="utf-8")["ends"]
+    except Exception:
+        return None
+    top = int(ends.max(initial=-1))
+    num_nodes = declared if declared is not None else top + 1
+    # A negative header lands here too, as top >= -1.
+    if ends.min(initial=0) < 0 or top >= num_nodes:
+        return None
+    return DirectedGraph.from_edges(num_nodes, ends[:, 0], ends[:, 1])
+
+
+def _scan_edge_list(path) -> DirectedGraph:
+    """Read an edge list line by line: each line stripped, the data rows
+    parsed in one _parse_rows call, the headers in a loop.  Raises
+    GraphFormatError naming the first bad line."""
     lines = [line.strip() for line in _lines(path)]
     nos = [no for no, s in enumerate(lines, 1) if s and s[0] not in "#%"]
     rows = [lines[no - 1] for no in nos]
@@ -292,9 +364,23 @@ def write_edge_labels(g: DirectedGraph, path) -> None:
 def read_edge_labels(path, num_edges: int) -> np.ndarray:
     """Read a label sidecar written by write_edge_labels.
 
-    Blank lines are skipped; an unknown code raises GraphFormatError naming
-    its line.
+    A sidecar of a, b, g and LF alone, one code per line and one per edge,
+    is read in one split.  Any other file goes through the line scan
+    (_scan_edge_labels): blank lines are skipped, and an unknown code or a
+    wrong count raises GraphFormatError, naming the line of the code.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.translate(None, b"abg\n"):
+        codes = data.decode("ascii").split()
+        if len(codes) == num_edges == len(data) - data.count(b"\n"):
+            return np.array(codes, dtype="U1")
+    return _scan_edge_labels(path, num_edges)
+
+
+def _scan_edge_labels(path, num_edges: int) -> np.ndarray:
+    """Read a label sidecar line by line; raises GraphFormatError naming
+    the first unknown code's line, or the counts when they differ."""
     lines = [line.strip() for line in _lines(path)]
     nos = [no for no, s in enumerate(lines, 1) if s]
     codes = [lines[no - 1] for no in nos]

@@ -1,9 +1,12 @@
 """Graph storage, degree bookkeeping, the swap move, and file IO."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from didpr.generate import gen_er
+from didpr import graph as graph_module
+from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import (
     DirectedGraph,
     GraphFormatError,
@@ -14,6 +17,7 @@ from didpr.graph import (
     write_edge_list,
 )
 
+from edge_list_reference import reference_read_edge_labels, reference_read_edge_list
 from graph_helpers import copy_graph, degrees_consistent, edges, marginal_out
 
 
@@ -348,3 +352,167 @@ class TestEdgeListIO:
         path.write_text("a\nz\n")
         with pytest.raises(GraphFormatError):
             read_edge_labels(path, 2)
+
+
+def read_outcome(read, path, *args):
+    """What a reader makes of a file: the graph's node count and edges, the
+    labels, or the type and text of the error it raises.  A warning that
+    escapes the reader counts as part of the outcome."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = read(path, *args)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            got = (type(exc).__name__, str(exc))
+        else:
+            got = (got.tolist() if isinstance(got, np.ndarray)
+                   else (got.num_nodes, got.src.tolist(), got.dst.tolist()))
+    return got, [str(w.message) for w in caught]
+
+
+# (file bytes, what the file exercises): each must read as the line scan of
+# tests/edge_list_reference.py reads it, value or error text.
+EDGE_LIST_CASES = [
+    (b"# nodes=5\n0 1\n2 3\n", "LF"),
+    (b"# nodes=5\r\n0 1\r\n2 3\r\n", "CRLF"),
+    (b"# nodes=5\r0 1\r2 3\r", "CR"),
+    (b"# nodes=5\r0 1\n# nodes=7\r2 3\n", "CR inside an LF file"),
+    (b"0 1\n\n   \n\t\n2 3\n", "blank and space-only lines"),
+    (b"\t0\t+1 \n+2  \t3\n", "tabs and plus signs"),
+    (b"# nodes=9\n0 1\n", "header first"),
+    (b"# nodes=9\n0 1\n# nodes=4\n2 3\n", "header repeated"),
+    (b"0 1\n2 3\n# nodes=6\n", "header after the data"),
+    (b"0 1\n2 3\n# nodes=6", "header ends the file without LF"),
+    (b"# nodes=2\n0 5\n", "header below the largest id"),
+    (b"#nodes= +0_7 \n0 1\n", "header int() accepts"),
+    (b"# nodes = 3\n# comment\n#\n0 4\n", "not a header"),
+    (b"# nodes=x\n0 1\n", "unparsable header"),
+    (b"# nodes=x\n0\n", "unparsable header before a bad row"),
+    (b"0\n# nodes=x\n", "unparsable header after a bad row"),
+    (b"# nodes=-3\n0 1\n", "negative header"),
+    (b"# nodes=-3\n0 1 2\n", "negative header before a bad row"),
+    (b"-4 1\n# nodes=-3\n", "negative header after a bad row"),
+    (b"0 1\n  # nodes=9\n", "indented header"),
+    (b"% nodes=9\n0 1\n", "percent comment"),
+    (b"# nodes=5\r\n% c\r\n0 1\r\n", "percent comment, CRLF"),
+    (b"0 1 # note\n2 3\n", "hash after the data"),
+    (b"0 1\n2\n3 4\n", "row with one field"),
+    (b"0 1\n2 3 4\n", "row with three fields"),
+    (b"0 1 2\n3 4 5\n", "every row with three fields"),
+    (b"0 1\n-1 2\n", "negative id"),
+    (b"0 1\n1 2.5\n", "non-integer"),
+    (b"0 1\n1 99999999999999999999\n", "id beyond int64"),
+    (b"0\xc2\xa01\n", "non-ASCII space"),
+    (b"0\x0b1\n2\x1c3\n", "ASCII whitespace controls"),
+    (b"0 1\x00\n", "NUL byte"),
+    (b"", "empty file"),
+    (b"# nodes=4\n# more\n", "comments only"),
+    (b"# just a note\n", "comments only, no header"),
+    (b"\n\n", "blank lines only"),
+]
+
+LABEL_CASES = [
+    (b"a\nb\ng\n", 3, "plain"),
+    (b"a\n\nb\n\ng\n", 3, "blank lines"),
+    (b"a b\ng\n", 3, "two codes on one line"),
+    (b"ab\ng\n", 2, "two codes run together"),
+    (b"a\nz\ng\n", 3, "unknown code"),
+    (b"a\nb\n", 3, "too few codes"),
+    (b"a\nb\ng\na\n", 3, "too many codes"),
+    (b"a\r\n b\t\ng", 3, "CRLF, spaces, no final LF"),
+    (b"", 0, "empty for no edges"),
+]
+
+
+class TestReadersMatchLineScan:
+    """Differential test against the frozen line scan."""
+
+    @pytest.mark.parametrize("data", [c[0] for c in EDGE_LIST_CASES],
+                             ids=[c[1] for c in EDGE_LIST_CASES])
+    def test_edge_list(self, tmp_path, data):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        got, leaked = read_outcome(read_edge_list, path)
+        want, _ = read_outcome(reference_read_edge_list, path)
+        assert got == want
+        assert leaked == []
+
+    @pytest.mark.parametrize("data, num_edges", [c[:2] for c in LABEL_CASES],
+                             ids=[c[2] for c in LABEL_CASES])
+    def test_label_sidecar(self, tmp_path, data, num_edges):
+        path = tmp_path / "g.txt.labels"
+        path.write_bytes(data)
+        got, leaked = read_outcome(read_edge_labels, path, num_edges)
+        want, _ = read_outcome(reference_read_edge_labels, path, num_edges)
+        assert got == want
+        assert leaked == []
+
+    @pytest.mark.parametrize("name", ["g.txt.gz", "g.bz2", "g.xz"])
+    def test_name_with_a_compressor_ending(self, tmp_path, name):
+        # np.loadtxt opens such names through a decompressor; the file is
+        # plain text all the same, and must read as the line scan reads it.
+        path = tmp_path / name
+        path.write_bytes(b"# nodes=4\n0 1\n2 3\n")
+        assert read_outcome(read_edge_list, path) == (
+            read_outcome(reference_read_edge_list, path))
+        assert read_outcome(read_edge_list, path)[0] == (4, [0, 2], [1, 3])
+
+    def test_random_files(self, tmp_path):
+        # Mostly good rows and headers, with junk tokens, comment marks and
+        # mixed line ends between them, so both paths and every error kind
+        # come up.
+        rng = np.random.default_rng(22)
+        junk = ["x", "1.5", "-2", "+3", "#", "%", " ", "\t", "\x0b", "\x1c",
+                "\xa0", "nodes=", "# nodes=", "# nodes=-1", "7 8 9", ""]
+        ends = ["\n", "\n", "\n", "\r\n", "\r"]
+        kinds = {"bulk": 0, "scan": 0}
+        for k in range(400):
+            lines = []
+            for _ in range(rng.integers(0, 7)):
+                u = rng.random()
+                if u < 0.6:
+                    line = f"{rng.integers(0, 9)} {rng.integers(0, 9)}"
+                elif u < 0.75:
+                    line = f"# nodes={rng.integers(0, 12)}"
+                else:
+                    line = "".join(rng.choice(junk, rng.integers(1, 4)))
+                lines.append(line + rng.choice(ends))
+            path = tmp_path / f"g{k}.txt"
+            path.write_bytes("".join(lines).encode())
+            got, leaked = read_outcome(read_edge_list, path)
+            want, _ = read_outcome(reference_read_edge_list, path)
+            assert got == want, path.read_bytes()
+            assert leaked == []
+            kinds["bulk" if graph_module._plain(path.read_bytes())
+                  else "scan"] += 1
+        assert min(kinds.values()) > 50
+
+
+class TestWrittenFilesSkipLineScan:
+    """Every file the writers make is plain, so reading it back never
+    reaches the line scan, which is several times slower."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("line scan reached")
+        monkeypatch.setattr(graph_module, "_scan_edge_list", scan)
+        monkeypatch.setattr(graph_module, "_scan_edge_labels", scan)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0,
+                                               20_000, seed=1)), id="dpa-2e4"),
+        pytest.param(lambda: gen_er(1000, 0.1, seed=1), id="er-1000"),
+        pytest.param(lambda: graph_from_pairs(7, []), id="edgeless"),
+    ])
+    def test_round_trip(self, tmp_path, make):
+        g = make()
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        h = read_edge_list(path)
+        assert h.num_nodes == g.num_nodes
+        assert np.array_equal(h.src, g.src) and np.array_equal(h.dst, g.dst)
+        if g.edge_labels is not None:
+            write_edge_labels(g, tmp_path / "g.txt.labels")
+            back = read_edge_labels(tmp_path / "g.txt.labels", g.num_edges)
+            assert back.tolist() == g.edge_labels.tolist()
