@@ -11,22 +11,32 @@ change, so the degree-pair distribution is exactly preserved while the edge
 mixing matrix drifts toward eta.  A zero denominator counts as acceptance:
 the chain must be free to leave configurations the target assigns no mass.
 
-A block of proposals runs level by level: a proposal's level is one more
-than the highest level among the earlier proposals of its block that share
-an edge with it.  This is exact.  A proposal reads and writes only its own
-two edges' targets (degrees never change), so proposals with no edge in
-common commute, and level order keeps every pair that shares one in step
-order.  Each block runs in one such sweep, whatever the checkpoint cadence:
-the sweep reports where in the block each accepted proposal stands, and a
-checkpoint inside the block sums only the accepted proposals before it.
-Should the chain stop there, the block's edges get back the targets they
-held before it, and the proposals before the checkpoint run again; by the
-same argument, none of them depended on a later one.
+Proposals come in rounds.  A round draws one uniformly random permutation
+of the m edges and proposes its consecutive pairs (perm[0], perm[1]),
+(perm[2], perm[3]), ..., m // 2 of them; with m odd, one edge sits the
+round out.  Each proposal is still a uniformly random ordered pair of
+distinct edges.  The law the chain samples is unchanged: for a fixed pair,
+swapping with the acceptance above is a Metropolis move with an involutive
+proposal, so it keeps detailed balance with respect to prod_e eta(s_e, t_e)
+and leaves that law invariant; the pairs are chosen without looking at the
+state, so any sequence of such moves leaves it invariant too.
 
-Accepted swaps change the four degree products by integers.  One integer
-tally per ordered pair of scenario labels holds those changes and the
-accepted count, for every run: checkpoints read its totals, and scenario
-gains fold it by unordered label pair.  The end means and sds that turn
+A proposal reads and writes only its own two edges' targets (degrees never
+change), so the pairs of a round, which share no edge, commute.  They run
+in chunks of at most _CHUNK pairs, each one gather, acceptance test and
+scatter over the whole chunk.  A round's permutation is drawn when its
+first pair is due and a chunk's uniforms when it runs; the generator's
+doubles come in sequence, so the chunk size changes no draw, and a run's
+trajectory is a function of the seed and the step count alone.  Accepted
+pairs come out in step order, so a checkpoint inside a chunk sums the
+accepted swaps before it; should the chain stop there, the later pairs
+never ran, and their edges get back the targets they held.  The checkpoint
+cadence sets only the trace resolution; it never changes the chain.
+
+Accepted swaps change the four degree products by integers.  Integer
+totals of those changes and of the accepted count serve the checkpoints;
+with scenario gains, one such tally per ordered pair of scenario labels is
+folded by unordered label pair.  The end means and sds that turn
 those sums into coefficients never change either; they come from
 assortativity._standardise, the helper behind every coefficient.
 chain_setup gathers them with the chain's other seed-free inputs, once per
@@ -70,14 +80,8 @@ __all__ = [
 _TRACE_HEADER = ("step", "r11", "r12", "r21", "r22", "acc_rate")
 _TRACE_DTYPE = np.dtype([("step", np.int64), ("values", np.float64, (5,))])
 
-# Proposals are drawn from the generator in blocks of this size, whatever
-# the checkpoint cadence, so a run's trajectory is a function of the seed and
-# the step count alone.  Each block runs in one level sweep, and its
-# checkpoints read the tally of the accepted proposals before them.
-# Checkpointing sets only the trace resolution; it never changes the chain.
-_PROPOSAL_BLOCK = 8192
-# Bits that number the 2 * _PROPOSAL_BLOCK edge touches of one block.
-_TOUCH_BITS = (2 * _PROPOSAL_BLOCK - 1).bit_length()
+# Pairs per chunk.  It sets the size of the chain's arrays, not its draws.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -202,87 +206,24 @@ def _node_pair_indices(g: DirectedGraph, eta: EdgeMixMatrix):
     return found[0], found[1]
 
 
-def _levels(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Level of each proposal in a block: 0 when no earlier proposal shares
-    an edge with it, else 1 + the highest level of those that do.
+def _propose(dst, e1, e2, u, row, tp, Hf):
+    """Propose swapping the targets of each pair (e1[i], e2[i]) at once.
 
-    Proposals on one level touch pairwise distinct edges, and every earlier
-    proposal that shares an edge with one of them sits on a lower level.
+    The pairs must share no edge.  Updates dst in place and returns the
+    accepted pairs' positions, in increasing order, and the targets their
+    two edges held before the swap.
     """
-    b = e1.size
-    # Sort the touches by (edge, position in the block): the positions fill
-    # the low bits, so the keys are distinct and a plain sort keeps step order.
-    key = np.empty(2 * b, dtype=np.int64)
-    key[0::2] = e1
-    key[1::2] = e2
-    key <<= _TOUCH_BITS
-    key |= np.arange(2 * b)
-    key.sort()
-    touch = key & ((1 << _TOUCH_BITS) - 1)
-    key >>= _TOUCH_BITS
-    # The proposal that touched each touch's edge last before it (b: none),
-    # one row per edge of the proposal.
-    pred = np.empty(2 * b, dtype=np.int64)
-    pred[touch[0]] = b
-    pred[touch[1:]] = np.where(key[1:] == key[:-1], touch[:-1] >> 1, b)
-    pred = pred.reshape(b, 2).T.copy()
-    # Pass k leaves every level at min(level, k), so the levels are final
-    # once their highest is below k.  They stay below the block size, so
-    # int16 holds them.
-    lev = np.zeros(b + 1, dtype=np.int16)
-    lev[b] = -1
-    out = lev[:b]
-    both = np.empty((2, b), dtype=np.int16)
-    for k in itertools.count(1):
-        lev.take(pred, out=both, mode="wrap")
-        np.maximum(both[0], both[1], out=out)
-        out += 1
-        if out.max() < k:
-            return out
-
-
-def _sweep(dst, e1, e2, u, lev, row, tp, Hf, ints, floats, flags):
-    """Run proposals level by level, updating dst in place.
-
-    Every level writes into slices of the caller's scratch rows, so the
-    loop allocates no arrays of its own.  Returns the accepted proposals'
-    positions among the given ones, and their rows: the two edges and the
-    targets those held before the swap.  Indices are always in range;
-    mode="wrap" only lets take() write straight into its output.
-    """
-    n = e1.size
-    a1, a2, v2, v4, r1, r2, t1, t2, idx = ints[:, :n]
-    us, den, num, h = floats[:, :n]
-    ok, le = flags[:, :n]
-    order = lev.argsort(kind="stable")
-    for arr, out in ((e1, a1), (e2, a2), (u, us)):
-        arr.take(order, out=out, mode="wrap")
-    row.take(a1, out=r1, mode="wrap")
-    row.take(a2, out=r2, mode="wrap")
-    lev = lev[order]
-    cuts = (np.flatnonzero(lev[1:] != lev[:-1]) + 1).tolist()
-    for s in map(slice, [0, *cuts], [*cuts, n]):
-        x, y, acc = v2[s], v4[s], ok[s]
-        dst.take(a1[s], out=x, mode="wrap")
-        dst.take(a2[s], out=y, mode="wrap")
-        tp.take(x, out=t1[s], mode="wrap")
-        tp.take(y, out=t2[s], mode="wrap")
-        # den = H[s1, t1] * H[s2, t2]; num = H[s1, t2] * H[s2, t1]
-        for prod, ta, tb in ((den, t1, t2), (num, t2, t1)):
-            Hf.take(np.add(r1[s], ta[s], out=idx[s]), out=prod[s], mode="wrap")
-            Hf.take(np.add(r2[s], tb[s], out=idx[s]), out=h[s], mode="wrap")
-            np.multiply(prod[s], h[s], out=prod[s])
-        np.less_equal(den[s], 0.0, out=acc)
-        np.multiply(us[s], den[s], out=den[s])
-        np.less_equal(den[s], num[s], out=le[s])
-        np.logical_or(acc, le[s], out=acc)
-        # Accepted proposals swap targets; the rest write back their own.
-        for edges, keep, swap in ((a1, x, y), (a2, y, x)):
-            np.copyto(idx[s], keep)
-            np.copyto(idx[s], swap, where=acc)
-            dst[edges[s]] = idx[s]
-    hit = np.flatnonzero(ok)
-    return order.take(hit), ints[:4, :n].take(hit, axis=1)
+    x, y = dst.take(e1), dst.take(e2)
+    r1, r2 = row.take(e1), row.take(e2)
+    t1, t2 = tp.take(x), tp.take(y)
+    # den = H[s1, t1] * H[s2, t2]; num = H[s1, t2] * H[s2, t1]
+    den = Hf.take(r1 + t1) * Hf.take(r2 + t2)
+    num = Hf.take(r1 + t2) * Hf.take(r2 + t1)
+    hit = np.flatnonzero((den <= 0.0) | (u * den <= num))
+    x, y = x.take(hit), y.take(hit)
+    dst[e1.take(hit)] = y
+    dst[e2.take(hit)] = x
+    return hit, x, y
 
 
 @dataclass
@@ -305,16 +246,17 @@ class ChainSetup:
     """What every chain on one graph toward one eta shares.
 
     Degrees never change, so none of it depends on the seed: the ends'
-    degree means and sds, each edge's source degrees and eta row offset,
-    each node's eta target-pair index, and the initial degree-product sums.
+    degree means and sds, each edge's source (out, in) degrees and eta row
+    offset, each node's (out, in) degrees and eta target-pair index, and the
+    initial degree-product sums.
     """
 
     centre: np.ndarray
     scale: np.ndarray
     sd_s: np.ndarray
     sd_t: np.ndarray
-    so: np.ndarray
-    si: np.ndarray
+    src_deg: np.ndarray
+    node_deg: np.ndarray
     row: np.ndarray
     tp_node: np.ndarray
     s_init: np.ndarray
@@ -333,13 +275,12 @@ def chain_setup(g: DirectedGraph, eta: EdgeMixMatrix) -> ChainSetup:
     _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
     _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
     sp_node, tp_node = _node_pair_indices(g, eta)
-    out_deg, in_deg = g.out_deg, g.in_deg
-    so, si = out_deg[g.src], in_deg[g.src]     # per-edge source degrees
-    s_init = np.array([int(x @ y[g.dst]) for x in (so, si)
-                       for y in (out_deg, in_deg)], dtype=np.int64)
+    node_deg = np.stack((g.out_deg, g.in_deg))
+    src_deg = node_deg.take(g.src, axis=1)
+    s_init = (src_deg @ node_deg[:, g.dst].T).ravel()
     return ChainSetup(np.outer(mean_s, mean_t), np.outer(sd_s, sd_t),
-                      sd_s, sd_t, so, si, sp_node[g.src] * eta.H.shape[1],
-                      tp_node, s_init)
+                      sd_s, sd_t, src_deg, node_deg,
+                      sp_node[g.src] * eta.H.shape[1], tp_node, s_init)
 
 
 def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
@@ -349,31 +290,26 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
     if track_gains and g.edge_labels is None:
         raise ValueError("no scenario labels on this graph")
     m = g.num_edges
+    half = m // 2
     rng = np.random.default_rng(cfg.seed)
-    out_deg, in_deg = g.out_deg, g.in_deg
-    so, si, sd_s, sd_t = setup.so, setup.si, setup.sd_s, setup.sd_t
+    src_deg, node_deg = setup.src_deg, setup.node_deg
+    sd_s, sd_t = setup.sd_s, setup.sd_t
+    fixed = (setup.row, setup.tp_node, eta.H.ravel())
     # The chain swaps targets in the result's own dst.
     labels = None if g.edge_labels is None else g.edge_labels.copy()
     result = DirectedGraph(g.num_nodes, g.src.copy(), g.dst.copy(),
-                           out_deg.copy(), in_deg.copy(), labels)
+                           g.out_deg.copy(), g.in_deg.copy(), labels)
     dst = result.dst
-    # Rows: accepted swaps, then the changes of the four degree products.
-    # Columns: ordered pairs of scenario labels; one column without gains.
-    names, lab = [""], np.zeros(m, dtype=np.int64)
+    # Accepted swaps, then the changes of the four degree products: their
+    # totals, and with gains one column per ordered pair of scenario labels.
+    total = np.zeros(5, dtype=np.int64)
     if track_gains:
         names, lab = np.unique(g.edge_labels, return_inverse=True)
-    nl = len(names)
-    tally = np.zeros((5, nl * nl), dtype=np.int64)
-    # Scratch rows for _sweep.  Per-level arrays would be small and of ever
-    # new sizes; numpy caches such buffers, and scattered over the heap they
-    # kept the memory freed around them from going back to the system.
-    scratch = (np.empty((9, _PROPOSAL_BLOCK), dtype=np.int64),
-               np.empty((4, _PROPOSAL_BLOCK)),
-               np.empty((2, _PROPOSAL_BLOCK), dtype=bool))
-    fixed = (setup.row, setup.tp_node, eta.H.ravel(), *scratch)
+        nl = len(names)
+        tally = np.zeros((5, nl * nl), dtype=np.int64)
 
     def profile_of(sums) -> AssortProfile:
-        s = setup.s_init + sums[1:].sum(axis=1)
+        s = setup.s_init + sums[1:]
         # A degenerate end divides by zero here, and _profile rejects it.
         with np.errstate(divide="ignore", invalid="ignore"):
             r = (s.reshape(2, 2) / m - setup.centre) / setup.scale
@@ -383,59 +319,55 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
         return (cfg.stop_early
                 and prof.max_abs_diff(cfg.targets) <= cfg.tolerance)
 
-    trace = RewiringTrace([(0, *_profile_vals(profile_of(tally)), 0.0)])
+    trace = RewiringTrace([(0, *_profile_vals(profile_of(total)), 0.0)])
     stop = reached(trace.final_profile())
     every = cfg.checkpoint_every
     steps_done = last_accepted = 0
+    at = half   # pairs of the current round proposed so far
     while steps_done < cfg.max_steps and not stop:
-        blk = min(_PROPOSAL_BLOCK, cfg.max_steps - steps_done)
-        e1s = rng.integers(0, m, size=blk)
-        e2s = rng.integers(0, m - 1, size=blk)
-        e2s = e2s + (e2s >= e1s)
-        us = rng.random(blk)
-        lev = _levels(e1s, e2s)
-        # The block's checkpoints, as counts of its proposals that run
-        # before them: the cadence's multiples and the run's last step.
-        ckpts = list(range(every - steps_done % every, blk + 1, every))
-        if steps_done + blk == cfg.max_steps and ckpts[-1:] != [blk]:
-            ckpts.append(blk)
-        if cfg.stop_early:
-            before = dst.take(e1s), dst.take(e2s)
-        pos, (x1, x2, v2, v4) = _sweep(dst, e1s, e2s, us, lev, *fixed)
-        d_out, d_in = so[x1] - so[x2], si[x1] - si[x2]
-        g_out = out_deg[v4] - out_deg[v2]
-        g_in = in_deg[v4] - in_deg[v2]
-        # Tally by (checkpoints passed, label pair).  The running sums over
-        # the first axis are what the block adds up to each checkpoint.
-        cell = (pos + steps_done % every) // every * (nl * nl)
-        cell += lab[x1] * nl + lab[x2]
-        part = np.zeros((5, len(ckpts) + 1, nl * nl), dtype=np.int64)
-        for counts, change in zip(part.reshape(5, -1),
-                                  (1, d_out * g_out, d_out * g_in,
-                                   d_in * g_out, d_in * g_in)):
-            np.add.at(counts, cell, change)
-        part = part.cumsum(axis=1)
-        done = part[:, -1]
-        for j, end in enumerate(ckpts):
-            sums = tally + part[:, j]
-            prof = profile_of(sums)
-            accepted = int(sums[0].sum())
+        if at == half:
+            perm, at = rng.permutation(m), 0
+        n = min(_CHUNK, half - at, cfg.max_steps - steps_done)
+        e1, e2 = perm[2 * at:2 * (at + n)].reshape(n, 2).T
+        at += n
+        hit, v2, v4 = _propose(dst, e1, e2, rng.random(n), *fixed)
+        x1, x2 = e1.take(hit), e2.take(hit)
+        # One column per accepted swap: a count of 1, then the changes of
+        # the degree products (source out, in times target out, in).
+        d = src_deg.take(x1, axis=1) - src_deg.take(x2, axis=1)
+        gain = node_deg.take(v4, axis=1) - node_deg.take(v2, axis=1)
+        change = np.ones((5, hit.size), dtype=np.int64)
+        np.multiply(d[:, None], gain, out=change[1:].reshape(2, 2, -1))
+        # The chunk's checkpoints, as counts of its pairs that run before
+        # them: the cadence's multiples and the run's last step.
+        ckpts = list(range(every - steps_done % every, n + 1, every))
+        if steps_done + n == cfg.max_steps and ckpts[-1:] != [n]:
+            ckpts.append(n)
+        done = 0    # the chunk's accepted swaps counted in total
+        for end, j in zip(ckpts, np.searchsorted(hit, ckpts).tolist()):
+            total += change[:, done:j].sum(axis=1)
+            done = j
+            prof = profile_of(total)
+            accepted = int(total[0])
             step, last = steps_done + end, trace.checkpoints[-1][0]
             trace.checkpoints.append((step, *_profile_vals(prof),
                                       (accepted - last_accepted)
                                       / (step - last)))
             last_accepted = accepted
             if reached(prof):
-                if end < blk:
-                    # Rewind the block's edges and replay the proposals
-                    # before the checkpoint: their outcomes stay the same.
-                    dst[e1s], dst[e2s] = before
-                    _sweep(dst, e1s[:end], e2s[:end], us[:end], lev[:end],
-                           *fixed)
-                stop, done, blk = True, part[:, j], end
+                # The pairs after the checkpoint never ran: their edges
+                # get back the targets they held.
+                dst[x1[j:]], dst[x2[j:]] = v2[j:], v4[j:]
+                stop, n = True, end
                 break
-        tally += done
-        steps_done += blk
+        if not stop:
+            total += change[:, done:].sum(axis=1)
+            done = hit.size
+        if track_gains:
+            cell = lab[x1[:done]] * nl + lab[x2[:done]]
+            for counts, vals in zip(tally, change[:, :done]):
+                np.add.at(counts, cell, vals)
+        steps_done += n
 
     gains = _gains(tally, names, m, sd_s, sd_t) if track_gains else None
     return result, trace, gains

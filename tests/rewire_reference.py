@@ -1,10 +1,12 @@
 """Scalar reference for the rewiring chain.
 
-One proposal at a time, in step order, with plain Python lists: the form
-the chain had before it was batched by levels.  It draws the same proposal
-blocks from the generator and applies the same float acceptance test, so
-for a given seed it must reproduce the library's edge list, trace rows and
-scenario gains exactly.  Degree products are integer sums updated per
+One proposal at a time, in step order, with plain Python lists.  Each round
+draws a permutation of the edges and proposes its consecutive pairs in
+turn.  It draws the uniforms of a round's pairs at once: the generator's
+doubles come in sequence, so they are the library's chunk draws joined,
+whatever the chunk size.  With the same float acceptance test, for a given
+seed it must reproduce the library's edge list, trace rows and scenario
+gains exactly.  Degree products are integer sums updated per
 accepted swap, and each checkpoint turns them into coefficients with the
 library's moment formula, so equal chains give bit-equal rows.
 """
@@ -17,7 +19,7 @@ from didpr.assortativity import (
     edge_mix_from_graph,
 )
 from didpr.graph import _LABEL_NAMES
-from didpr.rewire import _PROPOSAL_BLOCK, RewiringTrace, ScenarioGains
+from didpr.rewire import RewiringTrace, ScenarioGains
 
 from graph_helpers import source_index, target_index
 
@@ -65,12 +67,9 @@ def reference_chain(g, eta, cfg, track_gains=False):
     steps = accepted = last = 0
     stop = cfg.stop_early and within(trace.checkpoints[0][1:5])
     while steps < cfg.max_steps and not stop:
-        blk = min(_PROPOSAL_BLOCK, cfg.max_steps - steps)
-        e1s = rng.integers(0, m, size=blk)
-        e2s = rng.integers(0, m - 1, size=blk)
-        e2s = e2s + (e2s >= e1s)
-        us = rng.random(blk)
-        for e1, e2, u in zip(e1s.tolist(), e2s.tolist(), us.tolist()):
+        perm = rng.permutation(m).tolist()
+        us = rng.random(min(m // 2, cfg.max_steps - steps)).tolist()
+        for e1, e2, u in zip(perm[0::2], perm[1::2], us):
             v2, v4 = dst[e1], dst[e2]
             row1, row2 = H[spe[e1]], H[spe[e2]]
             t1, t2 = tp[v2], tp[v4]

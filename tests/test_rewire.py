@@ -1,6 +1,6 @@
-"""The rewiring chain: its stationary law, the level search against its
-definition, the level-batched chain (stops inside a block included)
-against the scalar reference, and the telescoping of scenario gains."""
+"""The rewiring chain: its stationary law, the chunked round chain (stops
+inside a chunk included) against the scalar reference, the draws it makes,
+the levels of its rounds, and the telescoping of scenario gains."""
 import importlib
 import itertools
 from collections import Counter
@@ -19,10 +19,9 @@ from didpr.eta import problem_from_graph, solve_target_eta
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import (
-    _PROPOSAL_BLOCK,
+    _CHUNK,
     RewiringConfig,
     RewiringTrace,
-    _levels,
     _node_pair_indices,
     chain_setup,
     read_trace_csv,
@@ -30,6 +29,8 @@ from didpr.rewire import (
     rewire_with_scenario_gains,
 )
 from rewire_reference import reference_chain
+
+REWIRE = importlib.import_module("didpr.rewire")
 
 TARGETS = AssortProfile(0.1, 0.15, 0.1, 0.15)
 
@@ -176,11 +177,12 @@ def _assert_matches_reference(g, eta, cfg, gains=False):
 
 
 @pytest.mark.parametrize("edges, steps, every", [
-    # Three edges: any two proposals share an edge, so each block is one
-    # long chain of levels.  (Two edges cannot give nondegenerate ends.)
+    # Three edges: one pair per round, and one edge sits each round out.
+    # (Two edges cannot give nondegenerate ends.)
     (([2, 3, 3], [3, 3, 2]), 3_001, 250),
-    # The five-edge toy of the product-law test, across a block boundary.
-    (([1, 0, 2, 4, 4], [2, 2, 3, 4, 1]), _PROPOSAL_BLOCK + 1_500, 700),
+    # The five-edge toy of the product-law test: two pairs per round, and
+    # the run ends after the first pair of a round.
+    (([1, 0, 2, 4, 4], [2, 2, 3, 4, 1]), 9_691, 700),
 ], ids=["three-edges", "five-edge-toy"])
 def test_toy_chains_match_scalar_reference(edges, steps, every):
     g, eta = _toy_graph(*edges)
@@ -192,6 +194,8 @@ def test_dpa_chain_and_gains_match_scalar_reference(dpa):
     g, eta = dpa
     cfg = RewiringConfig(max_steps=30_001, checkpoint_every=2_000, seed=5,
                          targets=TARGETS)
+    # The run ends one pair into its 21st round.
+    assert cfg.max_steps % (g.num_edges // 2) == 1
     _assert_matches_reference(g, eta, cfg, gains=True)
     _assert_matches_reference(g, eta, cfg)
 
@@ -199,70 +203,136 @@ def test_dpa_chain_and_gains_match_scalar_reference(dpa):
 def test_er_chain_matches_scalar_reference():
     g = gen_er(330, 0.1, 4)
     assert 9_000 < g.num_edges < 12_000
+    # Each round runs in two chunks.
+    assert _CHUNK < g.num_edges // 2 < 2 * _CHUNK
     _assert_matches_reference(g, _random_eta(g, 5), RewiringConfig(
         max_steps=40_000, checkpoint_every=3_000, seed=6))
 
 
-def test_stop_early_inside_a_block_matches_scalar_reference(dpa):
+@pytest.mark.parametrize("chunk", [1, 7, 1_000])
+def test_chunk_size_changes_no_draw(dpa, monkeypatch, chunk):
+    # The reference draws each round's uniforms at once; chunks of any
+    # size, ending anywhere in a round, must draw the same numbers.
+    g, eta = dpa
+    monkeypatch.setattr(REWIRE, "_CHUNK", chunk)
+    _assert_matches_reference(g, eta, RewiringConfig(
+        max_steps=9_001 if chunk == 1 else 30_001, checkpoint_every=997,
+        tolerance=0.02, stop_early=True, seed=5, targets=TARGETS), gains=True)
+
+
+def test_stop_early_inside_a_chunk_matches_scalar_reference(dpa):
     g, eta = dpa
     cfg = RewiringConfig(max_steps=400_000, checkpoint_every=1_000,
-                         tolerance=0.02, stop_early=True, seed=5,
+                         tolerance=0.02, stop_early=True, seed=2,
                          targets=TARGETS)
     trace = _assert_matches_reference(g, eta, cfg, gains=True)
     last = trace.checkpoints[-1][0]
-    assert last < cfg.max_steps and last % _PROPOSAL_BLOCK != 0
+    # A round here is one chunk of 1,500 pairs.
+    assert last < cfg.max_steps and last % (g.num_edges // 2) != 0
     assert trace.final_profile().max_abs_diff(TARGETS) <= cfg.tolerance
 
 
-def _count_sweeps(monkeypatch):
-    """Count the chain's level sweeps: one per block, plus one replay when
-    the chain stops at a checkpoint strictly inside a block."""
-    module = importlib.import_module("didpr.rewire")
-    calls = []
-    sweep = module._sweep
+class _CountingGenerator:
+    """Wraps a numpy Generator and records the draws the chain makes."""
 
-    def counting(*args):
-        calls.append(args[1].size)
-        return sweep(*args)
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
 
-    monkeypatch.setattr(module, "_sweep", counting)
-    return calls
+    def permutation(self, m):
+        self.draws.append(("permutation", m))
+        return self._rng.permutation(m)
+
+    def random(self, n):
+        self.draws.append(("random", n))
+        return self._rng.random(n)
+
+
+def _run_counted(monkeypatch, g, eta, cfg, gains=False):
+    """Run the chain, recording its generator's draws and the pairs of each
+    _propose call; returns (result of the run, draws, proposed pairs)."""
+    made, proposed = [], []
+    default_rng, propose = np.random.default_rng, REWIRE._propose
+
+    def counting_rng(seed):
+        made.append(_CountingGenerator(default_rng(seed)))
+        return made[-1]
+
+    def counting(dst, e1, e2, *rest):
+        proposed.append((e1.copy(), e2.copy()))
+        return propose(dst, e1, e2, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", counting_rng)
+        patch.setattr(REWIRE, "_propose", counting)
+        run = (rewire_with_scenario_gains(g, eta, cfg) if gains
+               else rewire(g, eta, cfg))
+    (rng,) = made
+    return run, rng.draws, proposed
+
+
+@pytest.mark.parametrize("rounds, extra", [(1, 0), (3, 0), (3, 1), (4, 1_499)])
+def test_a_run_of_k_rounds_draws_k_permutations(dpa, monkeypatch, rounds,
+                                                  extra):
+    # A round of DPA 3e3 is one chunk of 1,500 pairs; its permutation is
+    # drawn when its first pair is due, so a run that ends on a round's
+    # last pair draws none for the next.
+    g, eta = dpa
+    half = g.num_edges // 2
+    steps = rounds * half + extra
+    _, draws, proposed = _run_counted(monkeypatch, g, eta, RewiringConfig(
+        max_steps=steps, checkpoint_every=1_000, seed=2))
+    chunks = [half] * rounds + [extra] * (extra > 0)
+    assert draws == [
+        draw for n in chunks
+        for draw in (("permutation", g.num_edges), ("random", n))]
+    assert [e1.size for e1, _ in proposed] == chunks
+    for e1, e2 in proposed:
+        # A round's pairs cover distinct edges: m is even here.
+        ends = np.concatenate((e1, e2))
+        assert np.unique(ends).size == ends.size
 
 
 @pytest.mark.parametrize("every, seed", [
-    (250, 4), (3_000, 2), (10_000, 4), (_PROPOSAL_BLOCK - 1, 1),
-    (_PROPOSAL_BLOCK, 1),
-], ids=["first-block", "second-block", "cadence-above-block",
-        "one-before-block-end", "block-end"])
-def test_stop_early_replays_only_inside_a_block(monkeypatch, every, seed):
-    # On three edges every proposal conflicts with every other, and the
-    # chain moves between two profiles; it stops at the first checkpoint
-    # in the second.  A stop inside a block sweeps the whole block, then
-    # replays the proposals before the stop; one at a block's end does not.
-    g, eta = _toy_graph([2, 3, 3], [3, 3, 2])
-    sweeps = _count_sweeps(monkeypatch)
-    cfg = RewiringConfig(max_steps=100_000, checkpoint_every=every,
-                         tolerance=0.5, stop_early=True, seed=seed,
-                         targets=AssortProfile(1.0, 1.0, 1.0, 1.0))
-    trace = _assert_matches_reference(g, eta, cfg)
+    (1_000, 2), (700, 4), (1_499, 5), (1_500, 5), (3_001, 1),
+], ids=["inside-a-chunk", "early-in-a-chunk", "one-before-chunk-end",
+        "chunk-end", "cadence-above-chunk"])
+def test_stop_inside_a_chunk_runs_each_pair_once(dpa, monkeypatch, every,
+                                                 seed):
+    # Each chunk is proposed once, in one _propose call.  A stop inside a
+    # chunk leaves the chunk's later pairs unrun, and the edge list equals
+    # the scalar chain's at the stop.
+    g, eta = dpa
+    half = g.num_edges // 2
+    cfg = RewiringConfig(max_steps=400_000, checkpoint_every=every,
+                         tolerance=0.02, stop_early=True, seed=seed,
+                         targets=TARGETS)
+    (rewired, trace, gains), draws, proposed = _run_counted(
+        monkeypatch, g, eta, cfg, gains=True)
+    dst, ref_trace, ref_gains = reference_chain(g, eta, cfg, True)
+    assert np.array_equal(rewired.dst, dst)
+    assert trace.checkpoints == ref_trace.checkpoints
+    assert gains == ref_gains
     last = trace.checkpoints[-1][0]
-    prefix = last % _PROPOSAL_BLOCK
+    rounds = -(-last // half)
     assert 0 < last < cfg.max_steps
-    assert (prefix == 0) == (every == _PROPOSAL_BLOCK)
-    assert sweeps == ([_PROPOSAL_BLOCK] * -(-last // _PROPOSAL_BLOCK)
-                      + [prefix] * (prefix > 0))
+    assert (last % half == 0) == (every == half)
+    assert [e1.size for e1, _ in proposed] == [half] * rounds
+    assert draws == [("permutation", g.num_edges), ("random", half)] * rounds
 
 
-def test_targets_met_at_step_zero_run_no_block(dpa, monkeypatch):
+def test_targets_met_at_step_zero_draw_nothing(dpa, monkeypatch):
     g, _ = dpa
     eta = edge_mix_from_graph(g)
-    sweeps = _count_sweeps(monkeypatch)
     cfg = RewiringConfig(max_steps=50_000, checkpoint_every=1_000,
                          stop_early=True, seed=2,
                          targets=assortativity_of_graph(g))
-    trace = _assert_matches_reference(g, eta, cfg, gains=True)
+    (rewired, trace, _), draws, proposed = _run_counted(
+        monkeypatch, g, eta, cfg, gains=True)
+    assert np.array_equal(rewired.dst, g.dst)
     assert [row[0] for row in trace.checkpoints] == [0]
-    assert sweeps == []
+    assert draws == proposed == []
+    _assert_matches_reference(g, eta, cfg, gains=True)
 
 
 def _reference_levels(e1, e2):
@@ -277,19 +347,32 @@ def _reference_levels(e1, e2):
     return levels
 
 
+def _graph_with_edges(m):
+    """A graph with m edges and a random eta on its degree pairs: a toy for
+    m of 3 or 5, else m random edges on m // 8 nodes."""
+    toys = {3: ([2, 3, 3], [3, 3, 2]), 5: ([1, 0, 2, 4, 4], [2, 2, 3, 4, 1])}
+    if m in toys:
+        return _toy_graph(*toys[m])
+    n, rng = m // 8, np.random.default_rng(m)
+    g = DirectedGraph.from_edges(n, rng.integers(0, n, m),
+                                 rng.integers(0, n, m))
+    return g, _random_eta(g, m)
+
+
 @pytest.mark.parametrize("m", [3, 5, 47, 1_000, 20_000])
-@pytest.mark.parametrize("size", [1, 2, 777, _PROPOSAL_BLOCK])
-def test_levels_match_their_definition(m, size):
-    rng = np.random.default_rng(m * size)
-    e1 = rng.integers(0, m, size=size)
-    e2 = rng.integers(0, m - 1, size=size)
-    e2 += e2 >= e1
-    levels = _levels(e1, e2).tolist()
-    assert levels == _reference_levels(e1, e2)
-    if m == 3:
-        # Any two proposals on three edges share one, so a full block
-        # takes one pass per proposal.
-        assert levels == list(range(size))
+@pytest.mark.parametrize("size", [1, 2, 777, 8_192])
+def test_levels_match_their_definition(monkeypatch, m, size):
+    # By the definition above, the chain's proposals sit at the level of
+    # their round: the pairs of a round share no edge, so none waits on
+    # another, and at most one edge sits a round out, so each pair shares
+    # an edge with the round before and waits on it.
+    g, eta = _graph_with_edges(m)
+    _, draws, proposed = _run_counted(monkeypatch, g, eta, RewiringConfig(
+        max_steps=size, checkpoint_every=size, seed=m * size))
+    e1, e2 = (np.concatenate(ends) for ends in zip(*proposed))
+    assert _reference_levels(e1, e2) == [i // (m // 2) for i in range(size)]
+    assert sum(kind == "permutation" for kind, _ in draws) == -(-size
+                                                                // (m // 2))
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -0.1, float("nan")])
