@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, _csv_rows, _first_problem, _parse_rows
+from .graph import (DirectedGraph, _csv_rows, _decode_pairs, _first_problem,
+                    _pair_codes, _parse_rows)
 
 __all__ = [
     "TYPE_PAIRS",
@@ -112,11 +113,6 @@ class EdgeMixMatrix:
         return self.H.sum(axis=0)
 
 
-def _pair_codes(deg_a: np.ndarray, deg_b: np.ndarray) -> np.ndarray:
-    # Encode (a, b) pairs into one int for fast uniquing; degrees are < 2**31.
-    return deg_a.astype(np.int64) * (np.int64(1) << 32) + deg_b.astype(np.int64)
-
-
 def edge_mix_from_graph(g: DirectedGraph) -> EdgeMixMatrix:
     """Empirical edge mixing matrix of a graph.
 
@@ -126,26 +122,14 @@ def edge_mix_from_graph(g: DirectedGraph) -> EdgeMixMatrix:
     m = g.num_edges
     if m == 0:
         raise ValueError("graph has no edges; edge mixing matrix undefined")
-    s_out = g.out_deg[g.src]
-    s_in = g.in_deg[g.src]
-    t_out = g.out_deg[g.dst]
-    t_in = g.in_deg[g.dst]
-
-    s_codes = _pair_codes(s_out, s_in)
-    t_codes = _pair_codes(t_out, t_in)
-    s_uniq, s_idx = np.unique(s_codes, return_inverse=True)
-    t_uniq, t_idx = np.unique(t_codes, return_inverse=True)
-
-    counts = np.zeros((s_uniq.size, t_uniq.size), dtype=np.int64)
-    np.add.at(counts, (s_idx, t_idx), 1)
+    codes = _pair_codes(g.out_deg, g.in_deg)
+    s_uniq = np.unique(codes[g.out_deg > 0])
+    t_uniq = np.unique(codes[g.in_deg > 0])
+    cells = (np.searchsorted(s_uniq, codes)[g.src] * t_uniq.size
+             + np.searchsorted(t_uniq, codes)[g.dst])
+    counts = np.bincount(cells, minlength=s_uniq.size * t_uniq.size)
     return EdgeMixMatrix(_decode_pairs(s_uniq), _decode_pairs(t_uniq),
-                         counts / m)
-
-
-def _decode_pairs(codes: np.ndarray) -> list[tuple[int, int]]:
-    """The (a, b) pairs that _pair_codes encoded as codes."""
-    return list(zip((codes >> 32).tolist(),
-                    (codes & ((np.int64(1) << 32) - 1)).tolist()))
+                         counts.reshape(s_uniq.size, -1) / m)
 
 
 def _standardise(pairs, mass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,13 +8,14 @@ replicate traces.
 
 Options may come from flags or from a JSON file given via --config; flags
 win over config values, which win over defaults, and unknown config keys
-are rejected.  Every run that writes files echoes its effective settings
-to <out>.config.json, and re-running from that file reproduces the outputs
-byte for byte.  A seed not given as a flag or in the config is 0.
+are rejected.  Flags stay text in the parser, and _convert reads them and
+config values alike.  Every run that writes files echoes its effective
+settings to <out>.config.json, and re-running from that file reproduces
+the outputs byte for byte.  A seed not given as a flag or in the config is 0.
 
-Every failure a user can cause is a ValueError (CliError is one), a lookup,
-OS or runtime error; `main` turns each into one `error: <message>` line on
-stderr and exit code 1.
+Every failure a user can cause, argparse's own errors included, is a
+ValueError (CliError is one), a lookup, OS or runtime error; `main` turns
+each into one `error: <message>` line on stderr and exit code 1.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ from .graph import (  # noqa: F401
     write_edge_list,
 )
 from .rewire import (
+    _BUCKETS,
     RewiringConfig,
     RewiringTrace,
     chain_setup,
@@ -73,7 +75,7 @@ class CliError(ValueError):
 class _Opt:
     """One option of one subcommand.
 
-    kind drives both argparse wiring and config-value conversion: str, int,
+    kind drives both argparse wiring and value conversion: str, int,
     float, flag, floats (comma list), targets (exactly four floats), pair
     (a type pair like 11), pairs (comma list of type pairs), paths.
     """
@@ -213,58 +215,58 @@ _HELP = {
 }
 
 
-def _conv_floats(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
+def _conv_int(value) -> int:
+    # Text parses exactly, through int(); a JSON number must be whole.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def _conv_pair(value) -> tuple[int, int]:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        pair = (int(value[0]), int(value[1]))
+        pair = (_conv_int(value[0]), _conv_int(value[1]))
     else:
-        text = str(value).strip().lstrip("r").replace(",", "")
-        if len(text) != 2 or not text.isdigit():
-            raise CliError(f"bad type pair {value!r}; expected e.g. 11")
-        pair = (int(text[0]), int(text[1]))
+        pair = tuple(map(int, str(value).strip().lstrip("r").replace(",", "")))
     if pair not in TYPE_PAIRS:
-        raise CliError(
-            f"bad type pair {value!r}; degree types are 1 (out) and 2 (in)"
-        )
+        raise ValueError(value)
     return pair
 
 
-def _convert(key: str, opt: _Opt, value):
-    if opt.kind == "str":
-        value = str(value)
-    elif opt.kind == "int":
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and not value.is_integer()):
-            raise CliError(f"{key} must be an integer, got {value!r}")
-        value = int(value)
-    elif opt.kind == "float":
-        value = float(value)
-    elif opt.kind == "flag":
-        if not isinstance(value, bool):
-            raise CliError(f"{key} must be true or false, got {value!r}")
-    elif opt.kind == "floats":
-        value = _conv_floats(value)
-    elif opt.kind == "targets":
-        value = _conv_floats(value)
-        if len(value) != 4:
-            raise CliError(f"{key} needs four values r11,r12,r21,r22")
-    elif opt.kind == "pair":
-        value = _conv_pair(value)
-    elif opt.kind == "pairs":
-        if isinstance(value, str):
-            value = [tok for tok in value.split(",") if tok.strip()]
-        value = tuple(_conv_pair(v) for v in value)
-    elif opt.kind == "paths":
-        if isinstance(value, str):
-            value = [value]
-        value = [str(v) for v in value]
-    else:  # pragma: no cover - schema bug
-        raise AssertionError(opt.kind)
+def _conv_list(conv, value) -> tuple:
+    """A JSON list, or else a comma list in text, converted item by item."""
+    if not isinstance(value, (list, tuple)):
+        value = [tok for tok in str(value).split(",") if tok.strip()]
+    return tuple(conv(v) for v in value)
+
+
+# Each kind's converter, for flag text and config values alike, and what a
+# value it cannot read should have been.  Only a flag takes a JSON boolean,
+# and a flag nothing else.
+_KINDS = {
+    "str": (str, "text"),
+    "int": (_conv_int, "an integer"),
+    "float": (float, "a number"),
+    "flag": (bool, "true or false"),
+    "floats": (partial(_conv_list, float), "a comma list of numbers"),
+    "targets": (partial(_conv_list, float), "four numbers r11,r12,r21,r22"),
+    "pair": (_conv_pair, "a type pair 11, 12, 21 or 22 (1 = out, 2 = in)"),
+    "pairs": (partial(_conv_list, _conv_pair),
+              "a comma list of type pairs like 11,22"),
+    "paths": (lambda v: [v] if isinstance(v, str) else [str(x) for x in v],
+              "a list of paths"),
+}
+
+
+def _convert(key: str, opt: _Opt, raw):
+    conv, expected = _KINDS[opt.kind]
+    try:
+        if isinstance(raw, bool) != (opt.kind == "flag"):
+            raise ValueError(raw)
+        value = conv(raw)
+    except (TypeError, ValueError):
+        raise CliError(f"{key} must be {expected}, got {raw!r}") from None
+    if opt.kind == "targets" and len(value) != 4:
+        raise CliError(f"{key} needs four values r11,r12,r21,r22")
     if opt.kind in ("floats", "pairs", "paths") and not value:
         raise CliError(f"{key} needs at least one value")
     if opt.kind in ("float", "floats", "targets") and not np.isfinite(
@@ -381,10 +383,6 @@ def _replicate_path(path: str, rep: int, replicates: int) -> str:
     return f"{stem}.r{rep}{ext}"
 
 
-def _pair_code(pair: tuple[int, int]) -> str:
-    return f"{pair[0]}{pair[1]}"
-
-
 def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile):
     """The eta realising targets on g's degree structure, or a CliError that
     gives each coefficient's attainable range on its own."""
@@ -459,9 +457,9 @@ def _bounds_worker(params: dict, seed) -> list[tuple]:
         for pair in pairs:
             lo, hi = result.get(*pair)
             rows.append((
-                _pair_code(cond_pair) if value is not None else "",
+                "%d%d" % cond_pair if value is not None else "",
                 f"{value:.12g}" if value is not None else "",
-                _pair_code(pair), f"{lo:.12g}", f"{hi:.12g}",
+                "%d%d" % pair, f"{lo:.12g}", f"{hi:.12g}",
             ))
     return rows
 
@@ -574,12 +572,6 @@ def cmd_fit(params: dict) -> int:
     return 0
 
 
-_BUCKET_ORDER = (
-    ("alpha", "alpha"), ("alpha", "beta"), ("alpha", "gamma"),
-    ("beta", "beta"), ("beta", "gamma"), ("gamma", "gamma"),
-)
-
-
 def _gains_worker(params: dict, seed):
     gen_seed, chain_seed = seed.spawn(2)
     g = _model_graph(params, "dpa", gen_seed)
@@ -603,19 +595,14 @@ def cmd_scenario_gains(params: dict) -> int:
         writer.writerow(["replicate", "scenario_pair", "count",
                          "d_r11", "d_r12", "d_r21", "d_r22"])
         for rep, gains in enumerate(all_gains):
-            for key in _BUCKET_ORDER:
-                count = gains.counts.get(key, 0)
-                delta = gains.delta_r.get(
-                    key, {"r11": 0.0, "r12": 0.0, "r21": 0.0, "r22": 0.0})
-                writer.writerow(
-                    [rep, "-".join(key), count]
-                    + [f"{delta[f'r{a}{b}']:.12g}" for a, b in TYPE_PAIRS]
-                )
-            writer.writerow(
-                [rep, "total", sum(gains.counts.values())]
-                + [f"{gains.total_delta_r[f'r{a}{b}']:.12g}"
-                   for a, b in TYPE_PAIRS]
-            )
+            rows = [("-".join(key), gains.counts.get(key, 0),
+                     gains.delta_r.get(key, {})) for key in _BUCKETS]
+            rows.append(("total", sum(gains.counts.values()),
+                         gains.total_delta_r))
+            for name, count, delta in rows:
+                writer.writerow([rep, name, count] + [
+                    f"{delta.get(f'r{a}{b}', 0.0):.12g}"
+                    for a, b in TYPE_PAIRS])
     _echo_config("scenario-gains", params, params["out"])
     print(json.dumps({"replicates": replicates, "out": params["out"]}))
     return 0
@@ -655,8 +642,14 @@ _HANDLERS = {
 # argparse wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers share the class
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The subcommands and their flags, all read as text (see _convert)."""
+    parser = _Parser(
         prog="didpr",
         description="Directed-network assortativity toolkit: generate, "
                     "bound, rewire, fit.",
@@ -671,28 +664,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "win over it")
         for key, opt in schema.items():
             if opt.positional:
-                nargs = "*" if opt.kind == "paths" else "?"
-                sp.add_argument(key, nargs=nargs, choices=opt.choices,
-                                help=opt.help)
-                continue
-            flag = "--" + key.replace("_", "-")
-            if opt.kind == "flag":
-                sp.add_argument(flag, dest=key,
-                                action=argparse.BooleanOptionalAction,
-                                default=None, help=opt.help)
-            elif opt.kind in ("int", "float"):
-                typ = int if opt.kind == "int" else float
-                sp.add_argument(flag, dest=key, type=typ, default=None,
+                sp.add_argument(key, nargs="*" if opt.kind == "paths" else "?",
                                 help=opt.help)
             else:
-                sp.add_argument(flag, dest=key, default=None, help=opt.help)
+                sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                                action=(argparse.BooleanOptionalAction
+                                        if opt.kind == "flag" else "store"),
+                                default=None, help=opt.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](_resolve(args, args.command))
     except (ValueError, LookupError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -247,19 +247,6 @@ _PAIR_A = np.array([a - 1 for a, _ in TYPE_PAIRS])
 _PAIR_B = np.array([b - 1 for _, b in TYPE_PAIRS])
 
 
-def _tilt(p: EtaProblem):
-    """Masses, standardised degree factors and targets of a target problem.
-
-    Returns (rho, kappa, U, V, m_star) from p.ends; m_star holds the
-    targets in TYPE_PAIRS order.  The standardised weight of r(a, b) is the
-    rank-one product W(s, t) = U[s, a-1] V[t, b-1], whose moment under a
-    mixing matrix is the coefficient itself.
-    """
-    e = p.ends
-    _require_spread(e.sd_s, e.sd_t)
-    return e.rho, e.kappa, e.U, e.V, _targets(p)
-
-
 def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
     """Typical |log acceptance ratio| of a chain driven by the Gibbs tilt.
 
@@ -274,7 +261,7 @@ def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
     Deterministic (fixed internal seed).
     """
     rng = np.random.default_rng(0)
-    rho, kappa, U, V, _ = _tilt(p)
+    rho, kappa, U, V, *_ = p.ends
     s1 = rng.choice(len(rho), size=_DRIFT_SAMPLES, p=rho)
     s2 = rng.choice(len(rho), size=_DRIFT_SAMPLES, p=rho)
     t1 = rng.choice(len(kappa), size=_DRIFT_SAMPLES, p=kappa)
@@ -373,9 +360,9 @@ def _entropy_eta(p: EtaProblem) -> tuple[EdgeMixMatrix | None, np.ndarray]:
     four moment equalities.  The solution has the Gibbs form
     M = exp(A_s + B_t + U Lam V'), Lam the 2x2 arrangement of the four
     multipliers lam; the tilt has rank two because every standardised
-    weight is a source factor times a target factor (see _tilt).  Its
-    smooth exponential tilt gives the later rewiring chain far better
-    mobility than any basic solution of the LP.
+    weight is a source factor times a target factor, U[s, a-1] V[t, b-1]
+    (see EtaProblem.ends).  Its smooth exponential tilt gives the later
+    rewiring chain far better mobility than any basic solution of the LP.
 
     Newton runs on lam alone, over the reduced concave dual
     phi(lam) = rho.A + kappa.B + m*.lam - sum M.  For each lam, A and B
@@ -394,7 +381,7 @@ def _entropy_eta(p: EtaProblem) -> tuple[EdgeMixMatrix | None, np.ndarray]:
     region; the caller then falls back to the LP, which settles
     attainability.
     """
-    rho, kappa, U, V, m_star = _tilt(p)
+    (rho, kappa, U, V, *_), m_star = p.ends, _targets(p)
     ns, nt = len(rho), len(kappa)
     passes = 0
 
@@ -473,7 +460,7 @@ def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
     centre.  Returns None only when the final residual is not tiny.
     """
     ns = len(p.source_pairs)
-    rho, kappa, U, V, m_star = _tilt(p)
+    (rho, kappa, U, V, *_), m_star = p.ends, _targets(p)
     marginals = np.concatenate([rho, kappa])
 
     X = eta0.H.copy()
@@ -569,10 +556,13 @@ def solve_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     (targets on or near the boundary of the attainable region), the spread
     LP answers instead (_lp_target_eta): every entry of its matrix is at
     least t* times the independence mass, t* the largest share the
-    constraints allow, and its feasibility decides attainability.
+    constraints allow, and its feasibility decides attainability.  A
+    degenerate end (a degree with no spread) raises ValueError here, before
+    any solve.
     """
     if p.targets is None:
         raise ValueError("solve_target_eta requires targets")
+    _require_spread(p.ends.sd_s, p.ends.sd_t)
     eta, lam = _entropy_eta(p)
     if eta is None:
         return _lp_target_eta(p)

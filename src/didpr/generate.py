@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import _LABEL_CODES, DirectedGraph
 
 __all__ = ["DpaParams", "gen_er", "gen_dpa"]
 
@@ -63,9 +63,8 @@ def gen_er(n: int, p: float, seed=None) -> DirectedGraph:
         r, c = np.nonzero(mask)
         srcs.append(r + start)
         dsts.append(c)
-    src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64)
-    return DirectedGraph.from_edges(n, src, dst)
+    return DirectedGraph.from_edges(n, np.concatenate(srcs),
+                                    np.concatenate(dsts))
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,9 @@ class DpaParams:
 def gen_dpa(params: DpaParams) -> DirectedGraph:
     """Grow a preferential-attachment network with target_edges edges.
 
-    Every returned edge carries a scenario label ("a", "b", or "g") in
-    edge_labels.  Self-loops can arise in beta steps because source and
-    target are drawn independently.
+    Every returned edge carries its scenario's label code
+    (graph._LABEL_CODES) in edge_labels.  Self-loops can arise in beta
+    steps because source and target are drawn independently.
     """
     num_edges = params.target_edges
     rng = np.random.default_rng(params.seed)
@@ -184,5 +183,5 @@ def gen_dpa(params: DpaParams) -> DirectedGraph:
         src[e] = v1
         dst[e] = v2
 
-    labels = np.array(["a", "b", "g"])[codes]
+    labels = np.array(_LABEL_CODES)[codes]
     return DirectedGraph.from_edges(n, src, dst, edge_labels=labels)

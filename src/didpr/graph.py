@@ -4,6 +4,11 @@ The graph is stored as parallel source/target index arrays so that degree
 lookups and edge swaps stay cheap during long rewiring runs.  Self-loops and
 repeated edges are allowed everywhere; node ids are 0-based integers.
 
+It owns the codes other modules share: _pair_codes packs an (out, in)
+degree pair into one int64 that sorts as the pairs do (_decode_pairs
+unpacks it), and _LABEL_CODES holds the scenario labels a, b, g of
+generated edges, for alpha, beta, gamma.
+
 File formats.  Every reader here and in assortativity and rewire takes UTF-8
 text whose lines end in LF, CRLF or CR, parses all rows in one np.loadtxt
 call and raises on the first bad line as "path:line: ...", counting every
@@ -52,8 +57,9 @@ __all__ = [
     "write_edge_labels",
 ]
 
-# Scenario label codes of generated edges, used by read_edge_labels and rewire.
-_LABEL_NAMES = {"a": "alpha", "b": "beta", "g": "gamma"}
+# Scenario label codes, in scenario order, and the scenario each names.
+_LABEL_CODES = ("a", "b", "g")
+_LABEL_NAMES = dict(zip(_LABEL_CODES, ("alpha", "beta", "gamma")))
 
 
 class GraphFormatError(ValueError):
@@ -70,8 +76,8 @@ class DirectedGraph:
         dst: int64 array, target node of each edge.
         out_deg: int64 array of length num_nodes.
         in_deg: int64 array of length num_nodes.
-        edge_labels: optional per-edge provenance codes ("a", "b", "g") set
-            by the preferential-attachment generator; None otherwise.
+        edge_labels: optional per-edge scenario label codes (_LABEL_CODES)
+            set by the preferential-attachment generator; None otherwise.
     """
 
     num_nodes: int
@@ -132,6 +138,17 @@ class DegreePairDist:
     entries: dict[tuple[int, int], float]
 
 
+def _pair_codes(deg_a: np.ndarray, deg_b: np.ndarray) -> np.ndarray:
+    # Encode (a, b) pairs into one int for fast uniquing; degrees are < 2**31.
+    return deg_a.astype(np.int64) * (np.int64(1) << 32) + deg_b.astype(np.int64)
+
+
+def _decode_pairs(codes: np.ndarray) -> list[tuple[int, int]]:
+    """The (a, b) pairs that _pair_codes encoded as codes."""
+    return list(zip((codes >> 32).tolist(),
+                    (codes & ((np.int64(1) << 32) - 1)).tolist()))
+
+
 def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
     """Empirical joint (out, in) degree-pair distribution of a graph.
 
@@ -139,13 +156,10 @@ def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
     """
     if g.num_nodes == 0:
         raise ValueError("empty graph: degree pair distribution undefined")
-    pairs = np.stack([g.out_deg, g.in_deg], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    n = g.num_nodes
-    entries = {
-        (int(i), int(j)): int(c) / n for (i, j), c in zip(uniq.tolist(), counts.tolist())
-    }
-    return DegreePairDist(entries)
+    uniq, counts = np.unique(_pair_codes(g.out_deg, g.in_deg),
+                             return_counts=True)
+    return DegreePairDist(dict(zip(_decode_pairs(uniq),
+                                   (counts / g.num_nodes).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +385,7 @@ def read_edge_labels(path, num_edges: int) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.translate(None, b"abg\n"):
+    if not data.translate(None, "".join(_LABEL_CODES).encode() + b"\n"):
         codes = data.decode("ascii").split()
         if len(codes) == num_edges == len(data) - data.count(b"\n"):
             return np.array(codes, dtype="U1")

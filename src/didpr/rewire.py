@@ -35,16 +35,16 @@ cadence sets only the trace resolution; it never changes the chain.
 
 Accepted swaps change the four degree products by integers.  Integer
 totals of those changes and of the accepted count serve the checkpoints;
-with scenario gains, one such tally per ordered pair of scenario labels is
-folded by unordered label pair.  The end means and sds that turn
-those sums into coefficients never change either; they come from
+with scenario gains, so do tallies per bucket, the unordered pair of the
+two edges' scenarios, in report order (_BUCKETS): alpha-alpha, alpha-beta,
+alpha-gamma, beta-beta, beta-gamma, gamma-gamma.  The end means and sds
+that turn those sums into coefficients never change either; they come from
 assortativity._standardise, the helper behind every coefficient.
 chain_setup gathers them with the chain's other seed-free inputs, once per
 graph and eta, and replicate chains share the result.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +53,17 @@ from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
-    _pair_codes,
     _profile,
     _standardise,
     edge_mix_from_graph,
 )
 from .graph import (
+    _LABEL_CODES,
     _LABEL_NAMES,
     DirectedGraph,
     _csv_rows,
     _first_problem,
+    _pair_codes,
     _parse_rows,
 )
 
@@ -82,6 +83,15 @@ _TRACE_DTYPE = np.dtype([("step", np.int64), ("values", np.float64, (5,))])
 
 # Pairs per chunk.  It sets the size of the chain's arrays, not its draws.
 _CHUNK = 4096
+
+# The unordered pairs of scenarios, in report order, and the bucket of each
+# ordered pair of label indices (positions in _LABEL_CODES).
+_SCENARIOS = tuple(_LABEL_NAMES.values())
+_BUCKETS = tuple((x, y) for i, x in enumerate(_SCENARIOS)
+                 for y in _SCENARIOS[i:])
+_BUCKET_OF = np.array([
+    [_BUCKETS.index(tuple(sorted((x, y), key=_SCENARIOS.index)))
+     for y in _SCENARIOS] for x in _SCENARIOS])
 
 
 @dataclass(frozen=True)
@@ -287,8 +297,12 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
                track_gains: bool, setup: ChainSetup | None = None):
     if setup is None:
         setup = chain_setup(g, eta)
-    if track_gains and g.edge_labels is None:
-        raise ValueError("no scenario labels on this graph")
+    if track_gains:
+        if g.edge_labels is None:
+            raise ValueError("no scenario labels on this graph")
+        lab = np.searchsorted(_LABEL_CODES, g.edge_labels)  # the codes sort
+        if (np.take(_LABEL_CODES, lab, mode="clip") != g.edge_labels).any():
+            raise ValueError(f"scenario labels must be among {_LABEL_CODES}")
     m = g.num_edges
     half = m // 2
     rng = np.random.default_rng(cfg.seed)
@@ -301,12 +315,10 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
                            g.out_deg.copy(), g.in_deg.copy(), labels)
     dst = result.dst
     # Accepted swaps, then the changes of the four degree products: their
-    # totals, and with gains one column per ordered pair of scenario labels.
+    # totals, and with gains one column per bucket.
     total = np.zeros(5, dtype=np.int64)
     if track_gains:
-        names, lab = np.unique(g.edge_labels, return_inverse=True)
-        nl = len(names)
-        tally = np.zeros((5, nl * nl), dtype=np.int64)
+        tally = np.zeros((5, len(_BUCKETS)), dtype=np.int64)
 
     def profile_of(sums) -> AssortProfile:
         s = setup.s_init + sums[1:]
@@ -364,12 +376,12 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
             total += change[:, done:].sum(axis=1)
             done = hit.size
         if track_gains:
-            cell = lab[x1[:done]] * nl + lab[x2[:done]]
+            cell = _BUCKET_OF[lab.take(x1[:done]), lab.take(x2[:done])]
             for counts, vals in zip(tally, change[:, :done]):
                 np.add.at(counts, cell, vals)
         steps_done += n
 
-    gains = _gains(tally, names, m, sd_s, sd_t) if track_gains else None
+    gains = _gains(tally, m, sd_s, sd_t) if track_gains else None
     return result, trace, gains
 
 
@@ -377,22 +389,17 @@ def _profile_vals(p: AssortProfile) -> tuple[float, float, float, float]:
     return (p.r11, p.r12, p.r21, p.r22)
 
 
-def _gains(tally, names, m, sd_s, sd_t) -> ScenarioGains:
-    """Fold the chain's tally (columns: ordered label pairs) into gains."""
+def _gains(tally, m, sd_s, sd_t) -> ScenarioGains:
+    """The gains of the chain's tally (columns: _BUCKETS)."""
     def to_r(s: list[int]) -> dict[str, float]:
         return {f"r{a}{b}": v / (m * sd_s[a - 1] * sd_t[b - 1])
                 for (a, b), v in zip(TYPE_PAIRS, s)}
 
-    buckets: dict[tuple[str, str], np.ndarray] = {}
-    for pair, vals in zip(itertools.product(names, repeat=2), tally.T):
-        key = tuple(sorted(_LABEL_NAMES[code] for code in pair))
-        buckets[key] = buckets.get(key, 0) + vals
-    buckets = {key: vals.tolist() for key, vals in buckets.items()
+    buckets = {key: vals for key, vals in zip(_BUCKETS, tally.T.tolist())
                if vals[0] > 0}
-    counts = {key: vals[0] for key, vals in buckets.items()}
-    delta_r = {key: to_r(vals[1:]) for key, vals in buckets.items()}
-    total = to_r(tally[1:].sum(axis=1).tolist())
-    return ScenarioGains(counts, delta_r, total)
+    return ScenarioGains({k: vals[0] for k, vals in buckets.items()},
+                         {k: to_r(vals[1:]) for k, vals in buckets.items()},
+                         to_r(tally[1:].sum(axis=1).tolist()))
 
 
 def rewire(

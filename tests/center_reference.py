@@ -10,7 +10,7 @@ solver precision.
 import numpy as np
 
 from didpr.assortativity import EdgeMixMatrix
-from didpr.eta import EtaProblem, _tilt
+from didpr.eta import EtaProblem, _targets
 
 
 def reference_center_eta(
@@ -21,7 +21,7 @@ def reference_center_eta(
 ) -> EdgeMixMatrix | None:
     """Polish eta0 to the analytic centre; None if the residual is not tiny."""
     ns, nt = len(p.source_pairs), len(p.target_pairs)
-    rho, kappa, U, V, m_star = _tilt(p)
+    (rho, kappa, U, V, *_), m_star = p.ends, _targets(p)
     W = (U.T[:, None, :, None] * V.T[None, :, None, :]).reshape(4, ns, nt)
     Wf = W.reshape(4, -1)
     b_full = np.concatenate([rho, kappa, m_star])

@@ -16,6 +16,7 @@ from didpr.assortativity import (
     assortativity,
     read_eta_csv,
 )
+from didpr.generate import gen_er
 from didpr.graph import degree_pair_dist, read_edge_list
 from didpr.rewire import read_trace_csv, rewire
 
@@ -330,7 +331,8 @@ def test_scenario_gains_csv(tmp_path):
         buckets, total = block[:-1], block[-1]
         assert total["scenario_pair"] == "total"
         assert [r["scenario_pair"] for r in buckets] == [
-            "-".join(key) for key in cli._BUCKET_ORDER]
+            "alpha-alpha", "alpha-beta", "alpha-gamma", "beta-beta",
+            "beta-gamma", "gamma-gamma"]
         # Buckets telescope to the total (up to the 12 printed digits).
         assert sum(int(r["count"]) for r in buckets) == int(total["count"]) > 0
         for col in ("d_r11", "d_r12", "d_r21", "d_r22"):
@@ -516,6 +518,116 @@ def test_non_integer_config_value_is_a_one_line_error(er_graph, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {key} must be an integer, got {value!r}"]
     assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("tolerance", True, "a number"), ("out", False, "text"),
+    ("targets", False, "four numbers r11,r12,r21,r22"),
+    ("stop_early", 1, "true or false")])
+def test_boolean_config_value_only_sets_a_flag(er_graph, tmp_path, capsys,
+                                               key, value, expected):
+    # float(True) is 1.0 and str(False) a file name: a JSON boolean is
+    # read only where the option is a flag, and a flag takes nothing else.
+    cfg = tmp_path / "bool.config.json"
+    cfg.write_text(json.dumps({"command": "rewire", "graph": str(er_graph),
+                               "targets": [0.1, 0.1, 0.1, 0.1],
+                               "steps": 1000, "out": str(tmp_path / "run"),
+                               key: value}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["rewire", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {key} must be {expected}, got {value!r}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bool.config.json"]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, fixed, key, text, expected", [
+    ("generate", ["er", "--p", "0.1"], "n", "2.0", "an integer"),
+    ("generate", ["er", "--p", "0.1"], "n", "abc", "an integer"),
+    ("rewire", ["{graph}", "--targets", "0.1,0.1,0.1,0.1"], "steps", "1e3",
+     "an integer"),
+    ("bounds", ["--graph", "{graph}", "--pairs", "22", "--condition-pair",
+                "11"], "condition_values", "0.1,x", "a comma list of numbers"),
+    ("bounds", ["--graph", "{graph}", "--pairs", "22",
+                "--condition-values", "0.1"], "condition_pair", "13",
+     "a type pair 11, 12, 21 or 22 (1 = out, 2 = in)"),
+], ids=["n-fraction", "n-text", "steps-exponent", "condition-values-item",
+        "condition-pair"])
+def test_unreadable_value_names_its_option(er_graph, tmp_path, capsys, form,
+                                           command, fixed, key, text,
+                                           expected):
+    # A flag's text and a config value go through one converter: the same
+    # text fails the same way in either place, with one line naming the
+    # option, exit code 1 and nothing written.
+    argv = [command] + [arg.format(graph=er_graph) for arg in fixed]
+    if form == "flag":
+        argv += ["--" + key.replace("_", "-"), text]
+    else:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: text}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    run = tmp_path / "run"
+    run.mkdir()
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(run / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {key} must be {expected}, got {text!r}"]
+    assert captured.out == ""
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "er", "--n", "50", "--p", "0.1", "--bogus", "1"],
+     "--bogus"),
+    (["generate", "er", "--p", "0.1", "--n"], "--n"),
+    (["generate", "er", "--n", "50", "--p"], "--p"),
+    (["frobnicate"], "frobnicate"),
+    ([], "command"),
+], ids=["unknown-flag", "missing-value", "missing-last-value",
+        "unknown-command", "no-command"])
+def test_parser_error_is_a_one_line_error(tmp_path, capsys, argv, named):
+    run = tmp_path / "run"
+    run.mkdir()
+    capsys.readouterr()
+    # With --out given, a run that got past the parser would write there.
+    argv = argv[:2] + ["--out", str(run / "out")] + argv[2:] if argv else argv
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert captured.out == ""
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["generate", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: didpr")
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_seed_above_2_53_is_read_exactly(tmp_path, form):
+    # A float would round 2**53 + 1 to 2**53; integer text parses exactly.
+    seed = 2**53 + 1
+    out = tmp_path / "er.txt"
+    argv = ["generate", "er", "--n", "20", "--p", "0.2", "--out", str(out)]
+    if form == "flag":
+        argv += ["--seed", str(seed)]
+    else:
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": str(seed)}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 0
+    echo = json.loads((tmp_path / "er.txt.config.json").read_text(
+        encoding="utf-8"))
+    assert echo["seed"] == seed
+    want = gen_er(20, 0.2, seed)
+    got = read_edge_list(out)
+    assert np.array_equal(got.src, want.src)
+    assert np.array_equal(got.dst, want.dst)
 
 
 _DPA_500 = ["--alpha", "0.3", "--beta", "0.4", "--gamma", "0.3",

@@ -232,6 +232,41 @@ def test_stop_early_inside_a_chunk_matches_scalar_reference(dpa):
     assert trace.final_profile().max_abs_diff(TARGETS) <= cfg.tolerance
 
 
+@pytest.mark.parametrize("alpha, gamma, absent", [
+    (0.0, 0.5, "alpha"), (0.5, 0.0, "gamma")], ids=["alpha-0", "gamma-0"])
+def test_gains_without_a_scenario_match_scalar_reference(alpha, gamma,
+                                                         absent):
+    # Labels of two scenarios only: the tally's buckets are the six of the
+    # report whatever labels occur, and the three with the absent scenario
+    # stay empty.
+    g = gen_dpa(DpaParams(alpha, 0.5, gamma, 1.0, 1.0, 2_000, seed=3))
+    assert len(set(g.edge_labels.tolist())) == 2
+    eta = solve_target_eta(problem_from_graph(g, targets=TARGETS))
+    cfg = RewiringConfig(max_steps=20_001, checkpoint_every=1_500, seed=4,
+                         targets=TARGETS)
+    _assert_matches_reference(g, eta, cfg, gains=True)
+    gains = rewire_with_scenario_gains(g, eta, cfg)[2]
+    present = [key for key in REWIRE._BUCKETS if absent not in key]
+    assert list(gains.counts) == present
+    assert all(count > 0 for count in gains.counts.values())
+
+
+@pytest.mark.parametrize("label", ["c", "z", "A", ""])
+def test_unknown_label_raises_before_the_chain(dpa, monkeypatch, label):
+    # "c" sorts between two codes, "z" after and "A" before all of them:
+    # none may be filed under a neighbouring code's scenario.
+    g, eta = dpa
+    labels = g.edge_labels.copy()
+    labels[17] = label
+    bad = DirectedGraph.from_edges(g.num_nodes, g.src, g.dst,
+                                   edge_labels=labels)
+    monkeypatch.setattr(REWIRE, "_propose",
+                        lambda *args: pytest.fail("the chain ran"))
+    with pytest.raises(ValueError, match="scenario labels must be among"):
+        rewire_with_scenario_gains(bad, eta, RewiringConfig(
+            max_steps=1_000, seed=1))
+
+
 class _CountingGenerator:
     """Wraps a numpy Generator and records the draws the chain makes."""
 
