@@ -24,7 +24,7 @@ from .eta import (
     problem_from_nu,
     solve_target_eta,
 )
-from .fit import EvFit, beta_hat, fit_ev, invert_tail_indices, polar_transform, tail_index, tail_indices_from_params
+from .fit import EvFit, beta_hat, fit_ev, tail_index, tail_indices_from_params
 from .generate import DpaParams, gen_dpa, gen_er
 from .graph import (
     DegreePairDist,
@@ -66,8 +66,6 @@ __all__ = [
     "EvFit",
     "beta_hat",
     "fit_ev",
-    "invert_tail_indices",
-    "polar_transform",
     "tail_index",
     "tail_indices_from_params",
     "DpaParams",

@@ -89,6 +89,9 @@ class _Opt:
 
 
 _SEED_OPT = _Opt("int", default=0, help="RNG seed")
+# fit draws no random numbers and has no tail size, but older command lines
+# pass both options.
+_IGNORED_HELP = "ignored; accepted so that older command lines still run"
 _CHECKPOINT_HELP = ("steps between trace rows; sets only the trace resolution "
                     "and never changes the chain")
 
@@ -168,14 +171,9 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "fit": {
         "graph": _Opt("str", required=True, positional=True,
                       help="edge-list file"),
-        "n_tail": _Opt("int", required=True,
-                       help="joint tail size for the angular fit"),
-        "grid_size": _Opt("int", default=21,
-                          help="candidate grid resolution for alpha"),
-        "sim_edges": _Opt("int", help="edges per candidate simulation "
-                                      "(default: observed edge count)"),
+        "n_tail": _Opt("int", help=_IGNORED_HELP),
         "out": _Opt("str", help="optional JSON output path"),
-        "seed": _SEED_OPT,
+        "seed": _Opt("int", default=0, help=_IGNORED_HELP),
     },
     "scenario-gains": {
         **_DPA_OPTS,
@@ -208,7 +206,9 @@ _HELP = {
                  "which also decides attainability)",
     "rewire": "rewire a network toward target coefficients, preserving "
               "every degree",
-    "fit": "fit attachment-model parameters to an observed network",
+    "fit": "fit attachment-model parameters to an observed network by the "
+           "composite likelihood of its exact in- and out-degree laws "
+           "(deterministic; an error when the degrees do not follow them)",
     "scenario-gains": "attribute rewiring assortativity gains to "
                       "attachment scenario pairs",
     "aggregate": "average several trace CSVs row by row",
@@ -562,9 +562,7 @@ def cmd_rewire(params: dict) -> int:
 
 def cmd_fit(params: dict) -> int:
     g = _load_graph(params["graph"])
-    fitted = fit_ev(g, params["n_tail"], grid_size=params["grid_size"],
-                    sim_edges=params["sim_edges"], seed=params["seed"])
-    doc = fitted.as_dict()
+    doc = fit_ev(g).as_dict()
     print(json.dumps(doc))
     if params["out"]:
         _write_json(doc, params["out"])

@@ -1,5 +1,6 @@
 """Fitting the attachment model: tail indices on samples with a known
-exponent, and parameter recovery on generated graphs."""
+exponent, the exact degree laws against generated graphs, and parameter
+recovery on generated graphs."""
 import math
 import os
 import subprocess
@@ -15,9 +16,10 @@ from didpr.fit import (
     _EXPONENT_BOUNDS,
     _fminbound,
     _hurwitz_zeta,
-    _ks_two_sample,
+    _log_law,
     fit_ev,
     tail_index,
+    tail_indices_from_params,
 )
 from didpr.generate import DpaParams, gen_dpa
 
@@ -31,34 +33,101 @@ def test_tail_index_of_zipf_sample(a, seed):
     assert x_min >= 1
 
 
+@pytest.mark.parametrize("params", [(0.3, 0.4, 0.3, 1.0, 1.0),
+                                    (0.1, 0.6, 0.3, 2.0, 0.5)])
+def test_degree_laws_match_generated_frequencies(params):
+    # The recursion's node law against the node counts at degrees 0-10 of
+    # one 1e5-edge graph, as binomial z-scores (largest seen: 2.2).
+    alpha, beta, gamma, delta_in, delta_out = params
+    g = gen_dpa(DpaParams(*params, 100_000, seed=1))
+    ag = alpha + gamma
+    for degrees, law in (
+            (g.in_deg, _log_law(alpha, gamma, alpha + beta, ag, delta_in, 10)),
+            (g.out_deg, _log_law(gamma, alpha, gamma + beta, ag, delta_out,
+                                 10))):
+        q = np.exp(law)
+        seen = np.bincount(degrees, minlength=11)[:11]
+        z = (seen - g.num_nodes * q) / np.sqrt(g.num_nodes * q * (1.0 - q))
+        assert np.abs(z).max() < 4.0, z
+
+
+def test_degree_law_tail_is_the_tail_index():
+    # q_i falls as i^-(1 + iota): the ratio exponent tends to the formula's.
+    alpha, beta, gamma, delta_in, delta_out = 0.1, 0.6, 0.3, 2.0, 0.5
+    iota_out, iota_in = tail_indices_from_params(alpha, beta, gamma,
+                                                 delta_out, delta_in)
+    ag = alpha + gamma
+    for law, iota in (
+            (_log_law(alpha, gamma, alpha + beta, ag, delta_in, 10**6), iota_in),
+            (_log_law(gamma, alpha, gamma + beta, ag, delta_out, 10**6),
+             iota_out)):
+        slope = (law[10**6] - law[10**5]) / math.log(10.0)
+        assert -slope - 1.0 == pytest.approx(iota, abs=1e-4)
+        assert np.exp(law).sum() == pytest.approx(1.0, abs=1e-3)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fit_ev_recovers_scenario_probabilities(seed):
-    # The offsets are not checked: at this size the tail indices read low,
-    # so the recovered offsets fall well short of the true 1.
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=seed))
-    fitted = fit_ev(g, 200, seed=seed)
+    fitted = fit_ev(g)
     assert fitted.beta_hat == pytest.approx(0.4, abs=0.01)
     assert fitted.alpha_hat == pytest.approx(0.3, abs=0.05)
     assert fitted.alpha_hat + fitted.beta_hat + fitted.gamma_hat == (
         pytest.approx(1.0, abs=1e-12))
-    assert fitted.a_hat == pytest.approx(fitted.iota2_hat / fitted.iota1_hat)
     assert fitted.delta_in_hat > 0.0 and fitted.delta_out_hat > 0.0
 
 
+def test_fit_ev_recovery_rate_over_seeds():
+    # DPA (0.3, 0.4, 0.3), delta = 1, 2e4 edges: 20 seeds, and at most one
+    # may miss (none did when this was written).
+    misses = []
+    for seed in range(1, 21):
+        g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=seed))
+        fitted = fit_ev(g)
+        assert fitted.beta_hat == pytest.approx(0.4, abs=0.01)
+        assert fitted.alpha_hat + fitted.beta_hat + fitted.gamma_hat == (
+            pytest.approx(1.0, abs=1e-12))
+        assert (fitted.iota1_hat, fitted.iota2_hat) == tail_indices_from_params(
+            fitted.alpha_hat, fitted.beta_hat, fitted.gamma_hat,
+            fitted.delta_out_hat, fitted.delta_in_hat)
+        if not (abs(fitted.alpha_hat - 0.3) <= 0.05
+                and abs(fitted.delta_in_hat - 1.0) <= 0.2
+                and abs(fitted.delta_out_hat - 1.0) <= 0.2):
+            misses.append((seed, fitted))
+    assert len(misses) <= 1, misses
+
+
 def test_fit_ev_pinned_on_dpa():
-    # Values of the scipy-based fit this one replaced, DPA 2e4 at seed 1.
+    # The composite-likelihood fit on DPA 2e4 at seed 1; the fit is
+    # deterministic, so a second call gives the same bits.
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1))
-    assert fit_ev(g, 200, seed=1).as_dict() == {
-        "alpha_hat": 0.33236499999999997,
+    want = {
+        "alpha_hat": 0.3057642743474028,
         "beta_hat": 0.39570000000000005,
-        "gamma_hat": 0.271935,
-        "delta_in_hat": 0.48446346292984593,
-        "delta_out_hat": 0.355791863532063,
-        "iota1_hat": 1.8198641819743209,
-        "iota2_hat": 1.775612439340589,
-        "n_tail": 200,
-        "a_hat": 0.9756840411102963,
+        "gamma_hat": 0.2985357256525972,
+        "delta_in_hat": 1.0390664211502991,
+        "delta_out_hat": 1.0061196785698499,
+        "iota1_hat": 2.316213445005593,
+        "iota2_hat": 2.320728079581282,
     }
+    assert fit_ev(g).as_dict() == want
+    assert fit_ev(g).as_dict() == want
+
+
+def test_fit_ev_offsets_scale_with_the_mean_degree():
+    # The search bounds delta (alpha + gamma), not delta: on a dense graph
+    # (mean degree 50) offsets far above 100 still fit.
+    g = gen_dpa(DpaParams(0.01, 0.98, 0.01, 150.0, 50.0, 30_000, seed=1))
+    fitted = fit_ev(g)
+    assert fitted.delta_in_hat == pytest.approx(150.0, rel=0.2)
+    assert fitted.delta_out_hat == pytest.approx(50.0, rel=0.2)
+
+
+def test_fit_ev_rejects_light_tails():
+    # Erdos-Renyi degrees are Poisson: both offsets run to the upper end.
+    with pytest.raises(ValueError, match="delta_in and delta_out ran to an "
+                                         "end of the search interval"):
+        fit_ev(didpr.gen_er(300, 0.1, seed=1))
 
 
 class TestHurwitzZetaOracle:
@@ -139,19 +208,6 @@ class TestFminboundOracle:
     def test_infinite_on_part_of_the_interval(self, cut):
         self._check(lambda x: np.inf if x < cut else (x - 4.0) ** 2)
         self._check(lambda x: np.inf if x > cut else (x - 8.0) ** 2)
-
-
-def test_ks_two_sample_matches_scipy():
-    from scipy.stats import ks_2samp
-
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        # few distinct values, so both samples carry ties within and across
-        x = rng.integers(0, 12, rng.integers(1, 60)) / 11.0
-        y = rng.integers(0, 12, rng.integers(1, 60)) / 11.0
-        assert _ks_two_sample(x, y) == ks_2samp(x, y).statistic
-        x, y = rng.random(rng.integers(1, 300)), rng.random(rng.integers(1, 300))
-        assert _ks_two_sample(x, y) == ks_2samp(x, y).statistic
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_out():
