@@ -27,6 +27,14 @@ the line rules of the graph module): the first line must be the header
 exactly; blank lines are skipped; every other line holds five
 comma-separated fields, four integer degrees in [0, 2**31) and a finite
 nonnegative entry, and no (i, j, k, l) may appear twice.
+
+Two read paths, one result.  After checking the header, read_eta_csv parses
+the rest of the file in one np.loadtxt pass over the path, with no string
+per line, and applies the row checks as masks.  Any failure there, an empty
+table or a flagged row sends the file through the line scan (_csv_rows and
+_parse_rows, with the same dtype and delimiter), the one place that names
+the first bad line.  Both paths parse each field with the same converter
+and build the matrix in _eta_rows, so they give the same pairs and H.
 """
 from __future__ import annotations
 
@@ -34,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (DirectedGraph, _csv_rows, _decode_pairs, _first_problem,
-                    _pair_codes, _parse_rows)
+from .graph import (DirectedGraph, _bulk_csv, _csv_rows, _decode_pairs,
+                    _first_problem, _pair_codes, _parse_rows)
 
 __all__ = [
     "TYPE_PAIRS",
@@ -231,22 +239,47 @@ def read_eta_csv(path) -> EdgeMixMatrix:
     nonnegative integer below 2**31, with an entry that is not a finite
     nonnegative number, or repeating the cell of an earlier row.
     """
-    nos, rows = _csv_rows(path, _ETA_HEADER)
-    table, parsed = _parse_rows(rows, _ETA_DTYPE, ",")
+    table = _bulk_csv(path, _ETA_HEADER, _ETA_DTYPE)
+    if table is not None and table.size:
+        flags, _, matrix = _eta_rows(table)
+        if not any(bad.any() for bad in flags):
+            return matrix()
+    return _scan_eta_csv(path)
+
+
+def _eta_rows(table):
+    """What both read paths take from parsed eta rows: (flags, first,
+    matrix).  flags masks the rows that fail each check, in order: a degree
+    outside [0, 2**31), an entry that is not finite and nonnegative, a cell
+    of an earlier row.  first gives each row the first row of its cell, and
+    matrix() builds the mixing matrix once no row is flagged."""
     degrees, values = table["degrees"], table["eta"]
     s_uniq, s_idx = np.unique(_pair_codes(degrees[:, 0], degrees[:, 1]),
                               return_inverse=True)
     t_uniq, t_idx = np.unique(_pair_codes(degrees[:, 2], degrees[:, 3]),
                               return_inverse=True)
-    cells = s_idx * t_uniq.size + t_idx
-    _, first, inverse = np.unique(cells, return_index=True,
-                                  return_inverse=True)
+    _, first, inverse = np.unique(s_idx * t_uniq.size + t_idx,
+                                  return_index=True, return_inverse=True)
     first = first[inverse]
     # _pair_codes packs two degrees into one int64: both must be < 2**31.
-    problem = _first_problem(len(rows), parsed,
-                             ((degrees < 0) | (degrees >= 2**31)).any(axis=1),
-                             ~((values >= 0.0) & (values < np.inf)),
-                             first < np.arange(parsed))
+    flags = (((degrees < 0) | (degrees >= 2**31)).any(axis=1),
+             ~((values >= 0.0) & (values < np.inf)),
+             first < np.arange(table.size))
+
+    def matrix() -> EdgeMixMatrix:
+        H = np.zeros((s_uniq.size, t_uniq.size))
+        H[s_idx, t_idx] = values
+        return EdgeMixMatrix(_decode_pairs(s_uniq), _decode_pairs(t_uniq), H)
+    return flags, first, matrix
+
+
+def _scan_eta_csv(path) -> EdgeMixMatrix:
+    """Read an eta CSV line by line (_csv_rows, _parse_rows); raises
+    ValueError naming the first bad line, as read_eta_csv describes."""
+    nos, rows = _csv_rows(path, _ETA_HEADER)
+    table, parsed = _parse_rows(rows, _ETA_DTYPE, ",")
+    flags, first, matrix = _eta_rows(table)
+    problem = _first_problem(len(rows), parsed, *flags)
     if problem:
         row, kind = problem
         fields = rows[row].split(",")
@@ -268,6 +301,4 @@ def read_eta_csv(path) -> EdgeMixMatrix:
         raise ValueError(f"{path}:{nos[row]}: {why}")
     if not rows:
         raise ValueError(f"{path}: no entries")
-    H = np.zeros((s_uniq.size, t_uniq.size))
-    H[s_idx, t_idx] = values
-    return EdgeMixMatrix(_decode_pairs(s_uniq), _decode_pairs(t_uniq), H)
+    return matrix()

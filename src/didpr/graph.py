@@ -70,6 +70,10 @@ class GraphFormatError(ValueError):
 class DirectedGraph:
     """A directed multigraph with cached degree arrays.
 
+    A graph from with_targets, such as a rewired replicate, shares src,
+    out_deg, in_deg and edge_labels with the graph it came from, as
+    read-only views; its dst is the only array it owns.
+
     Attributes:
         num_nodes: number of nodes; ids run from 0 to num_nodes - 1.
         src: int64 array, source node of each edge.
@@ -122,9 +126,34 @@ class DirectedGraph:
                 raise ValueError("edge_labels must align with the edge arrays")
         return cls(num_nodes, src, dst, out_deg, in_deg, labels)
 
+    def with_targets(self, dst) -> "DirectedGraph":
+        """This graph with the edges' targets replaced by dst.
+
+        dst must give every node its in-degree here, as a degree-preserving
+        rewiring does; it is not recounted.  The result shares src,
+        out_deg, in_deg and edge_labels with this graph as read-only views,
+        and owns dst, taken as is when it is already an int64 array.
+        """
+        dst = np.asarray(dst, dtype=np.int64)
+        if dst.shape != self.src.shape:
+            raise ValueError("dst must hold one target per edge")
+        return DirectedGraph(self.num_nodes, _read_only(self.src), dst,
+                             _read_only(self.out_deg),
+                             _read_only(self.in_deg),
+                             _read_only(self.edge_labels))
+
     @property
     def num_edges(self) -> int:
         return int(self.src.size)
+
+
+def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    """A read-only view of a (None for None)."""
+    if a is None:
+        return None
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -214,6 +243,37 @@ def _parse_rows(rows: list[str], dtype: np.dtype, delimiter=None):
     return parse(rows[:lo]), lo
 
 
+def _bulk_table(path, dtype: np.dtype, **options):
+    """The rows of a UTF-8 file parsed in one np.loadtxt pass over the path,
+    which reads it in chunks, not a string per line; None when that fails.
+
+    Any failure leaves the file to the caller's line scan, which reads it
+    again and decides.  Not only ValueError: np.loadtxt opens a name ending
+    in .gz, .bz2, .xz or .lzma through a decompressor, which raises its own.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            return np.loadtxt(path, dtype=dtype, ndmin=1, encoding="utf-8",
+                              **options)
+    except Exception:
+        return None
+
+
+def _bulk_csv(path, header: tuple[str, ...], dtype: np.dtype):
+    """The data rows of a CSV file whose first line reads exactly `header`
+    (as _csv_rows checks it), parsed by _bulk_table; None when the header
+    differs or the file cannot be read that way."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+    except Exception:
+        return None
+    if first.rstrip("\n") != ",".join(header):
+        return None
+    return _bulk_table(path, dtype, delimiter=",", comments=None, skiprows=1)
+
+
 def _first_problem(num_rows: int, parsed: int, *flags):
     """(row, kind) of the earliest bad row, or None when every row is good.
 
@@ -278,16 +338,10 @@ def _bulk_edge_list(path, data: bytes) -> DirectedGraph | None:
             except ValueError:
                 return None
         at = data.find(b"#", at + 1)
-    # Any failure leaves the file to the line scan, which reads it again
-    # and decides.  Not only ValueError: np.loadtxt opens a name ending in
-    # .gz, .bz2, .xz or .lzma through a decompressor, which raises its own.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data rows
-            ends = np.loadtxt(path, dtype=_EDGE_DTYPE, comments="#",
-                              ndmin=1, encoding="utf-8")["ends"]
-    except Exception:
+    table = _bulk_table(path, _EDGE_DTYPE, comments="#")
+    if table is None:
         return None
+    ends = table["ends"]
     top = int(ends.max(initial=-1))
     num_nodes = declared if declared is not None else top + 1
     # A negative header lands here too, as top >= -1.

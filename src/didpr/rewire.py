@@ -309,10 +309,8 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
     src_deg, node_deg = setup.src_deg, setup.node_deg
     sd_s, sd_t = setup.sd_s, setup.sd_t
     fixed = (setup.row, setup.tp_node, eta.H.ravel())
-    # The chain swaps targets in the result's own dst.
-    labels = None if g.edge_labels is None else g.edge_labels.copy()
-    result = DirectedGraph(g.num_nodes, g.src.copy(), g.dst.copy(),
-                           g.out_deg.copy(), g.in_deg.copy(), labels)
+    # The chain swaps targets in the result's own dst; the rest is g's.
+    result = g.with_targets(g.dst.copy())
     dst = result.dst
     # Accepted swaps, then the changes of the four degree products: their
     # totals, and with gains one column per bucket.
@@ -410,8 +408,11 @@ def rewire(
 
     Returns the rewired graph and the checkpoint trace.  Node degrees (and
     hence the degree-pair distribution) are preserved exactly by
-    construction.  setup, if given, must be chain_setup(g, eta); replicate
-    chains on one graph share it instead of each rebuilding it.
+    construction.  The rewired graph is g.with_targets of a new dst: it
+    shares src, out_deg, in_deg and edge_labels with g as read-only views,
+    and dst is its only new array.  setup, if given, must be
+    chain_setup(g, eta); replicate chains on one graph share it instead of
+    each rebuilding it.
     """
     result, trace, _ = _run_chain(g, eta, cfg, track_gains=False,
                                   setup=setup)
@@ -424,7 +425,9 @@ def rewire_with_scenario_gains(
     """Rewire a scenario-labelled graph, attributing assortativity change.
 
     Each accepted swap's change of the four coefficients is credited to the
-    unordered pair of scenario labels of the two sampled edges.
+    unordered pair of scenario labels of the two sampled edges.  As with
+    rewire, the rewired graph shares src, out_deg, in_deg and edge_labels
+    with g as read-only views, and dst is its only new array.
     """
     result, trace, gains = _run_chain(g, eta, cfg, track_gains=True)
     return result, trace, gains

@@ -5,6 +5,8 @@ edge list with population normalisation (for type pair (a, b), x_e is the
 source's type-a degree and y_e the target's type-b degree), and the same
 correlation worked out exactly from integer sums.
 """
+import importlib
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,6 +16,7 @@ from didpr.assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
+    _scan_eta_csv,
     _standardise,
     assortativity,
     assortativity_of_graph,
@@ -21,6 +24,7 @@ from didpr.assortativity import (
     read_eta_csv,
     write_eta_csv,
 )
+from didpr.eta import problem_from_graph, solve_target_eta
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import RewiringConfig, rewire
@@ -349,3 +353,107 @@ class TestEtaCsv:
         assert back.source_pairs == eta.source_pairs
         assert back.target_pairs == eta.target_pairs
         np.testing.assert_array_equal(back.H, eta.H)
+
+
+ASSORTATIVITY = importlib.import_module("didpr.assortativity")
+
+
+def _bulk_only(monkeypatch):
+    """Make the line scan fail, so a read must take the bulk path."""
+    def no_scan(path):
+        raise AssertionError(f"{path} went through the line scan")
+    monkeypatch.setattr(ASSORTATIVITY, "_scan_eta_csv", no_scan)
+
+
+def _same_matrix(a, b):
+    return (a.source_pairs == b.source_pairs
+            and a.target_pairs == b.target_pairs
+            and a.H.shape == b.H.shape
+            and a.H.tobytes() == b.H.tobytes())
+
+
+@pytest.fixture(scope="module")
+def dpa_eta_csv(tmp_path_factory):
+    """The eta CSV of DPA with 2e3 edges solved for (0.1, 0.15, 0.1, 0.15)."""
+    g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2_000, seed=1))
+    eta = solve_target_eta(problem_from_graph(
+        g, targets=AssortProfile(0.1, 0.15, 0.1, 0.15)))
+    path = tmp_path_factory.mktemp("eta") / "eta.csv"
+    write_eta_csv(eta, path)
+    return path, eta
+
+
+def _spaced(row: bytes) -> bytes:
+    return b" " + b" , ".join(row.split(b",")) + b"\t"
+
+
+def _plus(row: bytes) -> bytes:
+    return b",".join(b"+" + field for field in row.split(b","))
+
+
+def _blank_lines(rows: list[bytes]) -> list[bytes]:
+    out = []
+    for i, row in enumerate(rows):
+        out += [row, b""] if i % 50 == 0 else [row]
+    return out
+
+
+# Copies of a written eta CSV: (line end, rewrite of the row list, of a row).
+ETA_CSV_VARIANTS = {
+    "crlf": (b"\r\n", None, None),
+    "lf": (b"\n", None, None),
+    "cr": (b"\r", None, None),
+    "blank-lines": (b"\r\n", _blank_lines, None),
+    "blank-lines-cr": (b"\r", _blank_lines, None),
+    "spaces": (b"\n", None, _spaced),
+    "plus": (b"\r\n", None, _plus),
+}
+
+
+class TestEtaCsvReadPaths:
+    def test_written_file_takes_the_bulk_path(self, dpa_eta_csv,
+                                              monkeypatch):
+        path, eta = dpa_eta_csv
+        _bulk_only(monkeypatch)
+        assert _same_matrix(read_eta_csv(path), eta)
+
+    @pytest.mark.parametrize("variant", sorted(ETA_CSV_VARIANTS))
+    def test_paths_agree(self, dpa_eta_csv, tmp_path, monkeypatch, variant):
+        # The same pairs and the same H bits from both paths, and from the
+        # matrix that was written.
+        source, eta = dpa_eta_csv
+        end, rewrite_rows, rewrite_row = ETA_CSV_VARIANTS[variant]
+        header, *rows = source.read_bytes().split(b"\r\n")[:-1]
+        if rewrite_row is not None:
+            rows = [rewrite_row(row) for row in rows]
+        if rewrite_rows is not None:
+            rows = rewrite_rows(rows)
+        path = tmp_path / "eta.csv"
+        path.write_bytes(end.join([header, *rows]) + end)
+        scanned = _scan_eta_csv(path)
+        _bulk_only(monkeypatch)
+        assert _same_matrix(read_eta_csv(path), scanned)
+        assert _same_matrix(scanned, eta)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("i,j,k,l,eta\n1,1,1,1,0.5\n   \n2,1,1,1,0.5\n",
+                     ":3: expected 5 fields, got 1", id="spaces-only"),
+        pytest.param("\ufeffi,j,k,l,eta\n1,1,1,1,0.5\n",
+                     ": expected header i,j,k,l,eta", id="bom"),
+        pytest.param('i,j,k,l,eta\n"1",1,1,1,0.5\n',
+                     ':2: degrees "1",1,1,1 are not all nonnegative '
+                     'integers below 2**31', id="quoted"),
+        pytest.param("i,j,k,l,eta\n1,1,1,1,0.5,\n",
+                     ":2: expected 5 fields, got 6",
+                     id="trailing-comma"),
+        pytest.param("i,j,k,l,eta\r\n", ": no entries",
+                     id="no-rows"),
+    ])
+    def test_files_the_bulk_path_turns_back(self, tmp_path, text, message):
+        path = tmp_path / "eta.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                read_eta_csv(path)
+        assert str(info.value) == f"{path}{message}"

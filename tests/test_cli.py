@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -632,8 +633,9 @@ def test_seed_above_2_53_is_read_exactly(tmp_path, form):
     assert np.array_equal(got.dst, want.dst)
 
 
-_DPA_500 = ["--alpha", "0.3", "--beta", "0.4", "--gamma", "0.3",
-            "--delta-in", "1", "--delta-out", "1", "--edges", "500"]
+_DPA = ["--alpha", "0.3", "--beta", "0.4", "--gamma", "0.3",
+        "--delta-in", "1", "--delta-out", "1"]
+_DPA_500 = [*_DPA, "--edges", "500"]
 
 
 @pytest.mark.parametrize("command", ["rewire", "bounds", "scenario-gains"])
@@ -662,6 +664,40 @@ def test_two_jobs_reproduce_one_job(er_graph, tmp_path, command):
         outputs.append((config, files))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][1]) == (4 if command == "rewire" else 1)
+
+
+@pytest.fixture(scope="module")
+def dpa_5k(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dpa5k") / "dpa.txt"
+    assert cli.main(["generate", "dpa", *_DPA, "--edges", "5000",
+                     "--seed", "1", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_each_replicate_keeps_only_its_targets(dpa_5k, tmp_path, jobs):
+    # A replicate holds one new dst, 8 bytes per edge; the rest is the input
+    # graph's.  Allow half as much again for traces and reports.
+    # The pool's modules load on first use, a cost the one-replicate run,
+    # which needs no pool, would not pay.
+    import concurrent.futures.process  # noqa: F401
+
+    peaks = {}
+    # Whatever the first run loads lazily, it loads in the warm-up run.
+    for name, replicates in (("warm-up", 1), ("one", 1), ("nine", 9)):
+        out = tmp_path / name / "out.txt"
+        out.parent.mkdir()
+        tracemalloc.start()
+        try:
+            assert cli.main(["rewire", str(dpa_5k), "--targets",
+                             "0.1,0.15,0.1,0.15", "--steps", "5000",
+                             "--replicates", str(replicates), "--jobs", jobs,
+                             "--seed", "3", "--out", str(out)]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    edges = read_edge_list(dpa_5k).num_edges
+    assert (peaks["nine"] - peaks["one"]) / 8 <= 1.5 * 8 * edges
 
 
 def _toy_graph(path):

@@ -84,6 +84,23 @@ class TestDirectedGraph:
         assert edges(g) == [(0, 1), (1, 2)]
         assert edges(h) != edges(g)
 
+    def test_with_targets_owns_only_dst(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)],
+                             labels=["a", "b", "g"])
+        dst = np.array([2, 0, 1])
+        h = g.with_targets(dst)
+        assert h.dst is dst and h.num_nodes == 3
+        assert edges(h) == [(0, 2), (1, 0), (2, 1)]
+        for name in ("src", "out_deg", "in_deg", "edge_labels"):
+            view = getattr(h, name)
+            assert np.shares_memory(view, getattr(g, name))
+            assert not view.flags.writeable
+        assert edges(g) == [(0, 1), (1, 2), (2, 0)]
+        assert graph_from_pairs(2, [(0, 1)]).with_targets([0]).edge_labels \
+            is None
+        with pytest.raises(ValueError, match="one target per edge"):
+            g.with_targets([0, 1])
+
 
 class TestDegreePairDist:
     def test_single_edge_two_nodes(self):

@@ -127,6 +127,30 @@ def test_rewired_graph_keeps_degrees_and_degree_pairs(dpa):
     assert degree_pair_dist(rewired).entries == degree_pair_dist(g).entries
 
 
+_SHARED = ("src", "out_deg", "in_deg", "edge_labels")
+
+
+@pytest.mark.parametrize("gains", [False, True], ids=["rewire", "gains"])
+def test_rewired_graph_shares_all_but_its_targets(dpa, gains):
+    # A replicate owns only its dst: the rest are read-only views of the
+    # input's arrays, and the input stays writeable and unchanged.
+    g, eta = dpa
+    before = {name: getattr(g, name).copy() for name in _SHARED + ("dst",)}
+    run = rewire_with_scenario_gains if gains else rewire
+    rewired = run(g, eta, RewiringConfig(max_steps=5_000, seed=3))[0]
+    for name in _SHARED:
+        mine, theirs = getattr(rewired, name), getattr(g, name)
+        assert np.shares_memory(mine, theirs), name
+        with pytest.raises(ValueError):
+            mine[0] = mine[1]
+        assert theirs.flags.writeable, name
+    assert not np.shares_memory(rewired.dst, g.dst)
+    assert rewired.dst.flags.writeable
+    assert not np.array_equal(rewired.dst, g.dst)
+    for name, want in before.items():
+        assert np.array_equal(getattr(g, name), want), name
+
+
 def test_trajectory_does_not_depend_on_checkpoint_cadence(dpa):
     # Proposals are drawn in fixed blocks whatever the cadence, so the
     # chain is a function of the seed and the step count alone.
