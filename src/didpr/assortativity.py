@@ -241,36 +241,49 @@ def read_eta_csv(path) -> EdgeMixMatrix:
     """
     table = _bulk_csv(path, _ETA_HEADER, _ETA_DTYPE)
     if table is not None and table.size:
-        flags, _, matrix = _eta_rows(table)
+        flags, matrix = _eta_rows(table)
         if not any(bad.any() for bad in flags):
             return matrix()
     return _scan_eta_csv(path)
 
 
 def _eta_rows(table):
-    """What both read paths take from parsed eta rows: (flags, first,
-    matrix).  flags masks the rows that fail each check, in order: a degree
-    outside [0, 2**31), an entry that is not finite and nonnegative, a cell
-    of an earlier row.  first gives each row the first row of its cell, and
-    matrix() builds the mixing matrix once no row is flagged."""
+    """What both read paths take from parsed eta rows: (flags, matrix).
+    flags masks the rows that fail each check, in order: a degree outside
+    [0, 2**31), an entry that is not finite and nonnegative, a cell of an
+    earlier row.  matrix() builds the mixing matrix once no row is
+    flagged.  Each array the size of the table is dropped once used: the
+    checks peak at about 26 bytes a row above the table's 40."""
     degrees, values = table["degrees"], table["eta"]
-    s_uniq, s_idx = np.unique(_pair_codes(degrees[:, 0], degrees[:, 1]),
-                              return_inverse=True)
-    t_uniq, t_idx = np.unique(_pair_codes(degrees[:, 2], degrees[:, 3]),
-                              return_inverse=True)
-    _, first, inverse = np.unique(s_idx * t_uniq.size + t_idx,
-                                  return_index=True, return_inverse=True)
-    first = first[inverse]
+    s_uniq, cells = _index_in(_pair_codes(degrees[:, 0], degrees[:, 1]))
+    t_uniq, t_idx = _index_in(_pair_codes(degrees[:, 2], degrees[:, 3]))
+    cells *= t_uniq.size  # each row's index in H, row-major, in place
+    cells += t_idx
+    del t_idx
+    # A stable sort keeps each cell's rows in file order: all but the first
+    # repeat an earlier row.
+    order = np.argsort(cells, kind="stable")
+    ordered = cells[order]
+    repeated = np.zeros(table.size, dtype=bool)
+    repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
+    del order, ordered
     # _pair_codes packs two degrees into one int64: both must be < 2**31.
     flags = (((degrees < 0) | (degrees >= 2**31)).any(axis=1),
              ~((values >= 0.0) & (values < np.inf)),
-             first < np.arange(table.size))
+             repeated)
 
     def matrix() -> EdgeMixMatrix:
         H = np.zeros((s_uniq.size, t_uniq.size))
-        H[s_idx, t_idx] = values
+        H.ravel()[cells] = values
         return EdgeMixMatrix(_decode_pairs(s_uniq), _decode_pairs(t_uniq), H)
-    return flags, first, matrix
+    return flags, matrix
+
+
+def _index_in(codes):
+    """(the sorted distinct codes, each code's index among them), found by
+    searchsorted: np.unique's return_inverse holds more arrays of this size."""
+    uniq = np.unique(codes)
+    return uniq, np.searchsorted(uniq, codes)
 
 
 def _scan_eta_csv(path) -> EdgeMixMatrix:
@@ -278,7 +291,7 @@ def _scan_eta_csv(path) -> EdgeMixMatrix:
     ValueError naming the first bad line, as read_eta_csv describes."""
     nos, rows = _csv_rows(path, _ETA_HEADER)
     table, parsed = _parse_rows(rows, _ETA_DTYPE, ",")
-    flags, first, matrix = _eta_rows(table)
+    flags, matrix = _eta_rows(table)
     problem = _first_problem(len(rows), parsed, *flags)
     if problem:
         row, kind = problem
@@ -294,8 +307,10 @@ def _scan_eta_csv(path) -> EdgeMixMatrix:
         elif kind == 1:
             why = f"eta entry {fields[4]} is not finite and nonnegative"
         elif kind == 2:
+            degrees = table["degrees"]
+            first = np.argmax((degrees == degrees[row]).all(axis=1))
             why = (f"duplicate entry {','.join(fields[:4])} (first on line "
-                   f"{nos[first[row]]})")
+                   f"{nos[first]})")
         else:
             why = f"expected {len(_ETA_HEADER)} fields, got {len(fields)}"
         raise ValueError(f"{path}:{nos[row]}: {why}")

@@ -14,8 +14,9 @@ settings to <out>.config.json, and re-running from that file reproduces
 the outputs byte for byte.  A seed not given as a flag or in the config is 0.
 
 Every failure a user can cause, argparse's own errors included, is a
-ValueError (CliError is one), a lookup, OS or runtime error; `main` turns
-each into one `error: <message>` line on stderr and exit code 1.
+ValueError (CliError is one), a lookup, OS or runtime error, or an overflow
+or out-of-memory error from a size too large to handle; `main` turns each
+into one `error: <message>` line on stderr and exit code 1.
 """
 from __future__ import annotations
 
@@ -45,9 +46,7 @@ from .generate import DpaParams, gen_dpa, gen_er
 from .graph import (  # noqa: F401
     DirectedGraph,
     degree_pair_dist,
-    read_edge_labels,
     read_edge_list,
-    write_edge_labels,
     write_edge_list,
 )
 from .rewire import (
@@ -92,8 +91,6 @@ _SEED_OPT = _Opt("int", default=0, help="RNG seed")
 # fit draws no random numbers and has no tail size, but older command lines
 # pass both options.
 _IGNORED_HELP = "ignored; accepted so that older command lines still run"
-_CHECKPOINT_HELP = ("steps between trace rows; sets only the trace resolution "
-                    "and never changes the chain")
 
 _DPA_OPTS = {
     "alpha": _Opt("float", help="probability of a new-source step"),
@@ -156,7 +153,9 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
                                 "of solving from targets"),
         "steps": _Opt("int", required=True, help="swap proposals to attempt"),
         "checkpoint_every": _Opt("int", default=1000,
-                                 help=_CHECKPOINT_HELP),
+                                 help="steps between trace rows; sets only "
+                                      "the trace resolution and never "
+                                      "changes the chain"),
         "tolerance": _Opt("float", default=0.05,
                           help="per-coefficient closeness for --stop-early"),
         "stop_early": _Opt("flag", default=False,
@@ -181,7 +180,8 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
                         help="r11,r12,r21,r22 target values"),
         "steps": _Opt("int", required=True, help="swap proposals per chain"),
         "checkpoint_every": _Opt("int", default=1000,
-                                 help=_CHECKPOINT_HELP),
+                                 help="steps between the chains' checkpoints; "
+                                      "the gains CSV does not depend on it"),
         "replicates": _Opt("int", default=1, help="independent runs"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="gains CSV output path"),
@@ -342,17 +342,6 @@ def _echo_config(command: str, params: dict, anchor_path: str) -> None:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_graph(path: str) -> DirectedGraph:
-    """Read an edge list, attaching the scenario sidecar when present."""
-    g = read_edge_list(path)
-    sidecar = f"{path}.labels"
-    if os.path.exists(sidecar):
-        labels = read_edge_labels(sidecar, g.num_edges)
-        g = DirectedGraph(g.num_nodes, g.src, g.dst, g.out_deg, g.in_deg,
-                          labels)
-    return g
-
-
 def _profile_fields(g: DirectedGraph) -> dict:
     """Four coefficients as a JSON-ready dict; nulls when undefined."""
     fields: dict = {"r11": None, "r12": None, "r21": None, "r22": None}
@@ -439,8 +428,6 @@ def _map_jobs(worker, jobs_args: list[tuple], jobs: int,
 def cmd_generate(params: dict) -> int:
     g = _model_graph(params, params["model"], params["seed"])
     write_edge_list(g, params["out"])
-    if g.edge_labels is not None:
-        write_edge_labels(g, f"{params['out']}.labels")
     _echo_config("generate", params, params["out"])
     summary = {"nodes": g.num_nodes, "edges": g.num_edges,
                **_profile_fields(g)}
@@ -449,7 +436,7 @@ def cmd_generate(params: dict) -> int:
 
 
 def cmd_assort(params: dict) -> int:
-    g = _load_graph(params["graph"])
+    g = read_edge_list(params["graph"])
     if g.num_edges == 0:
         raise CliError("graph has no edges; assortativity undefined")
     profile = assortativity_of_graph(g)
@@ -463,7 +450,7 @@ def cmd_assort(params: dict) -> int:
 
 def _bounds_worker(params: dict, seed) -> list[tuple]:
     if params["graph"] is not None:
-        g = _load_graph(params["graph"])
+        g = read_edge_list(params["graph"])
     else:
         g = _model_graph(params, params["model"], seed)
     problem = problem_from_graph(g)
@@ -513,7 +500,7 @@ def cmd_bounds(params: dict) -> int:
 
 
 def cmd_solve_eta(params: dict) -> int:
-    g = _load_graph(params["graph"])
+    g = read_edge_list(params["graph"])
     targets = AssortProfile(*params["targets"])
     eta = _solve_eta_or_fail(g, targets)
     write_eta_csv(eta, params["out"])
@@ -534,7 +521,7 @@ def _rewire_worker(g: DirectedGraph, eta, setup, cfg: RewiringConfig):
 
 
 def cmd_rewire(params: dict) -> int:
-    g = _load_graph(params["graph"])
+    g = read_edge_list(params["graph"])
     targets = (AssortProfile(*params["targets"])
                if params["targets"] is not None else None)
     if params["eta"] is not None:
@@ -576,8 +563,6 @@ def cmd_rewire(params: dict) -> int:
         out_path = _replicate_path(params["out"], rep, replicates)
         trace_path = _replicate_path(trace_base, rep, replicates)
         write_edge_list(rewired, out_path)
-        if rewired.edge_labels is not None:
-            write_edge_labels(rewired, f"{out_path}.labels")
         trace.to_csv(trace_path)
         report = {"out": out_path, "trace": trace_path,
                   "final": trace.final_profile().as_dict()}
@@ -592,7 +577,7 @@ def cmd_rewire(params: dict) -> int:
 
 
 def cmd_fit(params: dict) -> int:
-    g = _load_graph(params["graph"])
+    g = read_edge_list(params["graph"])
     doc = fit_ev(g).as_dict()
     print(json.dumps(doc))
     if params["out"]:
@@ -707,8 +692,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](_resolve(args, args.command))
-    except (ValueError, LookupError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, LookupError, OSError, RuntimeError, OverflowError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -24,7 +24,8 @@ as np.loadtxt allows, a field may carry spaces around it and a leading '+'.
   in storage order.
 * Label sidecar ("<edge list>.labels"), read: one code a, b or g per line,
   stripped, blank lines skipped, one per edge.  Written: b"code\n" per
-  edge in storage order.
+  edge in storage order.  It belongs to the edge list: read_edge_list
+  attaches it when it exists, and write_edge_list replaces both files.
 
 Two read paths, one result.  Every file the writers here make takes the
 bulk path: a plain edge list (printable ASCII but '%', tabs and line ends,
@@ -35,6 +36,7 @@ goes through the line scan described above, the one place that names errors.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -292,7 +294,8 @@ _EDGE_DTYPE = np.dtype([("ends", np.int64, (2,))])
 
 
 def read_edge_list(path) -> DirectedGraph:
-    """Read a whitespace-separated edge list (format in the module docstring).
+    """Read an edge list (format in the module docstring), with the labels
+    of its sidecar "<path>.labels" (read_edge_labels) when that exists.
 
     A plain file (_plain) goes through _bulk_edge_list.  Any other file,
     and a plain one that the bulk path turns back, goes through the line
@@ -302,7 +305,10 @@ def read_edge_list(path) -> DirectedGraph:
     with open(path, "rb") as fh:
         data = fh.read()
     g = _bulk_edge_list(path, data) if _plain(data) else None
-    return _scan_edge_list(path) if g is None else g
+    g = _scan_edge_list(path) if g is None else g
+    if os.path.exists(f"{path}.labels"):
+        g.edge_labels = read_edge_labels(f"{path}.labels", g.num_edges)
+    return g
 
 
 # Bytes of a plain edge list: printable ASCII but '%', tab, LF and CR.
@@ -337,6 +343,8 @@ def _bulk_edge_list(path, data: bytes) -> DirectedGraph | None:
                 declared = int(body[len(b"nodes="):])
             except ValueError:
                 return None
+            if not 0 <= declared < 2**63:
+                return None
         at = data.find(b"#", at + 1)
     table = _bulk_table(path, _EDGE_DTYPE, comments="#")
     if table is None:
@@ -344,7 +352,6 @@ def _bulk_edge_list(path, data: bytes) -> DirectedGraph | None:
     ends = table["ends"]
     top = int(ends.max(initial=-1))
     num_nodes = declared if declared is not None else top + 1
-    # A negative header lands here too, as top >= -1.
     if ends.min(initial=0) < 0 or top >= num_nodes:
         return None
     return DirectedGraph.from_edges(num_nodes, ends[:, 0], ends[:, 1])
@@ -375,6 +382,9 @@ def _scan_edge_list(path) -> DirectedGraph:
         if declared < 0:
             raise GraphFormatError(
                 f"{path}:{no}: negative node count {declared}")
+        if declared >= 2**63:
+            raise GraphFormatError(
+                f"{path}:{no}: node count {declared} does not fit in int64")
     if problem:
         row, kind = problem
         line = rows[row]
@@ -402,7 +412,8 @@ def _node_ids(num_nodes: int) -> np.ndarray:
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
-    """Write a graph as an edge list, preserving edge order.
+    """Write a graph as an edge list, preserving edge order, and replace its
+    sidecar "<path>.labels": written for a labelled graph, else removed.
 
     A "# nodes=N" header is always written so isolated nodes survive a
     round trip.  Each node id is formatted once (_node_ids) and looked up
@@ -417,6 +428,10 @@ def write_edge_list(g: DirectedGraph, path) -> None:
             rows[:, 0], rows[:, 1] = ids[src], "\t"
             rows[:, 2], rows[:, 3] = ids[dst], "\n"
             fh.write("".join(rows.ravel().tolist()))
+    if g.edge_labels is not None:
+        write_edge_labels(g, f"{path}.labels")
+    elif os.path.exists(f"{path}.labels"):
+        os.remove(f"{path}.labels")
 
 
 def write_edge_labels(g: DirectedGraph, path) -> None:

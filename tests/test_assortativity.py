@@ -6,6 +6,7 @@ source's type-a degree and y_e the target's type-b degree), and the same
 correlation worked out exactly from integer sums.
 """
 import importlib
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -337,6 +338,14 @@ class TestEtaCsv:
                                              r"1,1,1,1 \(first on line 2\)"):
             read_eta_csv(path)
 
+    def test_repeated_cell_names_its_first_line(self, tmp_path):
+        path = tmp_path / "eta.csv"
+        path.write_text("i,j,k,l,eta\n1,1,1,1,0.5\n\n2,1,1,1,0.5\n"
+                        "3,1,1,1,0.5\n2,1,1,1,0.25\n1,1,1,1,0.5\n")
+        with pytest.raises(ValueError, match=r"eta\.csv:6: duplicate entry "
+                                             r"2,1,1,1 \(first on line 4\)"):
+            read_eta_csv(path)
+
     def test_csv_bytes(self, tmp_path):
         # Header, then "i,j,k,l,%.17g" rows in row-major order of H, CRLF
         # line ends; the zero cell is left out.
@@ -434,6 +443,27 @@ class TestEtaCsvReadPaths:
         _bulk_only(monkeypatch)
         assert _same_matrix(read_eta_csv(path), scanned)
         assert _same_matrix(scanned, eta)
+
+    def test_read_peaks_below_twice_the_parsed_rows(self, tmp_path):
+        # 320 x 320 positive cells: 102,400 rows, parsed into 40 bytes each
+        # (four int64 degrees and a float64).  The checks and H may take as
+        # much again.  Checks that gave every row the first row of its cell,
+        # with np.unique's inverses, peaked at three times the table.
+        rng = np.random.default_rng(5)
+        eta = EdgeMixMatrix([(i, 2 * i) for i in range(320)],
+                            [(i, i + 1) for i in range(320)],
+                            rng.random((320, 320)) + 0.5)
+        path = tmp_path / "eta.csv"
+        write_eta_csv(eta, path)
+        read_eta_csv(path)  # whatever loads on first use loads here
+        tracemalloc.start()
+        try:
+            back = read_eta_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_matrix(back, eta)
+        assert peak <= 2 * 320 * 320 * 40
 
     @pytest.mark.parametrize("text, message", [
         pytest.param("i,j,k,l,eta\n1,1,1,1,0.5\n   \n2,1,1,1,0.5\n",

@@ -738,3 +738,61 @@ def test_unattainable_targets_are_a_one_line_error(tmp_path, capsys, command):
     if command != "scenario-gains":
         assert err[0].count("[-0.4286, 1.0000]") == 4
     assert list(run.iterdir()) == []
+
+
+def test_generate_over_a_labelled_graph_replaces_its_labels(tmp_path,
+                                                            capsys):
+    # The DPA graph's sidecar must not outlive it: the ER graph written in
+    # its place has 1999 edges, and 2000 stale labels would fail the read.
+    out = str(tmp_path / "s.txt")
+    assert cli.main(["generate", "dpa", *_DPA, "--edges", "2000",
+                     "--seed", "1", "--out", out]) == 0
+    assert (tmp_path / "s.txt.labels").exists()
+    assert cli.main(["generate", "er", "--n", "100", "--p", "0.2",
+                     "--seed", "1", "--out", out]) == 0
+    assert not (tmp_path / "s.txt.labels").exists()
+    capsys.readouterr()
+    assert cli.main(["assort", out]) == 0
+    assert json.loads(capsys.readouterr().out)["edges"] == read_edge_list(
+        out).num_edges
+
+
+@pytest.mark.parametrize("case", ["nodes-header", "replicates"])
+def test_oversized_integer_is_a_one_line_error(tmp_path, capsys, case):
+    # Both fail before any allocation: the header when it is read, the
+    # replicate count when its seeds are spawned.
+    graph = tmp_path / "huge.txt"
+    graph.write_text("# nodes=99999999999999999999\n0 1\n", encoding="utf-8")
+    run = tmp_path / "run"
+    run.mkdir()
+    out = str(run / "out")
+    argv = {
+        "nodes-header": ["assort", str(graph), "--out", out],
+        "replicates": ["bounds", "--model", "er", "--n", "50", "--p", "0.1",
+                       "--replicates", "99999999999999999999", "--out", out],
+    }[case]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    if case == "nodes-header":
+        assert err[0] == (f"error: {graph}:1: node count "
+                          "99999999999999999999 does not fit in int64")
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 37.3 GiB for an array"),
+     "Unable to allocate 37.3 GiB for an array"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_a_one_line_error(er_graph, tmp_path, capsys,
+                                           monkeypatch, exc, message):
+    # A stand-in: a graph file that really needs that much memory could
+    # exhaust a host that overcommits.
+    def read(path):
+        raise exc
+    monkeypatch.setattr(cli, "read_edge_list", read)
+    capsys.readouterr()
+    assert cli.main(["assort", str(er_graph)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from didpr import graph as graph_module
+from didpr.assortativity import edge_mix_from_graph
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import (
     DirectedGraph,
@@ -16,6 +17,7 @@ from didpr.graph import (
     write_edge_labels,
     write_edge_list,
 )
+from didpr.rewire import RewiringConfig, rewire_with_scenario_gains
 
 from edge_list_reference import reference_read_edge_labels, reference_read_edge_list
 from graph_helpers import copy_graph, degrees_consistent, edges, marginal_out
@@ -370,6 +372,60 @@ class TestEdgeListIO:
         with pytest.raises(GraphFormatError):
             read_edge_labels(path, 2)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("# nodes=99999999999999999999\n0 1\n", id="plain"),
+        pytest.param("% note\r\n# nodes=99999999999999999999\r\n0 1\r\n",
+                     id="scanned"),
+    ])
+    def test_node_count_beyond_int64_names_its_line(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        line = text.replace("\r\n", "\n").split("\n").index(
+            "# nodes=99999999999999999999") + 1
+        with pytest.raises(GraphFormatError, match=rf"g\.txt:{line}: node "
+                           r"count 99999999999999999999 does not fit in "
+                           r"int64"):
+            read_edge_list(path)
+
+
+class TestLabelSidecar:
+    """read_edge_list and write_edge_list carry "<path>.labels" with the
+    edge list: a graph file is both files."""
+
+    def test_labels_survive_a_round_trip(self, tmp_path):
+        g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2000, seed=1))
+        path = tmp_path / "lab.txt"
+        write_edge_list(g, path)
+        assert (tmp_path / "lab.txt.labels").read_text() == "".join(
+            f"{code}\n" for code in g.edge_labels.tolist())
+        back = read_edge_list(path)
+        assert back.edge_labels.tolist() == g.edge_labels.tolist()
+        # The gains chain runs on the graph read back, as on the original.
+        eta = edge_mix_from_graph(g)
+        cfg = RewiringConfig(max_steps=2000, seed=2)
+        gains = [rewire_with_scenario_gains(h, eta, cfg)[2] for h in (g, back)]
+        assert gains[0].counts == gains[1].counts
+        assert sum(gains[1].counts.values()) > 0
+
+    def test_unlabelled_write_removes_the_sidecar(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_edge_list(graph_from_pairs(3, [(0, 1), (1, 2)], ["a", "g"]),
+                        path)
+        assert (tmp_path / "g.txt.labels").exists()
+        write_edge_list(graph_from_pairs(3, [(2, 0)]), path)
+        assert not (tmp_path / "g.txt.labels").exists()
+        back = read_edge_list(path)
+        assert back.edge_labels is None
+        assert edges(back) == [(2, 0)]
+
+    def test_sidecar_of_another_size_is_named(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_edge_list(graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)]), path)
+        (tmp_path / "g.txt.labels").write_text("a\nb\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"g\.txt\.labels: 2 labels for 3 edges"):
+            read_edge_list(path)
+
 
 def read_outcome(read, path, *args):
     """What a reader makes of a file: the graph's node count and edges, the
@@ -408,6 +464,7 @@ EDGE_LIST_CASES = [
     (b"0\n# nodes=x\n", "unparsable header after a bad row"),
     (b"# nodes=-3\n0 1\n", "negative header"),
     (b"# nodes=-3\n0 1 2\n", "negative header before a bad row"),
+    (b"# nodes=-3\n# nodes=5\n0 1\n", "negative header before a good one"),
     (b"-4 1\n# nodes=-3\n", "negative header after a bad row"),
     (b"0 1\n  # nodes=9\n", "indented header"),
     (b"% nodes=9\n0 1\n", "percent comment"),
