@@ -24,19 +24,17 @@ from .eta import (
     problem_from_nu,
     solve_target_eta,
 )
-from .fit import EvFit, beta_hat, fit_ev, tail_index, tail_indices_from_params
+from .fit import EvFit, beta_hat, fit_ev, tail_indices_from_params
 from .generate import DpaParams, gen_dpa, gen_er
 from .graph import (
     DegreePairDist,
     DirectedGraph,
     GraphFormatError,
     degree_pair_dist,
-    read_edge_labels,
     read_edge_list,
-    write_edge_labels,
     write_edge_list,
 )
-from .lp import LpError, LpSolution, LpStatus, solve
+from .lp import LpError
 from .rewire import (
     RewiringConfig,
     RewiringTrace,
@@ -66,7 +64,6 @@ __all__ = [
     "EvFit",
     "beta_hat",
     "fit_ev",
-    "tail_index",
     "tail_indices_from_params",
     "DpaParams",
     "gen_dpa",
@@ -75,14 +72,9 @@ __all__ = [
     "DirectedGraph",
     "GraphFormatError",
     "degree_pair_dist",
-    "read_edge_labels",
     "read_edge_list",
-    "write_edge_labels",
     "write_edge_list",
     "LpError",
-    "LpSolution",
-    "LpStatus",
-    "solve",
     "RewiringConfig",
     "RewiringTrace",
     "ScenarioGains",

@@ -9,9 +9,16 @@ replicate traces.
 Options may come from flags or from a JSON file given via --config; flags
 win over config values, which win over defaults, and unknown config keys
 are rejected.  Flags stay text in the parser, and _convert reads them and
-config values alike.  Every run that writes files echoes its effective
+config values alike.  An integer option must fit in int64, except the
+seed, which may be any integer from 0 up; a seed not given as a flag or in
+the config is 0.
+
+Each cmd_* handler writes its own output files and returns its summary.
+`main` alone reports: for a run given an --out it echoes the effective
 settings to <out>.config.json, and re-running from that file reproduces
-the outputs byte for byte.  A seed not given as a flag or in the config is 0.
+the outputs byte for byte; then it prints the summary as one JSON line.
+Commands with replicates run them through _fan_out, the one place that
+spawns their seeds from --seed.
 
 Every failure a user can cause, argparse's own errors included, is a
 ValueError (CliError is one), a lookup, OS or runtime error, or an overflow
@@ -25,7 +32,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -265,6 +272,8 @@ def _convert(key: str, opt: _Opt, raw):
         value = conv(raw)
     except (TypeError, ValueError):
         raise CliError(f"{key} must be {expected}, got {raw!r}") from None
+    if opt.kind == "int" and key != "seed" and not -2**63 <= value < 2**63:
+        raise CliError(f"{key} must be an integer within int64, got {raw!r}")
     if opt.kind == "targets" and len(value) != 4:
         raise CliError(f"{key} needs four values r11,r12,r21,r22")
     if opt.kind in ("floats", "pairs", "paths") and not value:
@@ -315,9 +324,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     missing = [k for k, o in schema.items() if o.required and params[k] is None]
     if missing:
         raise CliError(f"missing required options: {', '.join(missing)}")
-    for key in ("replicates", "jobs"):
-        if params.get(key, 1) < 1:
-            raise CliError(f"{key} must be at least 1")
+    for key, least in (("replicates", 1), ("jobs", 1), ("seed", 0)):
+        if params.get(key, least) < least:
+            raise CliError(f"{key} must be at least {least}")
     return params
 
 
@@ -325,17 +334,6 @@ def _write_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _echo_config(command: str, params: dict, anchor_path: str) -> None:
-    """Write the effective settings next to the primary output.
-
-    The file is itself a valid --config for the same subcommand, so a run
-    can be reproduced from it exactly.
-    """
-    _write_json({"command": command,
-                 **{k: v for k, v in params.items() if v is not None}},
-                f"{anchor_path}.config.json")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile):
     return eta
 
 
-# _map_jobs's shared arguments, set in each worker process by the pool's
+# _fan_out's shared arguments, set in each worker process by the pool's
 # initializer and never in the parent.
 _SHARED: tuple = ()
 
@@ -396,17 +394,18 @@ def _share(*shared) -> None:
     _SHARED = shared
 
 
-def _with_shared(worker, *args):
-    return worker(*_SHARED, *args)
+def _with_shared(worker, seed):
+    return worker(*_SHARED, seed)
 
 
-def _map_jobs(worker, jobs_args: list[tuple], jobs: int,
-              shared: tuple = ()) -> list:
-    """worker(*shared, *args) for each args tuple, in order, across up to
-    `jobs` processes.  shared goes to each process once, when it starts,
-    not with every task."""
-    if jobs == 1 or len(jobs_args) == 1:
-        return [worker(*shared, *args) for args in jobs_args]
+def _fan_out(worker, params: dict, shared: tuple) -> list:
+    """worker(*shared, seed) for each replicate, in order, where replicate
+    i's seed is the i-th child spawned from params["seed"]; run across up to
+    params["jobs"] processes.  shared goes to each process once, when it
+    starts, not with every task."""
+    seeds = np.random.SeedSequence(params["seed"]).spawn(params["replicates"])
+    if params["jobs"] == 1 or len(seeds) == 1:
+        return [worker(*shared, seed) for seed in seeds]
     # Imported here: it adds ~30 ms to every start-up, and only --jobs > 1
     # needs it.
     from concurrent.futures import ProcessPoolExecutor
@@ -415,37 +414,30 @@ def _map_jobs(worker, jobs_args: list[tuple], jobs: int,
     # and they inherit shared without pickling it.  On a 2-CPU Linux host,
     # DPA with 1e5 edges and 32 replicates at --jobs 2, sending it with
     # every task instead raised the parent's peak RSS from 104 to 128 MB.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args)),
+    with ProcessPoolExecutor(max_workers=min(params["jobs"], len(seeds)),
                              initializer=_share, initargs=shared) as pool:
-        return list(pool.map(partial(_with_shared, worker),
-                             *zip(*jobs_args)))
+        return list(pool.map(partial(_with_shared, worker), seeds))
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_generate(params: dict) -> int:
+def cmd_generate(params: dict) -> dict:
     g = _model_graph(params, params["model"], params["seed"])
     write_edge_list(g, params["out"])
-    _echo_config("generate", params, params["out"])
-    summary = {"nodes": g.num_nodes, "edges": g.num_edges,
-               **_profile_fields(g)}
-    print(json.dumps(summary))
-    return 0
+    return {"nodes": g.num_nodes, "edges": g.num_edges, **_profile_fields(g)}
 
 
-def cmd_assort(params: dict) -> int:
+def cmd_assort(params: dict) -> dict:
     g = read_edge_list(params["graph"])
     if g.num_edges == 0:
         raise CliError("graph has no edges; assortativity undefined")
     profile = assortativity_of_graph(g)
     doc = {"nodes": g.num_nodes, "edges": g.num_edges, **profile.as_dict()}
-    print(json.dumps(doc))
     if params["out"]:
         _write_json(doc, params["out"])
-        _echo_config("assort", params, params["out"])
-    return 0
+    return doc
 
 
 def _bounds_worker(params: dict, seed) -> list[tuple]:
@@ -472,7 +464,7 @@ def _bounds_worker(params: dict, seed) -> list[tuple]:
     return rows
 
 
-def cmd_bounds(params: dict) -> int:
+def cmd_bounds(params: dict) -> dict:
     if (params["graph"] is None) == (params["model"] is None):
         raise CliError("give exactly one of --graph or --model")
     if params["graph"] is not None and params["replicates"] != 1:
@@ -480,10 +472,7 @@ def cmd_bounds(params: dict) -> int:
     if (params["condition_pair"] is None) != (params["condition_values"] is None):
         raise CliError("--condition-pair and --condition-values go together")
 
-    replicates = params["replicates"]
-    seeds = np.random.SeedSequence(params["seed"]).spawn(replicates)
-    per_rep = _map_jobs(_bounds_worker, [(params, s) for s in seeds],
-                        params["jobs"])
+    per_rep = _fan_out(_bounds_worker, params, shared=(params,))
 
     with open(params["out"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -492,35 +481,28 @@ def cmd_bounds(params: dict) -> int:
         )
         for rows in per_rep:
             writer.writerows(rows)
-    _echo_config("bounds", params, params["out"])
-    print(json.dumps({"replicates": replicates,
-                      "rows": sum(len(r) for r in per_rep),
-                      "out": params["out"]}))
-    return 0
+    return {"replicates": params["replicates"],
+            "rows": sum(len(r) for r in per_rep), "out": params["out"]}
 
 
-def cmd_solve_eta(params: dict) -> int:
+def cmd_solve_eta(params: dict) -> dict:
     g = read_edge_list(params["graph"])
-    targets = AssortProfile(*params["targets"])
-    eta = _solve_eta_or_fail(g, targets)
+    eta = _solve_eta_or_fail(g, AssortProfile(*params["targets"]))
     write_eta_csv(eta, params["out"])
-    _echo_config("solve-eta", params, params["out"])
-    achieved = assortativity(eta)
-    print(json.dumps({"entries": int(np.count_nonzero(eta.H)),
-                      **achieved.as_dict()}))
-    return 0
+    return {"entries": int(np.count_nonzero(eta.H)),
+            **assortativity(eta).as_dict()}
 
 
-def _rewire_worker(g: DirectedGraph, eta, setup, cfg: RewiringConfig):
+def _rewire_worker(g: DirectedGraph, eta, setup, cfg: RewiringConfig, seed):
     """One replicate chain's new targets and trace.  Only dst comes back
     from a worker process: the rest of the rewired graph is g's.  rewire is
     looked up in this module when the chain runs, so a wrapper put in its
     place runs in forked worker processes too."""
-    rewired, trace = rewire(g, eta, cfg, setup=setup)
+    rewired, trace = rewire(g, eta, replace(cfg, seed=seed), setup=setup)
     return rewired.dst, trace
 
 
-def cmd_rewire(params: dict) -> int:
+def cmd_rewire(params: dict) -> dict:
     g = read_edge_list(params["graph"])
     targets = (AssortProfile(*params["targets"])
                if params["targets"] is not None else None)
@@ -535,21 +517,15 @@ def cmd_rewire(params: dict) -> int:
     # holds given values and a replay with a new --out gets its own trace.
     trace_base = params["trace"] or f"{params['out']}.trace.csv"
 
-    replicates = params["replicates"]
-    seeds = np.random.SeedSequence(params["seed"]).spawn(replicates)
-    jobs_args = [
-        (RewiringConfig(max_steps=params["steps"],
-                        checkpoint_every=params["checkpoint_every"],
-                        tolerance=params["tolerance"],
-                        stop_early=params["stop_early"],
-                        seed=seed, targets=targets),)
-        for seed in seeds
-    ]
+    # Built here, so an invalid setting fails before any chain starts.
+    cfg = RewiringConfig(max_steps=params["steps"],
+                         checkpoint_every=params["checkpoint_every"],
+                         tolerance=params["tolerance"],
+                         stop_early=params["stop_early"], targets=targets)
     # The replicates share one graph and one eta, so their seed-free setup
     # is built once; each keeps only its own targets.
-    results = [(g.with_targets(dst), trace) for dst, trace in _map_jobs(
-        _rewire_worker, jobs_args, params["jobs"],
-        shared=(g, eta, chain_setup(g, eta)))]
+    results = [(g.with_targets(dst), trace) for dst, trace in _fan_out(
+        _rewire_worker, params, shared=(g, eta, chain_setup(g, eta), cfg))]
 
     # Recount from each rewired edge list before anything is written: the
     # sources are g's own (with_targets), so the same in-degrees mean every
@@ -560,8 +536,8 @@ def cmd_rewire(params: dict) -> int:
             raise CliError("internal check failed: degrees changed")
     reports = []
     for rep, (rewired, trace) in enumerate(results):
-        out_path = _replicate_path(params["out"], rep, replicates)
-        trace_path = _replicate_path(trace_base, rep, replicates)
+        out_path = _replicate_path(params["out"], rep, len(results))
+        trace_path = _replicate_path(trace_base, rep, len(results))
         write_edge_list(rewired, out_path)
         trace.to_csv(trace_path)
         report = {"out": out_path, "trace": trace_path,
@@ -571,19 +547,14 @@ def cmd_rewire(params: dict) -> int:
             report["reached_step"] = (trace.checkpoints[idx][0]
                                       if idx is not None else None)
         reports.append(report)
-    _echo_config("rewire", params, params["out"])
-    print(json.dumps({"edges": g.num_edges, "replicates": reports}))
-    return 0
+    return {"edges": g.num_edges, "replicates": reports}
 
 
-def cmd_fit(params: dict) -> int:
-    g = read_edge_list(params["graph"])
-    doc = fit_ev(g).as_dict()
-    print(json.dumps(doc))
+def cmd_fit(params: dict) -> dict:
+    doc = fit_ev(read_edge_list(params["graph"])).as_dict()
     if params["out"]:
         _write_json(doc, params["out"])
-        _echo_config("fit", params, params["out"])
-    return 0
+    return doc
 
 
 def _gains_worker(params: dict, seed):
@@ -598,11 +569,8 @@ def _gains_worker(params: dict, seed):
     return gains
 
 
-def cmd_scenario_gains(params: dict) -> int:
-    replicates = params["replicates"]
-    seeds = np.random.SeedSequence(params["seed"]).spawn(replicates)
-    all_gains = _map_jobs(_gains_worker, [(params, s) for s in seeds],
-                          params["jobs"])
+def cmd_scenario_gains(params: dict) -> dict:
+    all_gains = _fan_out(_gains_worker, params, shared=(params,))
 
     with open(params["out"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -617,12 +585,10 @@ def cmd_scenario_gains(params: dict) -> int:
                 writer.writerow([rep, name, count] + [
                     f"{delta.get(f'r{a}{b}', 0.0):.12g}"
                     for a, b in TYPE_PAIRS])
-    _echo_config("scenario-gains", params, params["out"])
-    print(json.dumps({"replicates": replicates, "out": params["out"]}))
-    return 0
+    return {"replicates": params["replicates"], "out": params["out"]}
 
 
-def cmd_aggregate(params: dict) -> int:
+def cmd_aggregate(params: dict) -> dict:
     traces = [read_trace_csv(path) for path in params["inputs"]]
     steps0 = [row[0] for row in traces[0].checkpoints]
     for path, trace in zip(params["inputs"][1:], traces[1:]):
@@ -634,10 +600,8 @@ def cmd_aggregate(params: dict) -> int:
         stack = np.array([trace.checkpoints[i][1:] for trace in traces])
         mean_rows.append((step, *stack.mean(axis=0).tolist()))
     RewiringTrace(mean_rows).to_csv(params["out"])
-    _echo_config("aggregate", params, params["out"])
-    print(json.dumps({"inputs": len(traces), "rows": len(mean_rows),
-                      "out": params["out"]}))
-    return 0
+    return {"inputs": len(traces), "rows": len(mean_rows),
+            "out": params["out"]}
 
 
 _HANDLERS = {
@@ -689,9 +653,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then echo its config and print its summary."""
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](_resolve(args, args.command))
+        params = _resolve(args, args.command)
+        summary = _HANDLERS[args.command](params)
+        if params["out"]:
+            _write_json({"command": args.command,
+                         **{k: v for k, v in params.items() if v is not None}},
+                        f"{params['out']}.config.json")
+        print(json.dumps(summary))
+        return 0
     except (ValueError, LookupError, OSError, RuntimeError, OverflowError,
             MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

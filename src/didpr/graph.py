@@ -55,8 +55,6 @@ __all__ = [
     "degree_pair_dist",
     "read_edge_list",
     "write_edge_list",
-    "read_edge_labels",
-    "write_edge_labels",
 ]
 
 # Scenario label codes, in scenario order, and the scenario each names.
@@ -103,7 +101,8 @@ class DirectedGraph:
     ) -> "DirectedGraph":
         """Build a graph from edge endpoint sequences, recomputing degrees.
 
-        Raises ValueError when an endpoint is outside [0, num_nodes).
+        Raises ValueError when an endpoint is outside [0, num_nodes), or
+        when a label is longer than one character, rather than cut it short.
         """
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
@@ -123,9 +122,15 @@ class DirectedGraph:
         in_deg = np.bincount(dst, minlength=num_nodes).astype(np.int64)
         labels = None
         if edge_labels is not None:
-            labels = np.asarray(edge_labels, dtype="U1").copy()
+            labels = np.asarray(edge_labels, dtype=str)
             if labels.shape != src.shape:
                 raise ValueError("edge_labels must align with the edge arrays")
+            cut = labels.astype("U1")
+            long = labels[cut != labels]
+            if long.size:
+                raise ValueError(f"edge label {str(long[0])!r} is longer "
+                                 "than one character")
+            labels = cut
         return cls(num_nodes, src, dst, out_deg, in_deg, labels)
 
     def with_targets(self, dst) -> "DirectedGraph":
@@ -295,7 +300,7 @@ _EDGE_DTYPE = np.dtype([("ends", np.int64, (2,))])
 
 def read_edge_list(path) -> DirectedGraph:
     """Read an edge list (format in the module docstring), with the labels
-    of its sidecar "<path>.labels" (read_edge_labels) when that exists.
+    of its sidecar "<path>.labels" when that exists.
 
     A plain file (_plain) goes through _bulk_edge_list.  Any other file,
     and a plain one that the bulk path turns back, goes through the line
@@ -307,7 +312,7 @@ def read_edge_list(path) -> DirectedGraph:
     g = _bulk_edge_list(path, data) if _plain(data) else None
     g = _scan_edge_list(path) if g is None else g
     if os.path.exists(f"{path}.labels"):
-        g.edge_labels = read_edge_labels(f"{path}.labels", g.num_edges)
+        g.edge_labels = _read_edge_labels(f"{path}.labels", g.num_edges)
     return g
 
 
@@ -429,23 +434,21 @@ def write_edge_list(g: DirectedGraph, path) -> None:
             rows[:, 2], rows[:, 3] = ids[dst], "\n"
             fh.write("".join(rows.ravel().tolist()))
     if g.edge_labels is not None:
-        write_edge_labels(g, f"{path}.labels")
+        _write_edge_labels(g, f"{path}.labels")
     elif os.path.exists(f"{path}.labels"):
         os.remove(f"{path}.labels")
 
 
-def write_edge_labels(g: DirectedGraph, path) -> None:
-    """Write per-edge scenario labels, one single-letter code per line."""
-    if g.edge_labels is None:
-        raise ValueError("graph carries no edge labels")
+def _write_edge_labels(g: DirectedGraph, path) -> None:
+    """Write a labelled graph's label sidecar, one code per line."""
     codes = g.edge_labels.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, len(codes), _WRITE_ROWS):
             fh.write("\n".join(codes[lo:lo + _WRITE_ROWS]) + "\n")
 
 
-def read_edge_labels(path, num_edges: int) -> np.ndarray:
-    """Read a label sidecar written by write_edge_labels.
+def _read_edge_labels(path, num_edges: int) -> np.ndarray:
+    """Read a label sidecar.
 
     A sidecar of a, b, g and LF alone, one code per line and one per edge,
     is read in one split.  Any other file goes through the line scan

@@ -1,6 +1,6 @@
 """Line-scan reference for the edge-list and label-sidecar readers.
 
-The form read_edge_list and read_edge_labels had before plain files got a
+The form read_edge_list and its sidecar reader had before plain files got a
 bulk path: every line of the file stripped, the data rows parsed in one
 np.loadtxt call with the first bad row found by halving, and the headers
 read in a Python loop.  For any file, the library must give the same node

@@ -633,6 +633,54 @@ def test_seed_above_2_53_is_read_exactly(tmp_path, form):
     assert np.array_equal(got.dst, want.dst)
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("argv, key, value, message", [
+    (["generate", "er", "--p", "0.1"], "n", 10**20,
+     "an integer within int64, got {raw}"),
+    (["bounds", "--model", "er", "--n", "50", "--p", "0.1"], "replicates",
+     10**20, "an integer within int64, got {raw}"),
+    (["generate", "er", "--n", "50", "--p", "0.1"], "seed", -1,
+     "at least 0"),
+    (["rewire", "{graph}", "--targets", "0.1,0.1,0.1,0.1", "--steps", "100"],
+     "seed", -3, "at least 0"),
+], ids=["n", "replicates", "generate-seed", "rewire-seed"])
+def test_integer_out_of_range_names_its_option(er_graph, tmp_path, capsys,
+                                               form, argv, key, value,
+                                               message):
+    # Each fails in the option parser, before anything is allocated or
+    # spawned: one line naming the option, exit code 1, nothing written.
+    argv = [arg.format(graph=er_graph) for arg in argv]
+    if form == "flag":
+        argv += [f"--{key}", str(value)]
+        raw = repr(str(value))
+    else:
+        cfg = tmp_path / "range.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+        raw = repr(value)
+    run = tmp_path / "run"
+    run.mkdir()
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(run / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {key} must be {message.format(raw=raw)}"]
+    assert captured.out == ""
+    assert list(run.iterdir()) == []
+
+
+def test_integer_range_ends():
+    # The ends of int64 convert; one past either end does not.  A seed has
+    # no upper end.  Converted only: a node count this large would allocate.
+    n = cli._SCHEMAS["generate"]["n"]
+    for value in (-2**63, 2**63 - 1):
+        assert cli._convert("n", n, str(value)) == value
+    for value in (-2**63 - 1, 2**63):
+        with pytest.raises(cli.CliError, match="n must be an integer within"):
+            cli._convert("n", n, str(value))
+    assert cli._convert("seed", cli._SEED_OPT, str(2**70)) == 2**70
+
+
 _DPA = ["--alpha", "0.3", "--beta", "0.4", "--gamma", "0.3",
         "--delta-in", "1", "--delta-out", "1"]
 _DPA_500 = [*_DPA, "--edges", "500"]
@@ -796,3 +844,70 @@ def test_out_of_memory_is_a_one_line_error(er_graph, tmp_path, capsys,
     capsys.readouterr()
     assert cli.main(["assort", str(er_graph)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.fixture(scope="module")
+def traces(er_graph, tmp_path_factory):
+    out = tmp_path_factory.mktemp("traces") / "rw.txt"
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "3000", "--replicates", "2", "--seed", "4",
+                     "--out", str(out)]) == 0
+    return [f"{out}.trace.r{rep}.csv" for rep in (0, 1)]
+
+
+# One run of each subcommand, without its --out.
+_REPLAYED = {
+    "generate": ["generate", "dpa", *_DPA_500, "--seed", "2"],
+    "assort": ["assort", "{graph}"],
+    "bounds": ["bounds", "--model", "er", "--n", "60", "--p", "0.1",
+               "--replicates", "2", "--seed", "3"],
+    "solve-eta": ["solve-eta", "{graph}", "--targets", "0.1,0.1,0.1,0.1"],
+    "rewire": ["rewire", "{graph}", "--targets", "0.1,0.1,0.1,0.1",
+               "--steps", "2000", "--replicates", "2", "--seed", "3"],
+    "fit": ["fit", "{dpa}"],
+    "scenario-gains": ["scenario-gains", *_DPA_500, "--targets",
+                       "0.1,0.15,0.1,0.15", "--steps", "2000", "--seed", "3"],
+    "aggregate": ["aggregate", "{trace0}", "{trace1}"],
+}
+
+
+def test_replays_cover_every_subcommand():
+    assert sorted(_REPLAYED) == sorted(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAYED))
+def test_config_replay_reproduces_outputs_and_summary(er_graph, dpa_5k,
+                                                      traces, tmp_path,
+                                                      capsys, command):
+    # Replayed from its echo with a new --out, a run writes the same bytes
+    # and prints the same summary, up to the output directory's name.
+    argv = [arg.format(graph=er_graph, dpa=dpa_5k, trace0=traces[0],
+                       trace1=traces[1]) for arg in _REPLAYED[command]]
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(first / "out.txt")]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main([command, "--config", str(first / "out.txt.config.json"),
+                     "--out", str(second / "out.txt")]) == 0
+    assert capsys.readouterr().out == printed.replace(str(first),
+                                                      str(second))
+    want = {name: data.replace(str(first).encode(), str(second).encode())
+            for name, data in _snapshot(first).items()}
+    assert _snapshot(second) == want
+    assert "out.txt.config.json" in want
+
+
+@pytest.mark.parametrize("command", ["assort", "fit"])
+def test_failed_write_prints_no_summary(er_graph, dpa_5k, tmp_path, capsys,
+                                        command):
+    graph = dpa_5k if command == "fit" else er_graph
+    capsys.readouterr()
+    assert cli.main([command, str(graph), "--out",
+                     str(tmp_path / "missing" / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert list(tmp_path.iterdir()) == []

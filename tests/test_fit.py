@@ -97,6 +97,25 @@ def test_fit_ev_recovery_rate_over_seeds():
     assert len(misses) <= 1, misses
 
 
+# (alpha, beta, gamma, delta_in, delta_out): both offsets small, large and
+# lopsided, each scenario dominant, and beta near 1.
+_RECOVERY_GRID = [(0.3, 0.4, 0.3, 1.0, 1.0), (0.1, 0.6, 0.3, 2.0, 0.5),
+                  (0.45, 0.1, 0.45, 0.5, 3.0), (0.2, 0.2, 0.6, 1.5, 1.5),
+                  (0.6, 0.3, 0.1, 3.0, 0.7), (0.05, 0.9, 0.05, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("params", _RECOVERY_GRID, ids=str)
+def test_fit_ev_recovers_parameters_over_a_grid(params):
+    # 2e4 edges, seeds 1-5.  Worst seen when this was written: |alpha error|
+    # 0.010, offset error 41% (delta_out at (0.6, 0.3, 0.1, 3, 0.7), seed 5).
+    alpha, _, _, delta_in, delta_out = params
+    for seed in range(1, 6):
+        fitted = fit_ev(gen_dpa(DpaParams(*params, 20_000, seed=seed)))
+        assert fitted.alpha_hat == pytest.approx(alpha, abs=0.02), seed
+        assert fitted.delta_in_hat == pytest.approx(delta_in, rel=0.5), seed
+        assert fitted.delta_out_hat == pytest.approx(delta_out, rel=0.5), seed
+
+
 def test_fit_ev_pinned_on_dpa():
     # The composite-likelihood fit on DPA 2e4 at seed 1; the fit is
     # deterministic, so a second call gives the same bits.

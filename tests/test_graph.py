@@ -12,9 +12,7 @@ from didpr.graph import (
     DirectedGraph,
     GraphFormatError,
     degree_pair_dist,
-    read_edge_labels,
     read_edge_list,
-    write_edge_labels,
     write_edge_list,
 )
 from didpr.rewire import RewiringConfig, rewire_with_scenario_gains
@@ -78,6 +76,17 @@ class TestDirectedGraph:
             graph_from_pairs(2, [(0, 5)])
         with pytest.raises(ValueError):
             graph_from_pairs(2, [(-1, 0)])
+
+    def test_long_label_is_rejected_not_cut(self):
+        # Cut to one character, "bogus" would read as b and count as beta.
+        with pytest.raises(ValueError,
+                           match="edge label 'alpha' is longer than one"):
+            graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)],
+                             labels=["alpha", "bogus", "gamma"])
+        g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)],
+                             labels=np.array(["a", "", "g"], dtype="U5"))
+        assert g.edge_labels.dtype == np.dtype("U1")
+        assert g.edge_labels.tolist() == ["a", "", "g"]
 
     def test_copy_is_independent(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
@@ -342,35 +351,36 @@ class TestEdgeListIO:
     def test_label_sidecar_bytes(self, tmp_path):
         labels = np.array(["a", "b", "g", "b"])
         g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels)
-        path = tmp_path / "g.labels"
-        write_edge_labels(g, path)
-        assert path.read_bytes() == b"a\nb\ng\nb\n"
+        write_edge_list(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt.labels").read_bytes() == b"a\nb\ng\nb\n"
 
     def test_unknown_label_names_its_line(self, tmp_path):
-        path = tmp_path / "g.labels"
-        path.write_text("a\n\nb\nz\n")
-        with pytest.raises(GraphFormatError, match=r"g\.labels:4: unknown"):
-            read_edge_labels(path, 3)
+        path = tmp_path / "g.txt"
+        write_edge_list(graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)]), path)
+        (tmp_path / "g.txt.labels").write_text("a\n\nb\nz\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"g\.txt\.labels:4: unknown"):
+            read_edge_list(path)
 
     def test_label_sidecar_round_trip(self, tmp_path):
         labels = np.array(["a", "b", "g", "b"])
         g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels)
-        path = tmp_path / "g.labels"
-        write_edge_labels(g, path)
-        back = read_edge_labels(path, g.num_edges)
-        assert back.tolist() == labels.tolist()
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        assert read_edge_list(path).edge_labels.tolist() == labels.tolist()
 
     def test_label_count_mismatch(self, tmp_path):
         path = tmp_path / "g.labels"
         path.write_text("a\nb\n")
         with pytest.raises(GraphFormatError):
-            read_edge_labels(path, 3)
+            graph_module._read_edge_labels(path, 3)
 
     def test_unknown_label_rejected(self, tmp_path):
-        path = tmp_path / "g.labels"
-        path.write_text("a\nz\n")
+        path = tmp_path / "g.txt"
+        write_edge_list(graph_from_pairs(2, [(0, 1), (1, 0)]), path)
+        (tmp_path / "g.txt.labels").write_text("a\nz\n")
         with pytest.raises(GraphFormatError):
-            read_edge_labels(path, 2)
+            read_edge_list(path)
 
     @pytest.mark.parametrize("text", [
         pytest.param("# nodes=99999999999999999999\n0 1\n", id="plain"),
@@ -516,7 +526,8 @@ class TestReadersMatchLineScan:
     def test_label_sidecar(self, tmp_path, data, num_edges):
         path = tmp_path / "g.txt.labels"
         path.write_bytes(data)
-        got, leaked = read_outcome(read_edge_labels, path, num_edges)
+        got, leaked = read_outcome(graph_module._read_edge_labels, path,
+                                   num_edges)
         want, _ = read_outcome(reference_read_edge_labels, path, num_edges)
         assert got == want
         assert leaked == []
@@ -586,7 +597,7 @@ class TestWrittenFilesSkipLineScan:
         h = read_edge_list(path)
         assert h.num_nodes == g.num_nodes
         assert np.array_equal(h.src, g.src) and np.array_equal(h.dst, g.dst)
-        if g.edge_labels is not None:
-            write_edge_labels(g, tmp_path / "g.txt.labels")
-            back = read_edge_labels(tmp_path / "g.txt.labels", g.num_edges)
-            assert back.tolist() == g.edge_labels.tolist()
+        if g.edge_labels is None:
+            assert h.edge_labels is None
+        else:
+            assert h.edge_labels.tolist() == g.edge_labels.tolist()
