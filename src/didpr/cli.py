@@ -18,7 +18,7 @@ Each cmd_* handler writes its own output files and returns its summary.
 settings to <out>.config.json, and re-running from that file reproduces
 the outputs byte for byte; then it prints the summary as one JSON line.
 Commands with replicates run them through _fan_out, the one place that
-spawns their seeds from --seed.
+derives their seeds from --seed.
 
 Every failure a user can cause, argparse's own errors included, is a
 ValueError (CliError is one), a lookup, OS or runtime error, or an overflow
@@ -167,7 +167,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
                           help="per-coefficient closeness for --stop-early"),
         "stop_early": _Opt("flag", default=False,
                            help="stop once every coefficient is within "
-                                "tolerance of its target"),
+                                "tolerance of --targets"),
         "replicates": _Opt("int", default=1, help="independent chains"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="rewired edge-list path"),
@@ -324,8 +324,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     missing = [k for k, o in schema.items() if o.required and params[k] is None]
     if missing:
         raise CliError(f"missing required options: {', '.join(missing)}")
-    for key, least in (("replicates", 1), ("jobs", 1), ("seed", 0)):
-        if params.get(key, least) < least:
+    for key, least in (("replicates", 1), ("jobs", 1), ("seed", 0),
+                       ("edges", 1), ("steps", 1)):
+        if params.get(key) is not None and params[key] < least:
             raise CliError(f"{key} must be at least {least}")
     return params
 
@@ -394,18 +395,21 @@ def _share(*shared) -> None:
     _SHARED = shared
 
 
-def _with_shared(worker, seed):
-    return worker(*_SHARED, seed)
+def _replicate(worker, seed: int, i: int, shared: tuple | None = None):
+    """worker(*shared, replicate i's seed), shared defaulting to the
+    process's _SHARED.  The seed is the i-th child that
+    SeedSequence(seed).spawn gives, built without the children before it."""
+    return worker(*(_SHARED if shared is None else shared),
+                  np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def _fan_out(worker, params: dict, shared: tuple) -> list:
-    """worker(*shared, seed) for each replicate, in order, where replicate
-    i's seed is the i-th child spawned from params["seed"]; run across up to
-    params["jobs"] processes.  shared goes to each process once, when it
-    starts, not with every task."""
-    seeds = np.random.SeedSequence(params["seed"]).spawn(params["replicates"])
-    if params["jobs"] == 1 or len(seeds) == 1:
-        return [worker(*shared, seed) for seed in seeds]
+    """_replicate(worker, params["seed"], i, shared) for each replicate i,
+    in order, run across up to params["jobs"] processes.  shared goes to
+    each process once, when it starts, not with every task."""
+    seed, replicates = params["seed"], params["replicates"]
+    if params["jobs"] == 1 or replicates == 1:
+        return [_replicate(worker, seed, i, shared) for i in range(replicates)]
     # Imported here: it adds ~30 ms to every start-up, and only --jobs > 1
     # needs it.
     from concurrent.futures import ProcessPoolExecutor
@@ -414,9 +418,10 @@ def _fan_out(worker, params: dict, shared: tuple) -> list:
     # and they inherit shared without pickling it.  On a 2-CPU Linux host,
     # DPA with 1e5 edges and 32 replicates at --jobs 2, sending it with
     # every task instead raised the parent's peak RSS from 104 to 128 MB.
-    with ProcessPoolExecutor(max_workers=min(params["jobs"], len(seeds)),
+    with ProcessPoolExecutor(max_workers=min(params["jobs"], replicates),
                              initializer=_share, initargs=shared) as pool:
-        return list(pool.map(partial(_with_shared, worker), seeds))
+        return list(pool.map(partial(_replicate, worker, seed),
+                             range(replicates)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +508,12 @@ def _rewire_worker(g: DirectedGraph, eta, setup, cfg: RewiringConfig, seed):
 
 
 def cmd_rewire(params: dict) -> dict:
-    g = read_edge_list(params["graph"])
     targets = (AssortProfile(*params["targets"])
                if params["targets"] is not None else None)
+    if params["stop_early"] and targets is None:
+        raise CliError("--stop-early needs --targets, the coefficients to "
+                       "stop at")
+    g = read_edge_list(params["graph"])
     if params["eta"] is not None:
         eta = read_eta_csv(params["eta"])
     elif targets is not None:
@@ -521,7 +529,7 @@ def cmd_rewire(params: dict) -> dict:
     cfg = RewiringConfig(max_steps=params["steps"],
                          checkpoint_every=params["checkpoint_every"],
                          tolerance=params["tolerance"],
-                         stop_early=params["stop_early"], targets=targets)
+                         stop_at=targets if params["stop_early"] else None)
     # The replicates share one graph and one eta, so their seed-free setup
     # is built once; each keeps only its own targets.
     results = [(g.with_targets(dst), trace) for dst, trace in _fan_out(
@@ -543,9 +551,8 @@ def cmd_rewire(params: dict) -> dict:
         report = {"out": out_path, "trace": trace_path,
                   "final": trace.final_profile().as_dict()}
         if targets is not None:
-            idx = trace.checkpoints_to_reach(targets, params["tolerance"])
-            report["reached_step"] = (trace.checkpoints[idx][0]
-                                      if idx is not None else None)
+            report["reached_step"] = trace.first_step_within(
+                targets, params["tolerance"])
         reports.append(report)
     return {"edges": g.num_edges, "replicates": reports}
 
@@ -560,11 +567,10 @@ def cmd_fit(params: dict) -> dict:
 def _gains_worker(params: dict, seed):
     gen_seed, chain_seed = seed.spawn(2)
     g = _model_graph(params, "dpa", gen_seed)
-    targets = AssortProfile(*params["targets"])
-    eta = _solve_eta_or_fail(g, targets)
+    eta = _solve_eta_or_fail(g, AssortProfile(*params["targets"]))
     cfg = RewiringConfig(max_steps=params["steps"],
                          checkpoint_every=params["checkpoint_every"],
-                         seed=chain_seed, targets=targets)
+                         seed=chain_seed)
     _, _, gains = rewire_with_scenario_gains(g, eta, cfg)
     return gains
 

@@ -500,18 +500,18 @@ def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
                          X / X.sum())
 
 
-def _spread(p: EtaProblem) -> tuple[float, np.ndarray] | None:
-    """The spread program by column generation, seeded with the supports
-    of the four target pairs: (-t*, x), or None if infeasible.
+def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
+    """The spread program's mixing matrix, by column generation seeded
+    with the supports of the four target pairs; None if infeasible.
 
     A variant of the target system that favours interior solutions:
     substitute eta = psi + t * (independence coupling), psi >= 0, and
     maximise t (the row sums keep it at most 1).  Feasibility is unchanged
     (t = 0 recovers the plain system), but at the optimum every entry of eta
     is at least t* times the independence mass, which keeps later rewiring
-    chains mobile.  x holds psi over the cells, then t*.  t's column is the
-    coupling's image under the rows, each summed in cell order (cumsum), as
-    a mat-vec with the full program adds them.
+    chains mobile.  The program's variables are psi over the cells, then t.
+    t's column is the coupling's image under the rows, each summed in cell
+    order (cumsum), as a mat-vec with the full program adds them.
     """
     e = p.ends
     m_star = _targets(p)
@@ -524,22 +524,15 @@ def _spread(p: EtaProblem) -> tuple[float, np.ndarray] | None:
     rows = np.flatnonzero(t_col)
     c = np.zeros(indep.size + 1)
     c[-1] = -1.0
-    return _column_generation(prog, c, _seed(e, TYPE_PAIRS),
-                              "the spread program",
-                              ([0, len(rows)], rows, t_col[rows]))
-
-
-def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
-    """The spread program's mixing matrix (see _spread); None if
-    infeasible."""
-    found = _spread(p)
+    found = _column_generation(prog, c, _seed(e, TYPE_PAIRS),
+                               "the spread program",
+                               ([0, len(rows)], rows, t_col[rows]))
     if found is None:
         return None
     x = found[1]
-    indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
-    flat = np.maximum(x[:-1] + x[-1] * indep, 0.0)
+    flat = np.maximum(x[:-1] + x[-1] * indep.ravel(), 0.0)
     eta = EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
-                        flat.reshape(len(p.source_pairs), -1))
+                        flat.reshape(indep.shape))
     eta.validate(atol=1e-6)
     return eta
 

@@ -29,9 +29,11 @@ first pair is due and a chunk's uniforms when it runs; the generator's
 doubles come in sequence, so the chunk size changes no draw, and a run's
 trajectory is a function of the seed and the step count alone.  Accepted
 pairs come out in step order, so a checkpoint inside a chunk sums the
-accepted swaps before it; should the chain stop there, the later pairs
-never ran, and their edges get back the targets they held.  The checkpoint
-cadence sets only the trace resolution; it never changes the chain.
+accepted swaps before it.  A chunk's swaps are decided first and written
+to the edge list after its checkpoints: all of them, or, when the chain
+stops at a checkpoint (RewiringConfig.stop_at), only those before it, so
+the later pairs never run.  The checkpoint cadence sets only the trace
+resolution; it never changes the chain.
 
 Accepted swaps change the four degree products by integers.  Integer
 totals of those changes and of the accepted count serve the checkpoints;
@@ -99,16 +101,17 @@ class RewiringConfig:
     """Chain parameters.
 
     max_steps: proposals to attempt.  checkpoint_every: steps between trace
-    rows.  tolerance/stop_early: stop at a checkpoint once every coefficient
-    is within tolerance of its target (requires targets).
+    rows.  stop_at: the chain stops at the first checkpoint where every
+    coefficient is within tolerance of stop_at's; None runs all max_steps.
+    seed: anything np.random.default_rng takes, such as an int or a
+    SeedSequence.
     """
 
     max_steps: int
     checkpoint_every: int = 1000
     tolerance: float = 0.05
-    stop_early: bool = False
-    seed: int | None = None
-    targets: AssortProfile | None = None
+    stop_at: AssortProfile | None = None
+    seed: int | np.random.SeedSequence | None = None
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -118,8 +121,6 @@ class RewiringConfig:
         if not self.tolerance > 0.0:
             raise ValueError(
                 f"tolerance must be positive, got {self.tolerance}")
-        if self.stop_early and self.targets is None:
-            raise ValueError("stop_early requires targets")
 
 
 @dataclass
@@ -139,15 +140,14 @@ class RewiringTrace:
         row = self.checkpoints[-1]
         return AssortProfile(row[1], row[2], row[3], row[4])
 
-    def checkpoints_to_reach(
+    def first_step_within(
         self, targets: AssortProfile, tolerance: float
     ) -> int | None:
-        """Index of the first checkpoint (step > 0 rows counted from 1)
-        whose profile is within tolerance of targets, or None."""
-        for idx, row in enumerate(self.checkpoints):
-            profile = AssortProfile(row[1], row[2], row[3], row[4])
-            if profile.max_abs_diff(targets) <= tolerance:
-                return idx
+        """Step of the first checkpoint whose profile is within tolerance
+        of targets, or None."""
+        for row in self.checkpoints:
+            if AssortProfile(*row[1:5]).max_abs_diff(targets) <= tolerance:
+                return row[0]
         return None
 
     def to_csv(self, path) -> None:
@@ -217,11 +217,11 @@ def _node_pair_indices(g: DirectedGraph, eta: EdgeMixMatrix):
 
 
 def _propose(dst, e1, e2, u, row, tp, Hf):
-    """Propose swapping the targets of each pair (e1[i], e2[i]) at once.
+    """Decide at once whether to swap the targets of each pair
+    (e1[i], e2[i]); dst is only read.
 
-    The pairs must share no edge.  Updates dst in place and returns the
-    accepted pairs' positions, in increasing order, and the targets their
-    two edges held before the swap.
+    The pairs must share no edge.  Returns the accepted pairs' positions,
+    in increasing order, and the targets their two edges hold.
     """
     x, y = dst.take(e1), dst.take(e2)
     r1, r2 = row.take(e1), row.take(e2)
@@ -230,10 +230,7 @@ def _propose(dst, e1, e2, u, row, tp, Hf):
     den = Hf.take(r1 + t1) * Hf.take(r2 + t2)
     num = Hf.take(r1 + t2) * Hf.take(r2 + t1)
     hit = np.flatnonzero((den <= 0.0) | (u * den <= num))
-    x, y = x.take(hit), y.take(hit)
-    dst[e1.take(hit)] = y
-    dst[e2.take(hit)] = x
-    return hit, x, y
+    return hit, x.take(hit), y.take(hit)
 
 
 @dataclass
@@ -326,8 +323,8 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
         return _profile(r, sd_s, sd_t)
 
     def reached(prof: AssortProfile) -> bool:
-        return (cfg.stop_early
-                and prof.max_abs_diff(cfg.targets) <= cfg.tolerance)
+        return (cfg.stop_at is not None
+                and prof.max_abs_diff(cfg.stop_at) <= cfg.tolerance)
 
     trace = RewiringTrace([(0, *_profile_vals(profile_of(total)), 0.0)])
     stop = reached(trace.final_profile())
@@ -365,14 +362,13 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
                                       / (step - last)))
             last_accepted = accepted
             if reached(prof):
-                # The pairs after the checkpoint never ran: their edges
-                # get back the targets they held.
-                dst[x1[j:]], dst[x2[j:]] = v2[j:], v4[j:]
                 stop, n = True, end
                 break
         if not stop:
             total += change[:, done:].sum(axis=1)
             done = hit.size
+        # The accepted swaps that ran: the chunk's, or those before a stop.
+        dst[x1[:done]], dst[x2[:done]] = v4[:done], v2[:done]
         if track_gains:
             cell = _BUCKET_OF[lab.take(x1[:done]), lab.take(x2[:done])]
             for counts, vals in zip(tally, change[:, :done]):

@@ -58,14 +58,14 @@ def reference_chain(g, eta, cfg, track_gains=False):
         return (p.r11, p.r12, p.r21, p.r22)
 
     def within(vals):
-        t = cfg.targets
+        t = cfg.stop_at
         return max(abs(v - w) for v, w in
                    zip(vals, (t.r11, t.r12, t.r21, t.r22))) <= cfg.tolerance
 
     trace = RewiringTrace([(0, *profile_vals(), 0.0)])
     rng = np.random.default_rng(cfg.seed)
     steps = accepted = last = 0
-    stop = cfg.stop_early and within(trace.checkpoints[0][1:5])
+    stop = cfg.stop_at is not None and within(trace.checkpoints[0][1:5])
     while steps < cfg.max_steps and not stop:
         perm = rng.permutation(m).tolist()
         us = rng.random(min(m // 2, cfg.max_steps - steps)).tolist()
@@ -96,7 +96,7 @@ def reference_chain(g, eta, cfg, track_gains=False):
                     (steps, *vals, accepted / (steps - last)))
                 last = steps
                 accepted = 0
-                if cfg.stop_early and within(vals):
+                if cfg.stop_at is not None and within(vals):
                     stop = True
                     break
     if not track_gains:

@@ -160,6 +160,27 @@ def _snapshot(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
+def test_rewire_trace_path_gets_replicate_suffixes(er_graph, tmp_path):
+    # --trace names the trace file; with replicates each gets .r<i> before
+    # the extension, like --out, and the echo holds the path as given.
+    out, trace = tmp_path / "rw.txt", tmp_path / "traces" / "t.csv"
+    trace.parent.mkdir()
+    assert cli.main(["rewire", str(er_graph), "--targets", "0.1,0.1,0.1,0.1",
+                     "--steps", "2000", "--replicates", "2", "--seed", "3",
+                     "--trace", str(trace), "--out", str(out)]) == 0
+    assert sorted(p.name for p in trace.parent.iterdir()) == [
+        "t.r0.csv", "t.r1.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rw.r0.txt", "rw.r1.txt", "rw.txt.config.json", "traces"]
+    rows = [read_trace_csv(trace.parent / f"t.r{rep}.csv").checkpoints
+            for rep in (0, 1)]
+    assert rows[0] != rows[1]
+    assert all(r[-1][0] == 2000 for r in rows)
+    echo = json.loads((tmp_path / "rw.txt.config.json").read_text(
+        encoding="utf-8"))
+    assert echo["trace"] == str(trace)
+
+
 def test_config_replay_with_new_out_keeps_first_run(er_graph, tmp_path):
     run = tmp_path / "run"
     run.mkdir()
@@ -444,6 +465,23 @@ def test_non_finite_option_is_named(er_graph, tmp_path, capsys, option,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--eta", "none"])
+def test_stop_early_without_targets_names_both_flags(er_graph, tmp_path,
+                                                     capsys, source):
+    # There is nothing to stop at: the run fails before it reads a file.
+    run = tmp_path / "run"
+    run.mkdir()
+    argv = ["rewire", str(er_graph), "--steps", "100", "--stop-early",
+            "--out", str(run / "out")]
+    if source == "--eta":
+        argv += ["--eta", str(tmp_path / "missing-eta.csv")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --stop-early needs --targets, the coefficients to stop at"]
+    assert list(run.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad_row", ["1000,0.1", "1000,0.1,x,0.1,0.1,0.5",
                                      "1000,0.1,nan,0.1,0.1,0.5"],
                          ids=["short", "non-numeric", "non-finite"])
@@ -643,7 +681,12 @@ def test_seed_above_2_53_is_read_exactly(tmp_path, form):
      "at least 0"),
     (["rewire", "{graph}", "--targets", "0.1,0.1,0.1,0.1", "--steps", "100"],
      "seed", -3, "at least 0"),
-], ids=["n", "replicates", "generate-seed", "rewire-seed"])
+    (["generate", "dpa", "--alpha", "0.3", "--beta", "0.4", "--gamma", "0.3",
+      "--delta-in", "1", "--delta-out", "1"], "edges", -1, "at least 1"),
+    (["rewire", "{graph}", "--targets", "0.1,0.1,0.1,0.1"], "steps", -5,
+     "at least 1"),
+], ids=["n", "replicates", "generate-seed", "rewire-seed", "dpa-edges",
+        "rewire-steps"])
 def test_integer_out_of_range_names_its_option(er_graph, tmp_path, capsys,
                                                form, argv, key, value,
                                                message):
@@ -712,6 +755,21 @@ def test_two_jobs_reproduce_one_job(er_graph, tmp_path, command):
         outputs.append((config, files))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][1]) == (4 if command == "rewire" else 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**70])
+def test_replicate_seeds_are_the_spawned_children(seed):
+    # Built one at a time, replicate i's seed draws the state of the i-th
+    # child spawn gives, and so do the seeds it spawns in turn.
+    children = np.random.SeedSequence(seed).spawn(5)
+    seeds = cli._fan_out(lambda s: s, {"seed": seed, "replicates": 5,
+                                       "jobs": 1}, shared=())
+    assert len(seeds) == len(children)
+    for mine, child in zip(seeds, children):
+        assert np.array_equal(mine.generate_state(8),
+                              child.generate_state(8))
+        for a, b in zip(mine.spawn(2), child.spawn(2)):
+            assert np.array_equal(a.generate_state(8), b.generate_state(8))
 
 
 @pytest.fixture(scope="module")
@@ -808,7 +866,7 @@ def test_generate_over_a_labelled_graph_replaces_its_labels(tmp_path,
 @pytest.mark.parametrize("case", ["nodes-header", "replicates"])
 def test_oversized_integer_is_a_one_line_error(tmp_path, capsys, case):
     # Both fail before any allocation: the header when it is read, the
-    # replicate count when its seeds are spawned.
+    # replicate count in the option parser.
     graph = tmp_path / "huge.txt"
     graph.write_text("# nodes=99999999999999999999\n0 1\n", encoding="utf-8")
     run = tmp_path / "run"

@@ -29,7 +29,6 @@ from didpr.eta import (
     _entropy_eta,
     _lp_target_eta,
     _program,
-    _spread,
     coefficient_bounds,
     problem_from_graph,
     problem_from_nu,
@@ -697,9 +696,21 @@ class TestConditionedBoundsOracle:
 
 
 def spread_optimum(p):
-    """t* of the spread program by column generation, or None."""
-    found = _spread(p)
-    return None if found is None else -found[0]
+    """t* of the spread program by column generation, or None: the optimum
+    _lp_target_eta's one column generation returns."""
+    found = []
+    generate = etalib._column_generation
+
+    def record(*args):
+        found.append(generate(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(etalib, "_column_generation", record)
+        eta = _lp_target_eta(p)
+    (result,) = found
+    assert (eta is None) == (result is None)
+    return None if result is None else -result[0]
 
 
 def dpa5e3_problem(targets):
@@ -799,7 +810,7 @@ class TestSameModel:
             seen.update(c=c, extra=extra)
 
         monkeypatch.setattr(etalib, "_column_generation", capture)
-        _spread(p)
+        assert _lp_target_eta(p) is None
         c, A_eq, *_ = spread_program(p)
         t = A_eq[:, -1]
         assert np.array_equal(seen["c"], c)

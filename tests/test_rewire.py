@@ -1,6 +1,7 @@
 """The rewiring chain: its stationary law, the chunked round chain (stops
 inside a chunk included) against the scalar reference, the draws it makes,
 the levels of its rounds, and the telescoping of scenario gains."""
+import dataclasses
 import importlib
 import itertools
 from collections import Counter
@@ -46,8 +47,7 @@ def test_product_updates_match_recomputation(dpa):
     # rewire() and the gains run share one chain and one integer tally, so
     # the same seed must give the same chain and the same trace.
     g, eta = dpa
-    cfg = RewiringConfig(max_steps=60_000, checkpoint_every=2_500, seed=11,
-                         targets=TARGETS)
+    cfg = RewiringConfig(max_steps=60_000, checkpoint_every=2_500, seed=11)
     plain, trace = rewire(g, eta, cfg)
     tracked, trace_g, gains = rewire_with_scenario_gains(g, eta, cfg)
     # Replicates share one chain_setup; it must not change the chain.
@@ -216,8 +216,7 @@ def test_toy_chains_match_scalar_reference(edges, steps, every):
 
 def test_dpa_chain_and_gains_match_scalar_reference(dpa):
     g, eta = dpa
-    cfg = RewiringConfig(max_steps=30_001, checkpoint_every=2_000, seed=5,
-                         targets=TARGETS)
+    cfg = RewiringConfig(max_steps=30_001, checkpoint_every=2_000, seed=5)
     # The run ends one pair into its 21st round.
     assert cfg.max_steps % (g.num_edges // 2) == 1
     _assert_matches_reference(g, eta, cfg, gains=True)
@@ -241,14 +240,13 @@ def test_chunk_size_changes_no_draw(dpa, monkeypatch, chunk):
     monkeypatch.setattr(REWIRE, "_CHUNK", chunk)
     _assert_matches_reference(g, eta, RewiringConfig(
         max_steps=9_001 if chunk == 1 else 30_001, checkpoint_every=997,
-        tolerance=0.02, stop_early=True, seed=5, targets=TARGETS), gains=True)
+        tolerance=0.02, stop_at=TARGETS, seed=5), gains=True)
 
 
 def test_stop_early_inside_a_chunk_matches_scalar_reference(dpa):
     g, eta = dpa
     cfg = RewiringConfig(max_steps=400_000, checkpoint_every=1_000,
-                         tolerance=0.02, stop_early=True, seed=2,
-                         targets=TARGETS)
+                         tolerance=0.02, stop_at=TARGETS, seed=2)
     trace = _assert_matches_reference(g, eta, cfg, gains=True)
     last = trace.checkpoints[-1][0]
     # A round here is one chunk of 1,500 pairs.
@@ -266,8 +264,7 @@ def test_gains_without_a_scenario_match_scalar_reference(alpha, gamma,
     g = gen_dpa(DpaParams(alpha, 0.5, gamma, 1.0, 1.0, 2_000, seed=3))
     assert len(set(g.edge_labels.tolist())) == 2
     eta = solve_target_eta(problem_from_graph(g, targets=TARGETS))
-    cfg = RewiringConfig(max_steps=20_001, checkpoint_every=1_500, seed=4,
-                         targets=TARGETS)
+    cfg = RewiringConfig(max_steps=20_001, checkpoint_every=1_500, seed=4)
     _assert_matches_reference(g, eta, cfg, gains=True)
     gains = rewire_with_scenario_gains(g, eta, cfg)[2]
     present = [key for key in REWIRE._BUCKETS if absent not in key]
@@ -309,7 +306,8 @@ class _CountingGenerator:
 
 def _run_counted(monkeypatch, g, eta, cfg, gains=False):
     """Run the chain, recording its generator's draws and the pairs of each
-    _propose call; returns (result of the run, draws, proposed pairs)."""
+    _propose call, which gets a read-only view of the edge list's targets;
+    returns (result of the run, draws, proposed pairs)."""
     made, proposed = [], []
     default_rng, propose = np.random.default_rng, REWIRE._propose
 
@@ -319,7 +317,9 @@ def _run_counted(monkeypatch, g, eta, cfg, gains=False):
 
     def counting(dst, e1, e2, *rest):
         proposed.append((e1.copy(), e2.copy()))
-        return propose(dst, e1, e2, *rest)
+        view = dst.view()
+        view.flags.writeable = False
+        return propose(view, e1, e2, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", counting_rng)
@@ -364,8 +364,7 @@ def test_stop_inside_a_chunk_runs_each_pair_once(dpa, monkeypatch, every,
     g, eta = dpa
     half = g.num_edges // 2
     cfg = RewiringConfig(max_steps=400_000, checkpoint_every=every,
-                         tolerance=0.02, stop_early=True, seed=seed,
-                         targets=TARGETS)
+                         tolerance=0.02, stop_at=TARGETS, seed=seed)
     (rewired, trace, gains), draws, proposed = _run_counted(
         monkeypatch, g, eta, cfg, gains=True)
     dst, ref_trace, ref_gains = reference_chain(g, eta, cfg, True)
@@ -384,8 +383,7 @@ def test_targets_met_at_step_zero_draw_nothing(dpa, monkeypatch):
     g, _ = dpa
     eta = edge_mix_from_graph(g)
     cfg = RewiringConfig(max_steps=50_000, checkpoint_every=1_000,
-                         stop_early=True, seed=2,
-                         targets=assortativity_of_graph(g))
+                         stop_at=assortativity_of_graph(g), seed=2)
     (rewired, trace, _), draws, proposed = _run_counted(
         monkeypatch, g, eta, cfg, gains=True)
     assert np.array_equal(rewired.dst, g.dst)
@@ -432,6 +430,28 @@ def test_levels_match_their_definition(monkeypatch, m, size):
     assert _reference_levels(e1, e2) == [i // (m // 2) for i in range(size)]
     assert sum(kind == "permutation" for kind, _ in draws) == -(-size
                                                                 // (m // 2))
+
+
+def test_config_has_one_stop_setting():
+    # stop_at is the whole stop rule: the former flag and target fields
+    # are gone, not ignored.
+    assert [f.name for f in dataclasses.fields(RewiringConfig)] == [
+        "max_steps", "checkpoint_every", "tolerance", "stop_at", "seed"]
+    for old in ({"stop_early": True}, {"targets": TARGETS}):
+        with pytest.raises(TypeError):
+            RewiringConfig(max_steps=10, **old)
+
+
+def test_first_step_within_gives_the_checkpoint_step():
+    trace = RewiringTrace([(0, 0.5, 0.5, 0.5, 0.5, 0.0),
+                           (700, 0.2, 0.1, 0.1, 0.1, 0.3),
+                           (1400, 0.1, 0.1, 0.1, 0.1, 0.2)])
+    target = AssortProfile(0.1, 0.1, 0.1, 0.1)
+    assert trace.first_step_within(target, 0.15) == 700
+    assert trace.first_step_within(target, 0.05) == 1400
+    assert trace.first_step_within(AssortProfile(0.5, 0.5, 0.5, 0.5),
+                                   0.01) == 0
+    assert trace.first_step_within(AssortProfile(-1, -1, -1, -1), 0.5) is None
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -0.1, float("nan")])
