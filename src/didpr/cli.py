@@ -95,8 +95,8 @@ class _Opt:
 
 
 _SEED_OPT = _Opt("int", default=0, help="RNG seed")
-# fit draws no random numbers and has no tail size, but older command lines
-# pass both options.
+# fit draws no random numbers and has no tail size, and scenario-gains keeps
+# no trace, but older command lines pass those options.
 _IGNORED_HELP = "ignored; accepted so that older command lines still run"
 
 _DPA_OPTS = {
@@ -186,9 +186,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "targets": _Opt("targets", required=True,
                         help="r11,r12,r21,r22 target values"),
         "steps": _Opt("int", required=True, help="swap proposals per chain"),
-        "checkpoint_every": _Opt("int", default=1000,
-                                 help="steps between the chains' checkpoints; "
-                                      "the gains CSV does not depend on it"),
+        "checkpoint_every": _Opt("int", help=_IGNORED_HELP),
         "replicates": _Opt("int", default=1, help="independent runs"),
         "jobs": _Opt("int", default=1, help="worker processes"),
         "out": _Opt("str", required=True, help="gains CSV output path"),
@@ -408,7 +406,11 @@ def _fan_out(worker, params: dict, shared: tuple) -> list:
     in order, run across up to params["jobs"] processes.  shared goes to
     each process once, when it starts, not with every task."""
     seed, replicates = params["seed"], params["replicates"]
-    if params["jobs"] == 1 or replicates == 1:
+    # Outputs do not depend on the worker count, so the usable CPUs cap it.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(params["jobs"], replicates, cpus)
+    if workers == 1:
         return [_replicate(worker, seed, i, shared) for i in range(replicates)]
     # Imported here: it adds ~30 ms to every start-up, and only --jobs > 1
     # needs it.
@@ -418,7 +420,7 @@ def _fan_out(worker, params: dict, shared: tuple) -> list:
     # and they inherit shared without pickling it.  On a 2-CPU Linux host,
     # DPA with 1e5 edges and 32 replicates at --jobs 2, sending it with
     # every task instead raised the parent's peak RSS from 104 to 128 MB.
-    with ProcessPoolExecutor(max_workers=min(params["jobs"], replicates),
+    with ProcessPoolExecutor(max_workers=workers,
                              initializer=_share, initargs=shared) as pool:
         return list(pool.map(partial(_replicate, worker, seed),
                              range(replicates)))
@@ -568,9 +570,9 @@ def _gains_worker(params: dict, seed):
     gen_seed, chain_seed = seed.spawn(2)
     g = _model_graph(params, "dpa", gen_seed)
     eta = _solve_eta_or_fail(g, AssortProfile(*params["targets"]))
+    # The trace is dropped: one checkpoint, at the last step, is enough.
     cfg = RewiringConfig(max_steps=params["steps"],
-                         checkpoint_every=params["checkpoint_every"],
-                         seed=chain_seed)
+                         checkpoint_every=params["steps"], seed=chain_seed)
     _, _, gains = rewire_with_scenario_gains(g, eta, cfg)
     return gains
 

@@ -40,8 +40,8 @@ totals of those changes and of the accepted count serve the checkpoints;
 with scenario gains, so do tallies per bucket, the unordered pair of the
 two edges' scenarios, in report order (_BUCKETS): alpha-alpha, alpha-beta,
 alpha-gamma, beta-beta, beta-gamma, gamma-gamma.  The end means and sds
-that turn those sums into coefficients never change either; they come from
-assortativity._standardise, the helper behind every coefficient.
+that turn those sums into coefficients never change either: _standardise,
+behind every coefficient, takes them from each end's exact class counts.
 chain_setup gathers them with the chain's other seed-free inputs, once per
 graph and eta, and replicate chains share the result.
 """
@@ -57,7 +57,6 @@ from .assortativity import (
     EdgeMixMatrix,
     _profile,
     _standardise,
-    edge_mix_from_graph,
 )
 from .graph import (
     _LABEL_CODES,
@@ -186,34 +185,31 @@ def read_trace_csv(path) -> RewiringTrace:
 # The chain
 # ---------------------------------------------------------------------------
 
-def _node_pair_indices(g: DirectedGraph, eta: EdgeMixMatrix):
-    """Per-node indices into eta's source/target pair lists (-1 = unused).
-
-    Raises ValueError when a realised pair is missing from eta (support
-    mismatch between the graph and the mixing matrix).
+def _end_classes(g: DirectedGraph, pairs, side: str):
+    """Each node's index in pairs, eta's source or target pairs (-1 where it
+    ends no edge on that side), and that end's degree means and sds over
+    the exact edge counts of those classes.  Raises ValueError when a
+    realised pair is missing from pairs (support mismatch with eta).
     """
     codes = _pair_codes(g.out_deg, g.in_deg)
-    found = []
+    keys = _pair_codes(*np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+    order = np.argsort(keys)
     # A node is some edge's source (target) exactly when its out- (in-)
     # degree is positive.
-    for deg, pairs, side in ((g.out_deg, eta.source_pairs, "source"),
-                             (g.in_deg, eta.target_pairs, "target")):
-        keys = _pair_codes(*np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
-        order = np.argsort(keys)
-        nodes = np.flatnonzero(deg)
-        pos = np.searchsorted(keys, codes[nodes], sorter=order)
-        hit = pos < keys.size
-        hit[hit] = keys[order[pos[hit]]] == codes[nodes[hit]]
-        if not hit.all():
-            v = nodes[np.argmin(hit)]
-            pair = (int(g.out_deg[v]), int(g.in_deg[v]))
-            raise ValueError(
-                f"support mismatch: {side} degree pair {pair} absent from eta"
-            )
-        idx = np.full(g.num_nodes, -1, dtype=np.int64)
-        idx[nodes] = order[pos]
-        found.append(idx)
-    return found[0], found[1]
+    deg, ends = (g.out_deg, g.src) if side == "source" else (g.in_deg, g.dst)
+    nodes = np.flatnonzero(deg)
+    pos = np.searchsorted(keys, codes[nodes], sorter=order)
+    hit = pos < keys.size
+    hit[hit] = keys[order[pos[hit]]] == codes[nodes[hit]]
+    if not hit.all():
+        v = nodes[np.argmin(hit)]
+        pair = (int(g.out_deg[v]), int(g.in_deg[v]))
+        raise ValueError(
+            f"support mismatch: {side} degree pair {pair} absent from eta")
+    idx = np.full(g.num_nodes, -1, dtype=np.int64)
+    idx[nodes] = order[pos]
+    counts = np.bincount(idx[ends], minlength=len(pairs))
+    return (idx, *_standardise(pairs, counts)[1:])
 
 
 def _propose(dst, e1, e2, u, row, tp, Hf):
@@ -270,21 +266,18 @@ class ChainSetup:
 
 
 def chain_setup(g: DirectedGraph, eta: EdgeMixMatrix) -> ChainSetup:
-    """The invariants of rewiring g toward eta, for any number of chains.
-
-    Raises ValueError when g has fewer than two edges, or when a realised
-    degree pair is missing from eta.
+    """The invariants of rewiring g toward eta, for any number of chains;
+    the ends' moments come from exact class counts (_end_classes).  Raises
+    ValueError when g has fewer than two edges, or when a realised degree
+    pair is missing from eta.
     """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
-    # The masses of the graph's degree-pair classes are exact edge counts / m.
-    mix = edge_mix_from_graph(g)
-    _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
-    _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
-    sp_node, tp_node = _node_pair_indices(g, eta)
     node_deg = np.stack((g.out_deg, g.in_deg))
     src_deg = node_deg.take(g.src, axis=1)
     s_init = (src_deg @ node_deg[:, g.dst].T).ravel()
+    sp_node, mean_s, sd_s = _end_classes(g, eta.source_pairs, "source")
+    tp_node, mean_t, sd_t = _end_classes(g, eta.target_pairs, "target")
     return ChainSetup(np.outer(mean_s, mean_t), np.outer(sd_s, sd_t),
                       sd_s, sd_t, src_deg, node_deg,
                       sp_node[g.src] * eta.H.shape[1], tp_node, s_init)

@@ -8,15 +8,17 @@ whatever the chunk size.  With the same float acceptance test, for a given
 seed it must reproduce the library's edge list, trace rows and scenario
 gains exactly.  Degree products are integer sums updated per
 accepted swap, and each checkpoint turns them into coefficients with the
-library's moment formula, so equal chains give bit-equal rows.
+library's moment formula, over the same masses: each end's edge counts per
+eta pair, so equal chains give bit-equal rows.
 """
+from collections import Counter
+
 import numpy as np
 
 from didpr.assortativity import (
     TYPE_PAIRS,
     _profile,
     _standardise,
-    edge_mix_from_graph,
 )
 from didpr.graph import _LABEL_NAMES
 from didpr.rewire import RewiringTrace, ScenarioGains
@@ -26,9 +28,6 @@ from graph_helpers import source_index, target_index
 
 def reference_chain(g, eta, cfg, track_gains=False):
     """Run the chain on g toward eta; returns (dst, trace, gains or None)."""
-    mix = edge_mix_from_graph(g)
-    _, mean_s, sd_s = _standardise(mix.source_pairs, mix.row_masses())
-    _, mean_t, sd_t = _standardise(mix.target_pairs, mix.col_masses())
     src_index = source_index(eta)
     tgt_index = target_index(eta)
     out_l = g.out_deg.tolist()
@@ -37,6 +36,11 @@ def reference_chain(g, eta, cfg, track_gains=False):
     dst = g.dst.tolist()
     spe = [src_index[(out_l[v], in_l[v])] for v in src]
     tp = {v: tgt_index[(out_l[v], in_l[v])] for v in dst}
+    src_count, tgt_count = Counter(spe), Counter(tp[v] for v in dst)
+    _, mean_s, sd_s = _standardise(eta.source_pairs, [
+        src_count[i] for i in range(len(eta.source_pairs))])
+    _, mean_t, sd_t = _standardise(eta.target_pairs, [
+        tgt_count[i] for i in range(len(eta.target_pairs))])
     H = eta.H.tolist()
     so = [out_l[v] for v in src]
     si = [in_l[v] for v in src]

@@ -14,8 +14,11 @@ import pytest
 from didpr import cli
 from didpr.assortativity import (
     AssortProfile,
+    EdgeMixMatrix,
     assortativity,
+    edge_mix_from_graph,
     read_eta_csv,
+    write_eta_csv,
 )
 from didpr.generate import gen_er
 from didpr.graph import degree_pair_dist, read_edge_list
@@ -297,6 +300,26 @@ def test_eta_of_another_graph_is_a_support_mismatch(er_graph, tmp_path,
     assert len(err) == 1
     assert re.fullmatch(r"error: support mismatch: source degree pair "
                         r"\(\d+, \d+\) absent from eta", err[0])
+    assert list(out.parent.iterdir()) == []
+
+
+def test_eta_without_a_target_pair_is_a_support_mismatch(er_graph, tmp_path,
+                                                         capsys):
+    # Every source pair of the graph is in eta, so its target side fails.
+    mix = edge_mix_from_graph(read_edge_list(er_graph))
+    *kept, missing = mix.target_pairs
+    eta = tmp_path / "eta.csv"
+    shape = (len(mix.source_pairs), len(kept))
+    write_eta_csv(EdgeMixMatrix(mix.source_pairs, kept,
+                                np.full(shape, 1.0 / np.prod(shape))), eta)
+    out = tmp_path / "run" / "rewired.txt"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert cli.main(["rewire", str(er_graph), "--eta", str(eta),
+                     "--steps", "2000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: support mismatch: target degree pair {missing} absent "
+        f"from eta"]
     assert list(out.parent.iterdir()) == []
 
 
@@ -770,6 +793,74 @@ def test_replicate_seeds_are_the_spawned_children(seed):
                               child.generate_state(8))
         for a, b in zip(mine.spawn(2), child.spawn(2)):
             assert np.array_equal(a.generate_state(8), b.generate_state(8))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no process starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("affinity, jobs, workers", [
+    (3, 5000, 3), (3, 2, 2), (None, 5000, 4), (1, 2, 1)],
+    ids=["capped-by-affinity", "jobs-below-cpus", "capped-by-cpu-count",
+         "one-cpu"])
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch, affinity, jobs,
+                                               workers):
+    # One worker runs the replicates in this process, with no pool.
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(cli, "_SHARED", ())  # the fake sets it here
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    params = {"seed": 3, "replicates": 50, "jobs": jobs}
+    got = cli._fan_out(lambda token, s: (token, s.spawn_key), params,
+                       shared=("shared",))
+    assert _RecordingPool.made == ([workers] if workers > 1 else [])
+    assert got == [("shared", (i,)) for i in range(50)]
+
+
+def test_gains_csv_does_not_depend_on_the_cadence(tmp_path, monkeypatch):
+    # --checkpoint-every still parses, but the gains chain keeps one
+    # checkpoint, at its last step, and the CSV is the same bytes.
+    cadences = []
+    run_gains = cli.rewire_with_scenario_gains
+
+    def recording(g, eta, cfg):
+        cadences.append(cfg.checkpoint_every)
+        return run_gains(g, eta, cfg)
+    monkeypatch.setattr(cli, "rewire_with_scenario_gains", recording)
+    csvs = []
+    for every in ("7", "1000"):
+        out = tmp_path / f"gains-{every}.csv"
+        assert cli.main(["scenario-gains", *_DPA_500, "--targets",
+                         "0.1,0.15,0.1,0.15", "--steps", "20000",
+                         "--checkpoint-every", every, "--seed", "3",
+                         "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert cadences == [20000, 20000]
 
 
 @pytest.fixture(scope="module")

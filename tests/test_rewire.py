@@ -23,12 +23,12 @@ from didpr.rewire import (
     _CHUNK,
     RewiringConfig,
     RewiringTrace,
-    _node_pair_indices,
     chain_setup,
     read_trace_csv,
     rewire,
     rewire_with_scenario_gains,
 )
+from graph_helpers import assortativity_from_edges
 from rewire_reference import reference_chain
 
 REWIRE = importlib.import_module("didpr.rewire")
@@ -477,11 +477,36 @@ def test_trace_csv_bytes(tmp_path):
         (1000, 0.5, 0.25, -1e-20, 1.0, 0.125)]
 
 
-def test_node_pair_indices_cover_exactly_the_edge_ends():
-    # Nodes 3 and 4 have no out-edges and node 0 no in-edges: they get -1
-    # on that side and a pair index on the other.
+def test_chain_setup_classes_cover_exactly_the_edge_ends():
+    # Nodes 3 and 4 have no out-edges and node 0 no in-edges: they are in no
+    # class on that side and in one on the other.  Each edge's row is its
+    # source's index among eta's 3 source pairs times eta's 3 columns.
     g = DirectedGraph.from_edges(5, [0, 0, 1, 2, 2], [1, 2, 2, 3, 4])
-    eta = edge_mix_from_graph(g)
-    src_idx, dst_idx = _node_pair_indices(g, eta)
-    assert src_idx.tolist() == [1, 0, 2, -1, -1]
-    assert dst_idx.tolist() == [-1, 1, 2, 0, 0]
+    setup = chain_setup(g, edge_mix_from_graph(g))
+    assert setup.row.tolist() == [3, 3, 0, 6, 6]
+    assert setup.tp_node.tolist() == [-1, 1, 2, 0, 0]
+
+
+def _superset_eta(g):
+    """A positive eta over more pairs than g realises on either end: every
+    node's pair on both sides, and one pair no node has, so some classes
+    count no edge."""
+    pairs = sorted({*zip(g.out_deg.tolist(), g.in_deg.tolist()),
+                    (10**6, 10**6)})
+    H = np.random.default_rng(1).uniform(0.1, 1.0, (len(pairs), len(pairs)))
+    return EdgeMixMatrix(pairs, pairs, H / H.sum())
+
+
+@pytest.mark.parametrize("superset", [False, True],
+                         ids=["own-edge-mix", "superset"])
+def test_step_zero_row_is_the_pearson_over_edges(dpa, superset):
+    # The chain's end moments come from exact class counts; at step 0 they
+    # must give the coefficients computed straight over the edge list.
+    g, _ = dpa
+    eta = _superset_eta(g) if superset else edge_mix_from_graph(g)
+    if superset:
+        assert len(eta.source_pairs) > len(edge_mix_from_graph(g).source_pairs)
+    _, trace = rewire(g, eta, RewiringConfig(max_steps=1, seed=0))
+    want = assortativity_from_edges(g)
+    assert trace.checkpoints[0][1:5] == pytest.approx(
+        (want.r11, want.r12, want.r21, want.r22), rel=0, abs=1e-12)
