@@ -14,9 +14,10 @@ are materialised, which keeps downstream linear programs tractable.
 One helper, _standardise, works out an edge end's degree means and standard
 deviations and centres and scales its degrees by them.  Every coefficient
 is the moment of a standardised source degree times a standardised target
-degree, so the coefficients here, the constraints and bounds in eta and
-the rewiring chain's trace in rewire all take their end moments from it,
-and _profile checks and packs the result.
+degree, so the coefficients of a mixing matrix, the constraints and bounds
+in eta and the rewiring chain's trace in rewire all take their end moments
+from it, and _profile checks and packs the result.  A graph's own
+coefficients come from exact integer sums instead.
 
 The eta CSV stores a mixing matrix.  Written (write_eta_csv): the line
 "i,j,k,l,eta", then "i,j,k,l,x" for each positive entry x = H[s, t], where
@@ -38,6 +39,7 @@ and build the matrix in _eta_rows, so they give the same pairs and H.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +206,28 @@ def assortativity(eta: EdgeMixMatrix) -> AssortProfile:
 
 
 def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:
-    """Assortativity of a graph via its edge mixing matrix."""
-    return assortativity(edge_mix_from_graph(g))
+    """Assortativity of a graph with at least one edge, no edge mix built.
+
+    r(a, b) = (m Sxy - Sx Sy) / (sqrt(m Sxx - Sx^2) sqrt(m Syy - Sy^2)) over
+    the edges, x the source's type-a and y the target's type-b degree.  The
+    differences are exact integers, so an end is degenerate exactly when
+    its difference is 0, and only the roots and the division round.
+    """
+    m = g.num_edges
+    if m == 0:
+        raise ValueError("graph has no edges; assortativity undefined")
+    deg = np.stack((g.out_deg, g.in_deg))
+    sxy = (deg.take(g.src, axis=1) @ deg.take(g.dst, axis=1).T).tolist()
+    # A node ends out- (in-) degree many edges as a source (target), so
+    # column 0 (1) of P and Q sums those ends' degrees and their squares;
+    # sd[0] (sd[1]) is m times their sds.
+    P, Q = (((deg ** k) @ deg.T).tolist() for k in (1, 2))
+    sd = [[math.sqrt(m * Q[a][e] - P[a][e] ** 2) for a in range(2)]
+          for e in range(2)]
+    r = [[(m * sxy[a][b] - P[a][0] * P[b][1]) / (sd[0][a] * sd[1][b])
+          if sd[0][a] * sd[1][b] else 0.0 for b in range(2)]
+         for a in range(2)]
+    return _profile(r, *sd)
 
 
 _ETA_HEADER = ("i", "j", "k", "l", "eta")

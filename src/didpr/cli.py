@@ -32,6 +32,7 @@ import csv
 import json
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -404,7 +405,8 @@ def _replicate(worker, seed: int, i: int, shared: tuple | None = None):
 def _fan_out(worker, params: dict, shared: tuple) -> list:
     """_replicate(worker, params["seed"], i, shared) for each replicate i,
     in order, run across up to params["jobs"] processes.  shared goes to
-    each process once, when it starts, not with every task."""
+    each process once, when it starts, not with every task, and at most
+    four tasks per process are in flight at once."""
     seed, replicates = params["seed"], params["replicates"]
     # Outputs do not depend on the worker count, so the usable CPUs cap it.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -420,10 +422,15 @@ def _fan_out(worker, params: dict, shared: tuple) -> list:
     # and they inherit shared without pickling it.  On a 2-CPU Linux host,
     # DPA with 1e5 edges and 32 replicates at --jobs 2, sending it with
     # every task instead raised the parent's peak RSS from 104 to 128 MB.
+    # Each pending task holds ~2 KB in the parent, so only a window waits.
+    results, window = [], deque()
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=_share, initargs=shared) as pool:
-        return list(pool.map(partial(_replicate, worker, seed),
-                             range(replicates)))
+        for i in range(replicates):
+            window.append(pool.submit(_replicate, worker, seed, i))
+            if len(window) == 4 * workers:
+                results.append(window.popleft().result())
+        return results + [task.result() for task in window]
 
 
 # ---------------------------------------------------------------------------

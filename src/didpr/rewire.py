@@ -11,22 +11,25 @@ change, so the degree-pair distribution is exactly preserved while the edge
 mixing matrix drifts toward eta.  A zero denominator counts as acceptance:
 the chain must be free to leave configurations the target assigns no mass.
 
-Proposals come in rounds.  A round draws one uniformly random permutation
-of the m edges and proposes its consecutive pairs (perm[0], perm[1]),
-(perm[2], perm[3]), ..., m // 2 of them; with m odd, one edge sits the
-round out.  Each proposal is still a uniformly random ordered pair of
-distinct edges.  The law the chain samples is unchanged: for a fixed pair,
-swapping with the acceptance above is a Metropolis move with an involutive
-proposal, so it keeps detailed balance with respect to prod_e eta(s_e, t_e)
-and leaves that law invariant; the pairs are chosen without looking at the
-state, so any sequence of such moves leaves it invariant too.
+Proposals come in rounds of half = m // 2 pairs.  A uniformly random
+permutation perm of the m edges serves _SHUFFLE_ROUNDS rounds; each round
+draws an offset o, uniform on [0, half), and its pair i is (perm[i],
+perm[half + (i + o) mod half]).  With m odd, perm[m - 1] sits those rounds
+out.  A round is a perfect matching of the other edges chosen without
+looking at the state, and any two edges can be paired (irreducibility).
+The law the chain samples is unchanged: for a fixed pair, swapping with the
+acceptance above is a Metropolis move with an involutive proposal, so it
+keeps detailed balance with respect to prod_e eta(s_e, t_e) and leaves
+that law invariant, and so does any sequence of such state-blind moves.
+Offsets taken in turn instead of drawn mixed measurably slower.
 
 A proposal reads and writes only its own two edges' targets (degrees never
 change), so the pairs of a round, which share no edge, commute.  They run
 in chunks of at most _CHUNK pairs, each one gather, acceptance test and
-scatter over the whole chunk.  A round's permutation is drawn when its
-first pair is due and a chunk's uniforms when it runs; the generator's
-doubles come in sequence, so the chunk size changes no draw, and a run's
+scatter over the whole chunk (two slices of perm's second half where
+they wrap).  A permutation and a round's offset are drawn when the round's
+first pair is due, and a chunk's uniforms when it runs; the generator's
+draws come in sequence, so the chunk size changes no draw, and a run's
 trajectory is a function of the seed and the step count alone.  Accepted
 pairs come out in step order, so a checkpoint inside a chunk sums the
 accepted swaps before it.  A chunk's swaps are decided first and written
@@ -83,7 +86,10 @@ _TRACE_HEADER = ("step", "r11", "r12", "r21", "r22", "acc_rate")
 _TRACE_DTYPE = np.dtype([("step", np.int64), ("values", np.float64, (5,))])
 
 # Pairs per chunk.  It sets the size of the chain's arrays, not its draws.
-_CHUNK = 4096
+# Each chunk pays ~40 us of numpy calls, so small chunks cost per pair.
+_CHUNK = 16384
+# Rounds per permutation of the edges; each round draws its own offset.
+_SHUFFLE_ROUNDS = 8
 
 # The unordered pairs of scenarios, in report order, and the bucket of each
 # ordered pair of label indices (positions in _LABEL_CODES).
@@ -323,12 +329,15 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
     stop = reached(trace.final_profile())
     every = cfg.checkpoint_every
     steps_done = last_accepted = 0
-    at = half   # pairs of the current round proposed so far
+    at, rounds = half, 0    # the current round's pairs proposed; rounds run
     while steps_done < cfg.max_steps and not stop:
         if at == half:
-            perm, at = rng.permutation(m), 0
+            if rounds % _SHUFFLE_ROUNDS == 0:
+                first, second = np.split(rng.permutation(m)[:2 * half], 2)
+            rounds, at, offset = rounds + 1, 0, int(rng.integers(half))
         n = min(_CHUNK, half - at, cfg.max_steps - steps_done)
-        e1, e2 = perm[2 * at:2 * (at + n)].reshape(n, 2).T
+        e1, k = first[at:at + n], (at + offset) % half
+        e2 = np.concatenate((second[k:k + n], second[:max(0, k + n - half)]))
         at += n
         hit, v2, v4 = _propose(dst, e1, e2, rng.random(n), *fixed)
         x1, x2 = e1.take(hit), e2.take(hit)

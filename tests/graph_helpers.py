@@ -74,8 +74,9 @@ def assortativity_from_edges(g: DirectedGraph) -> AssortProfile:
     Pearson correlation of (source type-a degree, target type-b degree)
     across edges, with population normalisation: each edge end is
     standardised with unit mass per edge.  Agrees with
-    assortativity(edge_mix_from_graph(g)) up to rounding and cross-checks
-    that path's aggregation into degree-pair classes.
+    assortativity_of_graph(g) and assortativity(edge_mix_from_graph(g)) up
+    to rounding and cross-checks their aggregation into degree-pair
+    classes.
     """
     m = g.num_edges
     if m == 0:

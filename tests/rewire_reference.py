@@ -1,15 +1,16 @@
 """Scalar reference for the rewiring chain.
 
-One proposal at a time, in step order, with plain Python lists.  Each round
-draws a permutation of the edges and proposes its consecutive pairs in
-turn.  It draws the uniforms of a round's pairs at once: the generator's
-doubles come in sequence, so they are the library's chunk draws joined,
-whatever the chunk size.  With the same float acceptance test, for a given
-seed it must reproduce the library's edge list, trace rows and scenario
-gains exactly.  Degree products are integer sums updated per
-accepted swap, and each checkpoint turns them into coefficients with the
-library's moment formula, over the same masses: each end's edge counts per
-eta pair, so equal chains give bit-equal rows.
+One proposal at a time, in step order, with plain Python lists.  A
+permutation of the edges serves the library's _SHUFFLE_ROUNDS rounds; each
+round draws an offset o and proposes pair i as (perm[i],
+perm[half + (i + o) % half]) in turn.  It draws the uniforms of a round's
+pairs at once: the generator's draws come in sequence, so they are the
+library's chunk draws joined, whatever the chunk size.  With the same
+float acceptance test, for a given seed it must reproduce the library's
+edge list, trace rows and scenario gains exactly.  Degree products are
+integer sums updated per accepted swap, and each checkpoint turns them into
+coefficients with the library's moment formula, over the same masses: each
+end's edge counts per eta pair, so equal chains give bit-equal rows.
 """
 from collections import Counter
 
@@ -21,7 +22,7 @@ from didpr.assortativity import (
     _standardise,
 )
 from didpr.graph import _LABEL_NAMES
-from didpr.rewire import RewiringTrace, ScenarioGains
+from didpr.rewire import _SHUFFLE_ROUNDS, RewiringTrace, ScenarioGains
 
 from graph_helpers import source_index, target_index
 
@@ -45,6 +46,7 @@ def reference_chain(g, eta, cfg, track_gains=False):
     so = [out_l[v] for v in src]
     si = [in_l[v] for v in src]
     m = len(src)
+    half = m // 2
 
     s = {(1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 0}
     for e in range(m):
@@ -68,12 +70,16 @@ def reference_chain(g, eta, cfg, track_gains=False):
 
     trace = RewiringTrace([(0, *profile_vals(), 0.0)])
     rng = np.random.default_rng(cfg.seed)
-    steps = accepted = last = 0
+    steps = accepted = last = rounds = 0
     stop = cfg.stop_at is not None and within(trace.checkpoints[0][1:5])
     while steps < cfg.max_steps and not stop:
-        perm = rng.permutation(m).tolist()
-        us = rng.random(min(m // 2, cfg.max_steps - steps)).tolist()
-        for e1, e2, u in zip(perm[0::2], perm[1::2], us):
+        if rounds % _SHUFFLE_ROUNDS == 0:
+            perm = rng.permutation(m).tolist()
+        rounds += 1
+        o = int(rng.integers(half))
+        us = rng.random(min(half, cfg.max_steps - steps)).tolist()
+        for i, u in enumerate(us):
+            e1, e2 = perm[i], perm[half + (i + o) % half]
             v2, v4 = dst[e1], dst[e2]
             row1, row2 = H[spe[e1]], H[spe[e2]]
             t1, t2 = tp[v2], tp[v4]

@@ -210,6 +210,17 @@ class TestAssortativity:
             want = pearson_profile(g)
             assert got.max_abs_diff(want) < 1e-10
 
+    @pytest.mark.parametrize("model", ["er", "dpa"])
+    def test_graph_route_needs_no_edge_mix(self, monkeypatch, model):
+        # Integer sums over the edges and nodes give the Pearson over the
+        # edges, light or heavy tailed, without the dense ns x nt edge mix.
+        g = (gen_er(300, 0.05, seed=3) if model == "er" else
+             gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=2)))
+        monkeypatch.setattr(ASSORTATIVITY, "edge_mix_from_graph",
+                            lambda g: pytest.fail("built the edge mix"))
+        got = assortativity_of_graph(g)
+        assert got.max_abs_diff(assortativity_from_edges(g)) <= 1e-12
+
     def test_er_near_zero(self):
         prof = assortativity_of_graph(gen_er(1000, 0.1, seed=42))
         for val in prof.as_dict().values():

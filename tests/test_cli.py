@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -796,13 +797,16 @@ def test_replicate_seeds_are_the_spawned_children(seed):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    tasks in this process, so no process starts."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the most
+    tasks submitted and not yet collected, and runs each task in this
+    process when its result is asked for, so no process starts."""
 
     made: list = []
+    most_in_flight = 0
 
     def __init__(self, max_workers, initializer, initargs):
         self.made.append(max_workers)
+        self.in_flight = 0
         initializer(*initargs)
 
     def __enter__(self):
@@ -811,8 +815,15 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        _RecordingPool.most_in_flight = max(self.most_in_flight,
+                                            self.in_flight)
+
+        def result():
+            self.in_flight -= 1
+            return fn(*args)
+        return SimpleNamespace(result=result)
 
 
 @pytest.mark.parametrize("affinity, jobs, workers", [
@@ -827,6 +838,7 @@ def test_workers_are_capped_at_the_usable_cpus(monkeypatch, affinity, jobs,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(_RecordingPool, "most_in_flight", 0)
     monkeypatch.setattr(cli, "_SHARED", ())  # the fake sets it here
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -839,6 +851,9 @@ def test_workers_are_capped_at_the_usable_cpus(monkeypatch, affinity, jobs,
                        shared=("shared",))
     assert _RecordingPool.made == ([workers] if workers > 1 else [])
     assert got == [("shared", (i,)) for i in range(50)]
+    # The pool holds a window of four tasks per worker, not all 50.
+    assert _RecordingPool.most_in_flight == (4 * workers if workers > 1
+                                             else 0)
 
 
 def test_gains_csv_does_not_depend_on_the_cadence(tmp_path, monkeypatch):

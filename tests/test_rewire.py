@@ -21,6 +21,7 @@ from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import (
     _CHUNK,
+    _SHUFFLE_ROUNDS,
     RewiringConfig,
     RewiringTrace,
     chain_setup,
@@ -224,8 +225,8 @@ def test_dpa_chain_and_gains_match_scalar_reference(dpa):
 
 
 def test_er_chain_matches_scalar_reference():
-    g = gen_er(330, 0.1, 4)
-    assert 9_000 < g.num_edges < 12_000
+    g = gen_er(600, 0.1, 4)
+    assert 33_000 < g.num_edges < 40_000
     # Each round runs in two chunks.
     assert _CHUNK < g.num_edges // 2 < 2 * _CHUNK
     _assert_matches_reference(g, _random_eta(g, 5), RewiringConfig(
@@ -246,7 +247,7 @@ def test_chunk_size_changes_no_draw(dpa, monkeypatch, chunk):
 def test_stop_early_inside_a_chunk_matches_scalar_reference(dpa):
     g, eta = dpa
     cfg = RewiringConfig(max_steps=400_000, checkpoint_every=1_000,
-                         tolerance=0.02, stop_at=TARGETS, seed=2)
+                         tolerance=0.02, stop_at=TARGETS, seed=4)
     trace = _assert_matches_reference(g, eta, cfg, gains=True)
     last = trace.checkpoints[-1][0]
     # A round here is one chunk of 1,500 pairs.
@@ -293,11 +294,17 @@ class _CountingGenerator:
 
     def __init__(self, rng):
         self._rng = rng
-        self.draws = []
+        self.draws, self.perms, self.offsets = [], [], []
 
     def permutation(self, m):
         self.draws.append(("permutation", m))
-        return self._rng.permutation(m)
+        self.perms.append(self._rng.permutation(m))
+        return self.perms[-1]
+
+    def integers(self, high):
+        self.draws.append(("integers", high))
+        self.offsets.append(self._rng.integers(high))
+        return self.offsets[-1]
 
     def random(self, n):
         self.draws.append(("random", n))
@@ -307,7 +314,7 @@ class _CountingGenerator:
 def _run_counted(monkeypatch, g, eta, cfg, gains=False):
     """Run the chain, recording its generator's draws and the pairs of each
     _propose call, which gets a read-only view of the edge list's targets;
-    returns (result of the run, draws, proposed pairs)."""
+    returns (result of the run, the counting generator, proposed pairs)."""
     made, proposed = [], []
     default_rng, propose = np.random.default_rng, REWIRE._propose
 
@@ -327,33 +334,62 @@ def _run_counted(monkeypatch, g, eta, cfg, gains=False):
         run = (rewire_with_scenario_gains(g, eta, cfg) if gains
                else rewire(g, eta, cfg))
     (rng,) = made
-    return run, rng.draws, proposed
+    return run, rng, proposed
 
 
-@pytest.mark.parametrize("rounds, extra", [(1, 0), (3, 0), (3, 1), (4, 1_499)])
-def test_a_run_of_k_rounds_draws_k_permutations(dpa, monkeypatch, rounds,
-                                                  extra):
-    # A round of DPA 3e3 is one chunk of 1,500 pairs; its permutation is
-    # drawn when its first pair is due, so a run that ends on a round's
-    # last pair draws none for the next.
+def _round_draws(m, chunks):
+    """The draws of a run whose rounds are one chunk each, of the given
+    sizes: a permutation every _SHUFFLE_ROUNDS rounds, then each round's
+    offset and uniforms."""
+    draws = []
+    for r, n in enumerate(chunks):
+        draws += [("permutation", m)] * (r % _SHUFFLE_ROUNDS == 0)
+        draws += [("integers", m // 2), ("random", n)]
+    return draws
+
+
+@pytest.mark.parametrize("rounds, extra", [
+    (1, 0), (8, 0), (8, 1), (3, 1), (17, 1_499)])
+def test_one_permutation_serves_eight_rounds(dpa, monkeypatch, rounds,
+                                             extra):
+    # A round of DPA 3e3 is one chunk of 1,500 pairs.  A permutation and
+    # a round's offset are drawn when its first pair is due, so a run that
+    # ends on a round's last pair draws none for the next.
+    assert _SHUFFLE_ROUNDS == 8
     g, eta = dpa
     half = g.num_edges // 2
     steps = rounds * half + extra
-    _, draws, proposed = _run_counted(monkeypatch, g, eta, RewiringConfig(
+    _, rng, proposed = _run_counted(monkeypatch, g, eta, RewiringConfig(
         max_steps=steps, checkpoint_every=1_000, seed=2))
     chunks = [half] * rounds + [extra] * (extra > 0)
-    assert draws == [
-        draw for n in chunks
-        for draw in (("permutation", g.num_edges), ("random", n))]
+    assert rng.draws == _round_draws(g.num_edges, chunks)
     assert [e1.size for e1, _ in proposed] == chunks
-    for e1, e2 in proposed:
-        # A round's pairs cover distinct edges: m is even here.
+    for r, (e1, e2) in enumerate(proposed):
+        # Pair i is (perm[i], perm[half + (i + o) % half]); m is even
+        # here, so a round's pairs cover every edge once.
+        perm, o = rng.perms[r // _SHUFFLE_ROUNDS], rng.offsets[r]
+        i = np.arange(e1.size)
+        assert np.array_equal(e1, perm[i])
+        assert np.array_equal(e2, perm[half + (i + o) % half])
         ends = np.concatenate((e1, e2))
         assert np.unique(ends).size == ends.size
 
 
+def test_every_pair_of_edges_is_proposed(monkeypatch):
+    # Irreducibility: seven edges, three pairs a round and one edge out;
+    # each of the 21 unordered pairs comes up within a few hundred rounds.
+    g, eta = _toy_graph([0, 0, 0, 1, 1, 2, 3], [1, 2, 3, 2, 3, 3, 0])
+    _, _, proposed = _run_counted(monkeypatch, g, eta,
+                                  RewiringConfig(max_steps=900, seed=1))
+    pairs = Counter(frozenset(pair) for e1, e2 in proposed
+                    for pair in zip(e1.tolist(), e2.tolist()))
+    assert sum(pairs.values()) == 900
+    assert set(pairs) == {frozenset(p) for p in
+                          itertools.combinations(range(7), 2)}
+
+
 @pytest.mark.parametrize("every, seed", [
-    (1_000, 2), (700, 4), (1_499, 5), (1_500, 5), (3_001, 1),
+    (1_000, 5), (700, 4), (1_499, 5), (1_500, 5), (3_001, 1),
 ], ids=["inside-a-chunk", "early-in-a-chunk", "one-before-chunk-end",
         "chunk-end", "cadence-above-chunk"])
 def test_stop_inside_a_chunk_runs_each_pair_once(dpa, monkeypatch, every,
@@ -365,7 +401,7 @@ def test_stop_inside_a_chunk_runs_each_pair_once(dpa, monkeypatch, every,
     half = g.num_edges // 2
     cfg = RewiringConfig(max_steps=400_000, checkpoint_every=every,
                          tolerance=0.02, stop_at=TARGETS, seed=seed)
-    (rewired, trace, gains), draws, proposed = _run_counted(
+    (rewired, trace, gains), rng, proposed = _run_counted(
         monkeypatch, g, eta, cfg, gains=True)
     dst, ref_trace, ref_gains = reference_chain(g, eta, cfg, True)
     assert np.array_equal(rewired.dst, dst)
@@ -376,7 +412,7 @@ def test_stop_inside_a_chunk_runs_each_pair_once(dpa, monkeypatch, every,
     assert 0 < last < cfg.max_steps
     assert (last % half == 0) == (every == half)
     assert [e1.size for e1, _ in proposed] == [half] * rounds
-    assert draws == [("permutation", g.num_edges), ("random", half)] * rounds
+    assert rng.draws == _round_draws(g.num_edges, [half] * rounds)
 
 
 def test_targets_met_at_step_zero_draw_nothing(dpa, monkeypatch):
@@ -384,11 +420,11 @@ def test_targets_met_at_step_zero_draw_nothing(dpa, monkeypatch):
     eta = edge_mix_from_graph(g)
     cfg = RewiringConfig(max_steps=50_000, checkpoint_every=1_000,
                          stop_at=assortativity_of_graph(g), seed=2)
-    (rewired, trace, _), draws, proposed = _run_counted(
+    (rewired, trace, _), rng, proposed = _run_counted(
         monkeypatch, g, eta, cfg, gains=True)
     assert np.array_equal(rewired.dst, g.dst)
     assert [row[0] for row in trace.checkpoints] == [0]
-    assert draws == proposed == []
+    assert rng.draws == proposed == []
     _assert_matches_reference(g, eta, cfg, gains=True)
 
 
@@ -424,12 +460,13 @@ def test_levels_match_their_definition(monkeypatch, m, size):
     # another, and at most one edge sits a round out, so each pair shares
     # an edge with the round before and waits on it.
     g, eta = _graph_with_edges(m)
-    _, draws, proposed = _run_counted(monkeypatch, g, eta, RewiringConfig(
+    _, rng, proposed = _run_counted(monkeypatch, g, eta, RewiringConfig(
         max_steps=size, checkpoint_every=size, seed=m * size))
     e1, e2 = (np.concatenate(ends) for ends in zip(*proposed))
     assert _reference_levels(e1, e2) == [i // (m // 2) for i in range(size)]
-    assert sum(kind == "permutation" for kind, _ in draws) == -(-size
-                                                                // (m // 2))
+    rounds = -(-size // (m // 2))
+    assert Counter(kind for kind, _ in rng.draws)["permutation"] == -(
+        -rounds // _SHUFFLE_ROUNDS)
 
 
 def test_config_has_one_stop_setting():
