@@ -11,13 +11,13 @@ matrix: the proportion of edges leading from a node with degree pair (i, j)
 to a node with degree pair (k, l).  Only degree pairs realised in the graph
 are materialised, which keeps downstream linear programs tractable.
 
-One helper, _standardise, works out an edge end's degree means and standard
-deviations and centres and scales its degrees by them.  Every coefficient
-is the moment of a standardised source degree times a standardised target
-degree, so the coefficients of a mixing matrix, the constraints and bounds
-in eta and the rewiring chain's trace in rewire all take their end moments
-from it, and _profile checks and packs the result.  A graph's own
-coefficients come from exact integer sums instead.
+A mixing matrix carries float masses: _standardise centres and scales an
+edge end's degrees by their means and sds under them, so each coefficient
+of a mixing matrix, and each constraint and bound in eta, is a moment of
+standardised degrees.  An edge list carries integer degrees: _pearson
+turns its integer sums (_end_sums) into coefficients, exact but for the
+last rounding, for a graph and for the rewiring chain's trace and gains.
+_profile checks and packs the coefficients of both.
 
 The eta CSV stores a mixing matrix.  Written (write_eta_csv): the line
 "i,j,k,l,eta", then "i,j,k,l,x" for each positive entry x = H[s, t], where
@@ -205,29 +205,38 @@ def assortativity(eta: EdgeMixMatrix) -> AssortProfile:
     return _profile(U.T @ H @ V, sd_s, sd_t)
 
 
-def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:
-    """Assortativity of a graph with at least one edge, no edge mix built.
+def _end_sums(g: DirectedGraph):
+    """(sums, roots) of g's edge ends, each indexed [end][type - 1], end 0
+    the source and 1 the target: sums adds the end's degrees over the edges
+    (Python integers), and roots is sqrt(m Sxx - Sx^2), Sxx adding their
+    squares: m times their sd."""
+    deg = np.stack((g.out_deg, g.in_deg))
+    # A node ends out- (in-) degree many edges as a source (target), so
+    # row 0 (1) of P and Q sums those ends' degrees and their squares.
+    P, Q = ((deg @ (deg ** k).T).tolist() for k in (1, 2))
+    return P, [[math.sqrt(g.num_edges * q - p * p) for p, q in zip(*end)]
+               for end in zip(P, Q)]
 
-    r(a, b) = (m Sxy - Sx Sy) / (sqrt(m Sxx - Sx^2) sqrt(m Syy - Sy^2)) over
-    the edges, x the source's type-a and y the target's type-b degree.  The
-    differences are exact integers, so an end is degenerate exactly when
-    its difference is 0, and only the roots and the division round.
-    """
-    m = g.num_edges
-    if m == 0:
+
+def _pearson(m, sxy, ends) -> list[list[float]]:
+    """r[a-1][b-1] = (m Sxy - Sx Sy) / (sqrt(m Sxx - Sx^2) sqrt(m Syy - Sy^2))
+    over m edges, x the source's type-a and y the target's type-b degree, of
+    the Python integers sxy[a-1][b-1] = Sxy and ends (_end_sums).  Only the
+    roots and the division round; a degenerate end (root 0) gives r = 0."""
+    (sx, sy), (rx, ry) = ends
+    return [[(m * sxy[a][b] - sx[a] * sy[b]) / (rx[a] * ry[b])
+             if rx[a] * ry[b] else 0.0 for b in range(2)] for a in range(2)]
+
+
+def assortativity_of_graph(g: DirectedGraph) -> AssortProfile:
+    """Assortativity of a graph with at least one edge, no edge mix built:
+    _pearson over the exact integer sums of the edges."""
+    if g.num_edges == 0:
         raise ValueError("graph has no edges; assortativity undefined")
     deg = np.stack((g.out_deg, g.in_deg))
     sxy = (deg.take(g.src, axis=1) @ deg.take(g.dst, axis=1).T).tolist()
-    # A node ends out- (in-) degree many edges as a source (target), so
-    # column 0 (1) of P and Q sums those ends' degrees and their squares;
-    # sd[0] (sd[1]) is m times their sds.
-    P, Q = (((deg ** k) @ deg.T).tolist() for k in (1, 2))
-    sd = [[math.sqrt(m * Q[a][e] - P[a][e] ** 2) for a in range(2)]
-          for e in range(2)]
-    r = [[(m * sxy[a][b] - P[a][0] * P[b][1]) / (sd[0][a] * sd[1][b])
-          if sd[0][a] * sd[1][b] else 0.0 for b in range(2)]
-         for a in range(2)]
-    return _profile(r, *sd)
+    ends = _end_sums(g)
+    return _profile(_pearson(g.num_edges, sxy, ends), *ends[1])
 
 
 _ETA_HEADER = ("i", "j", "k", "l", "eta")

@@ -604,12 +604,17 @@ def cmd_scenario_gains(params: dict) -> dict:
 
 
 def cmd_aggregate(params: dict) -> dict:
-    traces = [read_trace_csv(path) for path in params["inputs"]]
-    steps0 = [row[0] for row in traces[0].checkpoints]
-    for path, trace in zip(params["inputs"][1:], traces[1:]):
-        if [row[0] for row in trace.checkpoints] != steps0:
-            raise CliError(f"{path}: checkpoint steps differ from "
-                           f"{params['inputs'][0]}")
+    paths = params["inputs"]
+    traces = [read_trace_csv(path) for path in paths]
+    # Stop-early replicates stop at different steps: average the shortest's.
+    short = min(range(len(traces)), key=lambda i: len(traces[i].checkpoints))
+    steps0 = [row[0] for row in traces[short].checkpoints]
+    if not steps0:
+        raise CliError(f"{paths[short]}: no checkpoint rows")
+    for path, trace in zip(paths, traces):
+        if [row[0] for row in trace.checkpoints[:len(steps0)]] != steps0:
+            raise CliError(f"{path}: checkpoint steps do not begin with "
+                           f"those of {paths[short]}")
     mean_rows = []
     for i, step in enumerate(steps0):
         stack = np.array([trace.checkpoints[i][1:] for trace in traces])

@@ -38,15 +38,16 @@ stops at a checkpoint (RewiringConfig.stop_at), only those before it, so
 the later pairs never run.  The checkpoint cadence sets only the trace
 resolution; it never changes the chain.
 
-Accepted swaps change the four degree products by integers.  Integer
-totals of those changes and of the accepted count serve the checkpoints;
-with scenario gains, so do tallies per bucket, the unordered pair of the
-two edges' scenarios, in report order (_BUCKETS): alpha-alpha, alpha-beta,
-alpha-gamma, beta-beta, beta-gamma, gamma-gamma.  The end means and sds
-that turn those sums into coefficients never change either: _standardise,
-behind every coefficient, takes them from each end's exact class counts.
-chain_setup gathers them with the chain's other seed-free inputs, once per
-graph and eta, and replicate chains share the result.
+An accepted swap adds the outer product of its sources' degree difference
+and its targets' degree difference to the four integer degree-product
+sums.  Each checkpoint adds the swaps since the last with one 2 x 2
+integer product, and assortativity._pearson, assortativity_of_graph's
+formula, turns the sums into the row: exactly the coefficients of the
+graph at its step.  Scenario gains tally the swaps' products per bucket,
+the unordered pair of the two edges' scenarios, in report order (_BUCKETS):
+alpha-alpha, alpha-beta, alpha-gamma, beta-beta, beta-gamma, gamma-gamma.
+chain_setup gathers the end sums and the chain's other seed-free inputs
+once per graph and eta; replicate chains share them.
 """
 from __future__ import annotations
 
@@ -58,8 +59,9 @@ from .assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
+    _end_sums,
+    _pearson,
     _profile,
-    _standardise,
 )
 from .graph import (
     _LABEL_CODES,
@@ -191,19 +193,17 @@ def read_trace_csv(path) -> RewiringTrace:
 # The chain
 # ---------------------------------------------------------------------------
 
-def _end_classes(g: DirectedGraph, pairs, side: str):
+def _end_classes(g: DirectedGraph, pairs, side: str) -> np.ndarray:
     """Each node's index in pairs, eta's source or target pairs (-1 where it
-    ends no edge on that side), and that end's degree means and sds over
-    the exact edge counts of those classes.  Raises ValueError when a
-    realised pair is missing from pairs (support mismatch with eta).
+    ends no edge on that side).  Raises ValueError when a realised pair is
+    missing from pairs (support mismatch with eta).
     """
     codes = _pair_codes(g.out_deg, g.in_deg)
     keys = _pair_codes(*np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
     order = np.argsort(keys)
     # A node is some edge's source (target) exactly when its out- (in-)
     # degree is positive.
-    deg, ends = (g.out_deg, g.src) if side == "source" else (g.in_deg, g.dst)
-    nodes = np.flatnonzero(deg)
+    nodes = np.flatnonzero(g.out_deg if side == "source" else g.in_deg)
     pos = np.searchsorted(keys, codes[nodes], sorter=order)
     hit = pos < keys.size
     hit[hit] = keys[order[pos[hit]]] == codes[nodes[hit]]
@@ -214,8 +214,7 @@ def _end_classes(g: DirectedGraph, pairs, side: str):
             f"support mismatch: {side} degree pair {pair} absent from eta")
     idx = np.full(g.num_nodes, -1, dtype=np.int64)
     idx[nodes] = order[pos]
-    counts = np.bincount(idx[ends], minlength=len(pairs))
-    return (idx, *_standardise(pairs, counts)[1:])
+    return idx
 
 
 def _propose(dst, e1, e2, u, row, tp, Hf):
@@ -255,15 +254,12 @@ class ChainSetup:
     """What every chain on one graph toward one eta shares.
 
     Degrees never change, so none of it depends on the seed: the ends'
-    degree means and sds, each edge's source (out, in) degrees and eta row
-    offset, each node's (out, in) degrees and eta target-pair index, and the
-    initial degree-product sums.
+    sums (_end_sums), each edge's source (out, in) degrees (src_deg, m x 2)
+    and eta row offset, each node's (out, in) degrees (node_deg, n x 2) and
+    eta target-pair index, and the initial 2 x 2 degree-product sums.
     """
 
-    centre: np.ndarray
-    scale: np.ndarray
-    sd_s: np.ndarray
-    sd_t: np.ndarray
+    ends: tuple
     src_deg: np.ndarray
     node_deg: np.ndarray
     row: np.ndarray
@@ -273,20 +269,18 @@ class ChainSetup:
 
 def chain_setup(g: DirectedGraph, eta: EdgeMixMatrix) -> ChainSetup:
     """The invariants of rewiring g toward eta, for any number of chains;
-    the ends' moments come from exact class counts (_end_classes).  Raises
+    the ends' sums come from g's degrees, whatever pairs eta lists.  Raises
     ValueError when g has fewer than two edges, or when a realised degree
     pair is missing from eta.
     """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
-    node_deg = np.stack((g.out_deg, g.in_deg))
-    src_deg = node_deg.take(g.src, axis=1)
-    s_init = (src_deg @ node_deg[:, g.dst].T).ravel()
-    sp_node, mean_s, sd_s = _end_classes(g, eta.source_pairs, "source")
-    tp_node, mean_t, sd_t = _end_classes(g, eta.target_pairs, "target")
-    return ChainSetup(np.outer(mean_s, mean_t), np.outer(sd_s, sd_t),
-                      sd_s, sd_t, src_deg, node_deg,
-                      sp_node[g.src] * eta.H.shape[1], tp_node, s_init)
+    node_deg = np.stack((g.out_deg, g.in_deg), axis=1)
+    src_deg = node_deg.take(g.src, axis=0)
+    s_init = src_deg.T @ node_deg.take(g.dst, axis=0)
+    row = _end_classes(g, eta.source_pairs, "source")[g.src] * eta.H.shape[1]
+    return ChainSetup(_end_sums(g), src_deg, node_deg, row,
+                      _end_classes(g, eta.target_pairs, "target"), s_init)
 
 
 def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
@@ -302,33 +296,30 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
     m = g.num_edges
     half = m // 2
     rng = np.random.default_rng(cfg.seed)
-    src_deg, node_deg = setup.src_deg, setup.node_deg
-    sd_s, sd_t = setup.sd_s, setup.sd_t
+    src_deg, node_deg, ends = setup.src_deg, setup.node_deg, setup.ends
     fixed = (setup.row, setup.tp_node, eta.H.ravel())
     # The chain swaps targets in the result's own dst; the rest is g's.
     result = g.with_targets(g.dst.copy())
     dst = result.dst
-    # Accepted swaps, then the changes of the four degree products: their
-    # totals, and with gains one column per bucket.
-    total = np.zeros(5, dtype=np.int64)
+    # The accepted swaps' changes of the four degree products; with gains,
+    # also per bucket (rows), and each bucket's accepted count.
+    total = np.zeros((2, 2), dtype=np.int64)
     if track_gains:
-        tally = np.zeros((5, len(_BUCKETS)), dtype=np.int64)
+        tally = np.zeros((len(_BUCKETS), 4), dtype=np.int64)
+        counts = np.zeros(len(_BUCKETS), dtype=np.int64)
 
-    def profile_of(sums) -> AssortProfile:
-        s = setup.s_init + sums[1:]
-        # A degenerate end divides by zero here, and _profile rejects it.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (s.reshape(2, 2) / m - setup.centre) / setup.scale
-        return _profile(r, sd_s, sd_t)
+    def profile_of(total) -> AssortProfile:
+        sxy = (setup.s_init + total).tolist()
+        return _profile(_pearson(m, sxy, ends), *ends[1])
 
     def reached(prof: AssortProfile) -> bool:
         return (cfg.stop_at is not None
                 and prof.max_abs_diff(cfg.stop_at) <= cfg.tolerance)
 
-    trace = RewiringTrace([(0, *_profile_vals(profile_of(total)), 0.0)])
+    trace = RewiringTrace([(0, *profile_of(total).as_dict().values(), 0.0)])
     stop = reached(trace.final_profile())
     every = cfg.checkpoint_every
-    steps_done = last_accepted = 0
+    steps_done = accepted = 0   # accepted: swaps since the last row
     at, rounds = half, 0    # the current round's pairs proposed; rounds run
     while steps_done < cfg.max_steps and not stop:
         if at == half:
@@ -341,12 +332,10 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
         at += n
         hit, v2, v4 = _propose(dst, e1, e2, rng.random(n), *fixed)
         x1, x2 = e1.take(hit), e2.take(hit)
-        # One column per accepted swap: a count of 1, then the changes of
-        # the degree products (source out, in times target out, in).
-        d = src_deg.take(x1, axis=1) - src_deg.take(x2, axis=1)
-        gain = node_deg.take(v4, axis=1) - node_deg.take(v2, axis=1)
-        change = np.ones((5, hit.size), dtype=np.int64)
-        np.multiply(d[:, None], gain, out=change[1:].reshape(2, 2, -1))
+        # A swap adds d (x) gain to the degree products (source out, in
+        # times target out, in): one row of each per accepted swap.
+        d = src_deg.take(x1, axis=0) - src_deg.take(x2, axis=0)
+        gain = node_deg.take(v4, axis=0) - node_deg.take(v2, axis=0)
         # The chunk's checkpoints, as counts of its pairs that run before
         # them: the cadence's multiples and the run's last step.
         ckpts = list(range(every - steps_done % every, n + 1, every))
@@ -354,48 +343,45 @@ def _run_chain(g: DirectedGraph, eta: EdgeMixMatrix, cfg: RewiringConfig,
             ckpts.append(n)
         done = 0    # the chunk's accepted swaps counted in total
         for end, j in zip(ckpts, np.searchsorted(hit, ckpts).tolist()):
-            total += change[:, done:j].sum(axis=1)
-            done = j
+            total += d[done:j].T @ gain[done:j]
+            accepted, done = accepted + j - done, j
             prof = profile_of(total)
-            accepted = int(total[0])
             step, last = steps_done + end, trace.checkpoints[-1][0]
-            trace.checkpoints.append((step, *_profile_vals(prof),
-                                      (accepted - last_accepted)
-                                      / (step - last)))
-            last_accepted = accepted
+            trace.checkpoints.append((step, *prof.as_dict().values(),
+                                      accepted / (step - last)))
+            accepted = 0
             if reached(prof):
                 stop, n = True, end
                 break
         if not stop:
-            total += change[:, done:].sum(axis=1)
-            done = hit.size
+            total += d[done:].T @ gain[done:]
+            accepted, done = accepted + hit.size - done, hit.size
         # The accepted swaps that ran: the chunk's, or those before a stop.
         dst[x1[:done]], dst[x2[:done]] = v4[:done], v2[:done]
         if track_gains:
             cell = _BUCKET_OF[lab.take(x1[:done]), lab.take(x2[:done])]
-            for counts, vals in zip(tally, change[:, :done]):
-                np.add.at(counts, cell, vals)
+            # Per column: np.add.at is several times slower on whole rows.
+            products = d[:done, [0, 0, 1, 1]] * gain[:done, [0, 1, 0, 1]]
+            for column, values in zip(tally.T, products.T):
+                np.add.at(column, cell, values)
+            counts += np.bincount(cell, minlength=len(_BUCKETS))
         steps_done += n
 
-    gains = _gains(tally, m, sd_s, sd_t) if track_gains else None
+    gains = _gains(counts, tally, m, ends) if track_gains else None
     return result, trace, gains
 
 
-def _profile_vals(p: AssortProfile) -> tuple[float, float, float, float]:
-    return (p.r11, p.r12, p.r21, p.r22)
+def _gains(counts, tally, m, ends) -> ScenarioGains:
+    """The gains of the accepted counts and product tally (rows: _BUCKETS).
+    The end sums never change, so r moves by _pearson(change), Sx Sy = 0."""
+    def to_r(s) -> dict[str, float]:
+        r = _pearson(m, s.reshape(2, 2).tolist(), ([[0, 0]] * 2, ends[1]))
+        return {f"r{a}{b}": r[a - 1][b - 1] for a, b in TYPE_PAIRS}
 
-
-def _gains(tally, m, sd_s, sd_t) -> ScenarioGains:
-    """The gains of the chain's tally (columns: _BUCKETS)."""
-    def to_r(s: list[int]) -> dict[str, float]:
-        return {f"r{a}{b}": v / (m * sd_s[a - 1] * sd_t[b - 1])
-                for (a, b), v in zip(TYPE_PAIRS, s)}
-
-    buckets = {key: vals for key, vals in zip(_BUCKETS, tally.T.tolist())
-               if vals[0] > 0}
-    return ScenarioGains({k: vals[0] for k, vals in buckets.items()},
-                         {k: to_r(vals[1:]) for k, vals in buckets.items()},
-                         to_r(tally[1:].sum(axis=1).tolist()))
+    used = np.flatnonzero(counts).tolist()
+    return ScenarioGains({_BUCKETS[k]: int(counts[k]) for k in used},
+                         {_BUCKETS[k]: to_r(tally[k]) for k in used},
+                         to_r(tally.sum(axis=0)))
 
 
 def rewire(
@@ -427,5 +413,4 @@ def rewire_with_scenario_gains(
     rewire, the rewired graph shares src, out_deg, in_deg and edge_labels
     with g as read-only views, and dst is its only new array.
     """
-    result, trace, gains = _run_chain(g, eta, cfg, track_gains=True)
-    return result, trace, gains
+    return _run_chain(g, eta, cfg, track_gains=True)

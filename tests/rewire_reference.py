@@ -8,19 +8,17 @@ pairs at once: the generator's draws come in sequence, so they are the
 library's chunk draws joined, whatever the chunk size.  With the same
 float acceptance test, for a given seed it must reproduce the library's
 edge list, trace rows and scenario gains exactly.  Degree products are
-integer sums updated per accepted swap, and each checkpoint turns them into
-coefficients with the library's moment formula, over the same masses: each
-end's edge counts per eta pair, so equal chains give bit-equal rows.
+integer sums updated per accepted swap.  Each checkpoint turns them into
+coefficients with its own copy of the integer formula,
+(m Sxy - Sx Sy) / (sqrt(m Sxx - Sx^2) sqrt(m Syy - Sy^2)), from plain
+Python integers summed edge by edge and math.sqrt, and each gain is
+m dSxy over the same roots, so equal chains give bit-equal rows and gains.
 """
-from collections import Counter
+import math
 
 import numpy as np
 
-from didpr.assortativity import (
-    TYPE_PAIRS,
-    _profile,
-    _standardise,
-)
+from didpr.assortativity import TYPE_PAIRS, _profile
 from didpr.graph import _LABEL_NAMES
 from didpr.rewire import _SHUFFLE_ROUNDS, RewiringTrace, ScenarioGains
 
@@ -37,16 +35,17 @@ def reference_chain(g, eta, cfg, track_gains=False):
     dst = g.dst.tolist()
     spe = [src_index[(out_l[v], in_l[v])] for v in src]
     tp = {v: tgt_index[(out_l[v], in_l[v])] for v in dst}
-    src_count, tgt_count = Counter(spe), Counter(tp[v] for v in dst)
-    _, mean_s, sd_s = _standardise(eta.source_pairs, [
-        src_count[i] for i in range(len(eta.source_pairs))])
-    _, mean_t, sd_t = _standardise(eta.target_pairs, [
-        tgt_count[i] for i in range(len(eta.target_pairs))])
     H = eta.H.tolist()
     so = [out_l[v] for v in src]
     si = [in_l[v] for v in src]
     m = len(src)
     half = m // 2
+    # Each end's degree sums and roots over the edges, by degree type.
+    ends = {"s": {1: so, 2: si}, "t": {1: [out_l[v] for v in dst],
+                                        2: [in_l[v] for v in dst]}}
+    sums = {e: {a: sum(x) for a, x in xs.items()} for e, xs in ends.items()}
+    roots = {e: {a: math.sqrt(m * sum(v * v for v in x) - sums[e][a] ** 2)
+                 for a, x in xs.items()} for e, xs in ends.items()}
 
     s = {(1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 0}
     for e in range(m):
@@ -58,9 +57,11 @@ def reference_chain(g, eta, cfg, track_gains=False):
     buckets = {}
 
     def profile_vals():
-        sums = np.array([s[k] for k in TYPE_PAIRS]).reshape(2, 2)
-        r = (sums / m - np.outer(mean_s, mean_t)) / np.outer(sd_s, sd_t)
-        p = _profile(r, sd_s, sd_t)
+        r = [[(m * s[(a, b)] - sums["s"][a] * sums["t"][b])
+              / (roots["s"][a] * roots["t"][b]) for b in (1, 2)]
+             for a in (1, 2)]
+        p = _profile(r, [roots["s"][1], roots["s"][2]],
+                     [roots["t"][1], roots["t"][2]])
         return (p.r11, p.r12, p.r21, p.r22)
 
     def within(vals):
@@ -112,9 +113,9 @@ def reference_chain(g, eta, cfg, track_gains=False):
     if not track_gains:
         return np.array(dst, dtype=np.int64), trace, None
 
-    def to_r(sums):
-        return {f"r{a}{b}": sums[(a, b)] / (m * sd_s[a - 1] * sd_t[b - 1])
-                for a, b in TYPE_PAIRS}
+    def to_r(change):
+        return {f"r{a}{b}": m * change[(a, b)]
+                / (roots["s"][a] * roots["t"][b]) for a, b in TYPE_PAIRS}
 
     gains = ScenarioGains(
         {key: count for key, (count, _) in buckets.items()},

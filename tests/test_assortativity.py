@@ -3,12 +3,14 @@
 The reference computations are a direct Pearson correlation over the raw
 edge list with population normalisation (for type pair (a, b), x_e is the
 source's type-a degree and y_e the target's type-b degree), and the same
-correlation worked out exactly from integer sums.
+correlation worked out exactly from integer sums or from rational moments.
 """
 import importlib
+import math
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +76,31 @@ def exact_profile(g):
             var_x = m * sum(u * u for u in xs) - sum(xs) ** 2
             var_y = m * sum(v * v for v in ys) - sum(ys) ** 2
             vals.append(float(Decimal(cov) / Decimal(var_x * var_y).sqrt()))
+    return AssortProfile(*vals)
+
+
+def fraction_profile(g):
+    """r(a, b) from the edge list's moments as Fractions: means, covariance
+    and variances are exact, and only the root of r^2, taken to 40 digits,
+    and the final rounding are not."""
+    x = {1: g.out_deg[g.src].tolist(), 2: g.in_deg[g.src].tolist()}
+    y = {1: g.out_deg[g.dst].tolist(), 2: g.in_deg[g.dst].tolist()}
+    m = g.num_edges
+
+    def moment(us, vs):
+        return Fraction(sum(u * v for u, v in zip(us, vs)), m)
+
+    vals = []
+    for a, b in TYPE_PAIRS:
+        xs, ys = x[a], y[b]
+        mx, my = Fraction(sum(xs), m), Fraction(sum(ys), m)
+        cov = moment(xs, ys) - mx * my
+        var_x, var_y = moment(xs, xs) - mx ** 2, moment(ys, ys) - my ** 2
+        r2 = cov ** 2 / (var_x * var_y)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            r = (Decimal(r2.numerator) / Decimal(r2.denominator)).sqrt()
+        vals.append(math.copysign(float(r), cov))
     return AssortProfile(*vals)
 
 
@@ -182,6 +209,28 @@ class TestExactOracle:
         for got in (assortativity_of_graph(g), assortativity(mix),
                     assortativity_from_edges(g), step0):
             assert got.max_abs_diff(want) <= 1e-12
+
+    def test_sums_past_int64_stay_exact(self):
+        # An out-hub and an in-hub of degree 7e4 put m Sxx past 2**63 for
+        # the source out-degree and the target in-degree: the products must
+        # not be taken in int64.  The graph's coefficients and the chain's
+        # step-0 row must print as the rational moments do.
+        hub, rng = 70_000, np.random.default_rng(1)
+        src = np.concatenate(([0] * hub, np.arange(2, hub + 1),
+                              rng.integers(2, hub + 1, 30_000)))
+        dst = np.concatenate((np.arange(1, hub + 1), [1] * (hub - 1),
+                              rng.integers(2, hub + 1, 30_000)))
+        g = DirectedGraph.from_edges(hub + 1, src, dst)
+        for deg, ends in ((g.out_deg, g.src), (g.in_deg, g.dst)):
+            assert g.num_edges * sum(v * v for v in deg[ends].tolist()) > 2**63
+        want = fraction_profile(g)
+        _, trace = rewire(g, edge_mix_from_graph(g),
+                          RewiringConfig(max_steps=1, seed=0))
+        for got in (assortativity_of_graph(g),
+                    AssortProfile(*trace.checkpoints[0][1:5])):
+            for (a, b), val in zip(TYPE_PAIRS, want.as_dict().values()):
+                assert f"{got.get(a, b):.12g}" == f"{val:.12g}"
+                assert math.isclose(got.get(a, b), val, rel_tol=1e-15)
 
 
 class TestAssortativity:

@@ -400,6 +400,49 @@ def test_aggregate_averages_replicate_traces(er_graph, tmp_path, capsys):
                                          zip(a[1:], b[1:])], abs=1e-12)
 
 
+def test_aggregate_takes_stop_early_replicates(tmp_path, capsys):
+    # The two replicates reach tolerance at steps 5,000 and 6,000, so their
+    # traces end at different checkpoints: the mean covers the shorter's.
+    graph, out = tmp_path / "er.txt", tmp_path / "rw.txt"
+    assert cli.main(["generate", "er", "--n", "200", "--p", "0.1",
+                     "--seed", "1", "--out", str(graph)]) == 0
+    assert cli.main(["rewire", str(graph), "--targets", "0.3,0.2,-0.1,-0.1",
+                     "--tolerance", "0.05", "--checkpoint-every", "500",
+                     "--steps", "100000", "--replicates", "2", "--stop-early",
+                     "--seed", "1", "--out", str(out)]) == 0
+    inputs = [tmp_path / f"rw.txt.trace.r{rep}.csv" for rep in (1, 0)]
+    traces = [read_trace_csv(p).checkpoints for p in inputs]
+    assert [rows[-1][0] for rows in traces] == [6_000, 5_000]
+    mean = tmp_path / "mean.csv"
+    capsys.readouterr()
+    assert cli.main(["aggregate", *map(str, inputs), "--out", str(mean)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 11
+    got = read_trace_csv(mean).checkpoints
+    assert [row[0] for row in got] == list(range(0, 5_001, 500))
+    for row, a, b in zip(got, *traces):
+        assert row[1:] == pytest.approx([(x + y) / 2 for x, y in
+                                         zip(a[1:], b[1:])], abs=1e-12)
+    # Steps that are not a prefix of the shortest trace's stay an error
+    # that names the file.
+    lines = inputs[1].read_text(encoding="utf-8").splitlines()
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("\n".join(lines[:2] + ["501" + lines[2][3:]]
+                                 + lines[3:]) + "\n", encoding="utf-8")
+    assert cli.main(["aggregate", str(inputs[0]), str(shifted),
+                     "--out", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {inputs[0]}: checkpoint steps do not begin with those of "
+        f"{shifted}"]
+    # A trace without rows begins every trace, but gives no mean.
+    empty = tmp_path / "empty.csv"
+    empty.write_text(lines[0] + "\n", encoding="utf-8")
+    assert cli.main(["aggregate", str(inputs[0]), str(empty),
+                     "--out", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {empty}: no checkpoint rows"]
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def _bad_inputs(graph, tmp):
     """One bad invocation per subcommand that argparse itself accepts."""
     malformed = tmp / "malformed.txt"

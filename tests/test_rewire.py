@@ -547,3 +547,32 @@ def test_step_zero_row_is_the_pearson_over_edges(dpa, superset):
     want = assortativity_from_edges(g)
     assert trace.checkpoints[0][1:5] == pytest.approx(
         (want.r11, want.r12, want.r21, want.r22), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", ["er1000", "dpa2e4"])
+def test_every_row_is_the_coefficients_of_its_graph(model):
+    # A run's trajectory depends only on the seed and the step count, so a
+    # run of k steps ends on the chain's graph at step k, and its last row
+    # must be that graph's assortativity_of_graph, bit for bit: one integer
+    # formula serves both.  The runs end at the first step, inside the
+    # first chunk, inside a later chunk, and after a round and a few pairs.
+    g = (gen_er(1000, 0.1, 1) if model == "er1000" else
+         gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1)))
+    eta, half = _random_eta(g, 2), g.num_edges // 2
+
+    def run(cfg):
+        rewired, trace = rewire(g, eta, cfg)
+        want = assortativity_of_graph(rewired).as_dict()
+        assert trace.checkpoints[-1][1:5] == tuple(want.values())
+        return trace
+
+    for steps in (1, 4_321, _CHUNK + 1_001, 3 * half + 7):
+        run(RewiringConfig(max_steps=steps, checkpoint_every=5_000, seed=3))
+    # A chain that stops at the step-15,000 row, inside a chunk, writes
+    # only the swaps before it.
+    row = run(RewiringConfig(max_steps=20_000, checkpoint_every=1_000,
+                             seed=3)).checkpoints[15]
+    trace = run(RewiringConfig(max_steps=10**6, checkpoint_every=1_000,
+                               tolerance=1e-12,
+                               stop_at=AssortProfile(*row[1:5]), seed=3))
+    assert trace.checkpoints[-1][0] == 15_000
