@@ -29,13 +29,12 @@ exactly; blank lines are skipped; every other line holds five
 comma-separated fields, four integer degrees in [0, 2**31) and a finite
 nonnegative entry, and no (i, j, k, l) may appear twice.
 
-Two read paths, one result.  After checking the header, read_eta_csv parses
-the rest of the file in one np.loadtxt pass over the path, with no string
-per line, and applies the row checks as masks.  Any failure there, an empty
-table or a flagged row sends the file through the line scan (_csv_rows and
-_parse_rows, with the same dtype and delimiter), the one place that names
-the first bad line.  Both paths parse each field with the same converter
-and build the matrix in _eta_rows, so they give the same pairs and H.
+Two read paths, one result.  read_eta_csv reads through graph._read_csv:
+one np.loadtxt pass over the path, with _eta_rows' checks as masks, and
+for a flagged row or any failure there the line scan, the one place that
+names the first bad line (_eta_why words it).  Both paths parse each field
+with the same converter and build the matrix in _eta_rows, so they give
+the same pairs and H.
 """
 from __future__ import annotations
 
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (DirectedGraph, _bulk_csv, _csv_rows, _decode_pairs,
-                    _first_problem, _pair_codes, _parse_rows)
+from .graph import (DirectedGraph, _decode_pairs, _pair_codes, _parse_rows,
+                    _read_csv)
 
 __all__ = [
     "TYPE_PAIRS",
@@ -270,12 +269,10 @@ def read_eta_csv(path) -> EdgeMixMatrix:
     nonnegative integer below 2**31, with an entry that is not a finite
     nonnegative number, or repeating the cell of an earlier row.
     """
-    table = _bulk_csv(path, _ETA_HEADER, _ETA_DTYPE)
-    if table is not None and table.size:
-        flags, matrix = _eta_rows(table)
-        if not any(bad.any() for bad in flags):
-            return matrix()
-    return _scan_eta_csv(path)
+    eta = _read_csv(path, _ETA_HEADER, _ETA_DTYPE, _eta_rows, _eta_why)
+    if not eta.H.size:
+        raise ValueError(f"{path}: no entries")
+    return eta
 
 
 def _eta_rows(table):
@@ -317,34 +314,23 @@ def _index_in(codes):
     return uniq, np.searchsorted(uniq, codes)
 
 
-def _scan_eta_csv(path) -> EdgeMixMatrix:
-    """Read an eta CSV line by line (_csv_rows, _parse_rows); raises
-    ValueError naming the first bad line, as read_eta_csv describes."""
-    nos, rows = _csv_rows(path, _ETA_HEADER)
-    table, parsed = _parse_rows(rows, _ETA_DTYPE, ",")
-    flags, matrix = _eta_rows(table)
-    problem = _first_problem(len(rows), parsed, *flags)
-    if problem:
-        row, kind = problem
-        fields = rows[row].split(",")
-        if kind == 3 and len(fields) == len(_ETA_HEADER):
-            # Five fields, one unparsable: the entry (kind 1) when the row
-            # parses with it replaced by 0, else the degrees (kind 0).
-            kind = _parse_rows([",".join(fields[:4] + ["0"])], _ETA_DTYPE,
-                               ",")[1]
-        if kind == 0:
-            why = (f"degrees {','.join(fields[:4])} are not all nonnegative "
-                   f"integers below 2**31")
-        elif kind == 1:
-            why = f"eta entry {fields[4]} is not finite and nonnegative"
-        elif kind == 2:
-            degrees = table["degrees"]
-            first = np.argmax((degrees == degrees[row]).all(axis=1))
-            why = (f"duplicate entry {','.join(fields[:4])} (first on line "
-                   f"{nos[first]})")
-        else:
-            why = f"expected {len(_ETA_HEADER)} fields, got {len(fields)}"
-        raise ValueError(f"{path}:{nos[row]}: {why}")
-    if not rows:
-        raise ValueError(f"{path}: no entries")
-    return matrix()
+def _eta_why(table, rows, nos, row, kind) -> str:
+    """What is wrong with eta row `row`, flagged with `kind` by
+    _read_csv: one of _eta_rows' checks, or a row that does not parse."""
+    fields = rows[row].split(",")
+    if kind == 3 and len(fields) == len(_ETA_HEADER):
+        # Five fields, one unparsable: the entry (kind 1) when the row
+        # parses with it replaced by 0, else the degrees (kind 0).
+        kind = _parse_rows([",".join(fields[:4] + ["0"])], _ETA_DTYPE,
+                           ",")[1]
+    if kind == 0:
+        return (f"degrees {','.join(fields[:4])} are not all nonnegative "
+                f"integers below 2**31")
+    if kind == 1:
+        return f"eta entry {fields[4]} is not finite and nonnegative"
+    if kind == 2:
+        degrees = table["degrees"]
+        first = np.argmax((degrees == degrees[row]).all(axis=1))
+        return (f"duplicate entry {','.join(fields[:4])} (first on line "
+                f"{nos[first]})")
+    return f"expected {len(_ETA_HEADER)} fields, got {len(fields)}"

@@ -28,11 +28,11 @@ as np.loadtxt allows, a field may carry spaces around it and a leading '+'.
   attaches it when it exists, and write_edge_list replaces both files.
 
 Two read paths, one result.  Every file the writers here make takes the
-bulk path: a plain edge list (printable ASCII but '%', tabs and line ends,
-every '#' at the start of a line) is parsed by one np.loadtxt pass over the
-file, and a sidecar of a, b, g and LF, one code per line, by one split.
-Any other file, and a plain one whose bulk read fails or finds a bad value,
-goes through the line scan described above, the one place that names errors.
+bulk path: an edge list with no '%' and every '#' starting a line, and a
+CSV file (_read_csv), are parsed by one np.loadtxt pass over the file, and
+a sidecar of a, b, g and LF, one code per line, by one split.  Any other
+file, and one whose bulk read fails or finds a bad value, goes through the
+line scan described above, the one place that names errors.
 """
 from __future__ import annotations
 
@@ -213,16 +213,6 @@ def _lines(path) -> list[str]:
         return fh.read().split("\n")
 
 
-def _csv_rows(path, header: tuple[str, ...]) -> tuple[list[int], list[str]]:
-    """(line numbers, lines) of the data rows of a CSV file: the nonblank
-    lines after a header line that must read exactly `header`."""
-    lines = _lines(path)
-    if lines[0].split(",") != list(header):
-        raise ValueError(f"{path}: expected header {','.join(header)}")
-    nos = [no for no, line in enumerate(lines[1:], 2) if line]
-    return nos, [lines[no - 1] for no in nos]
-
-
 def _parse_rows(rows: list[str], dtype: np.dtype, delimiter=None):
     """Parse rows in one np.loadtxt call into a structured array.
 
@@ -267,20 +257,6 @@ def _bulk_table(path, dtype: np.dtype, **options):
         return None
 
 
-def _bulk_csv(path, header: tuple[str, ...], dtype: np.dtype):
-    """The data rows of a CSV file whose first line reads exactly `header`
-    (as _csv_rows checks it), parsed by _bulk_table; None when the header
-    differs or the file cannot be read that way."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-    except Exception:
-        return None
-    if first.rstrip("\n") != ",".join(header):
-        return None
-    return _bulk_table(path, dtype, delimiter=",", comments=None, skiprows=1)
-
-
 def _first_problem(num_rows: int, parsed: int, *flags):
     """(row, kind) of the earliest bad row, or None when every row is good.
 
@@ -293,6 +269,39 @@ def _first_problem(num_rows: int, parsed: int, *flags):
         if bad.any() and (found is None or np.argmax(bad) < found[0]):
             found = (int(np.argmax(bad)), kind)
     return found
+
+
+def _read_csv(path, header: tuple[str, ...], dtype: np.dtype, check, why):
+    """Read a CSV file: the line `header`, then a row of dtype on each
+    nonblank line, its fields separated by commas.
+
+    check(table) gives (flags, build): masks of the rows failing each check,
+    and a function building the result once none does.  A good file is read
+    in one np.loadtxt pass over the path, any other by the line scan, which
+    raises a non-UTF-8 file's decoding error, "path: expected header ...",
+    or for the first bad row "path:line: " + why(table, rows, nos,
+    *_first_problem), rows being the data lines and nos their numbers.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        bulk = fh.readline().rstrip("\n") == ",".join(header)
+    table = (_bulk_table(path, dtype, delimiter=",", comments=None,
+                         skiprows=1) if bulk else None)
+    if table is not None:
+        flags, build = check(table)
+        if not any(bad.any() for bad in flags):
+            return build()
+    lines = _lines(path)
+    if lines[0].split(",") != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    nos = [no for no, line in enumerate(lines[1:], 2) if line]
+    rows = [lines[no - 1] for no in nos]
+    table, parsed = _parse_rows(rows, dtype, ",")
+    flags, build = check(table)
+    problem = _first_problem(len(rows), parsed, *flags)
+    if problem:
+        raise ValueError(f"{path}:{nos[problem[0]]}: "
+                         f"{why(table, rows, nos, *problem)}")
+    return build()
 
 
 _EDGE_DTYPE = np.dtype([("ends", np.int64, (2,))])
@@ -316,21 +325,33 @@ def read_edge_list(path) -> DirectedGraph:
     return g
 
 
-# Bytes of a plain edge list: printable ASCII but '%', tab, LF and CR.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b"%", b"") + b"\t\n\r"
-
-
 def _plain(data: bytes) -> bool:
-    """Whether the bulk path may read the file: every '#' starts a line, so
-    np.loadtxt drops exactly the scan's comment lines, and the file holds
-    only _PLAIN_BYTES.  Without '%', a '%' comment, which np.loadtxt would
-    take for a bad row, goes straight to the scan; the rest of that rule is
-    a precaution: where str.strip and np.loadtxt could part on what is
-    whitespace, the line scan decides."""
-    if data.translate(None, _PLAIN_BYTES):
+    """Whether the bulk path may read the file: no '%' (np.loadtxt would
+    take a '%' comment for a bad row), and every '#' starts a line, so
+    np.loadtxt drops exactly the scan's comment lines.  It strips and splits
+    a line as str.strip and str.split do, so no other byte needs the scan."""
+    if b"%" in data:
         return False
     hashes, first = data.count(b"#"), data.startswith(b"#")
     return hashes == first or hashes == first + data.count(b"\n#")
+
+
+def _node_count(comment: str, declared: int | None) -> int | None:
+    """The node count after a comment line, comment being its text after
+    the mark: N for a header "nodes=N", else declared.  Raises ValueError
+    when N is not an integer, is negative or does not fit in int64."""
+    body = comment.strip()
+    if not body.startswith("nodes="):
+        return declared
+    try:
+        count = int(body[len("nodes="):])
+    except ValueError as exc:
+        raise ValueError(f"bad node-count header {body!r}") from exc
+    if count < 0:
+        raise ValueError(f"negative node count {count}")
+    if count >= 2**63:
+        raise ValueError(f"node count {count} does not fit in int64")
+    return count
 
 
 def _bulk_edge_list(path, data: bytes) -> DirectedGraph | None:
@@ -341,15 +362,12 @@ def _bulk_edge_list(path, data: bytes) -> DirectedGraph | None:
     at = data.find(b"#")
     while at >= 0:
         end = data.find(b"\n", at)
-        body = data[at + 1:end if end >= 0 else None].strip()
-        if body.startswith(b"nodes="):
-            # A lone CR inside body fails int() too: the scan reads it.
-            try:
-                declared = int(body[len(b"nodes="):])
-            except ValueError:
-                return None
-            if not 0 <= declared < 2**63:
-                return None
+        # A lone CR inside a header fails int() too: the scan reads it.
+        try:
+            declared = _node_count(
+                data[at + 1:end if end >= 0 else None].decode(), declared)
+        except ValueError:
+            return None
         at = data.find(b"#", at + 1)
     table = _bulk_table(path, _EDGE_DTYPE, comments="#")
     if table is None:
@@ -376,20 +394,10 @@ def _scan_edge_list(path) -> DirectedGraph:
     declared: int | None = None
     for no in [no for no, s in enumerate(lines[:stop], 1)
                if s[:1] in ("#", "%")]:
-        body = lines[no - 1][1:].strip()
-        if not body.startswith("nodes="):
-            continue
         try:
-            declared = int(body[len("nodes="):])
+            declared = _node_count(lines[no - 1][1:], declared)
         except ValueError as exc:
-            raise GraphFormatError(
-                f"{path}:{no}: bad node-count header {body!r}") from exc
-        if declared < 0:
-            raise GraphFormatError(
-                f"{path}:{no}: negative node count {declared}")
-        if declared >= 2**63:
-            raise GraphFormatError(
-                f"{path}:{no}: node count {declared} does not fit in int64")
+            raise GraphFormatError(f"{path}:{no}: {exc}") from exc
     if problem:
         row, kind = problem
         line = rows[row]

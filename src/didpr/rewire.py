@@ -67,10 +67,8 @@ from .graph import (
     _LABEL_CODES,
     _LABEL_NAMES,
     DirectedGraph,
-    _csv_rows,
-    _first_problem,
     _pair_codes,
-    _parse_rows,
+    _read_csv,
 )
 
 __all__ = [
@@ -169,24 +167,22 @@ class RewiringTrace:
 
 
 def read_trace_csv(path) -> RewiringTrace:
-    """Read a trace written by RewiringTrace.to_csv.
-
-    Blank lines are skipped.  The first row without six fields, or with a
-    value that is not a finite number, raises ValueError naming its line.
+    """Read a trace written by RewiringTrace.to_csv, in one np.loadtxt pass
+    when it is good (graph._read_csv).  Blank lines are skipped.  The first
+    row without six fields, or with a step that is not an integer or a value
+    that is not a finite number, raises ValueError naming its line.
     """
-    nos, rows = _csv_rows(path, _TRACE_HEADER)
-    table, parsed = _parse_rows(rows, _TRACE_DTYPE, ",")
-    problem = _first_problem(len(rows), parsed,
-                             ~np.isfinite(table["values"]).all(axis=1))
-    if problem:
-        row = problem[0]
+    def check(table):
+        return ((~np.isfinite(table["values"]).all(axis=1),),
+                lambda: RewiringTrace(list(zip(table["step"].tolist(),
+                                               *table["values"].T.tolist()))))
+
+    def why(table, rows, nos, row, kind) -> str:
         width = len(rows[row].split(","))
-        why = ("expected an integer step and finite values"
-               if width == len(_TRACE_HEADER)
-               else f"expected {len(_TRACE_HEADER)} fields, got {width}")
-        raise ValueError(f"{path}:{nos[row]}: {why}")
-    return RewiringTrace(list(zip(table["step"].tolist(),
-                                  *table["values"].T.tolist())))
+        return ("expected an integer step and finite values"
+                if width == len(_TRACE_HEADER)
+                else f"expected {len(_TRACE_HEADER)} fields, got {width}")
+    return _read_csv(path, _TRACE_HEADER, _TRACE_DTYPE, check, why)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ def reference_read_edge_list(path):
         if declared < 0:
             raise GraphFormatError(
                 f"{path}:{no}: negative node count {declared}")
+        if declared >= 2**63:
+            raise GraphFormatError(
+                f"{path}:{no}: node count {declared} does not fit in int64")
     if problem:
         row, kind = problem
         line = rows[row]

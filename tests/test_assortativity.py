@@ -19,7 +19,6 @@ from didpr.assortativity import (
     TYPE_PAIRS,
     AssortProfile,
     EdgeMixMatrix,
-    _scan_eta_csv,
     _standardise,
     assortativity,
     assortativity_of_graph,
@@ -30,7 +29,7 @@ from didpr.assortativity import (
 from didpr.eta import problem_from_graph, solve_target_eta
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
-from didpr.rewire import RewiringConfig, rewire
+from didpr.rewire import RewiringConfig, read_trace_csv, rewire
 
 from graph_helpers import (
     assortativity_from_edges,
@@ -425,13 +424,21 @@ class TestEtaCsv:
 
 
 ASSORTATIVITY = importlib.import_module("didpr.assortativity")
+GRAPH = importlib.import_module("didpr.graph")
 
 
 def _bulk_only(monkeypatch):
     """Make the line scan fail, so a read must take the bulk path."""
     def no_scan(path):
         raise AssertionError(f"{path} went through the line scan")
-    monkeypatch.setattr(ASSORTATIVITY, "_scan_eta_csv", no_scan)
+    monkeypatch.setattr(GRAPH, "_lines", no_scan)
+
+
+def _scanned(read, path, monkeypatch):
+    """What read makes of path when the bulk pass turns every file back."""
+    with monkeypatch.context() as patch:
+        patch.setattr(GRAPH, "_bulk_table", lambda *args, **options: None)
+        return read(path)
 
 
 def _same_matrix(a, b):
@@ -457,7 +464,8 @@ def _spaced(row: bytes) -> bytes:
 
 
 def _plus(row: bytes) -> bytes:
-    return b",".join(b"+" + field for field in row.split(b","))
+    return b",".join(field if field.startswith(b"-") else b"+" + field
+                     for field in row.split(b","))
 
 
 def _blank_lines(rows: list[bytes]) -> list[bytes]:
@@ -467,8 +475,8 @@ def _blank_lines(rows: list[bytes]) -> list[bytes]:
     return out
 
 
-# Copies of a written eta CSV: (line end, rewrite of the row list, of a row).
-ETA_CSV_VARIANTS = {
+# Copies of a written CSV: (line end, rewrite of the row list, of a row).
+CSV_VARIANTS = {
     "crlf": (b"\r\n", None, None),
     "lf": (b"\n", None, None),
     "cr": (b"\r", None, None),
@@ -479,6 +487,17 @@ ETA_CSV_VARIANTS = {
 }
 
 
+def _variant(source, path, variant):
+    """Write to path the copy `variant` of the CRLF file source."""
+    end, rewrite_rows, rewrite_row = CSV_VARIANTS[variant]
+    header, *rows = source.read_bytes().split(b"\r\n")[:-1]
+    if rewrite_row is not None:
+        rows = [rewrite_row(row) for row in rows]
+    if rewrite_rows is not None:
+        rows = rewrite_rows(rows)
+    path.write_bytes(end.join([header, *rows]) + end)
+
+
 class TestEtaCsvReadPaths:
     def test_written_file_takes_the_bulk_path(self, dpa_eta_csv,
                                               monkeypatch):
@@ -486,20 +505,14 @@ class TestEtaCsvReadPaths:
         _bulk_only(monkeypatch)
         assert _same_matrix(read_eta_csv(path), eta)
 
-    @pytest.mark.parametrize("variant", sorted(ETA_CSV_VARIANTS))
+    @pytest.mark.parametrize("variant", sorted(CSV_VARIANTS))
     def test_paths_agree(self, dpa_eta_csv, tmp_path, monkeypatch, variant):
         # The same pairs and the same H bits from both paths, and from the
         # matrix that was written.
         source, eta = dpa_eta_csv
-        end, rewrite_rows, rewrite_row = ETA_CSV_VARIANTS[variant]
-        header, *rows = source.read_bytes().split(b"\r\n")[:-1]
-        if rewrite_row is not None:
-            rows = [rewrite_row(row) for row in rows]
-        if rewrite_rows is not None:
-            rows = rewrite_rows(rows)
         path = tmp_path / "eta.csv"
-        path.write_bytes(end.join([header, *rows]) + end)
-        scanned = _scan_eta_csv(path)
+        _variant(source, path, variant)
+        scanned = _scanned(read_eta_csv, path, monkeypatch)
         _bulk_only(monkeypatch)
         assert _same_matrix(read_eta_csv(path), scanned)
         assert _same_matrix(scanned, eta)
@@ -546,4 +559,61 @@ class TestEtaCsvReadPaths:
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 read_eta_csv(path)
+        assert str(info.value) == f"{path}{message}"
+
+
+def _same_rows(a, b):
+    return (a.checkpoints == b.checkpoints
+            and np.array(a.checkpoints).tobytes()
+            == np.array(b.checkpoints).tobytes())
+
+
+@pytest.fixture(scope="module")
+def chain_trace_csv(tmp_path_factory):
+    """The trace of a 20,000-step chain on ER (200, 0.05) toward its own
+    mixing matrix, a row every 100 steps."""
+    g = gen_er(200, 0.05, seed=3)
+    _, trace = rewire(g, edge_mix_from_graph(g),
+                      RewiringConfig(max_steps=20_000, checkpoint_every=100,
+                                     seed=3))
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    trace.to_csv(path)
+    return path
+
+
+class TestTraceCsvReadPaths:
+    def test_written_file_takes_the_bulk_path(self, chain_trace_csv,
+                                              monkeypatch):
+        want = _scanned(read_trace_csv, chain_trace_csv, monkeypatch)
+        _bulk_only(monkeypatch)
+        got = read_trace_csv(chain_trace_csv)
+        assert len(got.checkpoints) == 201
+        assert _same_rows(got, want)
+
+    @pytest.mark.parametrize("variant", sorted(CSV_VARIANTS))
+    def test_paths_agree(self, chain_trace_csv, tmp_path, monkeypatch,
+                         variant):
+        # The same rows, bit for bit, from both paths and from the file
+        # that was written.
+        path = tmp_path / "trace.csv"
+        _variant(chain_trace_csv, path, variant)
+        scanned = _scanned(read_trace_csv, path, monkeypatch)
+        _bulk_only(monkeypatch)
+        assert _same_rows(read_trace_csv(path), scanned)
+        assert _same_rows(scanned, read_trace_csv(chain_trace_csv))
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("step,r11,r12,r21,r22,acc_rate\n0,0.1,0.2,0.3,0.4,0\n"
+                     "   \n100,0.1,0.2,0.3,0.4,0.5\n",
+                     ":3: expected 6 fields, got 1", id="spaces-only"),
+        pytest.param("step,r11,r12,r21,r22,acc_rate\n0,0.1,0.2,0.3,0.4,0,\n",
+                     ":2: expected 6 fields, got 7", id="trailing-comma"),
+    ])
+    def test_files_the_bulk_path_turns_back(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                read_trace_csv(path)
         assert str(info.value) == f"{path}{message}"

@@ -453,7 +453,13 @@ def _bad_inputs(graph, tmp):
     not_a_trace.write_text("a,b\n1,2\n", encoding="utf-8")
     empty_pairs = tmp / "empty.config.json"
     empty_pairs.write_text(json.dumps({"pairs": []}), encoding="utf-8")
+    configs = {}
+    for name, text in (("not-json", "{not json"), ("list", "[1, 2]"),
+                       ("bounds", json.dumps({"command": "bounds"}))):
+        configs[name] = str(tmp / f"{name}.config.json")
+        Path(configs[name]).write_text(text, encoding="utf-8")
     out = str(tmp / "out")
+    er = ["generate", "er", "--n", "10", "--p", "0.1", "--out", out]
     return {
         "generate": ["generate", "er", "--n", "10", "--out", out],
         "assort": ["assort", str(tmp / "missing.txt")],
@@ -477,13 +483,40 @@ def _bad_inputs(graph, tmp):
         "bounds-empty-config-pairs": ["bounds", "--graph", str(graph),
                                       "--config", str(empty_pairs),
                                       "--out", out],
+        "config-not-json": er + ["--config", configs["not-json"]],
+        "config-not-object": er + ["--config", configs["list"]],
+        "config-for-another-command": er + ["--config", configs["bounds"]],
+        "value-outside-choices": ["generate", "xx", "--out", out],
+        "missing-required-option": ["solve-eta", str(graph), "--out", out],
+        "assort-no-edges": ["assort", str(no_edges), "--out", out],
+        "bounds-graph-replicates": ["bounds", "--graph", str(graph),
+                                    "--replicates", "2", "--out", out],
+        "bounds-pair-without-values": ["bounds", "--graph", str(graph),
+                                       "--condition-pair", "11",
+                                       "--out", out],
     }
 
+
+# The error line of each case whose branch no other test reaches.
+_BAD_MESSAGES = {
+    "config-not-json": "not-json.config.json: not valid JSON (",
+    "config-not-object": "list.config.json: config must be a JSON object",
+    "config-for-another-command": "bounds.config.json: config is for "
+                                  "'bounds', not 'generate'",
+    "value-outside-choices": "error: model must be one of er, dpa",
+    "missing-required-option": "error: missing required options: targets",
+    "assort-no-edges": "error: graph has no edges; assortativity undefined",
+    "bounds-graph-replicates": "error: replicates only make sense with "
+                               "--model",
+    "bounds-pair-without-values": "error: --condition-pair and "
+                                  "--condition-values go together",
+}
 
 _BAD_CASES = sorted(cli._HANDLERS) + ["bounds-empty-pairs",
                                       "bounds-empty-values",
                                       "bounds-empty-config-pairs",
-                                      "fit-light-tails", "fit-no-edges"]
+                                      "fit-light-tails", "fit-no-edges",
+                                      *sorted(_BAD_MESSAGES)]
 
 
 def test_bad_inputs_cover_every_subcommand(tmp_path):
@@ -501,7 +534,22 @@ def test_bad_input_is_a_one_line_error(er_graph, tmp_path, capsys, case):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert not (tmp_path / "out").exists()
+    assert _BAD_MESSAGES.get(case, "error: ") in lines[0]
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_undefined_coefficients_print_as_null(tmp_path, capsys):
+    # One node and p = 1 give one self-loop: no degree varies, so no
+    # coefficient is defined, and generate still writes the graph.
+    out = tmp_path / "one.txt"
+    capsys.readouterr()
+    assert cli.main(["generate", "er", "--n", "1", "--p", "1",
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"nodes": 1, "edges": 1, "r11": None,
+                                        "r12": None, "r21": None, "r22": None}
+    assert captured.err == ""
+    assert out.read_bytes() == b"# nodes=1\n0\t0\n"
 
 
 @pytest.mark.parametrize("option, argv", [

@@ -476,6 +476,9 @@ EDGE_LIST_CASES = [
     (b"# nodes=-3\n0 1 2\n", "negative header before a bad row"),
     (b"# nodes=-3\n# nodes=5\n0 1\n", "negative header before a good one"),
     (b"-4 1\n# nodes=-3\n", "negative header after a bad row"),
+    (b"# nodes=99999999999999999999\n0 1\n", "header beyond int64"),
+    (b"# nodes=5\n0 1\n# nodes=99999999999999999999\n0 x\n",
+     "header beyond int64 before a bad row"),
     (b"0 1\n  # nodes=9\n", "indented header"),
     (b"% nodes=9\n0 1\n", "percent comment"),
     (b"# nodes=5\r\n% c\r\n0 1\r\n", "percent comment, CRLF"),
@@ -548,7 +551,8 @@ class TestReadersMatchLineScan:
         # come up.
         rng = np.random.default_rng(22)
         junk = ["x", "1.5", "-2", "+3", "#", "%", " ", "\t", "\x0b", "\x1c",
-                "\xa0", "nodes=", "# nodes=", "# nodes=-1", "7 8 9", ""]
+                "\xa0", "\x00", "\xe9", "nodes=", "# nodes=", "# nodes=-1",
+                "# nodes=99999999999999999999", "7 8 9", ""]
         ends = ["\n", "\n", "\n", "\r\n", "\r"]
         kinds = {"bulk": 0, "scan": 0}
         for k in range(400):
@@ -574,8 +578,8 @@ class TestReadersMatchLineScan:
 
 
 class TestWrittenFilesSkipLineScan:
-    """Every file the writers make is plain, so reading it back never
-    reaches the line scan, which is several times slower."""
+    """Every file the writers make is plain, as is one with non-ASCII text,
+    so reading it never reaches the line scan, several times slower."""
 
     @pytest.fixture(autouse=True)
     def no_line_scan(self, monkeypatch):
@@ -601,3 +605,12 @@ class TestWrittenFilesSkipLineScan:
             assert h.edge_labels is None
         else:
             assert h.edge_labels.tolist() == g.edge_labels.tolist()
+
+    def test_non_ascii_text_needs_no_scan(self, tmp_path):
+        # np.loadtxt strips and splits a line as str does, so a UTF-8
+        # comment and Unicode or control whitespace keep a file plain.
+        path = tmp_path / "g.txt"
+        path.write_bytes("# r\u00e9seau\n# nodes=4\n\u00a00\u20031\r\n"
+                         "2\x0b3\x1c\n".encode())
+        g = read_edge_list(path)
+        assert (g.num_nodes, edges(g)) == (4, [(0, 1), (2, 3)])
