@@ -5,6 +5,9 @@ degree--degree assortativity coefficients, decide which target values are
 jointly attainable, rewire a network toward attainable targets while
 preserving every node's out- and in-degrees, and fit the
 preferential-attachment model behind the generator.
+
+didpr.assortativity and didpr.rewire are the functions of those names; the
+modules are reached through importlib.import_module("didpr.rewire").
 """
 from .assortativity import (
     TYPE_PAIRS,
@@ -17,7 +20,6 @@ from .assortativity import (
     write_eta_csv,
 )
 from .eta import (
-    AssortBounds,
     EtaProblem,
     coefficient_bounds,
     problem_from_graph,
@@ -27,7 +29,6 @@ from .eta import (
 from .fit import EvFit, beta_hat, fit_ev, tail_indices_from_params
 from .generate import DpaParams, gen_dpa, gen_er
 from .graph import (
-    DegreePairDist,
     DirectedGraph,
     GraphFormatError,
     degree_pair_dist,
@@ -55,7 +56,6 @@ __all__ = [
     "edge_mix_from_graph",
     "read_eta_csv",
     "write_eta_csv",
-    "AssortBounds",
     "EtaProblem",
     "coefficient_bounds",
     "problem_from_graph",
@@ -68,7 +68,6 @@ __all__ = [
     "DpaParams",
     "gen_dpa",
     "gen_er",
-    "DegreePairDist",
     "DirectedGraph",
     "GraphFormatError",
     "degree_pair_dist",

@@ -373,12 +373,12 @@ def _replicate_path(path: str, rep: int, replicates: int) -> str:
 def _solve_eta_or_fail(g: DirectedGraph, targets: AssortProfile):
     """The eta realising targets on g's degree structure, or a CliError that
     gives each coefficient's attainable range on its own."""
-    p = problem_from_graph(g, targets=targets)
-    eta = solve_target_eta(p)
+    p = problem_from_graph(g)
+    eta = solve_target_eta(p, targets)
     if eta is None:
         bounds = coefficient_bounds(p)
         ranges = ", ".join("r{}{} in [{:.4f}, {:.4f}]".format(
-            a, b, *bounds.get(a, b)) for a, b in TYPE_PAIRS)
+            a, b, *bounds[(a, b)]) for a, b in TYPE_PAIRS)
         raise CliError("the targets are jointly unattainable for this degree "
                        f"structure (each alone: {ranges})")
     return eta
@@ -469,7 +469,7 @@ def _bounds_worker(params: dict, seed) -> list[tuple]:
         result = coefficient_bounds(problem, order=pairs,
                                     conditioning=conditioning)
         for pair in pairs:
-            lo, hi = result.get(*pair)
+            lo, hi = result[pair]
             rows.append((
                 "%d%d" % cond_pair if value is not None else "",
                 f"{value:.12g}" if value is not None else "",

@@ -39,19 +39,19 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   ends only when it enters (_Program), and pricing is a dense expression
   in the duals, so no LP ever forms the full constraint matrix.
 
-Every one of these constraints is the same standardised moment.  Each
-problem works out its two edge ends once (EtaProblem.ends): pair masses,
-and degrees standardised over them by assortativity._standardise, the
-helper the coefficients themselves use.  Under a mixing matrix with those
-marginals, r(a, b) is the moment of U[:, a-1] V[:, b-1]; the interior
-solves, the closed-form bounds and the LP rows all work on that moment
-directly, so a pinned coefficient is its own right side and an LP optimum
-is the coefficient itself.
+Every one of these constraints is the same standardised moment.  A
+problem (EtaProblem) is its two edge ends, worked out once by
+problem_from_nu: pair masses, and degrees standardised over them by
+assortativity._standardise, the helper the coefficients themselves use.
+Targets are no part of it: solve_target_eta takes them as an argument.
+Under a mixing matrix with those marginals, r(a, b) is the moment of
+U[:, a-1] V[:, b-1]; the interior solves, the closed-form bounds and the
+LP rows all work on that moment directly, so a pinned coefficient is its
+own right side and an LP optimum is the coefficient itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,11 +64,10 @@ from .assortativity import (
     _require_spread,
     _standardise,
 )
-from .graph import DegreePairDist, DirectedGraph, degree_pair_dist
+from .graph import DirectedGraph, degree_pair_dist
 
 __all__ = [
     "EtaProblem",
-    "AssortBounds",
     "problem_from_nu",
     "problem_from_graph",
     "solve_target_eta",
@@ -80,11 +79,18 @@ __all__ = [
 _CLAMP_TOL = 1e-6
 
 
-class _Ends(NamedTuple):
-    """Source / target pair masses rho / kappa, and the pairs' (out, in)
-    degrees standardised over them by _standardise: U / V, with sds
-    sd_s / sd_t."""
+@dataclass(frozen=True, eq=False)
+class EtaProblem:
+    """The two edge ends of a degree-pair distribution (problem_from_nu).
 
+    source_pairs / target_pairs: realised (out, in) pairs with positive
+    out- / in-degree mass.  rho / kappa: their pair masses.  U / V: the
+    pairs' (out, in) degrees standardised over them by _standardise, with
+    sds sd_s / sd_t.
+    """
+
+    source_pairs: list[tuple[int, int]]
+    target_pairs: list[tuple[int, int]]
     rho: np.ndarray
     kappa: np.ndarray
     U: np.ndarray
@@ -93,55 +99,28 @@ class _Ends(NamedTuple):
     sd_t: np.ndarray
 
 
-@dataclass
-class EtaProblem:
-    """A degree-pair distribution plus optional targets.
+def problem_from_nu(nu: dict[tuple[int, int], float]) -> EtaProblem:
+    """The edge ends of nu, which maps (out, in) -> share of nodes.
 
-    source_pairs: realised (out, in) pairs with positive out-degree mass.
-    target_pairs: realised (out, in) pairs with positive in-degree mass.
-    targets: four prescribed coefficients, or None for a bare polytope.
+    An edge leaves a node with pair (i, j) with probability proportional
+    to i * nu[i, j] and arrives at (k, l) proportionally to l * nu[k, l];
+    pair lists are the support of nu with a positive weight.
     """
-
-    nu: DegreePairDist
-    source_pairs: list[tuple[int, int]]
-    target_pairs: list[tuple[int, int]]
-    targets: AssortProfile | None = None
-
-    @cached_property
-    def ends(self) -> _Ends:
-        """The edge ends, worked out once per problem.
-
-        An edge leaves a node with pair (i, j) with probability
-        proportional to i * nu[i, j] and arrives at (k, l) proportionally
-        to l * nu[k, l].
-        """
-        nu = self.nu.entries
-        src_total = sum(i * v for (i, _), v in nu.items())
-        tgt_total = sum(j * v for (_, j), v in nu.items())
-        rho = np.array([i * nu[(i, j)] / src_total
-                        for i, j in self.source_pairs])
-        kappa = np.array([l * nu[(k, l)] / tgt_total
-                          for k, l in self.target_pairs])
-        U, _, sd_s = _standardise(self.source_pairs, rho)
-        V, _, sd_t = _standardise(self.target_pairs, kappa)
-        return _Ends(rho, kappa, U, V, sd_s, sd_t)
-
-
-def problem_from_nu(
-    nu: DegreePairDist, targets: AssortProfile | None = None
-) -> EtaProblem:
-    """Build an EtaProblem; pair lists are derived from the support of nu."""
-    source_pairs = sorted(p for p in nu.entries if p[0] > 0)
-    target_pairs = sorted(p for p in nu.entries if p[1] > 0)
+    source_pairs = sorted(p for p in nu if p[0] > 0)
+    target_pairs = sorted(p for p in nu if p[1] > 0)
     if not source_pairs or not target_pairs:
         raise ValueError("degree-pair distribution carries no edges")
-    return EtaProblem(nu, source_pairs, target_pairs, targets)
+    src_total = sum(i * v for (i, _), v in nu.items())
+    tgt_total = sum(j * v for (_, j), v in nu.items())
+    rho = np.array([i * nu[(i, j)] / src_total for i, j in source_pairs])
+    kappa = np.array([l * nu[(k, l)] / tgt_total for k, l in target_pairs])
+    U, _, sd_s = _standardise(source_pairs, rho)
+    V, _, sd_t = _standardise(target_pairs, kappa)
+    return EtaProblem(source_pairs, target_pairs, rho, kappa, U, V, sd_s, sd_t)
 
 
-def problem_from_graph(
-    g: DirectedGraph, targets: AssortProfile | None = None
-) -> EtaProblem:
-    return problem_from_nu(degree_pair_dist(g), targets)
+def problem_from_graph(g: DirectedGraph) -> EtaProblem:
+    return problem_from_nu(degree_pair_dist(g))
 
 
 class _Program(NamedTuple):
@@ -155,7 +134,7 @@ class _Program(NamedTuple):
     (the two marginal families share their total) are kept; the solver's
     presolve copes with rank deficiency."""
 
-    ends: _Ends
+    problem: EtaProblem
     pairs: list[tuple[int, int]]
     lower: np.ndarray
     upper: np.ndarray
@@ -163,15 +142,15 @@ class _Program(NamedTuple):
     def columns(self, cells: np.ndarray):
         """CSC arrays (start, index, value) of A's columns at the flat
         cells: rows in ascending order, exact zeros dropped."""
-        e = self.ends
-        ns, nt = len(e.rho), len(e.kappa)
+        p = self.problem
+        ns, nt = len(p.rho), len(p.kappa)
         s, t = np.divmod(cells, nt)
         index = np.empty((len(cells), 2 + len(self.pairs)), dtype=np.int32)
         index[:, 0], index[:, 1] = s, ns + t
         index[:, 2:] = ns + nt + np.arange(len(self.pairs))
         value = np.ones(index.shape)
         for k, (a, b) in enumerate(self.pairs):
-            value[:, 2 + k] = e.U[s, a - 1] * e.V[t, b - 1]
+            value[:, 2 + k] = p.U[s, a - 1] * p.V[t, b - 1]
         keep = value != 0.0
         start = np.zeros(len(cells) + 1, dtype=np.int32)
         np.cumsum(keep.sum(axis=1), out=start[1:])
@@ -179,28 +158,27 @@ class _Program(NamedTuple):
 
     def reduced(self, c, y: np.ndarray) -> np.ndarray:
         """c - A' y over every cell: the reduced costs of row duals y."""
-        e = self.ends
-        ns, nt = len(e.rho), len(e.kappa)
+        p = self.problem
+        ns, nt = len(p.rho), len(p.kappa)
         R = y[:ns, None] + y[ns:ns + nt]
         for k, (a, b) in enumerate(self.pairs):
-            R += y[ns + nt + k] * np.outer(e.U[:, a - 1], e.V[:, b - 1])
+            R += y[ns + nt + k] * np.outer(p.U[:, a - 1], p.V[:, b - 1])
         return c - R.ravel()
 
 
-def _program(e: _Ends,
+def _program(p: EtaProblem,
              pins: dict[tuple[int, int], tuple[float, float]]) -> _Program:
-    """The LP of the polytope of the ends e, with the pins
-    (a, b) -> (lower, upper)."""
+    """The LP of the polytope of p, with the pins (a, b) -> (lower, upper)."""
     pairs = sorted(pins)
-    _require_spread(e.sd_s, e.sd_t, pairs)
+    _require_spread(p.sd_s, p.sd_t, pairs)
     lower, upper = np.array([pins[pair] for pair in pairs]).reshape(-1, 2).T
-    return _Program(e, pairs, np.concatenate([e.rho, e.kappa, lower]),
-                    np.concatenate([e.rho, e.kappa, upper]))
+    return _Program(p, pairs, np.concatenate([p.rho, p.kappa, lower]),
+                    np.concatenate([p.rho, p.kappa, upper]))
 
 
-def _targets(p: EtaProblem) -> np.ndarray:
-    """p's four targets in TYPE_PAIRS order; ValueError unless finite."""
-    m_star = np.array([p.targets.get(a, b) for a, b in TYPE_PAIRS])
+def _targets(targets: AssortProfile) -> np.ndarray:
+    """The four targets in TYPE_PAIRS order; ValueError unless finite."""
+    m_star = np.array([targets.get(a, b) for a, b in TYPE_PAIRS])
     if not np.isfinite(m_star).all():
         raise ValueError(f"targets must be finite, got {m_star.tolist()}")
     return m_star
@@ -263,7 +241,7 @@ def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
     Deterministic (fixed internal seed).
     """
     rng = np.random.default_rng(0)
-    rho, kappa, U, V, *_ = p.ends
+    rho, kappa, U, V = p.rho, p.kappa, p.U, p.V
     s1 = rng.choice(len(rho), size=_DRIFT_SAMPLES, p=rho)
     s2 = rng.choice(len(rho), size=_DRIFT_SAMPLES, p=rho)
     t1 = rng.choice(len(kappa), size=_DRIFT_SAMPLES, p=kappa)
@@ -355,15 +333,17 @@ def _newton_kkt(K, U, V, r_ab, r_lam, passes):
     return X[:, 4] - X[:, :4] @ mu, mu, passes
 
 
-def _entropy_eta(p: EtaProblem) -> tuple[EdgeMixMatrix | None, np.ndarray]:
-    """Maximum-entropy mixing matrix hitting the marginals and targets.
+def _entropy_eta(p: EtaProblem, m_star: np.ndarray
+                 ) -> tuple[EdgeMixMatrix | None, np.ndarray]:
+    """Maximum-entropy mixing matrix hitting the marginals and the
+    targets m_star (in TYPE_PAIRS order).
 
     Maximises -sum eta log eta subject to the row/column masses and the
     four moment equalities.  The solution has the Gibbs form
     M = exp(A_s + B_t + U Lam V'), Lam the 2x2 arrangement of the four
     multipliers lam; the tilt has rank two because every standardised
     weight is a source factor times a target factor, U[s, a-1] V[t, b-1]
-    (see EtaProblem.ends).  Its smooth exponential tilt gives the later
+    (see EtaProblem).  Its smooth exponential tilt gives the later
     rewiring chain far better mobility than any basic solution of the LP.
 
     Newton runs on lam alone, over the reduced concave dual
@@ -383,7 +363,7 @@ def _entropy_eta(p: EtaProblem) -> tuple[EdgeMixMatrix | None, np.ndarray]:
     region; the caller then falls back to the LP, which settles
     attainability.
     """
-    (rho, kappa, U, V, *_), m_star = p.ends, _targets(p)
+    rho, kappa, U, V = p.rho, p.kappa, p.U, p.V
     ns, nt = len(rho), len(kappa)
     passes = 0
 
@@ -444,12 +424,14 @@ def _entropy_eta(p: EtaProblem) -> tuple[EdgeMixMatrix | None, np.ndarray]:
     return None, lam
 
 
-def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
+def _center_eta(p: EtaProblem, m_star: np.ndarray,
+                eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
     """Polish a strictly positive mixing matrix to the analytic centre.
 
-    Maximises sum log eta over the constraint polytope by damped Newton
-    steps from eta0 (any strictly positive feasible point, in practice the
-    maximum-entropy solution).  The centre pushes every entry as far from
+    Maximises sum log eta over the polytope of p with the targets m_star
+    (in TYPE_PAIRS order) pinned, by damped Newton steps from eta0 (any
+    strictly positive feasible point, in practice the maximum-entropy
+    solution).  The centre pushes every entry as far from
     zero as the constraints allow, which flattens the acceptance landscape
     seen by the rewiring chain; on heavy-tailed degree sequences this cuts
     the steps-to-target by a large factor compared to the entropy point.
@@ -462,7 +444,7 @@ def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
     centre.  Returns None only when the final residual is not tiny.
     """
     ns = len(p.source_pairs)
-    (rho, kappa, U, V, *_), m_star = p.ends, _targets(p)
+    rho, kappa, U, V = p.rho, p.kappa, p.U, p.V
     marginals = np.concatenate([rho, kappa])
 
     X = eta0.H.copy()
@@ -500,9 +482,10 @@ def _center_eta(p: EtaProblem, eta0: EdgeMixMatrix) -> EdgeMixMatrix | None:
                          X / X.sum())
 
 
-def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
-    """The spread program's mixing matrix, by column generation seeded
-    with the supports of the four target pairs; None if infeasible.
+def _lp_target_eta(p: EtaProblem, m_star: np.ndarray) -> EdgeMixMatrix | None:
+    """The spread program's mixing matrix for the targets m_star, by
+    column generation seeded with the supports of the four target pairs;
+    None if infeasible.
 
     A variant of the target system that favours interior solutions:
     substitute eta = psi + t * (independence coupling), psi >= 0, and
@@ -513,18 +496,16 @@ def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     t's column is the coupling's image under the rows, each summed in cell
     order (cumsum), as a mat-vec with the full program adds them.
     """
-    e = p.ends
-    m_star = _targets(p)
-    prog = _program(e, dict(zip(TYPE_PAIRS, zip(m_star, m_star))))
-    indep = np.outer(e.rho, e.kappa)
+    prog = _program(p, dict(zip(TYPE_PAIRS, zip(m_star, m_star))))
+    indep = np.outer(p.rho, p.kappa)
     t_col = np.concatenate([
         np.cumsum(indep, axis=1)[:, -1], np.cumsum(indep, axis=0)[-1],
-        [np.cumsum(np.outer(e.U[:, a - 1], e.V[:, b - 1]) * indep)[-1]
+        [np.cumsum(np.outer(p.U[:, a - 1], p.V[:, b - 1]) * indep)[-1]
          for a, b in prog.pairs]])
     rows = np.flatnonzero(t_col)
     c = np.zeros(indep.size + 1)
     c[-1] = -1.0
-    found = _column_generation(prog, c, _seed(e, TYPE_PAIRS),
+    found = _column_generation(prog, c, _seed(p, TYPE_PAIRS),
                                "the spread program",
                                ([0, len(rows)], rows, t_col[rows]))
     if found is None:
@@ -537,8 +518,9 @@ def _lp_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     return eta
 
 
-def solve_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
-    """Find a mixing matrix realising the target coefficients.
+def solve_target_eta(p: EtaProblem,
+                     targets: AssortProfile) -> EdgeMixMatrix | None:
+    """Find a mixing matrix with p's edge ends that realises targets.
 
     Returns None when the targets are jointly unattainable for this
     degree-pair distribution.  The maximum-entropy solve (see _entropy_eta)
@@ -552,31 +534,20 @@ def solve_target_eta(p: EtaProblem) -> EdgeMixMatrix | None:
     LP answers instead (_lp_target_eta): every entry of its matrix is at
     least t* times the independence mass, t* the largest share the
     constraints allow, and its feasibility decides attainability.  A
-    degenerate end (a degree with no spread) raises ValueError here, before
-    any solve.
+    degenerate end (a degree with no spread), and a target that is not
+    finite, raise ValueError here, before any solve.
     """
-    if p.targets is None:
-        raise ValueError("solve_target_eta requires targets")
-    _require_spread(p.ends.sd_s, p.ends.sd_t)
-    eta, lam = _entropy_eta(p)
+    _require_spread(p.sd_s, p.sd_t)
+    m_star = _targets(targets)
+    eta, lam = _entropy_eta(p, m_star)
     if eta is None:
-        return _lp_target_eta(p)
+        return _lp_target_eta(p, m_star)
     if _chain_drift(p, lam) < _DRIFT_FLOOR:
-        polished = _center_eta(p, eta)
+        polished = _center_eta(p, m_star, eta)
         if polished is not None:
             eta = polished
     eta.validate(atol=1e-6)
     return eta
-
-
-@dataclass(frozen=True)
-class AssortBounds:
-    """Attainable [lower, upper] range per coefficient."""
-
-    bounds: dict[tuple[int, int], tuple[float, float]]
-
-    def get(self, a: int, b: int) -> tuple[float, float]:
-        return self.bounds[(a, b)]
 
 
 def _clamp(r: float, what: str) -> float:
@@ -627,13 +598,13 @@ _PRICE_TOL = 1e-10
 _PHASE_ONE_TOL = 1e-9
 
 
-def _seed(e: _Ends, pairs) -> np.ndarray:
+def _seed(p: EtaProblem, pairs) -> np.ndarray:
     """The comonotone and antitone supports of the pairs, as an ns x nt mask."""
-    seed = np.zeros((len(e.rho), len(e.kappa)), dtype=bool)
+    seed = np.zeros((len(p.rho), len(p.kappa)), dtype=bool)
     for a, b in pairs:
         for sign in (1.0, -1.0):
-            i, j, _ = _comonotone_coupling(e.U[:, a - 1], e.rho,
-                                           sign * e.V[:, b - 1], e.kappa)
+            i, j, _ = _comonotone_coupling(p.U[:, a - 1], p.rho,
+                                           sign * p.V[:, b - 1], p.kappa)
             seed[i, j] = True
     return seed
 
@@ -739,8 +710,9 @@ def coefficient_bounds(
     p: EtaProblem,
     order: tuple[tuple[int, int], ...] = TYPE_PAIRS,
     conditioning: dict[tuple[int, int], tuple[float, float]] | None = None,
-) -> AssortBounds:
-    """Attainable range of each queried coefficient.
+) -> dict[tuple[int, int], tuple[float, float]]:
+    """Attainable range of each queried coefficient, as a dict
+    (a, b) -> (lower, upper) over the pairs of `order`.
 
     For every type pair in `order`, minimise and maximise the coefficient
     over the transportation polytope, subject to the intervals
@@ -764,17 +736,16 @@ def coefficient_bounds(
             raise ValueError(f"non-finite interval [{lo}, {hi}] for {pair}")
         if lo > hi:
             raise ValueError(f"empty interval {lo} > {hi} for {pair}")
-    e = p.ends
-    prog = _program(e, conditioning) if conditioning else None
-    _require_spread(e.sd_s, e.sd_t, order)
+    prog = _program(p, conditioning) if conditioning else None
+    _require_spread(p.sd_s, p.sd_t, order)
 
     out: dict[tuple[int, int], tuple[float, float]] = {}
     for a, b in order:
         what = f"r({a},{b})"
-        u, v = e.U[:, a - 1], e.V[:, b - 1]
+        u, v = p.U[:, a - 1], p.V[:, b - 1]
         if prog is not None:
             w = np.outer(u, v).ravel()
-            seed = _seed(e, ((a, b), *conditioning))
+            seed = _seed(p, ((a, b), *conditioning))
             extremes = []
             for sign in (1.0, -1.0):
                 found = _column_generation(prog, sign * w, seed, what)
@@ -783,8 +754,8 @@ def coefficient_bounds(
                 extremes.append(sign * found[0])
             low, high = extremes
         else:
-            low = -_comonotone_moment(u, e.rho, -v, e.kappa)
-            high = _comonotone_moment(u, e.rho, v, e.kappa)
+            low = -_comonotone_moment(u, p.rho, -v, p.kappa)
+            high = _comonotone_moment(u, p.rho, v, p.kappa)
         out[(a, b)] = tuple(sorted((_clamp(low, f"lower bound of {what}"),
                                     _clamp(high, f"upper bound of {what}"))))
-    return AssortBounds(out)
+    return out

@@ -50,7 +50,6 @@ import numpy.random  # noqa: F401
 
 __all__ = [
     "DirectedGraph",
-    "DegreePairDist",
     "GraphFormatError",
     "degree_pair_dist",
     "read_edge_list",
@@ -102,7 +101,7 @@ class DirectedGraph:
         """Build a graph from edge endpoint sequences, recomputing degrees.
 
         Raises ValueError when an endpoint is outside [0, num_nodes), or
-        when a label is longer than one character, rather than cut it short.
+        when a label is not one of _LABEL_CODES, naming the first such.
         """
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
@@ -125,12 +124,13 @@ class DirectedGraph:
             labels = np.asarray(edge_labels, dtype=str)
             if labels.shape != src.shape:
                 raise ValueError("edge_labels must align with the edge arrays")
-            cut = labels.astype("U1")
-            long = labels[cut != labels]
-            if long.size:
-                raise ValueError(f"edge label {str(long[0])!r} is longer "
-                                 "than one character")
-            labels = cut
+            # The codes sort, so a label is known iff it finds its own.
+            at = np.searchsorted(_LABEL_CODES, labels)
+            known = np.take(_LABEL_CODES, at, mode="clip") == labels
+            if not known.all():
+                raise ValueError(f"edge label {str(labels[~known][0])!r} is "
+                                 f"not among {_LABEL_CODES}")
+            labels = labels.astype("U1")
         return cls(num_nodes, src, dst, out_deg, in_deg, labels)
 
     def with_targets(self, dst) -> "DirectedGraph":
@@ -163,17 +163,6 @@ def _read_only(a: np.ndarray | None) -> np.ndarray | None:
     return view
 
 
-@dataclass(frozen=True)
-class DegreePairDist:
-    """Joint distribution of (out-degree, in-degree) over nodes.
-
-    entries maps (out, in) -> proportion of nodes; values are positive and
-    sum to one.
-    """
-
-    entries: dict[tuple[int, int], float]
-
-
 def _pair_codes(deg_a: np.ndarray, deg_b: np.ndarray) -> np.ndarray:
     # Encode (a, b) pairs into one int for fast uniquing; degrees are < 2**31.
     return deg_a.astype(np.int64) * (np.int64(1) << 32) + deg_b.astype(np.int64)
@@ -185,8 +174,10 @@ def _decode_pairs(codes: np.ndarray) -> list[tuple[int, int]]:
                     (codes & ((np.int64(1) << 32) - 1)).tolist()))
 
 
-def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
-    """Empirical joint (out, in) degree-pair distribution of a graph.
+def degree_pair_dist(g: DirectedGraph) -> dict[tuple[int, int], float]:
+    """Empirical joint (out, in) degree-pair distribution of a graph, as a
+    dict (out, in) -> share of nodes: shares positive, summing to one, keys
+    in ascending order.
 
     Raises ValueError for a graph with no nodes.
     """
@@ -194,8 +185,7 @@ def degree_pair_dist(g: DirectedGraph) -> DegreePairDist:
         raise ValueError("empty graph: degree pair distribution undefined")
     uniq, counts = np.unique(_pair_codes(g.out_deg, g.in_deg),
                              return_counts=True)
-    return DegreePairDist(dict(zip(_decode_pairs(uniq),
-                                   (counts / g.num_nodes).tolist())))
+    return dict(zip(_decode_pairs(uniq), (counts / g.num_nodes).tolist()))
 
 
 # ---------------------------------------------------------------------------

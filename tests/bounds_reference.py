@@ -12,30 +12,30 @@ import scipy.sparse as sp
 
 from didpr import lp as lplib
 from didpr.assortativity import TYPE_PAIRS
-from didpr.eta import EtaProblem, _targets
+from didpr.eta import _targets
 
 
-def full_program(p, conditioning=None):
+def full_program(p, conditioning=None, targets=None):
     """(A_eq, b_eq, A_ub, b_ub) over the row-major mixing-matrix entries.
 
     Equality rows: one per source pair (row sums) and one per target pair
     (column sums), then, in pair order, the standardised moment row
     U[:, a-1] (x) V[:, b-1] of every pinned coefficient r(a, b), with right
-    side r.  The targets and the intervals (a, b) -> (lower, upper) of
-    conditioning are pins alike: a point (lower == upper) is one equality
-    row, an interval two <= rows.
+    side r.  The targets, when given, and the intervals
+    (a, b) -> (lower, upper) of conditioning are pins alike: a point
+    (lower == upper) is one equality row, an interval two <= rows.
     """
     pins = list((conditioning or {}).items())
-    if p.targets is not None:
-        pins += [(pair, (r, r)) for pair, r in zip(TYPE_PAIRS, _targets(p))]
-    e = p.ends
+    if targets is not None:
+        pins += [(pair, (r, r)) for pair, r in zip(TYPE_PAIRS,
+                                                    _targets(targets))]
     ns, nt = len(p.source_pairs), len(p.target_pairs)
     eq_rows = [sp.kron(sp.eye(ns), np.ones((1, nt))),
                sp.kron(np.ones((1, ns)), sp.eye(nt))]
-    eq_rhs = [e.rho, e.kappa]
+    eq_rhs = [p.rho, p.kappa]
     ub_rows, ub_rhs = [], []
     for (a, b), (lo, hi) in sorted(pins):
-        row = sp.csr_matrix(np.outer(e.U[:, a - 1], e.V[:, b - 1]).ravel())
+        row = sp.csr_matrix(np.outer(p.U[:, a - 1], p.V[:, b - 1]).ravel())
         if lo == hi:
             eq_rows.append(row)
             eq_rhs.append([lo])
@@ -61,11 +61,9 @@ def solve_full(c, A_eq, b_eq, A_ub, b_ub):
 def reference_range(p, pair, conditioning):
     """(min, max) of r(pair) subject to conditioning, or None when the
     intervals are unattainable; unclamped."""
-    bare = EtaProblem(p.nu, p.source_pairs, p.target_pairs)
-    rows = full_program(bare, conditioning)
-    e = p.ends
+    rows = full_program(p, conditioning)
     a, b = pair
-    w = np.outer(e.U[:, a - 1], e.V[:, b - 1]).ravel()
+    w = np.outer(p.U[:, a - 1], p.V[:, b - 1]).ravel()
     vals = []
     for sign in (1.0, -1.0):
         sol = solve_full(sign * w, *rows)
@@ -76,13 +74,13 @@ def reference_range(p, pair, conditioning):
     return vals[0], vals[1]
 
 
-def spread_program(p):
-    """The spread program under p's targets: eta = psi + t * (independence
+def spread_program(p, targets):
+    """The spread program under the targets: eta = psi + t * (independence
     coupling), psi >= 0, maximise t.  Returns (c, A_eq, b_eq, A_ub, b_ub),
     t the last variable, its column A_eq times the coupling."""
-    A_eq, b_eq, A_ub, b_ub = full_program(p)
+    A_eq, b_eq, A_ub, b_ub = full_program(p, targets=targets)
     n = A_eq.shape[1]
-    indep = np.outer(p.ends.rho, p.ends.kappa).ravel()
+    indep = np.outer(p.rho, p.kappa).ravel()
     A_eq = sp.hstack([A_eq, sp.csc_matrix((A_eq @ indep)[:, None])],
                      format="csc")
     c = np.zeros(n + 1)
@@ -90,10 +88,10 @@ def spread_program(p):
     return c, A_eq, b_eq, sp.csc_matrix((0, n + 1)), b_ub
 
 
-def reference_spread(p):
+def reference_spread(p, targets):
     """t*, the largest share of the independence coupling the spread
-    program allows under p's targets, or None when they are unattainable."""
-    sol = solve_full(*spread_program(p))
+    program allows under the targets, or None when they are unattainable."""
+    sol = solve_full(*spread_program(p, targets))
     if sol.status is lplib.LpStatus.INFEASIBLE:
         return None
     assert sol.status is lplib.LpStatus.OPTIMAL, sol.status

@@ -10,18 +10,20 @@ solver precision.
 import numpy as np
 
 from didpr.assortativity import EdgeMixMatrix
-from didpr.eta import EtaProblem, _targets
+from didpr.eta import EtaProblem
 
 
 def reference_center_eta(
     p: EtaProblem,
+    m_star: np.ndarray,
     eta0: EdgeMixMatrix,
     max_iters: int = 60,
     tol: float = 1e-6,
 ) -> EdgeMixMatrix | None:
-    """Polish eta0 to the analytic centre; None if the residual is not tiny."""
+    """Polish eta0 to the analytic centre of p's polytope with the targets
+    m_star (in TYPE_PAIRS order); None if the residual is not tiny."""
     ns, nt = len(p.source_pairs), len(p.target_pairs)
-    (rho, kappa, U, V, *_), m_star = p.ends, _targets(p)
+    rho, kappa, U, V = p.rho, p.kappa, p.U, p.V
     W = (U.T[:, None, :, None] * V.T[None, :, None, :]).reshape(4, ns, nt)
     Wf = W.reshape(4, -1)
     b_full = np.concatenate([rho, kappa, m_star])

@@ -14,7 +14,7 @@ from didpr.assortativity import (
     _profile,
     _standardise,
 )
-from didpr.graph import _LABEL_NAMES, DegreePairDist, DirectedGraph
+from didpr.graph import _LABEL_NAMES, DirectedGraph
 
 
 def edges(g: DirectedGraph) -> list[tuple[int, int]]:
@@ -37,10 +37,10 @@ def degrees_consistent(g: DirectedGraph) -> bool:
                 and np.array_equal(inn, g.in_deg))
 
 
-def marginal_out(nu: DegreePairDist) -> dict[int, float]:
-    """Out-degree -> proportion of nodes."""
+def marginal_out(nu: dict[tuple[int, int], float]) -> dict[int, float]:
+    """Out-degree -> proportion of nodes, from (out, in) -> proportion."""
     out: dict[int, float] = {}
-    for (i, _), p in nu.entries.items():
+    for (i, _), p in nu.items():
         out[i] = out.get(i, 0.0) + p
     return out
 

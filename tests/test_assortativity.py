@@ -127,7 +127,7 @@ class TestEdgeMixFromGraph:
         # row masses must equal i nu_ij / sum(i nu), columns l nu_kl / sum(l nu)
         g = gen_er(200, 0.05, seed=11)
         eta = edge_mix_from_graph(g)
-        nu = degree_pair_dist(g).entries
+        nu = degree_pair_dist(g)
         out_total = sum(i * v for (i, _), v in nu.items())
         in_total = sum(j * v for (_, j), v in nu.items())
         rho = np.array([i * nu[(i, j)] / out_total for i, j in eta.source_pairs])
@@ -177,7 +177,7 @@ class TestEndDistributions:
         g = gen_er(150, 0.08, seed=12)
         eta = edge_mix_from_graph(g)
         _, mean, sd = _standardise(eta.source_pairs, eta.row_masses())
-        nu = degree_pair_dist(g).entries
+        nu = degree_pair_dist(g)
         total = sum(p[0] * v for p, v in nu.items())
         for col in (0, 1):
             m1 = sum(p[0] * p[col] * v for p, v in nu.items()) / total
@@ -452,8 +452,8 @@ def _same_matrix(a, b):
 def dpa_eta_csv(tmp_path_factory):
     """The eta CSV of DPA with 2e3 edges solved for (0.1, 0.15, 0.1, 0.15)."""
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2_000, seed=1))
-    eta = solve_target_eta(problem_from_graph(
-        g, targets=AssortProfile(0.1, 0.15, 0.1, 0.15)))
+    eta = solve_target_eta(problem_from_graph(g),
+                           AssortProfile(0.1, 0.15, 0.1, 0.15))
     path = tmp_path_factory.mktemp("eta") / "eta.csv"
     write_eta_csv(eta, path)
     return path, eta

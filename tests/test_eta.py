@@ -24,18 +24,18 @@ from didpr.assortativity import (
 )
 from didpr.eta import (
     _CG_TOL,
-    EtaProblem,
     _center_eta,
     _entropy_eta,
     _lp_target_eta,
     _program,
+    _targets,
     coefficient_bounds,
     problem_from_graph,
     problem_from_nu,
     solve_target_eta,
 )
 from didpr.generate import DpaParams, gen_dpa, gen_er
-from didpr.graph import DegreePairDist, degree_pair_dist
+from didpr.graph import degree_pair_dist
 
 from bounds_reference import (
     full_program,
@@ -49,53 +49,53 @@ from center_reference import reference_center_eta
 # every coefficient collapse to the same {1: .3, 2: .7} distribution, so all
 # four coefficients are the same function of eta: attainable targets are
 # exactly the equal profiles with common value in [-3/7, 1].
-NU_TOY = DegreePairDist({(1, 1): 6 / 13, (2, 2): 7 / 13})
+NU_TOY = {(1, 1): 6 / 13, (2, 2): 7 / 13}
 TOY_LOW = -3 / 7
 
 
-def toy_problem(targets=None):
-    return problem_from_nu(NU_TOY, targets=targets)
+def toy_problem():
+    return problem_from_nu(NU_TOY)
 
 
-def target_program(p):
-    """The LP rows of p's polytope with its four targets pinned."""
-    return _program(p.ends, {(a, b): (p.targets.get(a, b),) * 2
-                             for a, b in TYPE_PAIRS})
+def target_program(p, targets):
+    """The LP rows of p's polytope with the four targets pinned."""
+    return _program(p, {(a, b): (targets.get(a, b),) * 2
+                        for a, b in TYPE_PAIRS})
 
 
 def matrix(prog):
     """The program's whole constraint matrix, built from its columns."""
-    cells = len(prog.ends.rho) * len(prog.ends.kappa)
+    cells = len(prog.problem.rho) * len(prog.problem.kappa)
     start, index, value = prog.columns(np.arange(cells))
     return sp.csc_matrix((value, index, start), shape=(len(prog.lower), cells))
 
 
 class TestAssembleConstraints:
     def test_marginals_only_row_count(self):
-        prog = _program(toy_problem().ends, {})
+        prog = _program(toy_problem(), {})
         assert matrix(prog).shape == (4, 4)
         assert np.array_equal(prog.lower, prog.upper)
 
     def test_targets_add_four_rows(self):
-        prog = target_program(
-            toy_problem(targets=AssortProfile(0.2, 0.2, 0.2, 0.2)))
+        prog = target_program(toy_problem(),
+                              AssortProfile(0.2, 0.2, 0.2, 0.2))
         assert len(prog.lower) == 8
         assert np.array_equal(prog.lower, prog.upper)
 
     def test_interval_adds_one_ranged_row(self):
-        prog = _program(toy_problem().ends, {(1, 1): (-0.1, 0.4)})
+        prog = _program(toy_problem(), {(1, 1): (-0.1, 0.4)})
         assert len(prog.lower) == 5
         assert (prog.lower[4], prog.upper[4]) == (-0.1, 0.4)
 
     def test_point_pin_adds_one_eq_row(self):
-        prog = _program(toy_problem().ends, {(1, 1): (0.4, 0.4)})
+        prog = _program(toy_problem(), {(1, 1): (0.4, 0.4)})
         assert len(prog.lower) == 5
         assert prog.lower[4] == prog.upper[4] == 0.4
 
     def test_observed_eta_satisfies_marginal_rows(self):
         g = gen_er(80, 0.1, seed=30)
         eta = edge_mix_from_graph(g)
-        prog = _program(problem_from_graph(g).ends, {})
+        prog = _program(problem_from_graph(g), {})
         x = eta.H.reshape(-1)
         assert np.abs(matrix(prog) @ x - prog.lower).max() < 1e-12
 
@@ -114,16 +114,17 @@ class TestMomentRows:
     def test_zero_is_independence_value(self):
         # both standardised ends have mean 0, and so has their product
         # under the independence coupling
-        p = toy_problem(targets=AssortProfile(0.0, 0.0, 0.0, 0.0))
-        rhs, moment = toy_moment_row(target_program(p))
+        p = toy_problem()
+        rhs, moment = toy_moment_row(
+            target_program(p, AssortProfile(0.0, 0.0, 0.0, 0.0)))
         assert rhs == 0.0
-        assert moment(np.outer(p.ends.rho, p.ends.kappa)) == pytest.approx(
+        assert moment(np.outer(p.rho, p.kappa)) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_unit_correlation(self):
         # the diagonal coupling has r = 1: (.3 * .49 + .7 * .09) / .21
-        p = toy_problem(targets=AssortProfile(1.0, 1.0, 1.0, 1.0))
-        rhs, moment = toy_moment_row(target_program(p))
+        rhs, moment = toy_moment_row(
+            target_program(toy_problem(), AssortProfile(1.0, 1.0, 1.0, 1.0)))
         assert rhs == 1.0
         assert moment(np.diag([0.3, 0.7])) == pytest.approx(1.0, abs=1e-12)
 
@@ -131,28 +132,25 @@ class TestMomentRows:
         # The right side is r itself.  The LP solves the standardised rows,
         # and the coefficients of its answer give r back.
         for r in (-0.4, -0.1, 0.0, 0.35, 1.0):
-            p = toy_problem(targets=AssortProfile(r, r, r, r))
-            rhs, _ = toy_moment_row(target_program(p))
+            p, tgt = toy_problem(), AssortProfile(r, r, r, r)
+            rhs, _ = toy_moment_row(target_program(p, tgt))
             assert rhs == r
-            eta = _lp_target_eta(p)
-            assert assortativity(eta).max_abs_diff(
-                AssortProfile(r, r, r, r)) < 1e-9
+            eta = _lp_target_eta(p, _targets(tgt))
+            assert assortativity(eta).max_abs_diff(tgt) < 1e-9
 
     def test_identity_on_observed_data(self):
         g = gen_er(120, 0.1, seed=31)
         eta = edge_mix_from_graph(g)
-        prog = target_program(
-            problem_from_graph(g, targets=assortativity(eta)))
+        prog = target_program(problem_from_graph(g), assortativity(eta))
         assert len(prog.lower) == (len(eta.source_pairs)
                                    + len(eta.target_pairs) + 4)
         np.testing.assert_allclose(matrix(prog) @ eta.H.ravel(), prog.lower,
                                    rtol=0.0, atol=1e-10)
 
     def test_degenerate_sigma_rejected(self):
-        p = problem_from_nu(DegreePairDist({(2, 3): 1.0}),
-                            targets=AssortProfile(0.5, 0.5, 0.5, 0.5))
+        p = problem_from_nu({(2, 3): 1.0})
         with pytest.raises(ValueError, match="degenerate"):
-            target_program(p)
+            target_program(p, AssortProfile(0.5, 0.5, 0.5, 0.5))
 
 
 class TestProblemEnds:
@@ -160,7 +158,7 @@ class TestProblemEnds:
 
     def test_matches_graph_route(self):
         g = gen_er(100, 0.1, seed=32)
-        e = problem_from_graph(g).ends
+        e = problem_from_graph(g)
         eta = edge_mix_from_graph(g)
         U, _, sd_s = _standardise(eta.source_pairs, eta.row_masses())
         V, _, sd_t = _standardise(eta.target_pairs, eta.col_masses())
@@ -173,8 +171,8 @@ class TestProblemEnds:
         # point, but the renormalised source mass is 0.9999999999999998
         # rather than 1.  The one-pass E[x^2] - E[x]^2 formula leaves
         # sqrt noise of about 6e-8 there; the helper must give 0.
-        nu = DegreePairDist({(3, 1): 3 / 11, (3, 2): 4 / 11, (3, 3): 4 / 11})
-        e = problem_from_nu(nu).ends
+        nu = {(3, 1): 3 / 11, (3, 2): 4 / 11, (3, 3): 4 / 11}
+        e = problem_from_nu(nu)
         mass = e.rho.sum()
         one_pass = np.sqrt(max(9 * mass - (3 * mass) ** 2, 0.0))
         assert one_pass > 0.0  # the input does expose the rounding noise
@@ -183,13 +181,13 @@ class TestProblemEnds:
         assert e.sd_s[1] > 0.0 and e.sd_t[1] > 0.0
 
         with pytest.raises(ValueError, match="degenerate"):
-            solve_target_eta(problem_from_nu(
-                nu, targets=AssortProfile(0.0, 0.0, 0.0, 0.0)))
+            solve_target_eta(problem_from_nu(nu),
+                             AssortProfile(0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="degenerate"):
             coefficient_bounds(problem_from_nu(nu))
         # the in-in coefficient is still defined
         lo, hi = coefficient_bounds(problem_from_nu(nu),
-                                    order=((2, 2),)).get(2, 2)
+                                    order=((2, 2),))[(2, 2)]
         assert -1.0 <= lo < hi <= 1.0
 
 
@@ -197,7 +195,7 @@ class TestSolveTargetEta:
     def test_own_profile_is_feasible(self):
         g = gen_er(100, 0.1, seed=33)
         obs = assortativity_of_graph(g)
-        eta = solve_target_eta(problem_from_graph(g, targets=obs))
+        eta = solve_target_eta(problem_from_graph(g), obs)
         assert eta is not None
         assert assortativity(eta).max_abs_diff(obs) < 1e-6
         eta.validate(atol=1e-6)
@@ -205,27 +203,27 @@ class TestSolveTargetEta:
     def test_er_paper_targets_feasible(self):
         g = gen_er(1000, 0.1, seed=42)
         tgt = AssortProfile(0.6, 0.5, -0.4, -0.3)
-        eta = solve_target_eta(problem_from_graph(g, targets=tgt))
+        eta = solve_target_eta(problem_from_graph(g), tgt)
         assert eta is not None
         assert assortativity(eta).max_abs_diff(tgt) < 1e-6
 
     def test_unequal_targets_unattainable_on_toy(self):
-        p = toy_problem(targets=AssortProfile(0.5, 0.4, 0.5, 0.5))
-        assert solve_target_eta(p) is None
+        assert solve_target_eta(
+            toy_problem(), AssortProfile(0.5, 0.4, 0.5, 0.5)) is None
 
     def test_below_range_unattainable_on_toy(self):
-        p = toy_problem(targets=AssortProfile(-0.6, -0.6, -0.6, -0.6))
-        assert solve_target_eta(p) is None
+        assert solve_target_eta(
+            toy_problem(), AssortProfile(-0.6, -0.6, -0.6, -0.6)) is None
 
     def test_equal_targets_attainable_on_toy(self):
         tgt = AssortProfile(0.5, 0.5, 0.5, 0.5)
-        eta = solve_target_eta(toy_problem(targets=tgt))
+        eta = solve_target_eta(toy_problem(), tgt)
         assert eta is not None
         assert assortativity(eta).max_abs_diff(tgt) < 1e-9
 
     def test_boundary_targets_reachable(self):
         tgt = AssortProfile(1.0, 1.0, 1.0, 1.0)
-        eta = solve_target_eta(toy_problem(targets=tgt))
+        eta = solve_target_eta(toy_problem(), tgt)
         assert eta is not None
         assert assortativity(eta).max_abs_diff(tgt) < 1e-6
 
@@ -235,31 +233,32 @@ class TestSolveTargetEta:
     # the constraints.  solve_target_eta then reports None.
     @pytest.mark.parametrize("route", ["entropy", "center"])
     def test_interior_methods_raise_on_unattainable(self, route):
-        p = toy_problem(targets=AssortProfile(0.5, 0.4, 0.5, 0.5))
+        p, tgt = toy_problem(), AssortProfile(0.5, 0.4, 0.5, 0.5)
         if route == "entropy":
-            eta = _entropy_eta(p)[0]
+            eta = _entropy_eta(p, _targets(tgt))[0]
         else:
             ns, nt = len(p.source_pairs), len(p.target_pairs)
             start = EdgeMixMatrix(list(p.source_pairs), list(p.target_pairs),
                                   np.full((ns, nt), 1.0 / (ns * nt)))
-            eta = _center_eta(p, start)
+            eta = _center_eta(p, _targets(tgt), start)
         assert eta is None
-        assert solve_target_eta(p) is None
+        assert solve_target_eta(p, tgt) is None
 
     # Each route of solve_target_eta on its own: the entropy point, its
     # centre polish, and the spread LP fallback.
     ROUTES = {
         "solve": solve_target_eta,
-        "entropy": lambda p: _entropy_eta(p)[0],
-        "center": lambda p: _center_eta(p, _entropy_eta(p)[0]),
-        "spread": _lp_target_eta,
+        "entropy": lambda p, tgt: _entropy_eta(p, _targets(tgt))[0],
+        "center": lambda p, tgt: _center_eta(
+            p, _targets(tgt), _entropy_eta(p, _targets(tgt))[0]),
+        "spread": lambda p, tgt: _lp_target_eta(p, _targets(tgt)),
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
     def test_all_methods_hit_targets(self, route):
         g = gen_er(300, 0.1, seed=2)
         tgt = AssortProfile(0.2, 0.1, -0.1, 0.05)
-        eta = self.ROUTES[route](problem_from_graph(g, targets=tgt))
+        eta = self.ROUTES[route](problem_from_graph(g), tgt)
         assert eta is not None
         assert assortativity(eta).max_abs_diff(tgt) < 1e-6
         eta.validate(atol=1e-6)
@@ -268,33 +267,29 @@ class TestSolveTargetEta:
         # The entropy solve finds no strictly positive matrix here, yet one
         # exists: the spread LP keeps every entry at least t* = 0.034 times
         # the independence mass.  A basic LP solution has 2.8% support.
-        p = fallback_problem()
-        tgt = p.targets
-        assert _entropy_eta(p)[0] is None
-        eta = solve_target_eta(p)
+        p, tgt = fallback_problem()
+        assert _entropy_eta(p, _targets(tgt))[0] is None
+        eta = solve_target_eta(p, tgt)
         assert eta is not None and (eta.H > 0.0).all()
         assert assortativity(eta).max_abs_diff(tgt) < 1e-6
         eta.validate(atol=1e-6)
 
-    def test_targets_required(self):
-        with pytest.raises(ValueError):
-            solve_target_eta(toy_problem())
-
 
 def fallback_problem():
-    """DPA with 1,022 edges and targets where the entropy solve finds no
-    strictly positive matrix, though one exists."""
+    """DPA with 1,022 edges, and targets where the entropy solve finds no
+    strictly positive matrix, though one exists: (problem, targets)."""
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 1022, seed=281922))
-    return problem_from_graph(g, targets=AssortProfile(
+    return problem_from_graph(g), AssortProfile(
         0.40786717969867986, 0.3146593057866909, 0.7319272474337181,
-        0.1591612431119376))
+        0.1591612431119376)
 
 
 def boundary_problem(n):
-    """r11 at its closed-form maximum on ER(n, 0.1), the rest at 0."""
-    g = gen_er(n, 0.1, seed=1)
-    hi = coefficient_bounds(problem_from_graph(g)).get(1, 1)[1]
-    return problem_from_graph(g, targets=AssortProfile(hi, 0.0, 0.0, 0.0))
+    """ER(n, 0.1), and targets with r11 at its closed-form maximum and the
+    rest at 0: (problem, targets)."""
+    p = problem_from_graph(gen_er(n, 0.1, seed=1))
+    hi = coefficient_bounds(p)[(1, 1)][1]
+    return p, AssortProfile(hi, 0.0, 0.0, 0.0)
 
 
 def _standardised_weights(p):
@@ -305,8 +300,8 @@ def _standardised_weights(p):
         x -= mass @ x
         return x / np.sqrt(mass @ (x * x))
 
-    u = standardise(p.source_pairs, p.ends.rho)
-    v = standardise(p.target_pairs, p.ends.kappa)
+    u = standardise(p.source_pairs, p.rho)
+    v = standardise(p.target_pairs, p.kappa)
     return {(a, b): np.outer(u[:, a - 1], v[:, b - 1]) for a, b in TYPE_PAIRS}
 
 
@@ -323,8 +318,8 @@ class TestEntropyOracle:
     def test_gibbs_form_and_feasibility(self, graph, targets):
         g = graph()
         tgt = AssortProfile(*targets)
-        p = problem_from_graph(g, targets=tgt)
-        eta, lam = _entropy_eta(p)
+        p = problem_from_graph(g)
+        eta, lam = _entropy_eta(p, _targets(tgt))
         assert eta is not None and (eta.H > 0.0).all()
 
         weights = _standardised_weights(p)
@@ -334,8 +329,9 @@ class TestEntropyOracle:
                          + Z.mean(axis=0, keepdims=True) - Z.mean())
         assert np.abs(Z - additive_part).max() < 1e-8
 
-        src_mass = np.array([i * p.nu.entries[(i, j)] for i, j in p.source_pairs])
-        tgt_mass = np.array([j * p.nu.entries[(i, j)] for i, j in p.target_pairs])
+        nu = degree_pair_dist(g)
+        src_mass = np.array([i * nu[(i, j)] for i, j in p.source_pairs])
+        tgt_mass = np.array([j * nu[(i, j)] for i, j in p.target_pairs])
         rows = eta.H.sum(axis=1)
         cols = eta.H.sum(axis=0)
         assert np.abs(rows / (src_mass / src_mass.sum()) - 1.0).max() < 1e-10
@@ -350,11 +346,11 @@ class TestEntropyOracle:
         script = (
             "import sys, numpy as np\n"
             "from didpr.assortativity import AssortProfile\n"
-            "from didpr.eta import _entropy_eta, problem_from_graph\n"
+            "from didpr.eta import _entropy_eta, _targets, problem_from_graph\n"
             "from didpr.generate import gen_er\n"
-            "p = problem_from_graph(gen_er(1000, 0.1, seed=1),\n"
-            "    targets=AssortProfile(0.6, 0.5, -0.4, -0.3))\n"
-            "np.save(sys.argv[1], _entropy_eta(p)[0].H)\n"
+            "p = problem_from_graph(gen_er(1000, 0.1, seed=1))\n"
+            "m_star = _targets(AssortProfile(0.6, 0.5, -0.4, -0.3))\n"
+            "np.save(sys.argv[1], _entropy_eta(p, m_star)[0].H)\n"
         )
         src_dir = str(Path(didpr.__file__).resolve().parents[1])
         runs = {}
@@ -384,10 +380,11 @@ class TestCenterOracle:
         (lambda: gen_er(300, 0.1, seed=2), (0.2, 0.1, -0.1, 0.05)),
     ], ids=["dpa3e3", "dpa2e4", "er300"])
     def test_matches_dense_reference(self, graph, targets):
-        p = problem_from_graph(graph(), targets=AssortProfile(*targets))
-        start = _entropy_eta(p)[0]
-        eta = _center_eta(p, start)
-        ref = reference_center_eta(p, start)
+        p = problem_from_graph(graph())
+        m_star = _targets(AssortProfile(*targets))
+        start = _entropy_eta(p, m_star)[0]
+        eta = _center_eta(p, m_star, start)
+        ref = reference_center_eta(p, m_star, start)
         assert eta is not None and ref is not None
         assert (np.abs(eta.H - ref.H) / ref.H).max() <= 1e-8
 
@@ -424,14 +421,12 @@ class TestCgOracle:
     the bit after the same number of iterations."""
 
     CASES = {
-        "toy": (lambda: toy_problem(targets=AssortProfile(0.5, 0.5, 0.5, 0.5)),
-                False),
-        "er150": (lambda: problem_from_graph(
-            gen_er(150, 0.1, seed=1),
-            targets=AssortProfile(0.2, 0.1, -0.1, 0.05)), False),
+        "toy": (toy_problem, (0.5, 0.5, 0.5, 0.5), False),
+        "er150": (lambda: problem_from_graph(gen_er(150, 0.1, seed=1)),
+                  (0.2, 0.1, -0.1, 0.05), False),
         "dpa3e3": (lambda: problem_from_graph(
-            gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=1)),
-            targets=AssortProfile(0.1, 0.15, 0.1, 0.15)), True),
+            gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=1))),
+            (0.1, 0.15, 0.1, 0.15), True),
     }
 
     @staticmethod
@@ -439,7 +434,7 @@ class TestCgOracle:
         """Every (matvec, b, d, maxiter, x, iterations) of the _cg calls in
         the entropy solve and, where asked, its centre polish; b as the
         kernel passed it (the P columns are strided views)."""
-        make, polish = TestCgOracle.CASES[case]
+        make, targets, polish = TestCgOracle.CASES[case]
         calls = []
         real = etalib._cg
 
@@ -449,11 +444,11 @@ class TestCgOracle:
             return x, iterations
 
         monkeypatch.setattr(etalib, "_cg", recording)
-        p = make()
-        eta = _entropy_eta(p)[0]
+        p, m_star = make(), _targets(AssortProfile(*targets))
+        eta = _entropy_eta(p, m_star)[0]
         assert eta is not None
         if polish:
-            assert _center_eta(p, eta) is not None
+            assert _center_eta(p, m_star, eta) is not None
         return calls
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -488,7 +483,7 @@ class TestCoefficientBounds:
     def test_toy_range_is_known_interval(self):
         b = coefficient_bounds(toy_problem())
         for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            lo, hi = b.get(*pair)
+            lo, hi = b[pair]
             assert lo == pytest.approx(TOY_LOW, abs=1e-6)
             assert hi == pytest.approx(1.0, abs=1e-6)
 
@@ -497,7 +492,7 @@ class TestCoefficientBounds:
         b = coefficient_bounds(toy_problem(),
                                conditioning={(1, 1): (0.5, 0.5)})
         for pair in ((1, 2), (2, 1), (2, 2)):
-            lo, hi = b.get(*pair)
+            lo, hi = b[pair]
             assert lo == pytest.approx(0.5, abs=1e-8)
             assert hi == pytest.approx(0.5, abs=1e-8)
 
@@ -507,12 +502,12 @@ class TestCoefficientBounds:
         b = coefficient_bounds(problem_from_graph(g))
         for a in (1, 2):
             for bb in (1, 2):
-                lo, hi = b.get(a, bb)
+                lo, hi = b[(a, bb)]
                 assert lo - 1e-9 <= obs.get(a, bb) <= hi + 1e-9
 
     def test_er_in_in_bounds_stay_wide(self):
         b = coefficient_bounds(problem_from_graph(gen_er(150, 0.1, seed=3)))
-        lo, hi = b.get(2, 2)
+        lo, hi = b[(2, 2)]
         assert lo <= -0.9
         assert hi >= 0.9
 
@@ -521,8 +516,8 @@ class TestCoefficientBounds:
         free = coefficient_bounds(p)
         pinned = coefficient_bounds(p, conditioning={(1, 1): (0.5, 0.6)})
         for pair in ((1, 2), (2, 1), (2, 2)):
-            lo0, hi0 = free.get(*pair)
-            lo1, hi1 = pinned.get(*pair)
+            lo0, hi0 = free[pair]
+            lo1, hi1 = pinned[pair]
             assert lo1 >= lo0 - 1e-9
             assert hi1 <= hi0 + 1e-9
 
@@ -547,8 +542,7 @@ class TestCoefficientBounds:
         closed = coefficient_bounds(p)
         via_lp = coefficient_bounds(p, conditioning={(1, 1): (-1.0, 1.0)})
         for pair in TYPE_PAIRS:
-            assert closed.get(*pair) == pytest.approx(via_lp.get(*pair),
-                                                      abs=1e-9)
+            assert closed[pair] == pytest.approx(via_lp[pair], abs=1e-9)
 
     def test_unconditioned_bounds_solve_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
@@ -557,7 +551,7 @@ class TestCoefficientBounds:
         # every LP, masters and one-shot solves alike, runs in Model.solve
         monkeypatch.setattr(lplib.Model, "solve", no_lp)
         b = coefficient_bounds(problem_from_graph(gen_er(150, 0.1, seed=3)))
-        assert all(-1.0 <= lo < hi <= 1.0 for lo, hi in b.bounds.values())
+        assert all(-1.0 <= lo < hi <= 1.0 for lo, hi in b.values())
         with pytest.raises(AssertionError, match="called the LP"):
             coefficient_bounds(toy_problem(),
                                conditioning={(1, 1): (0.0, 0.5)})
@@ -589,8 +583,8 @@ def assert_matches_full_program(p, conditioning, order):
         return
     got = coefficient_bounds(p, order=order, conditioning=conditioning)
     for pair in order:
-        diff = np.subtract(got.get(*pair), np.clip(want[pair], -1.0, 1.0))
-        assert np.abs(diff).max() <= 1e-10, (pair, got.get(*pair), want[pair])
+        diff = np.subtract(got[pair], np.clip(want[pair], -1.0, 1.0))
+        assert np.abs(diff).max() <= 1e-10, (pair, got[pair], want[pair])
 
 
 class TestConditionedBoundsOracle:
@@ -601,14 +595,14 @@ class TestConditionedBoundsOracle:
     def test_every_ordered_pair(self, oracle_problem):
         p, free = oracle_problem
         for pin in TYPE_PAIRS:
-            value = sum(free.get(*pin)) / 2.0
+            value = sum(free[pin]) / 2.0
             assert_matches_full_program(
                 p, {pin: (value, value)},
                 tuple(pair for pair in TYPE_PAIRS if pair != pin))
 
     def test_interval(self, oracle_problem):
         p, free = oracle_problem
-        lo, hi = free.get(1, 1)
+        lo, hi = free[(1, 1)]
         assert_matches_full_program(
             p, {(1, 1): (lo + 0.2 * (hi - lo), lo + 0.6 * (hi - lo))},
             ((2, 2),))
@@ -616,7 +610,7 @@ class TestConditionedBoundsOracle:
     @pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
     def test_value_at_an_end_of_its_range(self, oracle_problem, end):
         p, free = oracle_problem
-        value = free.get(1, 1)[end]
+        value = free[(1, 1)][end]
         assert_matches_full_program(p, {(1, 1): (value, value)}, ((2, 2),))
 
     def test_three_pins(self, oracle_problem):
@@ -628,7 +622,7 @@ class TestConditionedBoundsOracle:
 
     def test_unattainable_interval(self, oracle_problem):
         p, free = oracle_problem
-        hi = free.get(2, 2)[1]
+        hi = free[(2, 2)][1]
         assert_matches_full_program(p, {(2, 2): (hi + 0.01, hi + 0.02)},
                                     ((1, 1),))
 
@@ -644,7 +638,7 @@ class TestConditionedBoundsOracle:
         cond = {(1, 2): (0.745, 0.745), (2, 1): (0.878, 0.878),
                 (2, 2): (r22, r22)}
         free = coefficient_bounds(p)
-        assert all(free.get(*pin)[0] < lo <= free.get(*pin)[1]
+        assert all(free[pin][0] < lo <= free[pin][1]
                    for pin, (lo, _) in cond.items())
         want = reference_range(p, (1, 1), cond)
         assert (want is not None) == attainable
@@ -662,7 +656,7 @@ class TestConditionedBoundsOracle:
         monkeypatch.setattr(lplib.Model, "solve", logged)
         if attainable:
             got = coefficient_bounds(p, order=((1, 1),), conditioning=cond)
-            assert np.abs(np.subtract(got.get(1, 1), want)).max() <= 1e-10
+            assert np.abs(np.subtract(got[(1, 1)], want)).max() <= 1e-10
         else:
             with pytest.raises(ValueError, match="unattainable"):
                 coefficient_bounds(p, order=((1, 1),), conditioning=cond)
@@ -689,15 +683,15 @@ class TestConditionedBoundsOracle:
         assert sizes and max(sizes) <= cells / 2
 
         sizes.clear()
-        p = fallback_problem()
-        assert solve_target_eta(p) is not None
+        p, tgt = fallback_problem()
+        assert solve_target_eta(p, tgt) is not None
         assert sizes and max(sizes) <= len(p.source_pairs) * len(
             p.target_pairs) / 2
 
 
-def spread_optimum(p):
-    """t* of the spread program by column generation, or None: the optimum
-    _lp_target_eta's one column generation returns."""
+def spread_optimum(p, targets):
+    """t* of the spread program under targets by column generation, or
+    None: the optimum _lp_target_eta's one column generation returns."""
     found = []
     generate = etalib._column_generation
 
@@ -707,7 +701,7 @@ def spread_optimum(p):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(etalib, "_column_generation", record)
-        eta = _lp_target_eta(p)
+        eta = _lp_target_eta(p, _targets(targets))
     (result,) = found
     assert (eta is None) == (result is None)
     return None if result is None else -result[0]
@@ -715,32 +709,31 @@ def spread_optimum(p):
 
 def dpa5e3_problem(targets):
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 5_000, seed=1))
-    return problem_from_graph(g, targets=AssortProfile(*targets))
+    return problem_from_graph(g), AssortProfile(*targets)
 
 
 class TestSpreadOracle:
     """The solve's LP fallback against the full spread program of
     tests/bounds_reference.py: the same verdict, and t* to 1e-9."""
 
-    # Each case lists (problem, attainable) pairs.
+    # Each case lists (problem, targets, attainable) triples.
     @pytest.mark.parametrize("cases", [
-        lambda: [(toy_problem(targets=AssortProfile(r, r, r, r)), True)
+        lambda: [(toy_problem(), AssortProfile(r, r, r, r), True)
                  for r in (-0.4, -0.1, 0.0, 0.35, 1.0)],
-        lambda: [(boundary_problem(60), True)],
-        lambda: [(boundary_problem(150), False)],
-        lambda: [(problem_from_graph(
-            gen_er(300, 0.1, seed=2),
-            targets=AssortProfile(0.2, 0.1, -0.1, 0.05)), True)],
-        lambda: [(fallback_problem(), True)],
-        lambda: [(dpa5e3_problem((0.1, 0.15, 0.1, 0.15)), True),
-                 (dpa5e3_problem((0.99, 0.5, -0.4, -0.3)), False)],
+        lambda: [(*boundary_problem(60), True)],
+        lambda: [(*boundary_problem(150), False)],
+        lambda: [(problem_from_graph(gen_er(300, 0.1, seed=2)),
+                  AssortProfile(0.2, 0.1, -0.1, 0.05), True)],
+        lambda: [(*fallback_problem(), True)],
+        lambda: [(*dpa5e3_problem((0.1, 0.15, 0.1, 0.15)), True),
+                 (*dpa5e3_problem((0.99, 0.5, -0.4, -0.3)), False)],
     ], ids=["toy", "er60-boundary", "er150-boundary", "er300", "dpa1022",
             "dpa5e3"])
     def test_matches_full_program(self, cases):
-        for p, attainable in cases():
-            want = reference_spread(p)
+        for p, tgt, attainable in cases():
+            want = reference_spread(p, tgt)
             assert (want is not None) == attainable
-            got = spread_optimum(p)
+            got = spread_optimum(p, tgt)
             if attainable:
                 assert got == pytest.approx(want, abs=1e-9)
             else:
@@ -748,14 +741,14 @@ class TestSpreadOracle:
 
 
 def _same_model_problem(name):
-    """A problem and point conditioning for TestSameModel."""
+    """A problem, targets and point conditioning for TestSameModel."""
     if name == "toy":
-        return toy_problem(targets=AssortProfile(0.35, 0.35, 0.35, 0.35)), {
+        return toy_problem(), AssortProfile(0.35, 0.35, 0.35, 0.35), {
             (1, 1): (0.35, 0.35)}
     g = (gen_er(150, 0.1, seed=3) if name == "er150" else
          gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2_000, seed=1)))
     obs = assortativity_of_graph(g)
-    return problem_from_graph(g, targets=obs), {
+    return problem_from_graph(g), obs, {
         (1, 2): (obs.r12, obs.r12), (2, 1): (0.0, 0.0),
         (2, 2): (obs.r22, obs.r22)}
 
@@ -769,12 +762,11 @@ class TestSameModel:
 
     @staticmethod
     def programs(name):
-        """(library program, oracle rows) for the conditioned bounds' bare
-        problem and for the target problem."""
-        p, cond = _same_model_problem(name)
-        bare = EtaProblem(p.nu, p.source_pairs, p.target_pairs)
-        return [(_program(p.ends, cond), full_program(bare, cond)),
-                (target_program(p), full_program(p))]
+        """(library program, oracle rows) for the conditioned bounds and
+        for the targets."""
+        p, tgt, cond = _same_model_problem(name)
+        return [(_program(p, cond), full_program(p, cond)),
+                (target_program(p, tgt), full_program(p, targets=tgt))]
 
     def test_columns_are_the_sliced_full_program(self, name):
         rng = np.random.default_rng(40)
@@ -803,15 +795,15 @@ class TestSameModel:
                 assert np.array_equal(prog.reduced(0.0, y), 0.0 - A_eq.T @ y)
 
     def test_spread_column_is_the_full_programs(self, name, monkeypatch):
-        p, _ = _same_model_problem(name)
+        p, tgt, _ = _same_model_problem(name)
         seen = {}
 
         def capture(prog, c, seed, what, extra=None):
             seen.update(c=c, extra=extra)
 
         monkeypatch.setattr(etalib, "_column_generation", capture)
-        assert _lp_target_eta(p) is None
-        c, A_eq, *_ = spread_program(p)
+        assert _lp_target_eta(p, _targets(tgt)) is None
+        c, A_eq, *_ = spread_program(p, tgt)
         t = A_eq[:, -1]
         assert np.array_equal(seen["c"], c)
         for got, arr in zip(seen["extra"], (t.indptr, t.indices, t.data)):
@@ -824,15 +816,16 @@ class TestAttainabilityConsistency:
     def test_inside_window_solves_outside_does_not(self):
         g = gen_er(30, 0.15, seed=4)
         obs = assortativity_of_graph(g)
-        assert solve_target_eta(problem_from_graph(g, targets=obs)) is not None
+        p = problem_from_graph(g)
+        assert solve_target_eta(p, obs) is not None
         cond = {(1, 2): (obs.r12, obs.r12),
                 (2, 1): (obs.r21, obs.r21),
                 (2, 2): (obs.r22, obs.r22)}
-        lo, hi = coefficient_bounds(problem_from_graph(g), order=((1, 1),),
-                                    conditioning=cond).get(1, 1)
+        lo, hi = coefficient_bounds(p, order=((1, 1),),
+                                    conditioning=cond)[(1, 1)]
         assert lo - 1e-6 <= obs.r11 <= hi + 1e-6
         beyond = AssortProfile(hi + 0.05, obs.r12, obs.r21, obs.r22)
-        assert solve_target_eta(problem_from_graph(g, targets=beyond)) is None
+        assert solve_target_eta(p, beyond) is None
 
 
     @pytest.mark.parametrize("n, attainable", [(60, True), (150, False)])
@@ -841,12 +834,12 @@ class TestAttainabilityConsistency:
         # finds no positive point, so the LP gives the verdict.  The same
         # target on ER with n = 1000 (attainable) takes ~10 s, so the CI
         # workflow checks it through the CLI instead.
-        p = boundary_problem(n)
-        assert _entropy_eta(p)[0] is None
-        eta = solve_target_eta(p)
+        p, tgt = boundary_problem(n)
+        assert _entropy_eta(p, _targets(tgt))[0] is None
+        eta = solve_target_eta(p, tgt)
         if attainable:
             assert eta is not None
-            assert assortativity(eta).max_abs_diff(p.targets) < 1e-9
+            assert assortativity(eta).max_abs_diff(tgt) < 1e-9
         else:
             assert eta is None
 
@@ -854,7 +847,7 @@ class TestAttainabilityConsistency:
 class TestProblemValidation:
     def test_edgeless_nu_rejected(self):
         with pytest.raises(ValueError):
-            problem_from_nu(DegreePairDist({(0, 0): 1.0}))
+            problem_from_nu({(0, 0): 1.0})
 
     # Conditioning enters through coefficient_bounds, which rejects an
     # unknown pair or an empty interval before any work.
@@ -880,11 +873,11 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_targets_rejected(self, bad):
-        p = toy_problem(targets=AssortProfile(bad, 0.0, 0.0, 0.0))
+        tgt = AssortProfile(bad, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="targets must be finite"):
-            _lp_target_eta(p)
+            _targets(tgt)
         with pytest.raises(ValueError, match="targets must be finite"):
-            solve_target_eta(p)
+            solve_target_eta(toy_problem(), tgt)
 
 
 class TestAdaptiveDispatch:
@@ -895,13 +888,11 @@ class TestAdaptiveDispatch:
     def test_drift_separates_regimes(self):
         from didpr.eta import _chain_drift
 
-        pe = problem_from_graph(gen_er(500, 0.1, seed=5),
-                                targets=AssortProfile(0.6, 0.5, -0.4, -0.3))
-        _, lam = _entropy_eta(pe)
+        pe = problem_from_graph(gen_er(500, 0.1, seed=5))
+        _, lam = _entropy_eta(pe, np.array([0.6, 0.5, -0.4, -0.3]))
         assert _chain_drift(pe, lam) > 0.1
 
         gd = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=6))
-        pd = problem_from_graph(gd,
-                                targets=AssortProfile(0.1, 0.15, 0.1, 0.15))
-        _, lam_d = _entropy_eta(pd)
+        pd = problem_from_graph(gd)
+        _, lam_d = _entropy_eta(pd, np.array([0.1, 0.15, 0.1, 0.15]))
         assert _chain_drift(pd, lam_d) < 0.1

@@ -1,4 +1,5 @@
 """Graph storage, degree bookkeeping, the swap move, and file IO."""
+import re
 import warnings
 
 import numpy as np
@@ -80,13 +81,13 @@ class TestDirectedGraph:
     def test_long_label_is_rejected_not_cut(self):
         # Cut to one character, "bogus" would read as b and count as beta.
         with pytest.raises(ValueError,
-                           match="edge label 'alpha' is longer than one"):
+                           match="edge label 'alpha' is not among"):
             graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)],
                              labels=["alpha", "bogus", "gamma"])
         g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)],
-                             labels=np.array(["a", "", "g"], dtype="U5"))
+                             labels=np.array(["a", "b", "g"], dtype="U5"))
         assert g.edge_labels.dtype == np.dtype("U1")
-        assert g.edge_labels.tolist() == ["a", "", "g"]
+        assert g.edge_labels.tolist() == ["a", "b", "g"]
 
     def test_copy_is_independent(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
@@ -117,20 +118,20 @@ class TestDegreePairDist:
     def test_single_edge_two_nodes(self):
         g = graph_from_pairs(2, [(0, 1)])
         nu = degree_pair_dist(g)
-        assert nu.entries == {(1, 0): 0.5, (0, 1): 0.5}
+        assert nu == {(1, 0): 0.5, (0, 1): 0.5}
 
     def test_regular_circulant_point_mass(self):
         # node i points to i+1 and i+2 (mod 6): out = in = 2 everywhere
         n = 6
         pairs = [(i, (i + k) % n) for i in range(n) for k in (1, 2)]
         nu = degree_pair_dist(graph_from_pairs(n, pairs))
-        assert nu.entries == {(2, 2): 1.0}
+        assert nu == {(2, 2): 1.0}
 
     def test_entries_sum_to_one_and_count_isolated_nodes(self):
         g = graph_from_pairs(5, [(0, 1)])  # nodes 2..4 isolated
         nu = degree_pair_dist(g)
-        assert nu.entries[(0, 0)] == pytest.approx(3 / 5)
-        assert sum(nu.entries.values()) == pytest.approx(1.0, abs=1e-12)
+        assert nu[(0, 0)] == pytest.approx(3 / 5)
+        assert sum(nu.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty graph"):
@@ -219,7 +220,7 @@ class TestSwapEdges:
         rng = np.random.default_rng(5)
         for _ in range(100):
             swap_edges(g, *sample_edge_pair(g, rng))
-        assert degree_pair_dist(g).entries == nu0.entries
+        assert degree_pair_dist(g) == nu0
 
     def test_same_index_rejected(self):
         g = graph_from_pairs(2, [(0, 1), (1, 0)])
@@ -427,6 +428,24 @@ class TestLabelSidecar:
         back = read_edge_list(path)
         assert back.edge_labels is None
         assert edges(back) == [(2, 0)]
+
+    @pytest.mark.parametrize("label", ["a", "b", "g", "x", "", "A", "ab",
+                                       " a"])
+    def test_a_label_reads_back_or_is_refused(self, tmp_path, label):
+        # The sidecar reader takes exactly the codes, so a graph must refuse
+        # any other label rather than write a sidecar it cannot read back.
+        labels = ["g", label, "b"]
+        if label not in ("a", "b", "g"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"edge label {label!r} is not among")):
+                graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)], labels=labels)
+            return
+        g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)], labels=labels)
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        back = read_edge_list(path)
+        assert edges(back) == edges(g)
+        assert back.edge_labels.tolist() == labels
 
     def test_sidecar_of_another_size_is_named(self, tmp_path):
         path = tmp_path / "g.txt"

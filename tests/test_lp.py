@@ -333,7 +333,7 @@ def bounds():
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 1000, seed=2))
     b = coefficient_bounds(problem_from_graph(g), order=((2, 2),),
                            conditioning={(1, 1): (0.1, 0.1)})
-    return list(b.get(2, 2))
+    return list(b[(2, 2)])
 
 def linprog():
     from scipy.optimize import linprog

@@ -16,7 +16,13 @@ from didpr.assortativity import (
     assortativity_of_graph,
     edge_mix_from_graph,
 )
-from didpr.eta import problem_from_graph, solve_target_eta
+from didpr.eta import (
+    _center_eta,
+    _entropy_eta,
+    _targets,
+    problem_from_graph,
+    solve_target_eta,
+)
 from didpr.generate import DpaParams, gen_dpa, gen_er
 from didpr.graph import DirectedGraph, degree_pair_dist
 from didpr.rewire import (
@@ -41,7 +47,7 @@ TARGETS = AssortProfile(0.1, 0.15, 0.1, 0.15)
 def dpa():
     """A labelled DPA graph with 3e3 edges and its eta for TARGETS."""
     g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 3_000, seed=7))
-    return g, solve_target_eta(problem_from_graph(g, targets=TARGETS))
+    return g, solve_target_eta(problem_from_graph(g), TARGETS)
 
 
 def test_product_updates_match_recomputation(dpa):
@@ -125,7 +131,7 @@ def test_rewired_graph_keeps_degrees_and_degree_pairs(dpa):
     # Degrees recounted from the rewired edge list, not just carried over.
     assert np.array_equal(np.bincount(rewired.dst, minlength=g.num_nodes),
                           g.in_deg)
-    assert degree_pair_dist(rewired).entries == degree_pair_dist(g).entries
+    assert degree_pair_dist(rewired) == degree_pair_dist(g)
 
 
 _SHARED = ("src", "out_deg", "in_deg", "edge_labels")
@@ -255,16 +261,21 @@ def test_stop_early_inside_a_chunk_matches_scalar_reference(dpa):
     assert trace.final_profile().max_abs_diff(TARGETS) <= cfg.tolerance
 
 
+@pytest.mark.parametrize("route", ["entropy", "center"])
 @pytest.mark.parametrize("alpha, gamma, absent", [
     (0.0, 0.5, "alpha"), (0.5, 0.0, "gamma")], ids=["alpha-0", "gamma-0"])
 def test_gains_without_a_scenario_match_scalar_reference(alpha, gamma,
-                                                         absent):
+                                                         absent, route):
     # Labels of two scenarios only: the tally's buckets are the six of the
     # report whatever labels occur, and the three with the absent scenario
-    # stay empty.
+    # stay empty.  Both interior matrices run: which one solve_target_eta
+    # returns here rests on a drift gauge just above its floor.
     g = gen_dpa(DpaParams(alpha, 0.5, gamma, 1.0, 1.0, 2_000, seed=3))
     assert len(set(g.edge_labels.tolist())) == 2
-    eta = solve_target_eta(problem_from_graph(g, targets=TARGETS))
+    p, m_star = problem_from_graph(g), _targets(TARGETS)
+    eta = _entropy_eta(p, m_star)[0]
+    if route == "center":
+        eta = _center_eta(p, m_star, eta)
     cfg = RewiringConfig(max_steps=20_001, checkpoint_every=1_500, seed=4)
     _assert_matches_reference(g, eta, cfg, gains=True)
     gains = rewire_with_scenario_gains(g, eta, cfg)[2]
@@ -280,8 +291,8 @@ def test_unknown_label_raises_before_the_chain(dpa, monkeypatch, label):
     g, eta = dpa
     labels = g.edge_labels.copy()
     labels[17] = label
-    bad = DirectedGraph.from_edges(g.num_nodes, g.src, g.dst,
-                                   edge_labels=labels)
+    # from_edges rejects such a label; the dataclass constructor does not.
+    bad = dataclasses.replace(g, edge_labels=labels)
     monkeypatch.setattr(REWIRE, "_propose",
                         lambda *args: pytest.fail("the chain ran"))
     with pytest.raises(ValueError, match="scenario labels must be among"):
