@@ -106,9 +106,12 @@ class EdgeMixMatrix:
             )
 
     def validate(self, atol: float = 1e-9) -> None:
-        """Check nonnegativity and total mass one; raise on violation."""
+        """Check finite, nonnegative entries and total mass one; raise on
+        violation."""
         if self.H.size == 0:
             raise ValueError("empty edge mixing matrix")
+        if not np.isfinite(self.H).all():
+            raise ValueError("non-finite entry in edge mixing matrix")
         if float(self.H.min()) < -atol:
             raise ValueError(f"negative entry {self.H.min()} in edge mixing matrix")
         total = float(self.H.sum())

@@ -97,7 +97,8 @@ class _Opt:
 
 _SEED_OPT = _Opt("int", default=0, help="RNG seed")
 # fit draws no random numbers and has no tail size, and scenario-gains keeps
-# no trace, but older command lines pass those options.
+# no trace, but older command lines pass those options: perfbench/run.py
+# still passes fit --n-tail/--seed and scenario-gains --checkpoint-every.
 _IGNORED_HELP = "ignored; accepted so that older command lines still run"
 
 _DPA_OPTS = {

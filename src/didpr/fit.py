@@ -17,14 +17,13 @@ Bollobas, Borgs, Chayes and Riordan (2003) from the node degrees alone:
   the model.  An offset that runs to an end of its search says the
   degrees do not follow the model at all (light-tailed Erdos-Renyi degrees
   do so).
+* Each marginal's tail index is read off the fitted parameters:
+  tail_index(s, grow) = (1 + s) / grow, with s the scaled offset
+  (tail_indices_from_params).
 
-tail_index is a separate estimator of one degree sample's tail index: a
-discrete power law fitted by maximum likelihood above the threshold that
-minimises the KS distance.
-
-Both run on numpy alone: _fminbound and _hurwitz_zeta repeat scipy's
-bounded minimiser and cephes' zeta operation for operation, so they read
-scipy's numbers bit for bit without paying to import it.
+The searches run on numpy alone: _fminbound repeats scipy's bounded
+minimiser operation for operation, so it reads scipy's numbers bit for bit
+without paying to import it.
 """
 from __future__ import annotations
 
@@ -46,8 +45,6 @@ __all__ = [
     "tail_indices_from_params",
 ]
 
-_MIN_POSITIVE_DEGREES = 50
-_EXPONENT_BOUNDS = (1.0 + 1e-6, 12.0)
 # Each offset delta is searched as s = delta (alpha + gamma), which sets
 # the tail index (1 + s) / (alpha + beta) of the in-degrees, and likewise of
 # the out-degrees.  s = 100 is a tail index above 100, no heavy tail at all.
@@ -97,60 +94,16 @@ def tail_indices_from_params(
     delta_out: float, delta_in: float,
 ) -> tuple[float, float]:
     """Theoretical out-/in-degree tail indices of the attachment model."""
-    iota1 = (1.0 + delta_out * (alpha + gamma)) / (beta + gamma)
-    iota2 = (1.0 + delta_in * (alpha + gamma)) / (alpha + beta)
+    iota1 = tail_index(delta_out * (alpha + gamma), beta + gamma)
+    iota2 = tail_index(delta_in * (alpha + gamma), alpha + beta)
     return iota1, iota2
 
 
-# ---------------------------------------------------------------------------
-# Discrete power-law tail fitting (minimum KS distance)
-# ---------------------------------------------------------------------------
-
-# Euler-Maclaurin coefficients and stopping threshold of cephes' zeta.c.
-_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
-           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
-           1.1646782814350067249e14, -4.5979787224074726105e15,
-           1.8152105401943546773e17, -7.1661652561756670113e18)
-_MACHEP = 1.11022302462515654042e-16
-
-
-def _hurwitz_zeta(x: float, q):
-    """Hurwitz zeta sum over k >= 0 of (k + q)**-x, x > 1, 1 <= q <= 1e8.
-
-    cephes' zeta, the one scipy.special.zeta calls, step for step, so each
-    value is bit-equal to scipy's (above q = 1e8 cephes switches to an
-    asymptotic form; degrees stay far below).  Powers use math.pow, the
-    libm pow that cephes calls: numpy's SIMD power rounds some differently.
-    """
-    if np.ndim(q):
-        return np.array([_hurwitz_zeta(x, v)
-                         for v in np.asarray(q, dtype=np.float64).tolist()])
-    x, q = float(x), float(q)
-    s = math.pow(q, -x)
-    a, i, b = q, 0, 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = math.pow(a, -x)
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a, k = 1.0, 0.0
-    for coef in _ZETA_A:
-        a *= x + k
-        b /= w
-        t = a * b / coef
-        s = s + t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s
+def tail_index(scaled: float, grow: float) -> float:
+    """Tail index of one degree marginal: (1 + s) / grow, for the scaled
+    offset s = delta (alpha + gamma) and grow, the share of steps that
+    attach to an existing node on that side (see _log_law)."""
+    return (1.0 + scaled) / grow
 
 
 def _fminbound(func, bounds):
@@ -210,70 +163,6 @@ def _fminbound(func, bounds):
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
     return xf, num
-
-
-def _mle_exponent(values: np.ndarray, counts: np.ndarray, x_min: int) -> float:
-    """Maximum-likelihood exponent of a discrete power law on x >= x_min."""
-    n = counts.sum()
-    log_sum = float(counts @ np.log(values))
-
-    def nll(expo: float) -> float:
-        return expo * log_sum + n * np.log(_hurwitz_zeta(expo, x_min))
-
-    return float(_fminbound(nll, _EXPONENT_BOUNDS)[0])
-
-
-def _ks_distance(values: np.ndarray, counts: np.ndarray, expo: float,
-                 x_min: int) -> float:
-    """KS distance between the empirical tail and the fitted power law."""
-    n = counts.sum()
-    emp_cdf = np.cumsum(counts) / n
-    z0 = _hurwitz_zeta(expo, x_min)
-    fit_cdf = 1.0 - _hurwitz_zeta(expo, values + 1) / z0
-    return float(np.abs(emp_cdf - fit_cdf).max())
-
-
-def tail_index(degrees, min_tail: int = 25) -> tuple[float, int]:
-    """Tail index of a degree sample by the minimum-distance method.
-
-    Zeros are discarded.  Every distinct positive value leaving at least
-    min_tail points in the tail is tried as the threshold x_min; for each,
-    a discrete power law is fitted by maximum likelihood and its KS
-    distance to the empirical tail computed.  Returns (iota, x_min) for the
-    best threshold, where iota is the fitted exponent minus one.
-
-    Raises ValueError with fewer than 50 positive degrees or when the
-    positive degrees are all equal (no tail to fit).
-    """
-    x = np.asarray(degrees, dtype=np.int64)
-    x = x[x > 0]
-    if x.size < _MIN_POSITIVE_DEGREES:
-        raise ValueError(
-            f"need at least {_MIN_POSITIVE_DEGREES} positive degrees, "
-            f"got {x.size}"
-        )
-    values, counts = np.unique(x, return_counts=True)
-    if values.size < 2:
-        raise ValueError("constant degrees: no power-law tail to fit")
-
-    tail_sizes = np.cumsum(counts[::-1])[::-1]
-    best: tuple[float, float, int] | None = None
-    for idx in range(values.size):
-        if tail_sizes[idx] < min_tail:
-            break
-        if values.size - idx < 2:
-            break
-        x_min = int(values[idx])
-        v = values[idx:]
-        c = counts[idx:]
-        expo = _mle_exponent(v, c, x_min)
-        dist = _ks_distance(v, c, expo, x_min)
-        if best is None or dist < best[0]:
-            best = (dist, expo, x_min)
-    if best is None:
-        raise ValueError("no admissible tail threshold; sample too small")
-    _, expo, x_min = best
-    return expo - 1.0, x_min
 
 
 # ---------------------------------------------------------------------------

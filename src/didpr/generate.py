@@ -25,6 +25,7 @@ graphs per seed; it waits until perfbench stops generating with gen_dpa.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,10 @@ class DpaParams:
     """Parameters of one preferential-attachment run.
 
     alpha, beta, gamma are scenario probabilities summing to one (within
-    1e-12).  delta_in and delta_out are strictly positive offsets added to
-    the degrees when sampling existing targets and sources; non-integer
-    values are fine.  target_edges is the number of edges to generate and
-    seed feeds the run's random generator.
+    1e-12).  delta_in and delta_out are finite, strictly positive offsets
+    added to the degrees when sampling existing targets and sources;
+    non-integer values are fine.  target_edges is the number of edges to
+    generate and seed feeds the run's random generator.
     """
 
     alpha: float
@@ -96,8 +97,10 @@ class DpaParams:
                 "scenario probabilities must sum to 1, got "
                 f"{self.alpha + self.beta + self.gamma}"
             )
-        if self.delta_in <= 0.0 or self.delta_out <= 0.0:
+        if not (self.delta_in > 0.0 and self.delta_out > 0.0):  # nan fails
             raise ValueError("delta_in and delta_out must be positive")
+        if math.inf in (self.delta_in, self.delta_out):
+            raise ValueError("delta_in and delta_out must be finite")
         if self.target_edges < 1:
             raise ValueError("target_edges must be at least 1")
 

@@ -7,6 +7,7 @@ correlation worked out exactly from integer sums or from rational moments.
 """
 import importlib
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -146,6 +147,32 @@ class TestEdgeMixFromGraph:
         assert eta.row_masses()[si[(2, 1)]] == pytest.approx(0.5)
 
 
+class TestEdgeMixChecks:
+    def test_shape_must_match_the_pair_lists(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "H shape (2, 1) does not match the pair lists (1 x 1)")):
+            EdgeMixMatrix([(1, 0)], [(0, 1)], np.ones((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_rejects_non_finite_entries(self, bad):
+        # nan slipped past the sign and mass tests, which compare false.
+        eta = EdgeMixMatrix([(1, 0), (2, 0)], [(0, 1)], [[1.0], [bad]])
+        with pytest.raises(ValueError,
+                           match="^non-finite entry in edge mixing matrix$"):
+            eta.validate()
+
+    @pytest.mark.parametrize("pairs, H, message", [
+        ([], np.zeros((0, 1)), "empty edge mixing matrix"),
+        ([(1, 0), (2, 0)], [[1.5], [-0.5]],
+         "negative entry -0.5 in edge mixing matrix"),
+        ([(1, 0), (2, 0)], [[0.25], [0.25]],
+         "edge mixing matrix mass 0.5 != 1"),
+    ], ids=["empty", "negative", "mass"])
+    def test_validate_names_the_violation(self, pairs, H, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EdgeMixMatrix(pairs, [(0, 1)], H).validate()
+
+
 class TestEndDistributions:
     """_standardise: an edge end's degree means and sds, and its degrees
     centred and scaled by them."""
@@ -159,6 +186,10 @@ class TestEndDistributions:
         eta = EdgeMixMatrix([(2, 3)], [(5, 7)], np.array([[1.0]]))
         with pytest.raises(ValueError, match="degenerate"):
             assortativity(eta)
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(ValueError, match="^edge end carries no mass$"):
+            _standardise([(1, 1), (2, 2)], [0.0, 0.0])
 
     def test_uniform_two_by_two(self):
         pairs = [(1, 1), (2, 2)]
@@ -238,6 +269,11 @@ class TestAssortativity:
         with pytest.raises(ValueError, match="degenerate"):
             assortativity(eta)
 
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(ValueError, match=(
+                "^graph has no edges; assortativity undefined$")):
+            assortativity_of_graph(DirectedGraph.from_edges(3, [], []))
+
     def test_three_node_fixture_matches_oracle(self):
         g = graph_from_pairs(3, FIXTURE_PAIRS)
         got = assortativity_of_graph(g)
@@ -313,6 +349,9 @@ class TestProfile:
         assert prof.get(2, 1) == -0.3
         assert prof.as_dict() == {"r11": 0.1, "r12": 0.2, "r21": -0.3,
                                   "r22": 0.4}
+        with pytest.raises(ValueError, match=re.escape(
+                "no such coefficient: r(3,1)")):
+            prof.get(3, 1)
 
     def test_max_abs_diff(self):
         a = AssortProfile(0.0, 0.0, 0.0, 0.0)

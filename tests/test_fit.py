@@ -1,6 +1,6 @@
-"""Fitting the attachment model: tail indices on samples with a known
-exponent, the exact degree laws against generated graphs, and parameter
-recovery on generated graphs."""
+"""Fitting the attachment model: the exact degree laws against generated
+graphs, parameter recovery on generated graphs, the tail-index formula, and
+the bounded minimiser against scipy's on every search the fit runs."""
 import math
 import os
 import subprocess
@@ -13,24 +13,16 @@ import pytest
 import didpr
 import didpr.fit
 from didpr.fit import (
-    _EXPONENT_BOUNDS,
+    _SCALED_OFFSET_BOUNDS,
     _fminbound,
-    _hurwitz_zeta,
     _log_law,
+    beta_hat,
     fit_ev,
     tail_index,
     tail_indices_from_params,
 )
 from didpr.generate import DpaParams, gen_dpa
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("a", [2.5, 3.0])
-def test_tail_index_of_zipf_sample(a, seed):
-    # P(X = k) ~ k^-a has tail index a - 1; seen within 0.025 here.
-    iota, x_min = tail_index(np.random.default_rng(seed).zipf(a, 20_000))
-    assert iota == pytest.approx(a - 1.0, abs=0.05)
-    assert x_min >= 1
+from didpr.graph import DirectedGraph
 
 
 @pytest.mark.parametrize("params", [(0.3, 0.4, 0.3, 1.0, 1.0),
@@ -49,6 +41,17 @@ def test_degree_laws_match_generated_frequencies(params):
         seen = np.bincount(degrees, minlength=11)[:11]
         z = (seen - g.num_nodes * q) / np.sqrt(g.num_nodes * q * (1.0 - q))
         assert np.abs(z).max() < 4.0, z
+
+
+def test_tail_indices_are_the_formula_per_side():
+    # (1 + delta (alpha + gamma)) / grow, grow = beta + gamma for the
+    # out-degrees and alpha + beta for the in-degrees.
+    assert tail_index(0.8, 0.7) == 1.8 / 0.7
+    alpha, beta, gamma, delta_in, delta_out = 0.1, 0.6, 0.3, 2.0, 0.5
+    assert tail_indices_from_params(alpha, beta, gamma, delta_out,
+                                    delta_in) == (
+        (1.0 + delta_out * (alpha + gamma)) / (beta + gamma),
+        (1.0 + delta_in * (alpha + gamma)) / (alpha + beta))
 
 
 def test_degree_law_tail_is_the_tail_index():
@@ -142,6 +145,14 @@ def test_fit_ev_offsets_scale_with_the_mean_degree():
     assert fitted.delta_out_hat == pytest.approx(50.0, rel=0.2)
 
 
+def test_beta_hat_needs_as_many_edges_as_nodes():
+    # Each alpha or gamma step adds one node and one edge, so a model graph
+    # has at least as many edges as nodes.
+    with pytest.raises(ValueError, match=(
+            "^more nodes than edges; beta estimate undefined$")):
+        beta_hat(DirectedGraph.from_edges(3, [0, 1], [1, 2]))
+
+
 def test_fit_ev_rejects_light_tails():
     # Erdos-Renyi degrees are Poisson: both offsets run to the upper end.
     with pytest.raises(ValueError, match="delta_in and delta_out ran to an "
@@ -149,64 +160,43 @@ def test_fit_ev_rejects_light_tails():
         fit_ev(didpr.gen_er(300, 0.1, seed=1))
 
 
-class TestHurwitzZetaOracle:
-    # Near 1, where the Euler-Maclaurin tail carries the sum, up to the
-    # upper end of the exponent search.
-    XS = [1.0 + 1e-6, 1.0 + 3e-6, 1.0 + 1e-5, 1.0 + 1e-4, 1.001, 1.01,
-          1.1, 1.5, 1.75, 2.0, 2.3, 2.5, 3.0, 3.7, 5.0, 7.25, 9.0, 12.0]
-
-    def test_arrays_match_scipy(self):
-        from scipy.special import zeta
-
-        qs = np.arange(1, 5001)
-        xs = self.XS + np.random.default_rng(3).uniform(1.0, 12.0, 6).tolist()
-        for x in xs:
-            np.testing.assert_array_equal(_hurwitz_zeta(x, qs), zeta(x, qs))
-
-    def test_scalars_match_scipy(self):
-        from scipy.special import zeta
-
-        rng = np.random.default_rng(4)
-        xs = self.XS + (1.0 + 11.0 * rng.random(200)).tolist()
-        for x in xs:
-            for q in [1, 2, 9, 10, 11, 5000] + rng.integers(1, 5001, 5).tolist():
-                assert _hurwitz_zeta(x, q) == zeta(x, q), (x, q)
-
-
 class TestFminboundOracle:
+    # The synthetic cases below are shaped for this interval.
+    BOUNDS = (1.0 + 1e-6, 12.0)
+
     @staticmethod
-    def _check(func):
+    def _check(func, bounds):
         from scipy.optimize import minimize_scalar
 
-        want = minimize_scalar(func, bounds=_EXPONENT_BOUNDS,
+        want = minimize_scalar(func, bounds=bounds,
                                method="bounded", options={"xatol": 1e-6})
-        assert _fminbound(func, _EXPONENT_BOUNDS) == (want.x, want.nfev)
+        assert _fminbound(func, bounds) == (want.x, want.nfev)
 
-    @pytest.mark.parametrize("sample", ["dpa", "zipf"])
-    def test_every_tail_likelihood(self, sample, monkeypatch):
+    def test_every_search_of_the_fit(self, monkeypatch):
+        # The alpha search over (0, alpha + gamma) and, for each alpha it
+        # tries, one offset search per side over _SCALED_OFFSET_BOUNDS.
         seen = []
 
         def spy(func, bounds):
-            seen.append(func)
+            seen.append((func, bounds))
             return _fminbound(func, bounds)
 
         monkeypatch.setattr(didpr.fit, "_fminbound", spy)
-        if sample == "dpa":
-            g = gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 20_000, seed=1))
-            tail_index(g.out_deg)
-            tail_index(g.in_deg)
-        else:
-            tail_index(np.random.default_rng(1).zipf(2.5, 20_000))
+        fitted = fit_ev(gen_dpa(DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 2_000,
+                                          seed=1)))
+        monkeypatch.undo()
+        outer = [b for _, b in seen if b != _SCALED_OFFSET_BOUNDS]
+        assert outer == [(0.0, 1.0 - fitted.beta_hat)]
         assert len(seen) > 20
-        for func in seen:
-            self._check(func)
+        for func, bounds in seen:
+            self._check(func, bounds)
 
     @pytest.mark.parametrize("centre", [3.7, 1.0, 12.0, 0.5, 20.0])
     def test_quadratics(self, centre):
-        self._check(lambda x: (x - centre) ** 2)
+        self._check(lambda x: (x - centre) ** 2, self.BOUNDS)
 
     def test_constant(self):
-        self._check(lambda x: 2.5)
+        self._check(lambda x: 2.5, self.BOUNDS)
 
     # Flat stretches make the bracket updates compare equal values and
     # points (the step and ceil cases need the `nfc == xf` and
@@ -219,14 +209,16 @@ class TestFminboundOracle:
         lambda x: max(0.0, abs(x - 5.0) - 1.0),
     ], ids=["step", "stairs", "ceil", "floor", "flat-bottom"])
     def test_ties(self, func):
-        self._check(func)
+        self._check(func, self.BOUNDS)
 
     # scipy's numpy-scalar arithmetic warns on inf - inf; the result holds.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("cut", [2.0, 6.0, 9.5])
     def test_infinite_on_part_of_the_interval(self, cut):
-        self._check(lambda x: np.inf if x < cut else (x - 4.0) ** 2)
-        self._check(lambda x: np.inf if x > cut else (x - 8.0) ** 2)
+        self._check(lambda x: np.inf if x < cut else (x - 4.0) ** 2,
+                    self.BOUNDS)
+        self._check(lambda x: np.inf if x > cut else (x - 8.0) ** 2,
+                    self.BOUNDS)
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_out():

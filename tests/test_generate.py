@@ -55,6 +55,17 @@ class TestDpaParams:
         with pytest.raises(ValueError):
             DpaParams(0.3, 0.4, 0.3, 1.0, -2.0, 10)
 
+    @pytest.mark.parametrize("bad, why", [
+        (float("nan"), "positive"), (float("inf"), "finite"),
+        (-float("inf"), "positive")], ids=["nan", "inf", "-inf"])
+    def test_deltas_must_be_finite(self, bad, why):
+        # A nan offset once passed, and its graph's node 0 held 687 of the
+        # 1,000 in-edges.
+        for deltas in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match=(
+                    f"^delta_in and delta_out must be {why}$")):
+                DpaParams(0.3, 0.4, 0.3, *deltas, 1000, 1)
+
     def test_edge_count_must_be_positive(self):
         with pytest.raises(ValueError):
             DpaParams(0.3, 0.4, 0.3, 1.0, 1.0, 0)

@@ -78,6 +78,18 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             graph_from_pairs(2, [(-1, 0)])
 
+    @pytest.mark.parametrize("args, message", [
+        ((-1, [], []), "num_nodes must be nonnegative"),
+        ((3, [0, 1], [2]), "src and dst must be 1-d arrays of equal length"),
+        ((3, [[0, 1]], [[1, 2]]),
+         "src and dst must be 1-d arrays of equal length"),
+        ((3, [0, 1], [1, 2], ["a"]),
+         "edge_labels must align with the edge arrays"),
+    ], ids=["negative-nodes", "unequal", "2-d", "labels"])
+    def test_malformed_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DirectedGraph.from_edges(*args)
+
     def test_long_label_is_rejected_not_cut(self):
         # Cut to one character, "bogus" would read as b and count as beta.
         with pytest.raises(ValueError,

@@ -510,6 +510,32 @@ def test_tolerance_must_be_positive(tolerance):
         RewiringConfig(max_steps=10, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["max_steps", "checkpoint_every"])
+def test_step_counts_must_be_at_least_one(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+        RewiringConfig(**{"max_steps": 10, name: value})
+
+
+def test_empty_trace_has_no_final_profile():
+    with pytest.raises(ValueError, match="^empty trace$"):
+        RewiringTrace([]).final_profile()
+
+
+def test_chain_needs_two_edges():
+    g = DirectedGraph.from_edges(2, [0], [1])
+    with pytest.raises(ValueError,
+                       match="^rewiring needs at least two edges$"):
+        chain_setup(g, edge_mix_from_graph(g))
+
+
+def test_gains_need_scenario_labels():
+    g = gen_er(30, 0.2, seed=1)
+    with pytest.raises(ValueError, match="^no scenario labels on this graph$"):
+        rewire_with_scenario_gains(g, edge_mix_from_graph(g), RewiringConfig(
+            max_steps=10, seed=1))
+
+
 def test_trace_csv_bytes(tmp_path):
     # Header, then the step and five %.12g values per row, CRLF line ends.
     trace = RewiringTrace([(0, 0.1, -0.2, 0.3, 1 / 3, 0.0),
