@@ -18,10 +18,12 @@ fixed.  Everything here therefore reduces to constrained moment problems:
   solution turns up, an LP that maximises a share of the independence
   coupling answers instead, and its feasibility settles attainability.
   Both interior solves take Newton steps through one kernel: conjugate
-  gradients on the row/column block and a 4x4 Schur complement for the
-  four moment rows, so their work is a few hundred mat-vecs with the
-  ns x nt matrix, at any problem size.  They run on numpy alone; scipy
-  is imported only by the LPs below, for HiGHS through lp.Model.
+  gradients on the row/column block, its right sides in lockstep, and a
+  4x4 Schur complement for the four moment rows, so their work is a few
+  hundred passes over the ns x nt matrix (a Sinkhorn sweep, or one CG
+  iteration of up to five right sides at once), at any problem size.
+  They run on numpy alone; scipy is imported only by the LPs below, for
+  HiGHS through lp.Model.
 * coefficient_bounds minimises/maximises one coefficient over the polytope,
   optionally conditioned on intervals for other coefficients, which yields
   the attainable range of each coefficient.  Without conditioning each
@@ -197,8 +199,10 @@ _DRIFT_SAMPLES = 10_000
 # handful of Newton steps and a few hundred passes; a target on or beyond
 # the boundary of the attainable region sends the multipliers to infinity,
 # where the scaling slows down, and ends at one of the caps.  A pass is one
-# Sinkhorn sweep or one conjugate-gradient iteration: two mat-vecs with the
-# ns x nt matrix either way; each solve has its own pass budget.  Stops:
+# Sinkhorn sweep (two mat-vecs with the ns x nt matrix) or one
+# conjugate-gradient iteration of one right side; _newton_kkt runs its
+# sides in lockstep, so one pair of block products serves as many passes as
+# sides still run.  Each solve has its own pass budget.  Stops:
 # moment error below _GRAD_TOL (entropy), squared Newton decrement below
 # _CENTER_TOL (centre), relative CG residual below _CG_TOL (_newton_kkt).
 #
@@ -208,7 +212,10 @@ _DRIFT_SAMPLES = 10_000
 # With the Sinkhorn tolerance loosened to 1e-2 |g|^2 (kept in [1e-12, 1e-4])
 # it converges instead, in 2,721 passes, to a matrix whose smallest entry is
 # 1e-96 of the independence mass.  So a cheaper inner loop needs an explicit
-# boundary test first; saving passes alone moves targets off the LP.
+# boundary test first; saving passes alone moves targets off the LP.  The
+# lockstep keeps every side's own recurrence, so it makes passes cheaper,
+# not fewer; a block-Krylov CG, whose sides share one search space, would
+# save passes and so would hit this trap.
 _NEWTON_MAX = 50
 _PASS_MAX = 5_000
 _GRAD_TOL = 1e-10
@@ -250,52 +257,71 @@ def _chain_drift(p: EtaProblem, lam: np.ndarray) -> float:
     return float(np.abs(delta).mean())
 
 
-def _cg(matvec, b, d, maxiter):
-    """Conjugate gradients for H x = b from x = 0, H given by matvec,
-    preconditioned by its diagonal d: (x, iterations).
+def _cg(matmat, B, d, maxiter):
+    """Conjugate gradients for H x = b from x = 0, one for each row b of the
+    k x n block B, H given by matmat on a block of rows and preconditioned
+    by its diagonal d: (X, iterations), X and the per-row counts in B's
+    order.
 
-    Stops once the residual is below _CG_TOL |b|, or after maxiter
-    iterations.  Every step repeats the arithmetic of scipy's sparse cg
-    (scipy 1.17, rtol=_CG_TOL, M = diag(1/d)) in its order, so x is the
-    same to the bit; b is made contiguous first, as scipy's ravel does.
+    The rows run in lockstep, so each iteration reads H once for all of
+    them, but each keeps its own recurrence (rho, alpha, beta) and stops
+    once its residual is below _CG_TOL |b|; it then leaves the block.  A
+    zero row comes back as is after 0 iterations.  The lockstep stops once
+    the rows' iterations together reach maxiter (its last iteration may
+    pass it by fewer than k).  Every row repeats the arithmetic of scipy's
+    sparse cg (scipy 1.17, rtol=_CG_TOL, M = diag(1/d)) in its order, on
+    contiguous rows, so with a matmat that applies H to one row at a time
+    each row of X is scipy's x to the bit.
     """
-    b = np.ascontiguousarray(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return b, 0
-    atol = _CG_TOL * float(bnorm)
-    x, r = np.zeros_like(b), b.copy()
-    p = rho_prev = None
-    for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, it
-        z = r / d
-        rho = np.dot(r, z)
-        if p is None:
-            p = z
+    X = np.zeros_like(B)
+    iterations = np.zeros(len(B), dtype=np.int64)
+    bnorm = np.array([np.linalg.norm(b) for b in B])
+    live = np.flatnonzero(bnorm)
+    X_live, R, atol = X[live], B[live], _CG_TOL * bnorm[live]
+    P = rho_prev = None
+    while live.size and iterations.sum() < maxiter:
+        done = np.array([np.linalg.norm(r) for r in R]) < atol
+        if done.any():
+            X[live[done]] = X_live[done]
+            keep = ~done
+            live, X_live, R, atol = (live[keep], X_live[keep], R[keep],
+                                     atol[keep])
+            if P is not None:
+                P, rho_prev = P[keep], rho_prev[keep]
+            if not live.size:
+                break
+        Z = R / d
+        rho = np.array([np.dot(r, z) for r, z in zip(R, Z)])
+        if P is None:
+            P = Z
         else:
-            p *= rho / rho_prev
-            p += z
-        q = matvec(p)
-        alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+            P *= (rho / rho_prev)[:, None]
+            P += Z
+        Q = matmat(P)
+        alpha = rho / np.array([np.dot(p, q) for p, q in zip(P, Q)])
+        X_live += alpha[:, None] * P
+        R -= alpha[:, None] * Q
         rho_prev = rho
-    return x, maxiter
+        iterations[live] += 1
+    X[live] = X_live
+    return X, iterations
 
 
 def _newton_kkt(K, U, V, r_ab, r_lam, passes):
     """Solve A diag(K) A' [z; mu] = [r_ab; r_lam], A the constraint map.
 
     A stacks row sums, column sums and the four standardised moments.  CG
-    (_cg, in numpy: the CLI then starts without scipy)
-    applies the inverse of the row/column block H = A_ab diag(K) A_ab' to
-    r_ab and to the columns of the coupling P without forming H; mu solves
-    the 4x4 Schur complement S = R - P' H^-1 P by least squares, and
-    z = H^-1 (r_ab - P mu).  passes counts the solve's work so far (see
-    _PASS_MAX).  Returns (z, mu, passes after the CG), or None when they
-    reach _PASS_MAX, S is not finite, or the right side leaves the range
-    of S.
+    (_cg, in numpy: the CLI then starts without scipy) applies the inverse
+    of the row/column block H = A_ab diag(K) A_ab' to the columns of the
+    coupling P and to r_ab without forming H: one lockstep run over the
+    five right sides, so each iteration reads K in two matrix products
+    with a block of the sides still running.  mu solves the 4x4 Schur
+    complement S = R - P' H^-1 P by least squares, and
+    z = H^-1 (r_ab - P mu).  passes counts the solve's work so far, one
+    pass per CG iteration of each side, against one budget for the sum
+    (see _PASS_MAX).  Returns (z, mu, passes after the CG), or None when
+    they reach _PASS_MAX, S is not finite, or the right side leaves the
+    range of S.
     """
     ns, nt = K.shape
     KV, UtK = K @ V, U.T @ K
@@ -308,29 +334,31 @@ def _newton_kkt(K, U, V, r_ab, r_lam, passes):
     R = T[np.add.outer(2 * _PAIR_A, _PAIR_A),
           np.add.outer(2 * _PAIR_B, _PAIR_B)]
     d = np.concatenate([rs, cs])
+    # Both block products read a row-major matrix: faster than a transposed
+    # view, and the rounding that keeps fallback_problem's pass trace.
+    KT = np.ascontiguousarray(K.T)
 
-    def h_ab(z):
-        return np.concatenate([rs * z[:ns] + K @ z[ns:],
-                               z[:ns] @ K + cs * z[ns:]])
+    def h_ab(Z):
+        return np.concatenate([rs * Z[:, :ns] + Z[:, ns:] @ KT,
+                               Z[:, :ns] @ K + cs * Z[:, ns:]], axis=1)
 
     # H is singular along the shift (1, -1) of rows against columns, but
     # every column of P and every r_ab the solvers pass is orthogonal to
     # it, so the systems are consistent.
-    X = np.empty((ns + nt, 5))
-    for k, col in enumerate((*P.T, r_ab)):
-        X[:, k], its = _cg(h_ab, col, d, max(1, _PASS_MAX - passes))
-        passes += its
-    S = R - P.T @ X[:, :4]
+    X, iterations = _cg(h_ab, np.concatenate([P.T, r_ab[None]]), d,
+                        _PASS_MAX - passes)
+    passes += int(iterations.sum())
+    S = R - P.T @ X[:4].T
     if not np.isfinite(S).all() or passes >= _PASS_MAX:
         return None
-    rhs = r_lam - P.T @ X[:, 4]
+    rhs = r_lam - P.T @ X[4]
     mu = np.linalg.lstsq(S, rhs, rcond=1e-10)[0]
     # A right side outside the range of S lies along a combination of
     # weights that is additive in rows and columns, so its moment is the
     # same for every mixing matrix: the targets are unattainable.
     if np.linalg.norm(S @ mu - rhs) > 0.5 * np.linalg.norm(rhs):
         return None
-    return X[:, 4] - X[:, :4] @ mu, mu, passes
+    return X[4] - mu @ X[:4], mu, passes
 
 
 def _entropy_eta(p: EtaProblem, m_star: np.ndarray

@@ -416,9 +416,11 @@ def _scipy_has_rtol():
 @pytest.mark.skipif(not _scipy_has_rtol(),
                     reason="scipy before 1.12 names cg's tolerance tol")
 class TestCgOracle:
-    """The in-house CG repeats scipy.sparse.linalg.cg's arithmetic, so on
-    every system the Newton kernel hands it, scipy must return the same x to
-    the bit after the same number of iterations."""
+    """The in-house CG runs its right sides in lockstep, each with the
+    recurrence of scipy.sparse.linalg.cg.  Given a product that applies H
+    to one side at a time, every side must come out as scipy's x to the bit
+    after the same number of iterations; with the kernel's block product,
+    within 1e-12 of it (relative), one iteration either way."""
 
     CASES = {
         "toy": (toy_problem, (0.5, 0.5, 0.5, 0.5), False),
@@ -431,52 +433,159 @@ class TestCgOracle:
 
     @staticmethod
     def recorded_systems(monkeypatch, case):
-        """Every (matvec, b, d, maxiter, x, iterations) of the _cg calls in
-        the entropy solve and, where asked, its centre polish; b as the
-        kernel passed it (the P columns are strided views)."""
+        """Every Newton system of the entropy solve and, where asked, its
+        centre polish: (the _newton_kkt arguments, then the matmat, B, d,
+        maxiter, X and iterations of its _cg call)."""
         make, targets, polish = TestCgOracle.CASES[case]
-        calls = []
-        real = etalib._cg
+        calls, kkt = [], []
+        real_cg, real_kkt = etalib._cg, etalib._newton_kkt
 
-        def recording(matvec, b, d, maxiter):
-            x, iterations = real(matvec, b, d, maxiter)
-            calls.append((matvec, b, d, maxiter, x, iterations))
-            return x, iterations
+        def recording_kkt(*args):
+            kkt.append(args)
+            return real_kkt(*args)
 
-        monkeypatch.setattr(etalib, "_cg", recording)
+        def recording_cg(matmat, B, d, maxiter):
+            X, iterations = real_cg(matmat, B, d, maxiter)
+            calls.append((kkt[-1], matmat, B, d, maxiter, X, iterations))
+            return X, iterations
+
+        monkeypatch.setattr(etalib, "_newton_kkt", recording_kkt)
+        monkeypatch.setattr(etalib, "_cg", recording_cg)
         p, m_star = make(), _targets(AssortProfile(*targets))
         eta = _entropy_eta(p, m_star)[0]
         assert eta is not None
         if polish:
             assert _center_eta(p, m_star, eta) is not None
+        monkeypatch.undo()
+        assert calls and len(calls) == len(kkt)
         return calls
+
+    @staticmethod
+    def one_side_at_a_time(K):
+        """H of the kernel's matrix K on one vector, as the kernel applied
+        it before the lockstep: (matvec, matmat mapping it over rows)."""
+        ns = K.shape[0]
+        rs, cs = K.sum(axis=1), K.sum(axis=0)
+
+        def matvec(z):
+            return np.concatenate([rs * z[:ns] + K @ z[ns:],
+                                   z[:ns] @ K + cs * z[ns:]])
+
+        return matvec, lambda Z: np.stack([matvec(z) for z in Z])
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_every_kernel_system_matches_scipy(self, monkeypatch, case):
-        calls = self.recorded_systems(monkeypatch, case)
-        # Five right sides per Newton step: four P columns and r_ab.
-        assert calls and len(calls) % 5 == 0
-        for matvec, b, d, maxiter, x, iterations in calls:
-            want_x, want_iterations = _scipy_cg(matvec, b, d, maxiter)
-            assert np.array_equal(x, want_x)
-            assert iterations == want_iterations
+        # One side at a time: scipy's x to the bit.
+        for kkt, _, B, d, maxiter, _, _ in self.recorded_systems(monkeypatch,
+                                                                 case):
+            matvec, matmat = self.one_side_at_a_time(kkt[0])
+            # Five right sides per Newton step: four P columns and r_ab.
+            assert B.shape == (5, len(d)) and B.flags.c_contiguous
+            X, iterations = etalib._cg(matmat, B, d, maxiter)
+            assert iterations.sum() < maxiter
+            for b, x, n in zip(B, X, iterations):
+                want_x, want_n = _scipy_cg(matvec, b, d, maxiter)
+                assert np.array_equal(x, want_x)
+                assert n == want_n
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_block_product_matches_scipy(self, monkeypatch, case):
+        # H is singular along the shift of rows against columns, which
+        # moves no moment, so x is compared with that shift taken out.  At
+        # the independence coupling (the entropy solve's first step) KV and
+        # U'K vanish: the P columns are rounding noise, and so is their x.
+        for kkt, _, B, d, maxiter, X, iterations in self.recorded_systems(
+                monkeypatch, case):
+            K = kkt[0]
+            matvec, _ = self.one_side_at_a_time(K)
+            shift = np.concatenate([np.ones(len(K)), -np.ones(len(d) - len(K))])
+            for b, x, n in zip(B, X, iterations):
+                want_x, want_n = _scipy_cg(matvec, b, d, maxiter)
+                assert abs(n - want_n) <= 1
+                if np.linalg.norm(b) <= 1e-12 * K.sum():
+                    continue
+                gap, want_x = ((v - (v @ shift) / len(d) * shift)
+                               for v in (x - want_x, want_x))
+                assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(want_x)
 
     def test_zero_right_side(self, monkeypatch):
-        matvec, b, d, maxiter = self.recorded_systems(monkeypatch, "er150")[0][:4]
-        zero = np.zeros_like(b)
-        x, iterations = etalib._cg(matvec, zero, d, maxiter)
-        want_x, want_iterations = _scipy_cg(matvec, zero, d, maxiter)
-        assert np.array_equal(x, want_x) and not x.any()
-        assert iterations == want_iterations == 0
+        # A zero side comes back as is after no iteration and costs no pass;
+        # the other sides run as they would without it.
+        kkt, _, B, d, maxiter = self.recorded_systems(monkeypatch,
+                                                      "er150")[0][:5]
+        matvec, matmat = self.one_side_at_a_time(kkt[0])
+        zero = np.zeros_like(d)
+        X, iterations = etalib._cg(matmat, B[:4], d, maxiter)
+        with_zero, with_zero_its = etalib._cg(
+            matmat, np.stack([B[0], zero, *B[1:4]]), d, maxiter)
+        want_x, want_n = _scipy_cg(matvec, zero, d, maxiter)
+        assert np.array_equal(with_zero[1], want_x) and not want_x.any()
+        assert with_zero_its[1] == want_n == 0
+        assert np.array_equal(np.delete(with_zero, 1, axis=0), X)
+        assert np.array_equal(np.delete(with_zero_its, 1), iterations)
+        X, iterations = etalib._cg(matmat, np.zeros((2, len(d))), d, maxiter)
+        assert not X.any() and not iterations.any()
 
     def test_budget_runs_out(self, monkeypatch):
+        # The budget caps the sides' iterations together; each side stops
+        # where scipy would with its own count as maxiter.
         calls = self.recorded_systems(monkeypatch, "dpa3e3")
-        matvec, b, d, _, _, needed = max(calls, key=lambda call: call[5])
-        budget = needed // 2
-        x, iterations = etalib._cg(matvec, b, d, budget)
-        want_x, want_iterations = _scipy_cg(matvec, b, d, budget)
-        assert np.array_equal(x, want_x)
-        assert iterations == want_iterations == budget
+        kkt, _, B, d, _, _, needed = max(calls, key=lambda c: c[6].sum())
+        matvec, matmat = self.one_side_at_a_time(kkt[0])
+        budget = int(needed.sum()) // 2
+        X, iterations = etalib._cg(matmat, B, d, budget)
+        assert budget <= iterations.sum() < budget + len(B)
+        for b, x, n in zip(B, X, iterations):
+            want_x, want_n = _scipy_cg(matvec, b, d, int(n))
+            assert np.array_equal(x, want_x)
+            assert n == want_n
+
+
+class TestPassAccounting:
+    """A pass is one CG iteration of one right side, so the lockstep makes
+    passes cheaper but no fewer, and _PASS_MAX, which sends near-boundary
+    targets to the spread LP, cuts where it did."""
+
+    @staticmethod
+    def newton_trace(monkeypatch, p, targets):
+        """_entropy_eta's answer, and each Newton step's passes on entry
+        and after its CG (None where the kernel gave up)."""
+        trace = []
+        real = etalib._newton_kkt
+
+        def spy(K, U, V, r_ab, r_lam, passes):
+            sol = real(K, U, V, r_ab, r_lam, passes)
+            trace.append((passes, None if sol is None else sol[2]))
+            return sol
+
+        monkeypatch.setattr(etalib, "_newton_kkt", spy)
+        return _entropy_eta(p, _targets(targets))[0], trace
+
+    def test_fallback_runs_out_where_it_did(self, monkeypatch):
+        # The cap of 5,000 is then reached in the line search's Sinkhorn.
+        eta, trace = self.newton_trace(monkeypatch, *fallback_problem())
+        assert eta is None
+        assert len(trace) == 7 and trace[-1] == (4_320, 4_423)
+
+    def test_er_paper_work(self, monkeypatch):
+        tgt = AssortProfile(0.6, 0.5, -0.4, -0.3)
+        eta, trace = self.newton_trace(
+            monkeypatch, problem_from_graph(gen_er(1000, 0.1, seed=1)), tgt)
+        assert eta is not None
+        assert assortativity(eta).max_abs_diff(tgt) < 1e-9
+        assert len(trace) == 8 and trace[-1][1] <= 1_200
+
+    def test_budget_is_shared_by_the_sides(self, monkeypatch):
+        # The kernel gives up exactly when the sides' iterations together
+        # reach the passes left.
+        calls = TestCgOracle.recorded_systems(monkeypatch, "er150")
+        kkt, *_, iterations = calls[0]
+        K, U, V, r_ab, r_lam, _ = kkt
+        needed = int(iterations.sum())
+        start = etalib._PASS_MAX - needed
+        assert etalib._newton_kkt(K, U, V, r_ab, r_lam, start + 1) is None
+        assert etalib._newton_kkt(K, U, V, r_ab, r_lam, start - 1)[2] == (
+            etalib._PASS_MAX - 1)
 
 
 class TestCoefficientBounds:
